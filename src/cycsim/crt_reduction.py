@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import gates, halting_program as hp
 from .hilbert import (GateLedger, GateOp, Register, RegisterLayout, Sequence,
-                      SimulationError, SparseState, adjoint, apply)
+                      SimulationError, SparseState, adjoint, apply, assert_registers_clean)
 from .numtheory import CyclicGroupSpec, DomainError
 
 
@@ -62,24 +62,27 @@ class ReductionRegs:
     b: str                      # product temp
     prod: str                   # group-product accumulator
 
-    @classmethod
-    def default(cls, r: int) -> "ReductionRegs":
-        return cls(w="W", comps=tuple(f"C{k + 1}" for k in range(r)),
-                   a="TA", b="TB", prod="TP")
 
-    def all(self) -> tuple[str, ...]:
-        return (self.w,) + self.comps + (self.a, self.b, self.prod)
+SEARCH = "SEARCH"  # the search register the auxiliary oracle swaps in
 
 
-def make_reduction_layout(spec: CyclicGroupSpec,
-                          regs: ReductionRegs | None = None) -> tuple[RegisterLayout, ReductionRegs]:
-    regs = regs or ReductionRegs.default(spec.r)
-    n_dim = 2 ** spec.p.bit_length()
+def make_search_layout(spec: CyclicGroupSpec
+                       ) -> tuple[RegisterLayout, ReductionRegs, hp.StripRegs]:
+    """The whole search layout: W, C1..Cr, TA/TB/TP, NH, BH, R1..Rr, SEARCH."""
+    r = spec.r
+    regs = ReductionRegs(w="W", comps=tuple(f"C{k + 1}" for k in range(r)),
+                         a="TA", b="TB", prod="TP")
+    strip = hp.StripRegs(nh="NH", bh="BH", comps=regs.comps,
+                         recs=tuple(f"R{k + 1}" for k in range(r)))
+    cfg = hp.ProgramConfig.from_spec(spec)
+    n_dim = gates.register_dim(spec.p)
     registers = [Register(regs.w, n_dim, "work")]
-    registers += [Register(c, n_dim, "aux") for c in regs.comps]
-    registers += [Register(regs.a, n_dim, "aux"), Register(regs.b, n_dim, "aux"),
-                  Register(regs.prod, n_dim, "aux")]
-    return RegisterLayout(registers), regs
+    registers += [Register(name, n_dim, "aux")
+                  for name in regs.comps + (regs.a, regs.b, regs.prod)]
+    registers += [Register(strip.nh, 2, "halt"), Register(strip.bh, cfg.branch_dim, "branch")]
+    registers += [Register(name, cfg.record_dim, "record") for name in strip.recs]
+    registers.append(Register(SEARCH, n_dim, "work"))
+    return RegisterLayout(registers), regs, strip
 
 
 # --- index-space decompositions ----------------------------------------------
@@ -158,22 +161,12 @@ def _apply_all(state: SparseState, seq: list[GateOp],
     return state
 
 
-def _assert_clean(state: SparseState, names: tuple[str, ...], what: str) -> None:
-    from .hilbert import RELEASE_TOL
-
-    for name in names:
-        leak = state.register_weight_outside(name, 0)
-        if leak > RELEASE_TOL:
-            raise SimulationError(
-                f"pipeline fault in {what}: register {name} holds weight {leak:.3e} off 0")
-
-
 def index_to_residue_product(state: SparseState, spec: CyclicGroupSpec,
                              regs: ReductionRegs,
                              ledger: GateLedger | None = None) -> SparseState:
     n_dim = state.layout.dim(regs.w)
     state = _apply_all(state, residue_product_gates(spec, regs, n_dim), ledger)
-    _assert_clean(state, (regs.w, regs.a, regs.b), "residue decomposition")
+    assert_registers_clean(state, (regs.w, regs.a, regs.b), "residue decomposition")
     return state
 
 
@@ -182,7 +175,7 @@ def index_to_scaled_product(state: SparseState, spec: CyclicGroupSpec,
                             ledger: GateLedger | None = None) -> SparseState:
     n_dim = state.layout.dim(regs.w)
     state = _apply_all(state, scaled_product_gates(spec, regs, n_dim), ledger)
-    _assert_clean(state, (regs.w, regs.a, regs.b), "scaled decomposition")
+    assert_registers_clean(state, (regs.w, regs.a, regs.b), "scaled decomposition")
     return state
 
 
@@ -193,7 +186,7 @@ def group_state_to_subgroup_product(state: SparseState, spec: CyclicGroupSpec,
     the inverse-weighted component product failed to reassemble it."""
     n_dim = state.layout.dim(regs.w)
     state = _apply_all(state, subgroup_product_gates(spec, regs, n_dim), ledger)
-    _assert_clean(state, (regs.w, regs.a, regs.prod), "group-state reconstruction")
+    assert_registers_clean(state, (regs.w, regs.a, regs.prod), "group-state reconstruction")
     return state
 
 
@@ -225,20 +218,17 @@ def reduction_gate(spec: CyclicGroupSpec, regs: ReductionRegs, strip: hp.StripRe
     return Sequence(tuple(seq), label=f"REDUCE_{keep}")
 
 
-def make_aux_oracle(base_oracle: GateOp, spec: CyclicGroupSpec, k: int, theta: float,
-                    regs: ReductionRegs, strip: hp.StripRegs, search_reg: str,
-                    n_dim: int, pulse: hp.PulseModel | None = None) -> GateOp:
+def make_aux_oracle(base_oracle: GateOp, k: int, red: GateOp, search_reg: str,
+                    comp_reg: str) -> GateOp:
     """Selective rotation of the k-th subgroup component on the search register,
     realized with a single call of the base oracle.
 
-    The trial value is swapped into the kept component register; the inverse
-    reduction consumes the live halting records and reassembles the original
-    group state exactly when the trial equals the hidden component, at which
-    point the base oracle fires; the forward reduction then restores the
-    pipeline registers.  `theta` is fixed by the base oracle; the argument is
-    kept for the report only.
+    `red` is the forward reduction that keeps component k in `comp_reg`.  The
+    trial value is swapped into that register; the inverse reduction consumes
+    the live halting records and reassembles the original group state exactly
+    when the trial equals the hidden component, at which point the base oracle
+    fires; the forward reduction then restores the pipeline registers.
     """
-    red = reduction_gate(spec, regs, strip, k, n_dim, pulse)
-    swap = gates.swap_regs(search_reg, regs.comps[k])
+    swap = gates.swap_regs(search_reg, comp_reg)
     return Sequence((swap, adjoint(red), base_oracle, red, swap),
                     label=f"AUX_ORACLE_{k}")

@@ -37,9 +37,6 @@ class DlogRegs:
     t: str = "T"      # comparison temporary for the good reflection
     e: str = "E"      # temporary for the Euler-power filter
 
-    def all(self) -> tuple[str, ...]:
-        return (self.w, self.x, self.y, self.f, self.out, self.t, self.e)
-
     def aux(self) -> tuple[str, ...]:
         return (self.x, self.y, self.f, self.out, self.t, self.e)
 
@@ -63,15 +60,8 @@ class PipelineTrace:
         return list(self.entries)
 
 
-def register_dim(p: int) -> int:
-    """Uniform register size 2**n with n = floor(log2 p) + 1; holds Z_p plus
-    the out-of-group control value p and the top state 2**n - 1."""
-    n = p.bit_length()
-    return 2**n
-
-
 def make_dlog_layout(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs()) -> RegisterLayout:
-    N = register_dim(spec.p)
+    N = gates.register_dim(spec.p)
     return RegisterLayout([
         Register(regs.w, N, "work"),
         Register(regs.x, N, "aux"),
@@ -123,7 +113,7 @@ def good_rotation_stage1(spec: CyclicGroupSpec, regs: DlogRegs, phi: float) -> G
     deterministic amplification schedule would overshoot for special indices.
     """
     p, g, m = spec.p, spec.g, spec.p - 1
-    N = register_dim(p)
+    N = gates.register_dim(p)
     load = gates.add_mod(N, regs.w, regs.t)
     shift = gates.cyclic_shift(p, g, regs.t, power=-1, control=regs.out)
     inner = gates.selective_phase({1: phi}, regs.t, label="C_1", cost_class="reflection")
@@ -192,10 +182,6 @@ def amplitude_amplify(state: SparseState, good_builder, full_builder, mode: str,
     return state, info
 
 
-def _stage1_gates(spec: CyclicGroupSpec, regs: DlogRegs) -> list[GateOp]:
-    return _psi1_gates(spec, regs) + _psi2_gates(spec, regs) + _euler_gates(spec, regs)
-
-
 def _full_pivot(regs: DlogRegs) -> dict[str, int | None]:
     pivot: dict[str, int | None] = {n: 0 for n in regs.aux()}
     pivot[regs.w] = None  # covariant in the work register
@@ -214,7 +200,8 @@ _KIT_MEMO: dict = {}
 def pipeline_kit(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
                  mode: str = "exact", grover_m: int | None = None) -> dict:
     """All gate pieces of the inversion sequence, built once per configuration
-    so compiled permutation tables are shared across applications."""
+    so compiled permutation tables are shared across applications.  "stage1"
+    is the concatenation of the named stages "psi1", "psi2" and "euler"."""
     key = (spec, regs, mode, grover_m)
     kit = _KIT_MEMO.get(key)
     if kit is not None:
@@ -222,7 +209,10 @@ def pipeline_kit(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
     p, g, m = spec.p, spec.g, spec.p - 1
     schedule = amplification_schedule(good_weight(spec), mode, grover_m)
 
-    stage1 = _stage1_gates(spec, regs)
+    psi1 = _psi1_gates(spec, regs)
+    psi2 = _psi2_gates(spec, regs)
+    euler = _euler_gates(spec, regs)
+    stage1 = psi1 + psi2 + euler
     prep1 = Sequence(tuple(stage1), label="U_T1")
     amp1 = amplification_gates(
         lambda phi: good_rotation_stage1(spec, regs, phi),
@@ -246,8 +236,8 @@ def pipeline_kit(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
         adjoint(gates.qft(p - 1, regs.x)),
         gates.transposition(1, 0, regs.f),  # state transfer |1> -> |0>
     ]
-    kit = {"stage1": stage1, "amp1": amp1, "mid": mid, "amp2": amp2, "tail": tail,
-           "schedule": schedule}
+    kit = {"psi1": psi1, "psi2": psi2, "euler": euler, "stage1": stage1, "amp1": amp1,
+           "mid": mid, "amp2": amp2, "tail": tail, "schedule": schedule}
     _KIT_MEMO[key] = kit
     return kit
 
@@ -339,13 +329,12 @@ def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
     state = SparseState.basis(layout, {regs.w: b})
     trace.record("psi0", 1.0, state.support_size, ledger)
 
-    n_psi1 = 3  # the first three stage gates prepare the double superposition
-    for gate in kit["stage1"][:n_psi1]:
+    for gate in kit["psi1"]:
         state = apply(state, gate, ledger)
     target = _psi1_target(spec, b, layout, regs)
     trace.record("psi1", hilbert.fidelity(state, target), state.support_size, ledger)
 
-    for gate in kit["stage1"][n_psi1:n_psi1 + 3]:
+    for gate in kit["psi2"]:
         state = apply(state, gate, ledger)
     s_true = classical_dlog(p, g, b)
     want = {(l, (l * s_true) % m) for l in range(m)}
@@ -354,7 +343,7 @@ def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
     if not pat_ok:
         raise SimulationError("index-pattern shape check failed after the Fourier pass")
 
-    for gate in kit["stage1"][n_psi1 + 3:]:
+    for gate in kit["euler"]:
         state = apply(state, gate, ledger)
     ix = layout.index(regs.x)
     weight = state.weight_where(lambda k: math.gcd(k[ix], m) == 1)
@@ -384,12 +373,8 @@ def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
     trace.record("final", fid, state.support_size, ledger)
     if mode == "exact":
         # plain reflections leave genuine residue; only exact mode owes clean aux
-        for name in regs.aux():
-            if name != regs.out:
-                leak = state.register_weight_outside(name, 0)
-                if leak > hilbert.RELEASE_TOL:
-                    raise SimulationError(f"pipeline fault: register {name} not "
-                                          f"restored (weight {leak:.3e})")
+        hilbert.assert_registers_clean(
+            state, tuple(x for x in regs.aux() if x != regs.out), "log-gate inversion")
     recovered = max(((abs(a), k) for k, a in state.entries.items()))[1][layout.index(regs.out)]
     return trace, recovered, state
 

@@ -27,9 +27,9 @@ from . import gates
 from . import halting_program as hp
 from . import hilbert
 from . import mq_circuits as mq
-from .hilbert import GateLedger, Register, RegisterLayout, SimulationError, SparseState
+from .hilbert import GateLedger, RegisterLayout, SimulationError, SparseState
 from .numtheory import (CyclicGroupSpec, DomainError, classical_dlog, crt_compose,
-                        is_prime, make_group_spec)
+                        is_prime, make_group_spec, multiplicative_order)
 from .oracle import OracleSpec, make_oracle, make_subspace_oracle
 
 log = logging.getLogger("cycsim")
@@ -60,6 +60,13 @@ class ExperimentConfig:
             raise DomainError("epsilon must lie in [0, 1)")
         if self.mode not in ("exact", "grover"):
             raise DomainError(f"unknown amplification mode {self.mode!r}")
+        if self.g is not None and not (
+                1 <= self.g < self.p and multiplicative_order(self.g, self.p) == self.p - 1):
+            raise DomainError(f"{self.g} is not a primitive root mod {self.p}")
+        if self.trotter_m is not None and self.trotter_m < 1:
+            raise DomainError("trotter_m must be at least 1")
+        if self.grover_m is not None and self.grover_m < 0:
+            raise DomainError("grover_m must be non-negative")
 
 
 @dataclass
@@ -94,8 +101,8 @@ class _Instance:
     strip_regs: hp.StripRegs
     n: int
     pulse: hp.PulseModel | None
-    aux_pulse: hp.PulseModel | None  # locking phase drifts between pulse executions
     reductions: list  # per component: the forward reduction gate
+    aux_reductions: list  # per component: the reduction inside the aux oracle
 
 
 _INSTANCE_CACHE: dict = {}
@@ -107,30 +114,22 @@ def _instance(config: ExperimentConfig) -> _Instance:
     if inst is not None:
         return inst
     spec = make_group_spec(config.p, config.g)
-    r = spec.r
-    n = spec.p.bit_length()
-    n_dim = 2**n
-    regs = cr.ReductionRegs.default(r)
-    strip_regs = hp.StripRegs(nh="NH", bh="BH", comps=regs.comps,
-                              recs=tuple(f"R{k + 1}" for k in range(r)))
-    cfg = hp.ProgramConfig.from_spec(spec)
-    registers = [Register(regs.w, n_dim, "work")]
-    registers += [Register(c, n_dim, "aux") for c in regs.comps]
-    registers += [Register(regs.a, n_dim, "aux"), Register(regs.b, n_dim, "aux"),
-                  Register(regs.prod, n_dim, "aux")]
-    registers += [Register(strip_regs.nh, 2, "halt"),
-                  Register(strip_regs.bh, cfg.branch_dim, "branch")]
-    registers += [Register(name, cfg.record_dim, "record") for name in strip_regs.recs]
-    registers += [Register("SEARCH", n_dim, "work")]
-    layout = RegisterLayout(registers)
+    layout, regs, strip_regs = cr.make_search_layout(spec)
+    n_dim = layout.dim(regs.w)
+
+    def reductions_for(pulse: hp.PulseModel | None) -> list:
+        return [cr.reduction_gate(spec, regs, strip_regs, k, n_dim, pulse)
+                for k in range(spec.r)]
+
     pulse = hp.PulseModel(config.epsilon, config.gamma) if config.epsilon > 0 else None
-    # the locking phase depends on when the pulse fires, so the oracle-side
-    # stripping carries a drifted phase and does not coherently undo the leak
-    aux_pulse = (hp.PulseModel(config.epsilon, config.gamma + math.pi / 3)
-                 if config.epsilon > 0 else None)
-    reductions = [cr.reduction_gate(spec, regs, strip_regs, k, n_dim, pulse)
-                  for k in range(r)]
-    inst = _Instance(spec, layout, regs, strip_regs, n, pulse, aux_pulse, reductions)
+    reductions = aux_reductions = reductions_for(pulse)
+    if pulse is not None:
+        # the locking phase depends on when the pulse fires, so the oracle-side
+        # stripping carries a drifted phase and does not coherently undo the leak
+        aux_reductions = reductions_for(
+            hp.PulseModel(config.epsilon, config.gamma + math.pi / 3))
+    inst = _Instance(spec, layout, regs, strip_regs, spec.p.bit_length(), pulse,
+                     reductions, aux_reductions)
     _INSTANCE_CACHE[key] = inst
     return inst
 
@@ -171,7 +170,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     base_oracle = make_subspace_oracle(
         ospec, layout, regs.w,
-        designated=tuple(x for x in layout.names if x not in (regs.w, "SEARCH")))
+        designated=tuple(x for x in layout.names if x not in (regs.w, cr.SEARCH)))
 
     components: list[dict] = []
     halt_ledger: list[dict] = []
@@ -183,13 +182,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         comp = spec.basis.components[k]
         red = inst.reductions[k]
         state = hilbert.apply(state, red, ledger)
-        _, records = _read_records(state, inst, k)
-        for j, rec in records:
-            halt_ledger.append({"component": k, "pair": j, "step": rec.step})
-        aux = cr.make_aux_oracle(base_oracle, spec, k, config.theta, regs,
-                                 inst.strip_regs, "SEARCH", 2**inst.n, inst.aux_pulse)
+        for j, step in _read_records(state, inst, k):
+            halt_ledger.append({"component": k, "pair": j, "step": step})
+        aux = cr.make_aux_oracle(base_oracle, k, inst.aux_reductions[k], cr.SEARCH,
+                                 regs.comps[k])
         try:
-            found, state, info = mq.subspace_search(aux, spec, k, state, "SEARCH",
+            found, state, info = mq.subspace_search(aux, spec, k, state, cr.SEARCH,
                                                     inst.n, ledger=ledger)
         except SimulationError as err:
             log.error("component %d search failed: %s", k, err)
@@ -198,7 +196,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                                  "max_probability": 0.0}
         state = hilbert.apply(state, hilbert.adjoint(red), ledger)
         if inst.pulse is None:
-            _assert_restored(state, inst)
+            hilbert.assert_registers_clean(
+                state, tuple(x for x in layout.names if x != regs.w), "component search")
         components.append({
             "k": k + 1, "m_k": comp.m, "M_k": comp.M, "n_k": comp.n,
             "recovered_s_k": found,
@@ -255,26 +254,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _read_records(state: SparseState, inst: _Instance, keep: int):
-    records = []
+def _read_records(state: SparseState, inst: _Instance, keep: int) -> list[tuple[int, int]]:
+    """(component, halting step) for every stripped component."""
     sharp = inst.pulse is None  # leakage smears the records; report the dominant step
+    records = []
     for j in range(inst.spec.r):
         if j == keep:
             continue
         name = inst.strip_regs.recs[j]
         step = state.register_value(name) if sharp else state.dominant_register_value(name)
-        records.append((j, hp.HaltRecord(step)))
-    return state, records
-
-
-def _assert_restored(state: SparseState, inst: _Instance) -> None:
-    for name in state.layout.names:
-        if name == inst.regs.w:
-            continue
-        leak = state.register_weight_outside(name, 0)
-        if leak > hilbert.RELEASE_TOL:
-            raise SimulationError(f"register {name} not restored after component "
-                                  f"search (weight {leak:.3e})")
+        records.append((j, step))
+    return records
 
 
 def run_sweep(config: ExperimentConfig) -> list[ExperimentReport]:

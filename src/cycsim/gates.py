@@ -16,7 +16,11 @@ import numpy as np
 from .hilbert import GateOp, LocalUnitary, Permutation, PhaseFn, Sequence
 from .numtheory import DomainError, modinv
 
-ARITH_KINDS = ("ADD_L", "COPY", "MUL3", "MOD_m", "SWAP", "SET_j")
+
+def register_dim(p: int) -> int:
+    """Uniform register size 2**n with n = floor(log2 p) + 1; holds Z_p plus
+    the out-of-group control value p and the top state 2**n - 1."""
+    return 2 ** p.bit_length()
 
 
 def add_mod(L: int, src: str, dst: str, label: str = "ADD") -> GateOp:
@@ -103,24 +107,6 @@ def transposition(a: int, b: int, reg: str) -> GateOp:
         return v
 
     return Permutation((reg,), fl, fl, label=f"X_{a}_{b}")
-
-
-def make_arith(kind: str, regs: tuple[str, ...], modulus: int,
-               dims: tuple[int, ...] = ()) -> GateOp:
-    """Dispatcher over the basic arithmetic kinds (register names in order)."""
-    if kind == "ADD_L":
-        return add_mod(modulus, *regs)
-    if kind == "COPY":
-        return copy_gate(modulus, *regs)
-    if kind == "MUL3":
-        return mul3(modulus, *regs)
-    if kind == "MOD_m":
-        return mod_reduce(modulus, regs[0], regs[1], dims[0])
-    if kind == "SWAP":
-        return swap_regs(*regs)
-    if kind == "SET_j":
-        return set_const(modulus, regs[0], dims[0])
-    raise DomainError(f"unknown arithmetic kind {kind!r}")
 
 
 def mul_const(a: int, N: int, reg: str) -> GateOp:

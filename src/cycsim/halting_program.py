@@ -157,7 +157,7 @@ class QpRegs:
 
 
 def make_qp_layout(config: ProgramConfig, regs: QpRegs = QpRegs()) -> RegisterLayout:
-    n_dim = 2 ** config.p.bit_length()
+    n_dim = gates.register_dim(config.p)
     return RegisterLayout([
         Register(regs.nh, 2, "halt"),
         Register(regs.bh, config.branch_dim, "branch"),
@@ -327,18 +327,3 @@ def strip_gate(spec: CyclicGroupSpec, keep: int, regs: StripRegs, g_dim: int,
         seq.append(qp_gate(config, pair, g_dim, pulse))
         seq.extend(reset_flags_gates(config, pair))
     return Sequence(tuple(seq), label=f"STRIP_{keep}")
-
-
-def strip_registers(state: SparseState, keep: int, spec: CyclicGroupSpec,
-                    regs: StripRegs, pulse: PulseModel | None = None,
-                    ledger: GateLedger | None = None
-                    ) -> tuple[SparseState, list[tuple[int, HaltRecord]]]:
-    """Apply the stripping pipeline and collect the per-pair halting ledger."""
-    g_dim = state.layout.dim(regs.comps[keep])
-    state = apply(state, strip_gate(spec, keep, regs, g_dim, pulse), ledger)
-    records: list[tuple[int, HaltRecord]] = []
-    for j in range(len(regs.comps)):
-        if j == keep:
-            continue
-        records.append((j, HaltRecord(state.register_value(regs.recs[j]))))
-    return state, records

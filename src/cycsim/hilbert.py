@@ -14,9 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -142,10 +140,14 @@ class SparseState:
     def copy(self) -> "SparseState":
         return SparseState(self.layout, dict(self.entries), self.drop_threshold, check=False)
 
-    def dump_json(self) -> str:
-        """Debug dump: list of (basis tuple, re, im), sorted lexicographically."""
-        rows = [[list(k), a.real, a.imag] for k, a in sorted(self.entries.items())]
-        return json.dumps(rows)
+
+def assert_registers_clean(state: SparseState, names: tuple[str, ...], what: str) -> None:
+    """Raise unless every named register is back at 0 up to RELEASE_TOL of weight."""
+    for name in names:
+        leak = state.register_weight_outside(name, 0)
+        if leak > RELEASE_TOL:
+            raise SimulationError(
+                f"pipeline fault in {what}: register {name} holds weight {leak:.3e} off 0")
 
 
 # --- gates -----------------------------------------------------------------
@@ -490,62 +492,3 @@ def inner_product(s1: SparseState, s2: SparseState) -> complex:
 
 def fidelity(s1: SparseState, s2: SparseState) -> float:
     return abs(inner_product(s1, s2)) ** 2
-
-
-@dataclass
-class MeasureResult:
-    distribution: dict[int, float]
-    outcome: int | None
-    state: SparseState
-
-
-def measure_register(state: SparseState, name: str, seed: int | None = None) -> MeasureResult:
-    """Outcome distribution for one register; with a seed, also sample and collapse."""
-    i = state.layout.index(name)
-    dist: dict[int, float] = {}
-    for k in sorted(state.entries):
-        dist[k[i]] = dist.get(k[i], 0.0) + abs(state.entries[k]) ** 2
-    total = math.fsum(dist.values())
-    dist = {v: w / total for v, w in sorted(dist.items())}
-    if seed is None:
-        return MeasureResult(dist, None, state)
-    rng = random.Random(seed)
-    x = rng.random()
-    outcome, acc = max(dist), 0.0
-    for v, w in dist.items():
-        acc += w
-        if x < acc:
-            outcome = v
-            break
-    kept = {k: a for k, a in state.entries.items() if k[i] == outcome}
-    w = math.sqrt(math.fsum(abs(a) ** 2 for _, a in sorted(kept.items())))
-    collapsed = SparseState(state.layout, {k: a / w for k, a in kept.items()},
-                            state.drop_threshold, check=False)
-    return MeasureResult(dist, outcome, collapsed)
-
-
-class RegisterPool:
-    """Library of auxiliary registers: all start at 0, may be borrowed by name,
-    and are accepted back only after verifying amplitude weight outside 0 is
-    below RELEASE_TOL.  Makes absorption back into the library auditable."""
-
-    def __init__(self, layout: RegisterLayout, aux_names: list[str] | tuple[str, ...]):
-        self.layout = layout
-        self._free = set(aux_names)
-        self._borrowed: set[str] = set()
-
-    def borrow(self, name: str) -> str:
-        if name not in self._free:
-            raise SimulationError(f"register {name} not available in the pool")
-        self._free.remove(name)
-        self._borrowed.add(name)
-        return name
-
-    def release(self, state: SparseState, name: str, tol: float = RELEASE_TOL) -> None:
-        if name not in self._borrowed:
-            raise SimulationError(f"register {name} was not borrowed")
-        leak = state.register_weight_outside(name, 0)
-        if leak > tol:
-            raise SimulationError(f"register {name} returned dirty: weight {leak:.3e} off zero")
-        self._borrowed.remove(name)
-        self._free.add(name)

@@ -1,6 +1,6 @@
 """Exact integer number theory: factorization, Euclid, totient, primitive roots,
-CRT composition/decomposition, congruence solving, and the classical discrete-log
-oracle used to cross-check every quantum stage.
+CRT composition/decomposition, and the classical discrete-log oracle used to
+cross-check every quantum stage.
 
 All functions are pure and operate on plain ints; nothing here is probabilistic.
 Scale target is desk-sized moduli (p <= 2^16), so trial division and brute-force
@@ -9,7 +9,6 @@ discrete logs are deliberate choices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -185,51 +184,6 @@ def crt_compose(residues: tuple[int, ...] | list[int], basis: CrtBasis) -> int:
             raise DomainError(f"residue {r} outside Z_{c.m}")
         total += c.n * c.M * r
     return total % basis.modulus
-
-
-def _merge_congruence(c1: int, m1: int, c2: int, m2: int) -> tuple[int, int] | None:
-    """Intersect x = c1 (mod m1) with x = c2 (mod m2); None if incompatible."""
-    g = math.gcd(m1, m2)
-    if (c2 - c1) % g != 0:
-        return None
-    lcm = m1 // g * m2
-    m2g = m2 // g
-    t = 0 if m2g == 1 else (((c2 - c1) // g) * modinv(m1 // g, m2g)) % m2g
-    return (c1 + m1 * t) % lcm, lcm
-
-
-def solve_congruences(eqs: list[tuple[int, int]], modulus: int) -> list[int]:
-    """All x in Z_modulus with a*x = b (mod modulus) for every (a, b).
-
-    Each congruence is reduced to standard form x = c (mod modulus/gcd(a, modulus))
-    and the reductions are intersected.  An unsolvable congruence yields the empty
-    list rather than an error.
-    """
-    cur_c, cur_m = 0, 1  # running solution x = cur_c (mod cur_m)
-    for a, b in eqs:
-        a %= modulus
-        b %= modulus
-        d = math.gcd(a, modulus)  # = modulus when a = 0
-        if b % d != 0:
-            return []
-        m_red = modulus // d
-        c = 0 if m_red == 1 else (modinv(a // d, m_red) * (b // d)) % m_red
-        merged = _merge_congruence(cur_c, cur_m, c, m_red)
-        if merged is None:
-            return []
-        cur_c, cur_m = merged
-    return sorted((cur_c + k * cur_m) % modulus for k in range(modulus // cur_m))
-
-
-def multibase_expand(s_k: int, p_k: int, a_k: int) -> list[int]:
-    """Base-p_k digits [h_0 .. h_{a_k-1}] of s_k, least significant first."""
-    if not 0 <= s_k < p_k**a_k:
-        raise DomainError(f"{s_k} outside Z_{p_k ** a_k}")
-    digits = []
-    for _ in range(a_k):
-        digits.append(s_k % p_k)
-        s_k //= p_k
-    return digits
 
 
 def classical_dlog(p: int, g: int, b: int) -> int:

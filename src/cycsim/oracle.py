@@ -1,5 +1,5 @@
-"""Oracle unitaries, selective rotations, and the binary / multi-base
-register descriptions of basis states.
+"""Oracle unitaries, selective rotations, and the binary register description
+of basis states.
 
 The hidden index lives only inside OracleSpec; the rest of the codebase
 receives constructed gates and may not read it (the driver reveals it solely
@@ -41,26 +41,6 @@ def binary_rep(value: int, n: int) -> BinaryRep:
 
 def rep_value(rep: BinaryRep) -> int:
     return sum(a << k for k, a in enumerate(rep.bits))
-
-
-@dataclass(frozen=True)
-class MultiBaseRep:
-    """Residues s_k = s mod m_k with their base-p_k digit tables."""
-
-    residues: tuple[int, ...]
-    digits: tuple[tuple[int, ...], ...]
-
-
-def multibase_rep(s: int, spec: CyclicGroupSpec) -> MultiBaseRep:
-    from .numtheory import crt_decompose, factorize, multibase_expand
-
-    if not 0 <= s < spec.p - 1:
-        raise DomainError(f"index {s} outside Z_{spec.p - 1}")
-    residues = crt_decompose(s, spec.basis)
-    f = factorize(spec.p - 1)
-    digits = tuple(tuple(multibase_expand(sk, pk, ak))
-                   for sk, (pk, ak) in zip(residues, f.factors))
-    return MultiBaseRep(residues, digits)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import pytest
 from cycsim import crt_reduction as cr
 from cycsim import halting_program as hp
 from cycsim import gates, hilbert
-from cycsim.hilbert import Register, RegisterLayout, SparseState, adjoint, apply
+from cycsim.hilbert import SparseState, adjoint, apply
 from cycsim.numtheory import (DomainError, classical_dlog, crt_decompose,
                               make_group_spec)
 from cycsim.oracle import OracleSpec, make_subspace_oracle
@@ -16,7 +16,7 @@ IDENTITY_PRIMES = (5, 7, 11, 13, 29, 61)
 @pytest.fixture(scope="module")
 def env13():
     spec = make_group_spec(13)
-    layout, regs = cr.make_reduction_layout(spec)
+    layout, regs, _ = cr.make_search_layout(spec)
     return spec, layout, regs
 
 
@@ -177,24 +177,25 @@ def test_to_largest_subspace(env13):
 
 def _aux_env(p, hidden_s, theta=math.pi):
     spec = make_group_spec(p)
-    n_dim = 2 ** p.bit_length()
-    regs = cr.ReductionRegs.default(spec.r)
-    strip = hp.StripRegs(nh="NH", bh="BH", comps=regs.comps,
-                         recs=tuple(f"R{k+1}" for k in range(spec.r)))
-    cfg = hp.ProgramConfig.from_spec(spec)
-    registers = [Register(regs.w, n_dim, "work")]
-    registers += [Register(c, n_dim, "aux") for c in regs.comps]
-    registers += [Register(regs.a, n_dim), Register(regs.b, n_dim),
-                  Register(regs.prod, n_dim)]
-    registers += [Register("NH", 2, "halt"), Register("BH", cfg.branch_dim, "branch")]
-    registers += [Register(x, cfg.record_dim, "record") for x in strip.recs]
-    registers += [Register("SEARCH", n_dim, "work")]
-    layout = RegisterLayout(registers)
+    layout, regs, strip = cr.make_search_layout(spec)
     ospec = OracleSpec(hidden_s, theta, "subspace_selective", spec)
     base = make_subspace_oracle(ospec, layout, regs.w,
                                 designated=tuple(n for n in layout.names
-                                                 if n not in (regs.w, "SEARCH")))
-    return spec, layout, regs, strip, base, n_dim
+                                                 if n not in (regs.w, cr.SEARCH)))
+    return spec, layout, regs, strip, base, layout.dim(regs.w)
+
+
+def test_search_layout():
+    spec = make_group_spec(13)
+    layout, regs, strip = cr.make_search_layout(spec)
+    assert layout.names == ("W", "C1", "C2", "TA", "TB", "TP", "NH", "BH", "R1", "R2",
+                            "SEARCH")
+    assert strip.comps == regs.comps
+    cfg = hp.ProgramConfig.from_spec(spec)
+    assert layout.dim("NH") == 2
+    assert layout.dim("BH") == cfg.branch_dim
+    assert layout.dim("R1") == layout.dim("R2") == cfg.record_dim
+    assert all(layout.dim(n) == 16 for n in ("W", "C1", "C2", "TA", "TB", "TP", "SEARCH"))
 
 
 @pytest.mark.parametrize("k,s_k", [(0, 1), (1, 3)])
@@ -202,11 +203,11 @@ def test_aux_oracle_selective_on_hidden_component(k, s_k):
     spec, layout, regs, strip, base, n_dim = _aux_env(13, hidden_s=7)
     red = cr.reduction_gate(spec, regs, strip, k, n_dim)
     st = apply(SparseState.basis(layout, {regs.w: pow(2, 7, 13)}), red)
-    aux = cr.make_aux_oracle(base, spec, k, math.pi, regs, strip, "SEARCH", n_dim)
+    aux = cr.make_aux_oracle(base, k, red, cr.SEARCH, regs.comps[k])
     h_r = spec.subgroup_generators[-1]
     led = hilbert.GateLedger()
     for x in range(spec.largest_order):
-        trial = apply(st, gates.transposition(0, pow(h_r, x, 13), "SEARCH"))
+        trial = apply(st, gates.transposition(0, pow(h_r, x, 13), cr.SEARCH))
         out = apply(trial, aux, led)
         amp = list(out.entries.values())[0]
         assert out.support_size == 1
@@ -221,7 +222,7 @@ def test_aux_oracle_single_call_per_application():
     spec, layout, regs, strip, base, n_dim = _aux_env(13, hidden_s=7)
     red = cr.reduction_gate(spec, regs, strip, 1, n_dim)
     st = apply(SparseState.basis(layout, {regs.w: 11}), red)
-    aux = cr.make_aux_oracle(base, spec, 1, math.pi, regs, strip, "SEARCH", n_dim)
+    aux = cr.make_aux_oracle(base, 1, red, cr.SEARCH, regs.comps[1])
     led = hilbert.GateLedger()
     apply(st, aux, led)
     assert led.count("oracle-call") == 1

@@ -5,6 +5,7 @@ import pytest
 
 from cycsim import driver
 from cycsim.driver import ExperimentConfig, cli_main, run_experiment, run_sweep
+from cycsim.hilbert import Permutation
 from cycsim.numtheory import DomainError, classical_dlog
 
 
@@ -121,9 +122,17 @@ def test_cli_single_run(tmp_path):
     assert payload["verification"]["recovered_s"] == 7
 
 
-def test_cli_rejects_nonprime(capsys):
-    assert cli_main(["--p", "12", "--hidden-s", "1"]) == 2
-    assert "prime" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,fragment", [
+    (["--p", "12", "--hidden-s", "1"], "must be prime"),
+    (["--p", "13", "--g", "4", "--hidden-s", "1"], "4 is not a primitive root mod 13"),
+    (["--p", "13", "--g", "15", "--hidden-s", "1"], "15 is not a primitive root mod 13"),
+    (["--p", "13", "--hidden-s", "1", "--trotter-m", "0"], "trotter_m"),
+    (["--p", "13", "--hidden-s", "1", "--mode", "grover", "--grover-m", "-1"], "grover_m"),
+], ids=["nonprime", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
+        "grover-m-negative"])
+def test_cli_rejects_bad_config(argv, fragment, capsys):
+    assert cli_main(argv) == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_cli_requires_an_index_source(capsys):
@@ -170,3 +179,24 @@ def test_trotter_section():
     rep = run_experiment(ExperimentConfig(p=5, hidden_s=1, trotter_m=8, run_demo=False))
     assert [row["n"] for row in rep.trotter] == [2, 3, 4]
     assert all(row["operator_error"] < 1e-12 for row in rep.trotter)
+
+
+def test_warm_run_compiles_no_reduction_tables(monkeypatch):
+    # the reduction inside the aux oracle is the instance's own, so a second
+    # hidden index reuses every table the first run compiled
+    compiled = []
+    table_for = Permutation.table_for
+
+    def spy(self, dims):
+        fresh = dims not in self.tables
+        table = table_for(self, dims)
+        if fresh and table is not None:
+            compiled.append(self.label)
+        return table
+
+    monkeypatch.setattr(Permutation, "table_for", spy)
+    run_experiment(ExperimentConfig(p=13, hidden_s=5, run_demo=False))
+    compiled.clear()
+    run_experiment(ExperimentConfig(p=13, hidden_s=8, run_demo=False))
+    prefixes = ("POW_", "GMUL_", "ADD_", "LIFT_", "HALT_", "U_r")
+    assert [label for label in compiled if label.startswith(prefixes)] == []

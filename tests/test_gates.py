@@ -62,15 +62,6 @@ def test_swap_and_set():
         gates.set_const(8, "r1", 8)
 
 
-def test_make_arith_dispatch():
-    lay = layout2()
-    g = gates.make_arith("ADD_L", ("r1", "r2"), 5)
-    out = apply(as_basis(lay, r1=3, r2=4), g)
-    assert reg_val(out, "r2") == 2
-    with pytest.raises(DomainError):
-        gates.make_arith("NOPE", ("r1",), 2)
-
-
 def test_transposition_fixes_top():
     lay = layout2()
     f1 = gates.transposition(0, 1, "r1")

@@ -5,7 +5,7 @@ import pytest
 
 from cycsim import crt_reduction as cr
 from cycsim import halting_program as hp
-from cycsim.hilbert import Register, RegisterLayout, SimulationError, SparseState, apply
+from cycsim.hilbert import SimulationError, SparseState, apply
 from cycsim.numtheory import DomainError, element_of_order, make_group_spec
 
 CASES = {3: 7, 4: 13, 8: 17, 16: 17}
@@ -149,37 +149,24 @@ def test_pulse_model_guard():
         hp.PulseModel(1.0)
 
 
-def _strip_env(p=13):
-    spec = make_group_spec(p)
-    n_dim = 2 ** p.bit_length()
-    regs = cr.ReductionRegs.default(spec.r)
-    strip = hp.StripRegs(nh="NH", bh="BH", comps=regs.comps,
-                         recs=tuple(f"R{k+1}" for k in range(spec.r)))
-    cfg = hp.ProgramConfig.from_spec(spec)
-    registers = [Register(regs.w, n_dim, "work")]
-    registers += [Register(c, n_dim) for c in regs.comps]
-    registers += [Register(regs.a, n_dim), Register(regs.b, n_dim),
-                  Register(regs.prod, n_dim)]
-    registers += [Register("NH", 2, "halt"), Register("BH", cfg.branch_dim, "branch")]
-    registers += [Register(x, cfg.record_dim, "record") for x in strip.recs]
-    return spec, RegisterLayout(registers), regs, strip
-
-
 def test_strip_registers_examples():
-    spec, layout, regs, strip = _strip_env()
+    spec = make_group_spec(13)
+    layout, regs, strip = cr.make_search_layout(spec)
+    gate = hp.strip_gate(spec, 1, strip, layout.dim(regs.w))
     # prepare the lifted component product for s = 7 and keep the second factor
     st = SparseState.basis(layout, {regs.w: pow(2, 7, 13)})
     st = cr.group_state_to_subgroup_product(st, spec, regs)
     st = cr.to_largest_subspace(st, spec, regs)
-    out, ledger = hp.strip_registers(st, keep=1, spec=spec, regs=strip)
+    out = apply(st, gate)
     tup = out.sole_tuple()
     assert tup[layout.index(regs.comps[1])] == 5  # 8^3 mod 13
     assert tup[layout.index(regs.comps[0])] == 0
-    assert len(ledger) == spec.r - 1
-    assert all(isinstance(r, hp.HaltRecord) for _, r in ledger)
+    # the stripped component's halting step stays on record; the kept one has none
+    assert 1 <= out.register_value(strip.recs[0]) <= spec.largest_order + 1
+    assert out.register_value(strip.recs[1]) == 0
     # identity index: component collapses to the unit element
     st = SparseState.basis(layout, {regs.w: 1})
     st = cr.group_state_to_subgroup_product(st, spec, regs)
     st = cr.to_largest_subspace(st, spec, regs)
-    out, _ = hp.strip_registers(st, keep=1, spec=spec, regs=strip)
+    out = apply(st, gate)
     assert out.sole_tuple()[layout.index(regs.comps[1])] == 1

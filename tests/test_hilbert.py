@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -7,9 +6,8 @@ import pytest
 
 from cycsim import gates
 from cycsim.hilbert import (Controlled, GateLedger, LocalUnitary, Permutation, Register,
-                            RegisterLayout, RegisterPool, Sequence, SimulationError,
-                            SparseState, adjoint, apply, fidelity, inner_product,
-                            measure_register)
+                            RegisterLayout, Sequence, SimulationError, SparseState, adjoint,
+                            apply, assert_registers_clean, fidelity, inner_product)
 
 
 def small_layout():
@@ -139,44 +137,17 @@ def test_inner_product_basics():
     assert abs(z1 - z2.conjugate()) < 1e-12
 
 
-def test_measure_register():
+def test_assert_registers_clean():
     layout = small_layout()
-    st = SparseState.basis(layout)
-    res = measure_register(st, "a")
-    assert res.distribution == {0: 1.0}
-    uniform = apply(st, gates.qft(4, "a"))
-    res = measure_register(uniform, "a")
-    assert all(abs(wt - 0.25) < 1e-12 for wt in res.distribution.values())
-    r1 = measure_register(uniform, "a", seed=42)
-    r2 = measure_register(uniform, "a", seed=42)
-    assert r1.outcome == r2.outcome
-    assert abs(r1.state.norm() - 1) < 1e-12
-    assert r1.state.register_value("a") == r1.outcome
-    with pytest.raises(SimulationError):
-        measure_register(st, "zz")
-
-
-def test_register_pool_audits_release():
-    layout = small_layout()
-    pool = RegisterPool(layout, ["c"])
-    pool.borrow("c")
-    dirty = SparseState.basis(layout, {"c": 2})
-    with pytest.raises(SimulationError):
-        pool.release(dirty, "c")
-    pool2 = RegisterPool(layout, ["c"])
-    pool2.borrow("c")
-    pool2.release(SparseState.basis(layout), "c")
-    with pytest.raises(SimulationError):
-        pool2.release(SparseState.basis(layout), "c")  # not borrowed anymore
-
-
-def test_dump_json_sorted():
-    layout = small_layout()
-    st = apply(SparseState.basis(layout), gates.qft(4, "a"))
-    rows = json.loads(st.dump_json())
-    keys = [tuple(r[0]) for r in rows]
-    assert keys == sorted(keys)
-    assert all(len(r) == 3 for r in rows)
+    assert_registers_clean(SparseState.basis(layout, {"a": 3}), ("b", "c"), "test")
+    # weight just under the tolerance still counts as clean
+    eps = 1e-5
+    near = SparseState(layout, {(0, 0, 0): math.sqrt(1 - eps**2), (0, 0, 2): eps})
+    assert_registers_clean(near, ("c",), "test")
+    dirty = SparseState(layout, {(0, 0, 0): math.sqrt(0.5), (0, 0, 2): math.sqrt(0.5)})
+    assert_registers_clean(dirty, ("a", "b"), "test")
+    with pytest.raises(SimulationError, match="register c holds weight 5.000e-01"):
+        assert_registers_clean(dirty, ("a", "c"), "test")
 
 
 def test_gate_ledger_counts():

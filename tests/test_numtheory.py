@@ -112,44 +112,6 @@ def test_crt_range_errors():
         nt.crt_decompose(12, basis)
 
 
-def _brute_congruences(eqs, modulus):
-    return [x for x in range(modulus)
-            if all((a * x - b) % modulus == 0 for a, b in eqs)]
-
-
-def test_solve_congruences_examples():
-    assert nt.solve_congruences([(1, 7)], 12) == [7]
-    assert nt.solve_congruences([(4, 4)], 12) == [1, 4, 7, 10]
-    assert nt.solve_congruences([(4, 4 * 7 % 12), (3, 3 * 7 % 12)], 12) == [7]
-    assert nt.solve_congruences([(4, 3)], 12) == []  # gcd does not divide b
-
-
-@pytest.mark.parametrize("modulus", [12, 28, 60])
-def test_solve_congruences_matches_brute_force(modulus):
-    import random
-    rng = random.Random(7)
-    for _ in range(60):
-        eqs = [(rng.randrange(modulus), rng.randrange(modulus))
-               for _ in range(rng.randint(1, 3))]
-        assert nt.solve_congruences(eqs, modulus) == _brute_congruences(eqs, modulus)
-
-
-def test_multibase_expand_examples():
-    assert nt.multibase_expand(3, 2, 2) == [1, 1]
-    assert nt.multibase_expand(5, 3, 2) == [2, 1]
-    assert nt.multibase_expand(0, 5, 3) == [0, 0, 0]
-    with pytest.raises(nt.DomainError):
-        nt.multibase_expand(9, 3, 2)
-
-
-@given(st.integers(2, 7), st.integers(1, 4), st.data())
-def test_multibase_roundtrip(p_k, a_k, data):
-    s_k = data.draw(st.integers(0, p_k**a_k - 1))
-    digits = nt.multibase_expand(s_k, p_k, a_k)
-    assert all(0 <= h < p_k for h in digits)
-    assert sum(h * p_k**l for l, h in enumerate(digits)) == s_k
-
-
 def test_classical_dlog_examples():
     assert nt.classical_dlog(13, 2, 1) == 0
     assert nt.classical_dlog(13, 2, 2) == 1

@@ -6,7 +6,7 @@ from cycsim import hilbert
 from cycsim.hilbert import Register, RegisterLayout, SparseState, apply
 from cycsim.numtheory import DomainError
 from cycsim.oracle import (BinaryRep, OracleSpec, binary_rep, make_oracle,
-                           make_subspace_oracle, multibase_rep, rep_value,
+                           make_subspace_oracle, rep_value,
                            selective_rotation)
 
 
@@ -27,18 +27,6 @@ def test_binary_rep_examples():
 def test_binary_rep_roundtrip_exhaustive(n):
     for v in range(2**n):
         assert rep_value(binary_rep(v, n)) == v
-
-
-def test_multibase_rep(spec13):
-    rep = multibase_rep(7, spec13)
-    assert rep.residues == (1, 3)
-    assert rep.digits == ((1,), (1, 1))  # 1 in base 3; 3 = 1+1*2 in base 2
-    rep0 = multibase_rep(0, spec13)
-    assert rep0.residues == (0, 0)
-    assert all(all(h == 0 for h in d) for d in rep0.digits)
-    from cycsim.numtheory import crt_compose
-    for s in range(12):
-        assert crt_compose(multibase_rep(s, spec13).residues, spec13.basis) == s
 
 
 def test_selective_rotation_basics():
