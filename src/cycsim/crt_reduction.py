@@ -218,17 +218,16 @@ def reduction_gate(spec: CyclicGroupSpec, regs: ReductionRegs, strip: hp.StripRe
     return Sequence(tuple(seq), label=f"REDUCE_{keep}")
 
 
-def make_aux_oracle(base_oracle: GateOp, k: int, red: GateOp, search_reg: str,
-                    comp_reg: str) -> GateOp:
+def make_aux_oracle(base_oracle: GateOp, k: int, red: GateOp, swap: GateOp) -> GateOp:
     """Selective rotation of the k-th subgroup component on the search register,
     realized with a single call of the base oracle.
 
-    `red` is the forward reduction that keeps component k in `comp_reg`.  The
-    trial value is swapped into that register; the inverse reduction consumes
-    the live halting records and reassembles the original group state exactly
-    when the trial equals the hidden component, at which point the base oracle
-    fires; the forward reduction then restores the pipeline registers.
+    `red` is the forward reduction that keeps component k in its component
+    register, and `swap` exchanges that register with the search register.  The
+    trial value is swapped in; the inverse reduction consumes the live halting
+    records and reassembles the original group state exactly when the trial
+    equals the hidden component, at which point the base oracle fires; the
+    forward reduction then restores the pipeline registers.
     """
-    swap = gates.swap_regs(search_reg, comp_reg)
     return Sequence((swap, adjoint(red), base_oracle, red, swap),
                     label=f"AUX_ORACLE_{k}")

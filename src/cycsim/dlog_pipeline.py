@@ -75,33 +75,6 @@ def make_dlog_layout(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs()) -> Regi
 
 # --- stage gates -------------------------------------------------------------
 
-def _psi1_gates(spec: CyclicGroupSpec, regs: DlogRegs) -> list[GateOp]:
-    p, g = spec.p, spec.g
-    return [
-        gates.qft(p - 1, regs.x),
-        gates.qft(p - 1, regs.y),
-        gates.work_mod_exp(g, p, regs.x, regs.y, regs.w, regs.f),
-    ]
-
-
-def _psi2_gates(spec: CyclicGroupSpec, regs: DlogRegs) -> list[GateOp]:
-    p = spec.p
-    return [
-        gates.qft(p - 1, regs.x),
-        gates.qft(p - 1, regs.y),
-        gates.swap_regs(regs.x, regs.y),
-    ]
-
-
-def _euler_gates(spec: CyclicGroupSpec, regs: DlogRegs) -> list[GateOp]:
-    """Load l**phi(p-1) * (l s) into OUT via a powered temporary: coprime l
-    components then hold the bare index there."""
-    m = spec.p - 1
-    e = euler_totient(factorize(m)) - 1
-    pw = gates.pow_const(e, m, regs.x, regs.e)
-    return [pw, gates.mul3(m, regs.e, regs.y, regs.out), adjoint(pw)]
-
-
 def good_rotation_stage1(spec: CyclicGroupSpec, regs: DlogRegs, phi: float) -> GateOp:
     """Selective rotation of the Euler-filtered components: compare the work
     register against the candidate index via a conditional group translation,
@@ -117,8 +90,8 @@ def good_rotation_stage1(spec: CyclicGroupSpec, regs: DlogRegs, phi: float) -> G
     load = gates.add_mod(N, regs.w, regs.t)
     shift = gates.cyclic_shift(p, g, regs.t, power=-1, control=regs.out)
     inner = gates.selective_phase({1: phi}, regs.t, label="C_1", cost_class="reflection")
-    rot = hilbert.Controlled((regs.x,), lambda v: math.gcd(v[0], m) == 1, inner,
-                             label="C_good")
+    coprime = frozenset((x,) for x in range(N) if math.gcd(x, m) == 1)
+    rot = hilbert.Controlled((regs.x,), coprime, inner, label="C_good")
     return Sequence((load, shift, rot, adjoint(shift), adjoint(load)), label="R_good1")
 
 
@@ -130,11 +103,7 @@ def reflect_about(preparation: GateOp, pivot: dict[str, int | None],
     rank-one reflection I - (1 - exp(-i phi))|Psi><Psi|."""
     names = tuple(n for n, v in pivot.items() if v is not None)
     wanted = tuple(pivot[n] for n in names)
-
-    def phase(vals):
-        return -phi if vals == wanted else 0.0
-
-    mask = PhaseFn(names, phase, label=label + "_pivot", cost_class="reflection")
+    mask = PhaseFn(names, {wanted: -phi}, label=label + "_pivot", cost_class="reflection")
     return Sequence((adjoint(preparation), mask, preparation), label=label)
 
 
@@ -209,9 +178,13 @@ def pipeline_kit(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
     p, g, m = spec.p, spec.g, spec.p - 1
     schedule = amplification_schedule(good_weight(spec), mode, grover_m)
 
-    psi1 = _psi1_gates(spec, regs)
-    psi2 = _psi2_gates(spec, regs)
-    euler = _euler_gates(spec, regs)
+    psi1 = [gates.qft(m, regs.x), gates.qft(m, regs.y),
+            gates.work_mod_exp(g, p, regs.x, regs.y, regs.w, regs.f)]
+    psi2 = [gates.qft(m, regs.x), gates.qft(m, regs.y), gates.swap_regs(regs.x, regs.y)]
+    # load l**phi(p-1) * (l s) into OUT via a powered temporary: coprime l
+    # components then hold the bare index there
+    pw = gates.pow_const(euler_totient(factorize(m)) - 1, m, regs.x, regs.e)
+    euler = [pw, gates.mul3(m, regs.e, regs.y, regs.out), adjoint(pw)]
     stage1 = psi1 + psi2 + euler
     prep1 = Sequence(tuple(stage1), label="U_T1")
     amp1 = amplification_gates(
@@ -282,7 +255,7 @@ def prepare_psi1(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
         raise DomainError(f"instance value {b} outside the group")
     layout = make_dlog_layout(spec, regs)
     state = SparseState.basis(layout, {regs.w: b})
-    for gate in _psi1_gates(spec, regs):
+    for gate in pipeline_kit(spec, regs)["psi1"]:
         state = apply(state, gate, ledger)
     return state
 
@@ -293,7 +266,7 @@ def to_psi2(state: SparseState, spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs
     exactly p-1 patterns (l, l*s mod (p-1))."""
     if state.support_size != (spec.p - 1) ** 2:
         raise SimulationError("input does not have the double-superposition shape")
-    for gate in _psi2_gates(spec, regs):
+    for gate in pipeline_kit(spec, regs)["psi2"]:
         state = apply(state, gate, ledger)
     return state
 
@@ -308,7 +281,7 @@ def euler_filter(state: SparseState, spec: CyclicGroupSpec, regs: DlogRegs = Dlo
                  ledger: GateLedger | None = None) -> tuple[SparseState, float]:
     """Apply the Euler-power filter; returns the state and the weight of the
     coprime components (phi(p-1)/(p-1) for a uniform pattern state)."""
-    for gate in _euler_gates(spec, regs):
+    for gate in pipeline_kit(spec, regs)["euler"]:
         state = apply(state, gate, ledger)
     ix = state.layout.index(regs.x)
     m = spec.p - 1

@@ -67,6 +67,9 @@ class ExperimentConfig:
             raise DomainError("trotter_m must be at least 1")
         if self.grover_m is not None and self.grover_m < 0:
             raise DomainError("grover_m must be non-negative")
+        if self.theta != math.pi:
+            # the component search's trial threshold assumes a pi rotation
+            raise DomainError(f"theta must be pi, got {self.theta}")
 
 
 @dataclass
@@ -103,6 +106,7 @@ class _Instance:
     pulse: hp.PulseModel | None
     reductions: list  # per component: the forward reduction gate
     aux_reductions: list  # per component: the reduction inside the aux oracle
+    aux_swaps: list  # per component: the search/component swap inside the aux oracle
 
 
 _INSTANCE_CACHE: dict = {}
@@ -128,8 +132,9 @@ def _instance(config: ExperimentConfig) -> _Instance:
         # stripping carries a drifted phase and does not coherently undo the leak
         aux_reductions = reductions_for(
             hp.PulseModel(config.epsilon, config.gamma + math.pi / 3))
+    aux_swaps = [gates.swap_regs(cr.SEARCH, comp) for comp in regs.comps]
     inst = _Instance(spec, layout, regs, strip_regs, spec.p.bit_length(), pulse,
-                     reductions, aux_reductions)
+                     reductions, aux_reductions, aux_swaps)
     _INSTANCE_CACHE[key] = inst
     return inst
 
@@ -184,8 +189,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         state = hilbert.apply(state, red, ledger)
         for j, step in _read_records(state, inst, k):
             halt_ledger.append({"component": k, "pair": j, "step": step})
-        aux = cr.make_aux_oracle(base_oracle, k, inst.aux_reductions[k], cr.SEARCH,
-                                 regs.comps[k])
+        aux = cr.make_aux_oracle(base_oracle, k, inst.aux_reductions[k], inst.aux_swaps[k])
         try:
             found, state, info = mq.subspace_search(aux, spec, k, state, cr.SEARCH,
                                                     inst.n, ledger=ledger)

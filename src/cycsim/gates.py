@@ -352,8 +352,5 @@ def pairing_permutation(src_values: list[int], dst_values: list[int], reg: str,
 def selective_phase(values: dict[int, float], reg: str, label: str = "CSEL",
                     cost_class: str = "arith") -> GateOp:
     """Diagonal phase exp(-i theta_v) on chosen basis values of one register."""
-
-    def phase(v):
-        return -values.get(v[0], 0.0)
-
-    return PhaseFn((reg,), phase, label=label, cost_class=cost_class)
+    return PhaseFn((reg,), {(v,): -theta for v, theta in values.items()}, label=label,
+                   cost_class=cost_class)

@@ -186,15 +186,15 @@ def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
         return cached
     seq: list[GateOp] = []
     inc_b = gates.set_const(1, regs.bh, config.branch_dim)
-    u_b = Controlled((regs.g,), lambda v: v[0] == 1, inc_b, label="U_b")
+    u_b = Controlled((regs.g,), frozenset({(1,)}), inc_b, label="U_b")
     u_g = gates.cyclic_shift(config.p, config.h, regs.f, power=1)
-    u_rc = Controlled((regs.bh,), lambda v: v[0] == 0,
+    u_rc = Controlled((regs.bh,), frozenset({(0,)}),
                       u_r_gate(config, regs.f, regs.g), label="U_r_c")
     for i in range(1, config.m_r + 1):
         seq.append(u_b)
         seq.append(_halt_gate(config, i, regs.g, regs.nh, regs.rec))
         if pulse is not None and pulse.epsilon > 0.0:
-            seq.append(Controlled((regs.rec,), lambda v, i=i: v[0] == i,
+            seq.append(Controlled((regs.rec,), frozenset({(i,)}),
                                   _leak_gate(config, pulse, regs.g, g_dim),
                                   label="P_SL"))
         seq.append(u_g)
@@ -202,7 +202,7 @@ def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
     seq.append(u_b)
     seq.append(_halt_gate(config, config.m_r + 1, regs.g, regs.nh, regs.rec))
     if pulse is not None and pulse.epsilon > 0.0:
-        seq.append(Controlled((regs.rec,), lambda v: v[0] == config.m_r + 1,
+        seq.append(Controlled((regs.rec,), frozenset({(config.m_r + 1,)}),
                               _leak_gate(config, pulse, regs.g, g_dim), label="P_SL"))
     gate = Sequence(tuple(seq), label="Q_p")
     _QP_GATE_CACHE[key] = gate
@@ -261,10 +261,10 @@ def run_qc(state: SparseState, config: ProgramConfig, pulse: PulseModel,
     lock_gate = LocalUnitary(regs.g, lock, label="P_SL")
 
     inc_b = gates.set_const(1, regs.bh, config.branch_dim)
-    u_b = Controlled((regs.g,), lambda v: v[0] == 1, inc_b, label="U_b")
+    u_b = Controlled((regs.g,), frozenset({(1,)}), inc_b, label="U_b")
     p_t = gates.transposition(1, c, regs.g)
     u_g = gates.cyclic_shift(config.p, config.h, regs.f, power=1)
-    u_rc = Controlled((regs.bh,), lambda v: v[0] == 0,
+    u_rc = Controlled((regs.bh,), frozenset({(0,)}),
                       u_r_gate(config, regs.f, regs.g), label="U_r_c")
 
     locked = False

@@ -6,7 +6,10 @@ controlled gates, or sequences thereof; application is pointwise on the sparse
 support, so total dimension can be astronomical as long as support stays small.
 
 Conventions:
-  - PhaseFn multiplies the amplitude of basis x by exp(1j * phase(x)).
+  - PhaseFn multiplies the amplitude of a listed basis tuple x of its registers
+    by exp(1j * angles[x]) and leaves unlisted tuples alone.
+  - Controlled applies its inner gate where the control registers hold a tuple
+    in the frozenset `on`.
   - Sequence applies its gates left to right.
   - Norm is checked after every gate application (tolerance NORM_TOL) and
     entries below the state's drop threshold are pruned.
@@ -232,12 +235,16 @@ def _decode(flat: int, dims: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass
 class PhaseFn(GateOp):
-    """Diagonal gate: amplitude of x is multiplied by exp(1j * phase(x))."""
+    """Diagonal gate: amplitude of a listed tuple x of `regs` is multiplied by
+    exp(1j * angles[x]); unlisted tuples are left alone."""
 
     regs: tuple[str, ...]
-    phase: Callable[[tuple[int, ...]], float]
+    angles: dict[tuple[int, ...], float]
     label: str = "phase"
     cost_class: str = "arith"
+
+    def __post_init__(self):
+        _check_arity(self.label, self.regs, self.angles)
 
     def registers(self) -> tuple[str, ...]:
         return self.regs
@@ -267,18 +274,19 @@ class LocalUnitary(GateOp):
 
 @dataclass
 class Controlled(GateOp):
-    """Apply `inner` only to entries whose control-register values satisfy `pred`.
+    """Apply `inner` only to entries whose control registers hold a tuple in `on`.
 
     Control registers must be disjoint from the inner gate's registers, which
     makes the whole block-diagonal and hence unitary.
     """
 
     controls: tuple[str, ...]
-    pred: Callable[[tuple[int, ...]], bool]
+    on: frozenset[tuple[int, ...]]
     inner: GateOp
     label: str = "ctrl"
 
     def __post_init__(self):
+        _check_arity(self.label, self.controls, self.on)
         if set(self.controls) & set(self.inner.registers()):
             raise SimulationError(f"{self.label}: control registers overlap inner gate")
 
@@ -329,14 +337,13 @@ def adjoint(gate: GateOp) -> GateOp:
                            cost_class=gate.cost_class,
                            tables=gate.inv_tables, inv_tables=gate.tables)
     if isinstance(gate, PhaseFn):
-        f = gate.phase
-        return PhaseFn(gate.regs, lambda v: -f(v), label=gate.label + "+",
-                       cost_class=gate.cost_class)
+        return PhaseFn(gate.regs, {x: -a for x, a in gate.angles.items()},
+                       label=gate.label + "+", cost_class=gate.cost_class)
     if isinstance(gate, LocalUnitary):
         return LocalUnitary(gate.reg, gate.matrix.conj().T, label=gate.label + "+",
                             cost_class=gate.cost_class)
     if isinstance(gate, Controlled):
-        return Controlled(gate.controls, gate.pred, adjoint(gate.inner), label=gate.label + "+")
+        return Controlled(gate.controls, gate.on, adjoint(gate.inner), label=gate.label + "+")
     if isinstance(gate, Sequence):
         return Sequence(tuple(adjoint(g) for g in reversed(gate.gates)), label=gate.label + "+")
     raise SimulationError(f"cannot take adjoint of {type(gate).__name__}")
@@ -367,13 +374,42 @@ def _apply_permutation(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarra
     return new_keys, amps
 
 
+def _check_arity(label: str, regs: tuple[str, ...], listed) -> None:
+    if any(len(x) != len(regs) for x in listed):
+        raise SimulationError(f"{label}: listed tuples need one value per register {regs}")
+
+
+def _match(layout: RegisterLayout, keys: np.ndarray, regs: tuple[str, ...],
+           listed: list[tuple[int, ...]]) -> np.ndarray:
+    """Per support row, the position in `listed` of the row's values on `regs`,
+    or -1 when they are not listed."""
+    pos = [layout.index(r) for r in regs]
+    if len(pos) == 1:
+        dim = layout.registers[pos[0]].dim
+        table = np.full(dim, -1, dtype=np.int64)
+        for j, (v,) in enumerate(listed):
+            if 0 <= v < dim:
+                table[v] = j
+        return table[keys[:, pos[0]]]
+    # several registers: few listed tuples, compared column-wise with no flat
+    # encoding that could overflow
+    found = np.full(keys.shape[0], -1, dtype=np.int64)
+    sub = keys[:, pos]
+    for j, x in enumerate(listed):
+        found[np.all(sub == np.array(x, dtype=np.int64), axis=1)] = j
+    return found
+
+
 def _apply_phase(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
                  gate: PhaseFn) -> tuple[np.ndarray, np.ndarray]:
-    pos = [layout.index(r) for r in gate.regs]
-    phases = np.fromiter((gate.phase(tuple(v)) for v in keys[:, pos].tolist()),
-                         dtype=float, count=keys.shape[0])
-    if np.any(phases):
-        amps = amps * np.exp(1j * phases)
+    found = _match(layout, keys, gate.regs, list(gate.angles))
+    hit = found >= 0
+    if hit.any():
+        angles = np.array(list(gate.angles.values()), dtype=float)
+        amps = amps.copy()
+        # out of place on purpose: numpy's in-place complex `*=` can round the
+        # last bit differently, which would move report bytes
+        amps[hit] = amps[hit] * np.exp(1j * angles[found[hit]])
     return keys, amps
 
 
@@ -419,9 +455,7 @@ def _apply_local(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
 
 def _apply_controlled(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
                       gate: Controlled) -> tuple[np.ndarray, np.ndarray]:
-    pos = [layout.index(r) for r in gate.controls]
-    mask = np.fromiter((gate.pred(tuple(v)) for v in keys[:, pos].tolist()),
-                       dtype=bool, count=keys.shape[0])
+    mask = _match(layout, keys, gate.controls, list(gate.on)) >= 0
     if not mask.any():
         return keys, amps
     # the inner gate cannot touch control registers, so hot and cold stay disjoint

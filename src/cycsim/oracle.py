@@ -1,5 +1,5 @@
-"""Oracle unitaries, selective rotations, and the binary register description
-of basis states.
+"""Oracle unitaries and the binary register description of basis states; the
+selective rotations they apply come from `gates.selective_phase`.
 
 The hidden index lives only inside OracleSpec; the rest of the codebase
 receives constructed gates and may not read it (the driver reveals it solely
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hilbert import Controlled, GateOp, Permutation, PhaseFn, RegisterLayout
+from . import gates
+from .hilbert import Controlled, GateOp, Permutation, RegisterLayout
 from .numtheory import CyclicGroupSpec, DomainError
 
 ORACLE_FLAVORS = ("phase", "flag", "subspace_selective")
@@ -68,16 +69,6 @@ class OracleSpec:
         return pow(self.group.g, self.hidden_index, self.group.p)
 
 
-def selective_rotation(t: int, theta: float, reg: str,
-                       cost_class: str = "arith", label: str | None = None) -> GateOp:
-    """exp(-i theta |t><t|): multiplies basis t of one register by exp(-i theta)."""
-
-    def phase(v):
-        return -theta if v[0] == t else 0.0
-
-    return PhaseFn((reg,), phase, label=label or f"C_{t}", cost_class=cost_class)
-
-
 def make_oracle(spec: OracleSpec, work_reg: str, flag_reg: str | None = None) -> GateOp:
     """Phase flavor: selective rotation on the marked group state (the explicit
     (|0>-|1>)/sqrt2 ancilla is folded into the phase).  Flag flavor: toggle a
@@ -95,14 +86,12 @@ def make_oracle(spec: OracleSpec, work_reg: str, flag_reg: str | None = None) ->
                            cost_class="oracle-call")
     if spec.flavor != "phase":
         raise DomainError("use make_subspace_oracle for the subspace-selective flavor")
-    gate = selective_rotation(target, spec.theta, work_reg, cost_class="oracle-call",
-                              label="oracle")
-    return gate
+    return gates.selective_phase({target: spec.theta}, work_reg, label="oracle",
+                                 cost_class="oracle-call")
 
 
 def make_subspace_oracle(spec: OracleSpec, layout: RegisterLayout, work_reg: str,
-                         designated: tuple[str, ...] | None = None,
-                         theta: float | None = None) -> GateOp:
+                         designated: tuple[str, ...] | None = None) -> GateOp:
     """Phase exp(-i theta) only when every designated auxiliary register reads 0
     AND the work register holds the marked state.
 
@@ -113,11 +102,7 @@ def make_subspace_oracle(spec: OracleSpec, layout: RegisterLayout, work_reg: str
         designated = tuple(n for n in layout.names if n != work_reg)
     if work_reg in designated:
         raise DomainError("work register cannot be part of the designated library")
-    inner = selective_rotation(spec.marked_value,
-                               spec.theta if theta is None else theta,
-                               work_reg, cost_class="oracle-call", label="oracle_sub")
-
-    def all_zero(vals):
-        return all(v == 0 for v in vals)
-
-    return Controlled(tuple(designated), all_zero, inner, label="oracle_sub")
+    inner = gates.selective_phase({spec.marked_value: spec.theta}, work_reg,
+                                  label="oracle_sub", cost_class="oracle-call")
+    return Controlled(tuple(designated), frozenset({(0,) * len(designated)}), inner,
+                      label="oracle_sub")

@@ -1,0 +1,44 @@
+"""The benchmark in perfbench/ hooks into the tree from outside: it wraps each
+callable in `spans.TARGETS`, reads gate labels and compiled tables while it
+traces, and hashes report bytes against `perfbench/digests.json`.  A tree
+change that breaks one of these hooks crashes a benchmark worker, so these
+checks catch it first."""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+from cycsim import driver
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(BENCH))
+
+from spans import TARGETS, Tracer  # noqa: E402
+from workloads import WORKLOADS, DigestGate  # noqa: E402
+
+
+def test_every_traced_callable_resolves():
+    for owner, attr, name in TARGETS:
+        assert callable(owner.__dict__.get(attr)), name
+
+
+def test_tracer_yields_every_layer_metric():
+    with Tracer() as tracer:
+        for s in (1, 2):
+            driver.run_experiment(driver.ExperimentConfig(p=11, hidden_s=s, run_demo=False))
+    metrics = tracer.layer_metrics(cold=0, warm={1})
+    # the worker adds the process.* and trace.* metrics from its own clocks
+    per_layer = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    wanted = {m["name"] for m in per_layer if not m["name"].startswith(("process.", "trace."))}
+    assert wanted <= set(metrics)
+    assert all(math.isfinite(v) for v in metrics.values())
+    assert metrics["crt_reduction.aux_oracle_builds"] > 0
+    assert metrics["oracle.calls"] > 0
+
+
+def test_sweep_reports_match_recorded_digests():
+    workload = WORKLOADS["sweep-p43"]
+    gate = DigestGate.load(workload)
+    for s in (0, 1, 2):
+        assert gate.check(driver.run_experiment(workload.config(s)), s), s

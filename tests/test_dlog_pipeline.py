@@ -91,6 +91,28 @@ def test_reflect_about_properties(spec5):
     assert abs(hilbert.inner_product(psi, twice) - 1) < 1e-9
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])
+def test_good_rotation_fires_on_coprime_index(p):
+    # every value of the X register, including those >= p-1, keeps the gcd verdict
+    spec = make_group_spec(p)
+    regs = dl.DlogRegs()
+    rot = dl.good_rotation_stage1(spec, regs, 0.5).gates[2]
+    assert rot.label == "C_good"
+    layout = dl.make_dlog_layout(spec, regs)
+    N = gates.register_dim(p)
+    amp = 1 / math.sqrt(N)
+    rows = {}
+    for x in range(N):
+        key = list(layout.zero_tuple())
+        key[layout.index(regs.x)], key[layout.index(regs.t)] = x, 1
+        rows[tuple(key)] = amp + 0j
+    out = apply(SparseState(layout, rows), rot)
+    ix = layout.index(regs.x)
+    for k, a in out.entries.items():
+        coprime = math.gcd(k[ix], p - 1) == 1
+        assert abs(a - (amp * complex(math.cos(0.5), -math.sin(0.5)) if coprime else amp)) < 1e-15
+
+
 def test_amplification_schedule_grover_default():
     w = 1 / 3
     sched = dl.amplification_schedule(w, "grover")

@@ -128,8 +128,10 @@ def test_cli_single_run(tmp_path):
     (["--p", "13", "--g", "15", "--hidden-s", "1"], "15 is not a primitive root mod 13"),
     (["--p", "13", "--hidden-s", "1", "--trotter-m", "0"], "trotter_m"),
     (["--p", "13", "--hidden-s", "1", "--mode", "grover", "--grover-m", "-1"], "grover_m"),
+    (["--p", "13", "--hidden-s", "7", "--theta", "1.0"], "theta must be pi"),
+    (["--p", "13", "--hidden-s", "7", "--theta", "0"], "theta must be pi"),
 ], ids=["nonprime", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
-        "grover-m-negative"])
+        "grover-m-negative", "theta-one", "theta-zero"])
 def test_cli_rejects_bad_config(argv, fragment, capsys):
     assert cli_main(argv) == 2
     assert fragment in capsys.readouterr().err
@@ -182,8 +184,8 @@ def test_trotter_section():
 
 
 def test_warm_run_compiles_no_reduction_tables(monkeypatch):
-    # the reduction inside the aux oracle is the instance's own, so a second
-    # hidden index reuses every table the first run compiled
+    # the reduction and swap inside the aux oracle are the instance's own, so a
+    # second hidden index reuses every table the first run compiled
     compiled = []
     table_for = Permutation.table_for
 
@@ -198,5 +200,5 @@ def test_warm_run_compiles_no_reduction_tables(monkeypatch):
     run_experiment(ExperimentConfig(p=13, hidden_s=5, run_demo=False))
     compiled.clear()
     run_experiment(ExperimentConfig(p=13, hidden_s=8, run_demo=False))
-    prefixes = ("POW_", "GMUL_", "ADD_", "LIFT_", "HALT_", "U_r")
+    prefixes = ("POW_", "GMUL_", "ADD_", "LIFT_", "HALT_", "U_r", "SWAP")
     assert [label for label in compiled if label.startswith(prefixes)] == []

@@ -228,6 +228,20 @@ def test_functional_qft_group_example():
         gates.functional_qft(lambda x: x % 3, 6, "r1", dim)  # not injective
 
 
+def test_selective_phase_basics():
+    lay = RegisterLayout([Register("w", 8)])
+    st = SparseState.basis(lay, {"w": 3})
+    ident = gates.selective_phase({3: 0.0}, "w")
+    assert apply(st, ident).entries == st.entries
+    flip = gates.selective_phase({0: math.pi}, "w")
+    assert flip.angles == {(0,): -math.pi}
+    out = apply(SparseState.basis(lay), flip)
+    assert abs(list(out.entries.values())[0] + 1) < 1e-12
+    fwd = gates.selective_phase({3: 0.8}, "w")
+    back = gates.selective_phase({3: -0.8}, "w")
+    assert hilbert.fidelity(apply(apply(st, fwd), back), st) > 1 - 1e-12
+
+
 def test_pairing_permutation():
     lay = layout2(16, 16)
     g = gates.pairing_permutation([1, 3, 9], [1, 8, 12], "r1")

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from cycsim import gates
-from cycsim.hilbert import (Controlled, GateLedger, LocalUnitary, Permutation, Register,
-                            RegisterLayout, Sequence, SimulationError, SparseState, adjoint,
-                            apply, assert_registers_clean, fidelity, inner_product)
+from cycsim.hilbert import (Controlled, GateLedger, LocalUnitary, Permutation, PhaseFn,
+                            Register, RegisterLayout, Sequence, SimulationError, SparseState,
+                            adjoint, apply, assert_registers_clean, fidelity, inner_product)
 
 
 def small_layout():
@@ -37,8 +38,10 @@ def gate_zoo():
         gates.qft(4, "a"),
         gates.qft(5, "c"),
         gates.selective_phase({2: 0.7}, "a"),
+        PhaseFn(("a", "c"), {(1, 2): 0.4, (3, 0): -1.1}, label="pair_phase"),
         LocalUnitary("b", np.array([[1, 1], [1, -1]]) / math.sqrt(2), label="H"),
-        Controlled(("b",), lambda v: v[0] == 1, inc, label="c_inc"),
+        Controlled(("b",), frozenset({(1,)}), inc, label="c_inc"),
+        Controlled(("b", "c"), frozenset({(1, 0), (0, 3)}), inc, label="cc_inc"),
         Sequence((inc, gates.qft(4, "a"), adjoint(inc))),
     ]
 
@@ -106,17 +109,57 @@ def test_nonunitary_matrix_rejected():
 def test_controlled_overlap_rejected():
     inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
     with pytest.raises(SimulationError):
-        Controlled(("a",), lambda v: True, inc)
+        Controlled(("a",), frozenset({(0,)}), inc)
 
 
 def test_controlled_applies_only_where_predicate_holds():
     layout = small_layout()
     inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
-    gate = Controlled(("b",), lambda v: v[0] == 1, inc)
+    gate = Controlled(("b",), frozenset({(1,)}), inc)
     cold = apply(SparseState.basis(layout, {"a": 1, "b": 0}), gate)
     hot = apply(SparseState.basis(layout, {"a": 1, "b": 1}), gate)
     assert cold.sole_tuple()[layout.index("a")] == 1
     assert hot.sole_tuple()[layout.index("a")] == 2
+
+
+def test_listed_tuples_need_one_value_per_register():
+    inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
+    with pytest.raises(SimulationError):
+        PhaseFn(("a",), {(1, 2): 0.3})
+    with pytest.raises(SimulationError):
+        Controlled(("b", "c"), frozenset({(1,)}), inc)
+
+
+def test_phase_and_control_lookup_match_a_per_row_reference():
+    layout = small_layout()
+    inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
+    phases = [PhaseFn(("c",), {(0,): 0.3, (4,): -2.0, (2,): 1.0}),
+              PhaseFn(("a", "c"), {(1, 2): 0.4, (3, 0): -1.1, (0, 0): 2.5})]
+    controls = [Controlled(("c",), frozenset({(1,), (3,)}), inc),
+                Controlled(("b", "c"), frozenset({(1, 0), (0, 3), (1, 4)}), inc)]
+    rng = random.Random(17)
+    for _ in range(50):
+        st = random_state(layout, rng, support=20)
+        for gate in phases:
+            pos = [layout.index(r) for r in gate.regs]
+            out = apply(st, gate)
+            for k, a in st.entries.items():
+                angle = gate.angles.get(tuple(k[i] for i in pos), 0.0)
+                assert abs(out.entries[k] - a * cmath.exp(1j * angle)) < 1e-15
+        for gate in controls:
+            pos = [layout.index(r) for r in gate.controls]
+            want = {}
+            for k, a in st.entries.items():
+                hot = tuple(k[i] for i in pos) in gate.on
+                want[((k[0] + 1) % 4,) + k[1:] if hot else k] = a
+            assert apply(st, gate).entries == want
+
+
+def test_adjoint_phase_negates_every_angle():
+    gate = PhaseFn(("a", "c"), {(1, 2): 0.4, (3, 0): -1.1}, label="pp", cost_class="oracle-call")
+    adj = adjoint(gate)
+    assert adj.angles == {(1, 2): -0.4, (3, 0): 1.1}
+    assert (adj.regs, adj.label, adj.cost_class) == (("a", "c"), "pp+", "oracle-call")
 
 
 def test_inner_product_basics():

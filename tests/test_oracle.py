@@ -6,8 +6,7 @@ from cycsim import hilbert
 from cycsim.hilbert import Register, RegisterLayout, SparseState, apply
 from cycsim.numtheory import DomainError
 from cycsim.oracle import (BinaryRep, OracleSpec, binary_rep, make_oracle,
-                           make_subspace_oracle, rep_value,
-                           selective_rotation)
+                           make_subspace_oracle, rep_value)
 
 
 def test_binary_rep_examples():
@@ -27,19 +26,6 @@ def test_binary_rep_examples():
 def test_binary_rep_roundtrip_exhaustive(n):
     for v in range(2**n):
         assert rep_value(binary_rep(v, n)) == v
-
-
-def test_selective_rotation_basics():
-    lay = RegisterLayout([Register("w", 8)])
-    st = SparseState.basis(lay, {"w": 3})
-    ident = selective_rotation(3, 0.0, "w")
-    assert apply(st, ident).entries == st.entries
-    flip = selective_rotation(0, math.pi, "w")
-    out = apply(SparseState.basis(lay), flip)
-    assert abs(list(out.entries.values())[0] + 1) < 1e-12
-    fwd = selective_rotation(3, 0.8, "w")
-    back = selective_rotation(3, -0.8, "w")
-    assert hilbert.fidelity(apply(apply(st, fwd), back), st) > 1 - 1e-12
 
 
 def test_oracle_spec_guards(spec13):
@@ -105,6 +91,21 @@ def test_subspace_oracle_cases(spec13):
     assert abs(list(out.entries.values())[0] - 1) < 1e-12
     with pytest.raises(DomainError):
         make_subspace_oracle(spec, lay, "w", designated=("w", "a1"))
+
+
+def test_subspace_oracle_fires_only_on_a_clean_library(spec13):
+    lay = RegisterLayout([Register("w", 16), Register("a1", 4, "aux"),
+                          Register("a2", 3, "aux")])
+    spec = OracleSpec(7, math.pi, "subspace_selective", spec13)
+    gate = make_subspace_oracle(spec, lay, "w")
+    assert gate.on == {(0, 0)}
+    marked = pow(spec13.g, 7, 13)
+    rows = [(w, a1, a2) for w in (marked, 5) for a1 in range(4) for a2 in range(3)]
+    amp = 1 / math.sqrt(len(rows))
+    out = apply(SparseState(lay, {k: amp + 0j for k in rows}), gate)
+    for (w, a1, a2), a in out.entries.items():
+        fired = w == marked and a1 == 0 and a2 == 0
+        assert abs(a - (-amp if fired else amp)) < 1e-12
 
 
 def test_oracle_ledger_class(spec13):
