@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gates, halting_program as hp
 from .hilbert import (GateLedger, GateOp, Register, RegisterLayout, Sequence,
                       SimulationError, SparseState, adjoint, apply, assert_registers_clean)
@@ -196,9 +198,8 @@ def to_largest_subspace(state: SparseState, spec: CyclicGroupSpec,
     descs = descriptors(spec)
     top = descs[-1]
     for k in range(spec.r - 1):
-        i = state.layout.index(regs.comps[k])
-        allowed = set(descs[k].basis)
-        if any(key[i] not in allowed for key in state.entries):
+        col = state.keys[:, state.layout.index(regs.comps[k])]
+        if not np.isin(col, descs[k].basis).all():
             raise SimulationError(
                 f"component {k} has support outside its source subspace")
         state = apply(state, subspace_lift(descs[k], top, regs.comps[k]), ledger)

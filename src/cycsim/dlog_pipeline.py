@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import gates, hilbert
 from .hilbert import (GateLedger, GateOp, PhaseFn, Register, RegisterLayout, Sequence,
                       SimulationError, SparseState, adjoint, apply)
@@ -151,6 +153,11 @@ def amplitude_amplify(state: SparseState, good_builder, full_builder, mode: str,
     return state, info
 
 
+def _coprime_mask(dim: int, m: int) -> np.ndarray:
+    """Boolean mask over register values 0..dim-1: True where gcd(x, m) == 1."""
+    return np.gcd(np.arange(dim), m) == 1
+
+
 def _full_pivot(regs: DlogRegs) -> dict[str, int | None]:
     pivot: dict[str, int | None] = {n: 0 for n in regs.aux()}
     pivot[regs.w] = None  # covariant in the work register
@@ -272,9 +279,8 @@ def to_psi2(state: SparseState, spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs
 
 
 def index_patterns(state: SparseState, regs: DlogRegs = DlogRegs()) -> set[tuple[int, int]]:
-    ix = state.layout.index(regs.x)
-    iy = state.layout.index(regs.y)
-    return {(k[ix], k[iy]) for k in state.entries}
+    cols = [state.layout.index(regs.x), state.layout.index(regs.y)]
+    return set(map(tuple, state.keys[:, cols].tolist()))
 
 
 def euler_filter(state: SparseState, spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
@@ -283,10 +289,7 @@ def euler_filter(state: SparseState, spec: CyclicGroupSpec, regs: DlogRegs = Dlo
     coprime components (phi(p-1)/(p-1) for a uniform pattern state)."""
     for gate in pipeline_kit(spec, regs)["euler"]:
         state = apply(state, gate, ledger)
-    ix = state.layout.index(regs.x)
-    m = spec.p - 1
-    weight = state.weight_where(lambda k: math.gcd(k[ix], m) == 1)
-    return state, weight
+    return state, state.weight_where(regs.x, _coprime_mask(state.layout.dim(regs.x), spec.p - 1))
 
 
 def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
@@ -318,8 +321,7 @@ def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
 
     for gate in kit["euler"]:
         state = apply(state, gate, ledger)
-    ix = layout.index(regs.x)
-    weight = state.weight_where(lambda k: math.gcd(k[ix], m) == 1)
+    weight = state.weight_where(regs.x, _coprime_mask(layout.dim(regs.x), m))
     trace.record("psi3", None, state.support_size, ledger)
     trace.record("psi3s-weight", weight, state.support_size, ledger)
 
@@ -334,8 +336,7 @@ def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
     trace.record("psi6s", None, state.support_size, ledger)
 
     state = apply(state, kit["mid"][2], ledger)
-    i_f = layout.index(regs.f)
-    cross = state.weight_where(lambda k: k[i_f] != 1)
+    cross = state.weight_where(regs.f, np.arange(layout.dim(regs.f)) != 1)
     trace.record("psi7s", cross, state.support_size, ledger)
 
     for gate in kit["amp2"] + kit["tail"]:
@@ -348,7 +349,7 @@ def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
         # plain reflections leave genuine residue; only exact mode owes clean aux
         hilbert.assert_registers_clean(
             state, tuple(x for x in regs.aux() if x != regs.out), "log-gate inversion")
-    recovered = max(((abs(a), k) for k, a in state.entries.items()))[1][layout.index(regs.out)]
+    recovered = state.peak_tuple()[layout.index(regs.out)]
     return trace, recovered, state
 
 

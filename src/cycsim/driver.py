@@ -107,6 +107,7 @@ class _Instance:
     reductions: list  # per component: the forward reduction gate
     aux_reductions: list  # per component: the reduction inside the aux oracle
     aux_swaps: list  # per component: the search/component swap inside the aux oracle
+    search: mq.SearchGates  # the component search's gates on the search register
 
 
 _INSTANCE_CACHE: dict = {}
@@ -133,8 +134,9 @@ def _instance(config: ExperimentConfig) -> _Instance:
         aux_reductions = reductions_for(
             hp.PulseModel(config.epsilon, config.gamma + math.pi / 3))
     aux_swaps = [gates.swap_regs(cr.SEARCH, comp) for comp in regs.comps]
-    inst = _Instance(spec, layout, regs, strip_regs, spec.p.bit_length(), pulse,
-                     reductions, aux_reductions, aux_swaps)
+    n = spec.p.bit_length()
+    inst = _Instance(spec, layout, regs, strip_regs, n, pulse, reductions, aux_reductions,
+                     aux_swaps, mq.search_gates(spec, cr.SEARCH, n))
     _INSTANCE_CACHE[key] = inst
     return inst
 
@@ -191,8 +193,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             halt_ledger.append({"component": k, "pair": j, "step": step})
         aux = cr.make_aux_oracle(base_oracle, k, inst.aux_reductions[k], inst.aux_swaps[k])
         try:
-            found, state, info = mq.subspace_search(aux, spec, k, state, cr.SEARCH,
-                                                    inst.n, ledger=ledger)
+            found, state, info = mq.subspace_search(aux, inst.search, k, state,
+                                                    ledger=ledger)
         except SimulationError as err:
             log.error("component %d search failed: %s", k, err)
             search_failed = True

@@ -268,10 +268,10 @@ def run_qc(state: SparseState, config: ProgramConfig, pulse: PulseModel,
                       u_r_gate(config, regs.f, regs.g), label="U_r_c")
 
     locked = False
-    i_g = lay.index(regs.g)
+    at_c = np.arange(g_dim) == c
 
     def locking_due(s: SparseState) -> bool:
-        return s.weight_where(lambda k: k[i_g] == c) > 0.0
+        return s.weight_where(regs.g, at_c) > 0.0
 
     for _ in range(config.m_r):
         state = apply(state, u_b, ledger)

@@ -1,9 +1,12 @@
 """Sparse state engine for multi-register, mixed-radix Hilbert spaces.
 
-A state is a map from basis tuples (one index per register) to complex
-amplitudes.  Gates are permutations, phase functions, local dense unitaries,
-controlled gates, or sequences thereof; application is pointwise on the sparse
-support, so total dimension can be astronomical as long as support stays small.
+A state is a pair of arrays: an n x width int64 key matrix whose rows are the
+basis tuples of its support (one column per register), and a length-n complex
+vector of their amplitudes.  Gates are permutations, phase functions, local
+dense unitaries, controlled gates, or sequences thereof; applying one maps the
+two arrays to two new ones, so total dimension can be astronomical as long as
+support stays small.  `SparseState.entries`, a {basis tuple: amplitude} dict,
+is built only when a caller reads it.
 
 Conventions:
   - PhaseFn multiplies the amplitude of a listed basis tuple x of its registers
@@ -11,8 +14,12 @@ Conventions:
   - Controlled applies its inner gate where the control registers hold a tuple
     in the frozenset `on`.
   - Sequence applies its gates left to right.
-  - Norm is checked after every gate application (tolerance NORM_TOL) and
-    entries below the state's drop threshold are pruned.
+  - Norm is checked after every gate application (tolerance NORM_TOL).  Only a
+    local unitary recombines amplitudes, so it alone leaves numerical dust; it
+    drops amplitudes below DROP_THRESHOLD once, as it gathers its output.
+  - Readers whose result depends on row order (sequential sums, tie-breaks)
+    visit rows in lexicographic order of their basis tuples; weights are
+    `math.fsum`s, which are exact whatever the order.
 """
 
 from __future__ import annotations
@@ -57,6 +64,11 @@ class RegisterLayout:
         if len(set(names)) != len(names):
             raise SimulationError("duplicate register names")
         self._pos = {r.name: i for i, r in enumerate(self.registers)}
+        dims = tuple(r.dim for r in self.registers)
+        # mixed-radix strides that flat-encode a whole basis tuple, or None
+        # when the product dimension overflows int64
+        self.flat_strides = (np.array(_strides(dims), dtype=np.int64)
+                             if math.prod(dims) < (1 << 62) else None)
 
     def index(self, name: str) -> int:
         try:
@@ -76,72 +88,115 @@ class RegisterLayout:
 
 
 class SparseState:
-    """Normalized sparse map from basis tuples to amplitudes."""
+    """Normalized sparse state: row j of the int64 matrix `keys` is a basis
+    tuple (one column per register) and `amps[j]` is its amplitude.  Rows are
+    distinct; their order carries no meaning."""
 
-    def __init__(self, layout: RegisterLayout, entries: dict[tuple[int, ...], complex],
-                 drop_threshold: float = DROP_THRESHOLD, check: bool = True):
+    def __init__(self, layout: RegisterLayout, entries: dict[tuple[int, ...], complex]):
         self.layout = layout
-        self.entries = entries
-        self.drop_threshold = drop_threshold
-        if check and abs(self.norm() - 1.0) > NORM_TOL:
+        self.keys = np.array(list(entries), dtype=np.int64).reshape(
+            len(entries), len(layout.registers))
+        self.amps = np.array(list(entries.values()), dtype=complex)
+        self._entries = None
+        _freeze(self.keys, self.amps)
+        if abs(self.norm() - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm {self.norm()} outside tolerance")
 
     @classmethod
-    def basis(cls, layout: RegisterLayout, values: dict[str, int] | None = None,
-              drop_threshold: float = DROP_THRESHOLD) -> "SparseState":
+    def from_arrays(cls, layout: RegisterLayout, keys: np.ndarray,
+                    amps: np.ndarray) -> "SparseState":
+        """Wrap gate-application output as is: no copy and no norm check."""
+        state = cls.__new__(cls)
+        state.layout, state.keys, state.amps, state._entries = layout, keys, amps, None
+        _freeze(keys, amps)
+        return state
+
+    @classmethod
+    def basis(cls, layout: RegisterLayout, values: dict[str, int] | None = None) -> "SparseState":
         tup = list(layout.zero_tuple())
         for name, v in (values or {}).items():
             i = layout.index(name)
             if not 0 <= v < layout.registers[i].dim:
                 raise SimulationError(f"value {v} outside register {name}")
             tup[i] = v
-        return cls(layout, {tuple(tup): 1.0 + 0.0j}, drop_threshold)
+        return cls(layout, {tuple(tup): 1.0 + 0.0j})
+
+    @property
+    def entries(self) -> dict[tuple[int, ...], complex]:
+        """{basis tuple: amplitude}, built on first read; a read-only view."""
+        if self._entries is None:
+            self._entries = dict(zip(map(tuple, self.keys.tolist()), self.amps.tolist()))
+        return self._entries
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum(abs(a) ** 2 for _, a in sorted(self.entries.items())))
-
-    def prune(self) -> None:
-        dead = [k for k, a in self.entries.items() if abs(a) < self.drop_threshold]
-        for k in dead:
-            del self.entries[k]
+        return math.sqrt(_weight(self.amps))
 
     @property
     def support_size(self) -> int:
-        return len(self.entries)
+        return len(self.amps)
 
     def is_basis_state(self) -> bool:
-        return len(self.entries) == 1
+        return len(self.amps) == 1
 
     def sole_tuple(self) -> tuple[int, ...]:
         if not self.is_basis_state():
             raise SimulationError("state is a superposition, not a single basis state")
-        return next(iter(self.entries))
+        return tuple(self.keys[0].tolist())
 
     def register_value(self, name: str) -> int:
         """Value of one register when it is sharp across the support."""
-        i = self.layout.index(name)
-        vals = {k[i] for k in self.entries}
-        if len(vals) != 1:
-            raise SimulationError(f"register {name} is not sharp: values {sorted(vals)}")
-        return vals.pop()
+        col = self.keys[:, self.layout.index(name)]
+        if not len(col) or (col != col[0]).any():
+            raise SimulationError(
+                f"register {name} is not sharp: values {sorted(set(col.tolist()))}")
+        return int(col[0])
 
     def dominant_register_value(self, name: str) -> int:
         """Highest-weight value of one register (ties break to the lowest value)."""
-        i = self.layout.index(name)
+        order = _lex_order(self.keys)
         weights: dict[int, float] = {}
-        for k in sorted(self.entries):
-            weights[k[i]] = weights.get(k[i], 0.0) + abs(self.entries[k]) ** 2
+        for v, a in zip(self.keys[order, self.layout.index(name)].tolist(),
+                        self.amps[order].tolist()):
+            weights[v] = weights.get(v, 0.0) + abs(a) ** 2
         return max(weights.items(), key=lambda kv: (kv[1], -kv[0]))[0]
 
-    def weight_where(self, pred: Callable[[tuple[int, ...]], bool]) -> float:
-        return math.fsum(abs(a) ** 2 for k, a in sorted(self.entries.items()) if pred(k))
+    def peak_tuple(self) -> tuple[int, ...]:
+        """Basis tuple of the largest-magnitude amplitude (ties break to the
+        lexicographically largest tuple)."""
+        mags = [abs(a) for a in self.amps.tolist()]
+        top = max(mags)
+        return max(map(tuple, self.keys[[m == top for m in mags]].tolist()))
+
+    def weight_where(self, reg: str | Callable[[tuple[int, ...]], bool],
+                     mask: np.ndarray | None = None) -> float:
+        """Weight of the rows whose value on register `reg` is flagged in
+        `mask`, a boolean array indexed by that register's values.  A per-tuple
+        predicate in place of `reg` (and no mask) selects on several registers
+        at once, at the cost of one Python call per row."""
+        if mask is None:
+            hit = np.array([bool(reg(k)) for k in map(tuple, self.keys.tolist())], dtype=bool)
+        else:
+            hit = np.asarray(mask, dtype=bool)[self.keys[:, self.layout.index(reg)]]
+        return _weight(self.amps[hit])
 
     def register_weight_outside(self, name: str, value: int = 0) -> float:
-        i = self.layout.index(name)
-        return self.weight_where(lambda k: k[i] != value)
+        return _weight(self.amps[self.keys[:, self.layout.index(name)] != value])
 
-    def copy(self) -> "SparseState":
-        return SparseState(self.layout, dict(self.entries), self.drop_threshold, check=False)
+
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """Indices that visit the rows of an integer matrix in lexicographic order."""
+    return np.lexsort(rows.T[::-1])
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """States share arrays with the states they came from, so none may write them."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _weight(amps: np.ndarray) -> float:
+    """Sum of |a|**2, rounded once by fsum, so the same whatever the row order."""
+    return math.fsum(abs(a) ** 2 for a in amps.tolist())
 
 
 def assert_registers_clean(state: SparseState, names: tuple[str, ...], what: str) -> None:
@@ -354,24 +409,55 @@ def _apply_permutation(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarra
     pos = [layout.index(r) for r in gate.regs]
     dims = tuple(layout.registers[i].dim for i in pos)
     table = gate.table_for(dims)
-    sub = keys[:, pos]
     if table is not None:
-        strides = np.array(_strides(dims), dtype=np.int64)
-        flat = sub @ strides
-        new_flat = table[flat]
         new_keys = keys.copy()
-        for j, (d, s) in enumerate(zip(dims, _strides(dims))):
-            new_keys[:, pos[j]] = (new_flat // s) % d
+        if len(pos) == 1:
+            new_keys[:, pos[0]] = table[keys[:, pos[0]]]
+            return new_keys, amps
+        strides = _strides(dims)
+        new_flat = table[keys[:, pos] @ np.array(strides, dtype=np.int64)]
+        for j, d, s in zip(pos, dims, strides):
+            new_keys[:, j] = (new_flat // s) % d
         return new_keys, amps
-    # domain too large to compile: map row by row
+    sub = keys[:, pos]
+    # domain too large to compile: map each distinct value tuple on the support
+    # once, and refuse a map that sends two of them to one image, since no
+    # table check vouches for this gate
+    big = math.prod(dims) >= (1 << 62)
+    strides = None if big else np.array(_strides(dims), dtype=np.int64)
+    order, starts = _sort_groups(sub if big else sub @ strides)
+    try:
+        images = np.array([gate.fn(tuple(v)) for v in sub[order[starts]].tolist()],
+                          dtype=np.int64)
+    except (ValueError, OverflowError):
+        images = None
+    if (images is None or images.shape != (int(starts.sum()), len(dims))
+            or (images < 0).any() or (images >= np.array(dims)).any()):
+        raise SimulationError(f"{gate.label}: image outside domain")
+    if not _sort_groups(images if big else images @ strides)[1].all():
+        raise SimulationError(f"{gate.label}: not injective on the support")
+    new_sub = np.empty_like(sub)
+    new_sub[order] = images[np.cumsum(starts) - 1]
     new_keys = keys.copy()
-    for row, vals in enumerate(sub.tolist()):
-        dst = gate.fn(tuple(vals))
-        for j, v in enumerate(dst):
-            if not 0 <= v < dims[j]:
-                raise SimulationError(f"{gate.label}: image value {v} outside register")
-            new_keys[row, pos[j]] = v
+    new_keys[:, pos] = new_sub
     return new_keys, amps
+
+
+def _sort_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An order that sorts `codes` (integers, or the rows of a matrix taken
+    lexicographically), and a mask over the sorted positions that is True
+    where a new distinct code starts."""
+    if codes.ndim == 1:
+        order = np.argsort(codes)
+        ordered = codes[order]
+        changed = ordered[1:] != ordered[:-1]
+    else:
+        order = _lex_order(codes)
+        ordered = codes[order]
+        changed = np.any(ordered[1:] != ordered[:-1], axis=1)
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = changed
+    return order, starts
 
 
 def _check_arity(label: str, regs: tuple[str, ...], listed) -> None:
@@ -413,18 +499,6 @@ def _apply_phase(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
     return keys, amps
 
 
-def _layout_strides(layout: RegisterLayout) -> np.ndarray | None:
-    """Mixed-radix strides for flat-encoding whole basis tuples, or None when
-    the product dimension overflows int64."""
-    dims = [r.dim for r in layout.registers]
-    total = 1
-    for d in dims:
-        total *= d
-    if total >= (1 << 62):
-        return None
-    return np.array(_strides(tuple(dims)), dtype=np.int64)
-
-
 def _apply_local(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
                  gate: LocalUnitary) -> tuple[np.ndarray, np.ndarray]:
     i = layout.index(gate.reg)
@@ -435,22 +509,26 @@ def _apply_local(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
     if col.size and int(col.max()) >= d:
         raise SimulationError(
             f"{gate.label}: support at {int(col.max())} outside the {d}-dim domain of {gate.reg}")
-    rest = keys.copy()
-    rest[:, i] = 0
-    strides = _layout_strides(layout)
+    # group rows that agree off register i, groups in sorted order of their
+    # other columns (a row's place within its group does not matter)
+    strides = layout.flat_strides
     if strides is not None:
-        flat = rest @ strides
-        uniq_flat, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-        uniq = rest[first]
+        order, starts = _sort_groups(keys @ np.where(np.arange(len(strides)) == i, 0, strides))
     else:
-        uniq, inverse = np.unique(rest, axis=0, return_inverse=True)
-    bucket = np.zeros((uniq.shape[0], d), dtype=complex)
-    bucket[inverse, col] = amps
+        order, starts = _sort_groups(np.delete(keys, i, axis=1))
+    first = order[starts]
+    cell = np.empty(len(order), dtype=np.int64)  # each row's cell in the flat bucket
+    cell[order] = (np.cumsum(starts) - 1) * d
+    cell += col
+    bucket = np.zeros((len(first), d), dtype=complex)
+    bucket.reshape(-1)[cell] = amps
     out = bucket @ gate.matrix.T
-    rows, vals = np.nonzero(np.abs(out) > 0.0)
-    new_keys = uniq[rows]
+    # recombination leaves numerical dust behind: keep only what clears the threshold
+    kept = np.flatnonzero(np.abs(out) >= DROP_THRESHOLD)
+    rows, vals = np.divmod(kept, d)
+    new_keys = np.take(keys, np.take(first, rows), axis=0)
     new_keys[:, i] = vals
-    return new_keys, out[rows, vals]
+    return new_keys, np.take(out, kept)
 
 
 def _apply_controlled(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
@@ -463,64 +541,48 @@ def _apply_controlled(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray
     return np.concatenate([keys[~mask], hk]), np.concatenate([amps[~mask], ha])
 
 
-def _state_arrays(state: SparseState) -> tuple[np.ndarray, np.ndarray]:
-    n = len(state.entries)
-    keys = np.array(list(state.entries.keys()), dtype=np.int64).reshape(n, -1)
-    amps = np.array(list(state.entries.values()), dtype=complex)
-    return keys, amps
-
-
 def _apply_arrays(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
-                  gate: GateOp, ledger: GateLedger | None,
-                  drop: float = DROP_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
+                  gate: GateOp, ledger: GateLedger | None) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(gate, Sequence):
         for g in gate.gates:
-            keys, amps = _apply_arrays(layout, keys, amps, g, ledger, drop)
+            keys, amps = _apply_arrays(layout, keys, amps, g, ledger)
         return keys, amps
     if ledger is not None:
         ledger.record(gate)
     if isinstance(gate, Permutation):
-        keys, amps = _apply_permutation(layout, keys, amps, gate)
-    elif isinstance(gate, PhaseFn):
-        keys, amps = _apply_phase(layout, keys, amps, gate)
-    elif isinstance(gate, LocalUnitary):
-        keys, amps = _apply_local(layout, keys, amps, gate)
-        keep = np.abs(amps) >= drop  # recombination leaves numerical dust behind
-        if not keep.all():
-            keys, amps = keys[keep], amps[keep]
-    elif isinstance(gate, Controlled):
-        keys, amps = _apply_controlled(layout, keys, amps, gate)
-    else:
-        raise SimulationError(f"unknown gate type {type(gate).__name__}")
-    return keys, amps
+        return _apply_permutation(layout, keys, amps, gate)
+    if isinstance(gate, PhaseFn):
+        return _apply_phase(layout, keys, amps, gate)
+    if isinstance(gate, LocalUnitary):
+        return _apply_local(layout, keys, amps, gate)
+    if isinstance(gate, Controlled):
+        return _apply_controlled(layout, keys, amps, gate)
+    raise SimulationError(f"unknown gate type {type(gate).__name__}")
 
 
 def apply(state: SparseState, gate: GateOp, ledger: GateLedger | None = None) -> SparseState:
-    """Apply a gate; enforces norm preservation and prunes numerical dust."""
-    keys, amps = _state_arrays(state)
-    before = float(np.linalg.norm(amps))
-    keys, amps = _apply_arrays(state.layout, keys, amps, gate, ledger, state.drop_threshold)
+    """Apply a gate; enforces norm preservation."""
+    before = float(np.linalg.norm(state.amps))
+    keys, amps = _apply_arrays(state.layout, state.keys, state.amps, gate, ledger)
     after = float(np.linalg.norm(amps))
     if abs(after - before) > NORM_TOL:
         raise SimulationError(f"{gate.label}: norm drifted {before} -> {after}")
-    keep = np.abs(amps) >= state.drop_threshold
-    entries = {tuple(k): complex(a)
-               for k, a in zip(keys[keep].tolist(), amps[keep].tolist())}
-    if len(entries) != int(keep.sum()):
-        raise SimulationError(f"{gate.label}: basis collision after application")
-    return SparseState(state.layout, entries, state.drop_threshold, check=False)
+    return SparseState.from_arrays(state.layout, keys, amps)
 
 
 def inner_product(s1: SparseState, s2: SparseState) -> complex:
+    """<s1|s2>, summed term by term over the shared basis tuples in lexicographic order."""
     if s1.layout is not s2.layout and s1.layout.names != s2.layout.names:
         raise SimulationError("layout mismatch in inner product")
-    small = s1.entries if len(s1.entries) <= len(s2.entries) else s2.entries
+    # rows are distinct within each state, so a tuple both hold sorts into two
+    # adjacent rows, the lower index from s1
+    order, starts = _sort_groups(np.concatenate([s1.keys, s2.keys]))
+    both = ~starts[1:]
+    lo = np.minimum(order[:-1], order[1:])[both]
+    hi = np.maximum(order[:-1], order[1:])[both] - len(s1.amps)
     total = 0.0 + 0.0j
-    for k in sorted(small):
-        a1 = s1.entries.get(k)
-        a2 = s2.entries.get(k)
-        if a1 is not None and a2 is not None:
-            total += a1.conjugate() * a2
+    for a1, a2 in zip(s1.amps[lo].tolist(), s2.amps[hi].tolist()):
+        total += a1.conjugate() * a2
     return total
 
 

@@ -169,6 +169,12 @@ def _run_conjugated(n: int, rotations: list[GateOp], ledger: GateLedger | None) 
     return state
 
 
+def _top_weight(state: SparseState, reg: str) -> float:
+    """Weight of the highest basis value of register `reg`."""
+    dim = state.layout.dim(reg)
+    return state.weight_where(reg, np.arange(dim) == dim - 1)
+
+
 def membership_circuit(t_rotation: GateOp, n: int, theta: float,
                        ledger: GateLedger | None = None) -> TransitionReport:
     """Probability of reaching |1...1> from the ground state when the selective
@@ -176,9 +182,7 @@ def membership_circuit(t_rotation: GateOp, n: int, theta: float,
 
     Equals (1 - cos theta)/2 when the rotated basis is 0 or N-1, else 0.
     """
-    state = _run_conjugated(n, [t_rotation], ledger)
-    top = (2**n - 1,)
-    prob = abs(state.entries.get(top, 0.0)) ** 2
+    prob = _top_weight(_run_conjugated(n, [t_rotation], ledger), "q")
     verdict = "member" if prob > 0.5 - 1e-9 else "non_member"
     return TransitionReport(prob, verdict)
 
@@ -188,9 +192,7 @@ def disambiguate_circuit(t_rotation_neg: GateOp, n: int,
     """Given a membership hit, decide ground vs highest: C_0(pi/2) then the
     candidate rotation at -pi/2 inside the same conjugation."""
     c0 = gates.selective_phase({0: math.pi / 2}, "q", label="C_0")
-    state = _run_conjugated(n, [c0, t_rotation_neg], ledger)
-    top = (2**n - 1,)
-    prob = abs(state.entries.get(top, 0.0)) ** 2
+    prob = _top_weight(_run_conjugated(n, [c0, t_rotation_neg], ledger), "q")
     verdict = "is_Nminus1" if prob > 0.5 else "is_zero"
     return TransitionReport(prob, verdict)
 
@@ -236,35 +238,24 @@ def verify_solution(candidate: int, oracle_for_theta: Callable[[float], GateOp],
     return stage2.verdict == "is_zero"
 
 
-def trial_circuit_prob(state: SparseState, search_reg: str, n: int, spec: CyclicGroupSpec,
-                       x: int, aux_oracle: GateOp,
-                       ledger: GateLedger | None = None) -> tuple[float, SparseState]:
-    """One search trial: dress the two-level superposition so its ground branch
-    becomes the x-th subgroup state, call the auxiliary oracle once, undress, and
-    read the |1...1> probability.  Returns the probability and the post-trial state.
+@dataclass(frozen=True)
+class SearchGates:
+    """The gates of a component search that do not depend on the instance
+    data, built once so their tables compile once.
+
+    dress[x] turns the ground branch of the two-level superposition into the
+    x-th subgroup state (x < m_r), undress[x] is its inverse, and top_reset
+    returns a register found at |1...1> to 0.
     """
-    N = 2**n
-    h_r = spec.subgroup_generators[-1]
-    half = u_ny_exact(n, math.pi / 4, search_reg)
-    f1 = gates.transposition(0, 1, search_reg)          # fixes the top state
-    shift = gates.cyclic_shift(spec.p, h_r, search_reg, power=x)
-    state = hilbert.apply(state, half, ledger)
-    state = hilbert.apply(state, f1, ledger)
-    state = hilbert.apply(state, shift, ledger)
-    state = hilbert.apply(state, aux_oracle, ledger)
-    state = hilbert.apply(state, hilbert.adjoint(shift), ledger)
-    state = hilbert.apply(state, hilbert.adjoint(f1), ledger)
-    state = hilbert.apply(state, hilbert.adjoint(half), ledger)
-    i = state.layout.index(search_reg)
-    prob = state.weight_where(lambda k: k[i] == N - 1)
-    return prob, state
+
+    reg: str
+    dress: tuple[tuple[GateOp, ...], ...]
+    undress: tuple[tuple[GateOp, ...], ...]
+    top_reset: GateOp
 
 
-def subspace_search(aux_oracle: GateOp, spec: CyclicGroupSpec, k: int, state: SparseState,
-                    search_reg: str, n: int, threshold: float = 0.5,
-                    ledger: GateLedger | None = None) -> tuple[int, SparseState, dict]:
-    """Try subgroup indices x = 0, 1, ... until the highest-state probability
-    crosses the threshold; at most m_r trials, one oracle call each.
+def search_gates(spec: CyclicGroupSpec, reg: str, n: int) -> SearchGates:
+    """Search gates on register `reg` of 2**n levels.
 
     Ground and highest states of the search register sit outside the subgroup
     state space (asserted), so the inert |1...1> branch survives the dressing.
@@ -275,15 +266,44 @@ def subspace_search(aux_oracle: GateOp, spec: CyclicGroupSpec, k: int, state: Sp
     sub_values = {pow(h_r, x, spec.p) for x in range(m_r)}
     if 0 in sub_values or N - 1 in sub_values:
         raise SimulationError("ground/highest state collides with the subgroup space")
+    half = u_ny_exact(n, math.pi / 4, reg)
+    f1 = gates.transposition(0, 1, reg)          # fixes the top state
+    half_adj, f1_adj = hilbert.adjoint(half), hilbert.adjoint(f1)
+    shifts = [gates.cyclic_shift(spec.p, h_r, reg, power=x) for x in range(m_r)]
+    return SearchGates(reg,
+                       tuple((half, f1, shift) for shift in shifts),
+                       tuple((hilbert.adjoint(shift), f1_adj, half_adj) for shift in shifts),
+                       gates.transposition(0, N - 1, reg))
+
+
+def trial_circuit_prob(state: SparseState, search: SearchGates, x: int, aux_oracle: GateOp,
+                       ledger: GateLedger | None = None) -> tuple[float, SparseState]:
+    """One search trial: dress the two-level superposition so its ground branch
+    becomes the x-th subgroup state, call the auxiliary oracle once, undress, and
+    read the |1...1> probability.  Returns the probability and the post-trial state.
+    """
+    for gate in search.dress[x]:
+        state = hilbert.apply(state, gate, ledger)
+    state = hilbert.apply(state, aux_oracle, ledger)
+    for gate in search.undress[x]:
+        state = hilbert.apply(state, gate, ledger)
+    return _top_weight(state, search.reg), state
+
+
+def subspace_search(aux_oracle: GateOp, search: SearchGates, k: int, state: SparseState,
+                    threshold: float = 0.5,
+                    ledger: GateLedger | None = None) -> tuple[int, SparseState, dict]:
+    """Try subgroup indices x = 0, 1, ... until the highest-state probability
+    crosses the threshold; at most m_r trials, one oracle call each."""
     probs: list[float] = []
     found: int | None = None
-    for x in range(m_r):
-        prob, state = trial_circuit_prob(state, search_reg, n, spec, x, aux_oracle, ledger)
+    for x in range(len(search.dress)):
+        prob, state = trial_circuit_prob(state, search, x, aux_oracle, ledger)
         probs.append(prob)
         if prob > threshold:
             found = x
             # measured outcome is the highest state; return the register to 0
-            state = hilbert.apply(state, gates.transposition(0, N - 1, search_reg), ledger)
+            state = hilbert.apply(state, search.top_reset, ledger)
             break
     if found is None:
         raise SimulationError(

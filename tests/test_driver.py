@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cycsim
 from cycsim import driver
 from cycsim.driver import ExperimentConfig, cli_main, run_experiment, run_sweep
-from cycsim.hilbert import Permutation
+from cycsim.hilbert import Permutation, SparseState
 from cycsim.numtheory import DomainError, classical_dlog
 
 
@@ -184,8 +188,9 @@ def test_trotter_section():
 
 
 def test_warm_run_compiles_no_reduction_tables(monkeypatch):
-    # the reduction and swap inside the aux oracle are the instance's own, so a
-    # second hidden index reuses every table the first run compiled
+    # the reduction and swap inside the aux oracle and the search's shifts and
+    # transpositions are the instance's own, so a second hidden index reuses
+    # every table the first run compiled (its trials are a subset of the first's)
     compiled = []
     table_for = Permutation.table_for
 
@@ -200,5 +205,26 @@ def test_warm_run_compiles_no_reduction_tables(monkeypatch):
     run_experiment(ExperimentConfig(p=13, hidden_s=5, run_demo=False))
     compiled.clear()
     run_experiment(ExperimentConfig(p=13, hidden_s=8, run_demo=False))
-    prefixes = ("POW_", "GMUL_", "ADD_", "LIFT_", "HALT_", "U_r", "SWAP")
-    assert [label for label in compiled if label.startswith(prefixes)] == []
+    # only the per-run load of the instance value b = 2**8 mod 13 = 9 is new
+    assert compiled == ["X_0_9"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cycsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-m", "cycsim", "--p", "13", "--hidden-s", "7",
+                           "--no-demo"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "recovered_s=7 success=True" in done.stdout
+
+
+def test_a_run_never_builds_the_entries_dict(monkeypatch):
+    # gates and readers work on the key/amplitude arrays; the dict view is for
+    # callers that ask for it
+    def refuse(state):
+        raise AssertionError("SparseState.entries was built")
+
+    monkeypatch.setattr(SparseState, "entries", property(refuse))
+    rep = run_experiment(ExperimentConfig(p=13, hidden_s=7, epsilon=0.1))
+    assert rep.verification["success"] is True and rep.dlog_demo is not None

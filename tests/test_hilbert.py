@@ -5,10 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from cycsim import gates
-from cycsim.hilbert import (Controlled, GateLedger, LocalUnitary, Permutation, PhaseFn,
-                            Register, RegisterLayout, Sequence, SimulationError, SparseState,
-                            adjoint, apply, assert_registers_clean, fidelity, inner_product)
+from cycsim import gates, hilbert
+from cycsim.hilbert import (DROP_THRESHOLD, EXHAUSTIVE_CHECK_LIMIT, Controlled, GateLedger,
+                            LocalUnitary, Permutation, PhaseFn, Register, RegisterLayout,
+                            Sequence, SimulationError, SparseState, adjoint, apply,
+                            assert_registers_clean, fidelity, inner_product)
 
 
 def small_layout():
@@ -213,3 +214,127 @@ def test_permutation_bijectivity_checked_exhaustively_below_limit():
     dims = (4, 5)
     assert dims in g.tables
     assert a.tables is g.inv_tables
+
+
+def test_rowwise_permutation_refuses_a_collision():
+    # above the check limit nothing compiles, so the row-wise path itself must
+    # notice that two support rows land on one basis tuple
+    layout = RegisterLayout([Register("big", EXHAUSTIVE_CHECK_LIMIT * 2, "work"),
+                             Register("b", 2, "flag")])
+    halve = Permutation(("big",), lambda v: (v[0] // 2,), lambda v: (2 * v[0],), label="halve")
+    st = SparseState(layout, {(4, 1): 0.6, (5, 1): 0.8})
+    with pytest.raises(SimulationError, match="not injective"):
+        apply(st, halve)
+    assert halve.table_for((EXHAUSTIVE_CHECK_LIMIT * 2,)) is None
+    # the same map is fine where it stays injective on the support
+    out = apply(SparseState(layout, {(4, 1): 0.6, (7, 1): 0.8}), halve)
+    assert out.entries == {(2, 1): 0.6, (3, 1): 0.8}
+    leave = Permutation(("big",), lambda v: (v[0] + EXHAUSTIVE_CHECK_LIMIT * 2,),
+                        lambda v: v, label="leave")
+    with pytest.raises(SimulationError, match="outside domain"):
+        apply(out, leave)
+
+
+# --- array readers against the per-tuple dict formulas they replace ----------
+
+def _ref_weight(state, pred):
+    return math.fsum(abs(a) ** 2 for k, a in sorted(state.entries.items()) if pred(k))
+
+
+def _ref_inner(s1, s2):
+    small = s1.entries if len(s1.entries) <= len(s2.entries) else s2.entries
+    total = 0.0 + 0.0j
+    for k in sorted(small):
+        a1, a2 = s1.entries.get(k), s2.entries.get(k)
+        if a1 is not None and a2 is not None:
+            total += a1.conjugate() * a2
+    return total
+
+
+def _ref_dominant(state, i):
+    weights = {}
+    for k in sorted(state.entries):
+        weights[k[i]] = weights.get(k[i], 0.0) + abs(state.entries[k]) ** 2
+    return max(weights.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+
+
+def test_array_readers_match_the_dict_formulas_bit_for_bit():
+    layout = small_layout()
+    rng = random.Random(23)
+    for gate in gate_zoo():
+        for _ in range(20):
+            st = apply(random_state(layout, rng, support=12), gate)
+            other = apply(random_state(layout, rng, support=12), gate)
+            assert st.norm() == math.sqrt(_ref_weight(st, lambda k: True)), gate.label
+            for i, reg in enumerate(layout.registers):
+                for v in range(reg.dim):
+                    mask = np.arange(reg.dim) == v
+                    assert st.weight_where(reg.name, mask) == _ref_weight(
+                        st, lambda k: k[i] == v), gate.label
+                    assert st.register_weight_outside(reg.name, v) == _ref_weight(
+                        st, lambda k: k[i] != v), gate.label
+                assert st.dominant_register_value(reg.name) == _ref_dominant(st, i)
+            assert inner_product(st, other) == _ref_inner(st, other), gate.label
+            assert inner_product(other, st) == _ref_inner(other, st), gate.label
+            assert inner_product(st, st) == _ref_inner(st, st), gate.label
+            assert fidelity(st, other) == abs(_ref_inner(st, other)) ** 2
+            assert st.peak_tuple() == max((abs(a), k) for k, a in st.entries.items())[1]
+
+
+def test_peak_and_dominant_ties_break_as_documented():
+    layout = small_layout()
+    h = 1 / math.sqrt(2)
+    tied = SparseState(layout, {(1, 0, 3): h, (2, 1, 0): -h})
+    assert tied.peak_tuple() == (2, 1, 0)
+    assert tied.dominant_register_value("a") == 1
+    with pytest.raises(SimulationError, match=r"not sharp: values \[1, 2\]"):
+        tied.register_value("a")
+    assert SparseState.basis(layout, {"c": 4}).register_value("c") == 4
+
+
+def _ref_local(layout, keys, amps, gate, drop=DROP_THRESHOLD):
+    """The kernel as it was: group by np.unique over a copied key matrix, keep
+    every nonzero cell, then prune below `drop` in a second pass."""
+    i = layout.index(gate.reg)
+    d = gate.matrix.shape[0]
+    col = keys[:, i]
+    rest = keys.copy()
+    rest[:, i] = 0
+    uniq, inverse = np.unique(rest, axis=0, return_inverse=True)
+    bucket = np.zeros((uniq.shape[0], d), dtype=complex)
+    bucket[inverse.reshape(-1), col] = amps
+    out = bucket @ gate.matrix.T
+    rows, vals = np.nonzero(np.abs(out) > 0.0)
+    new_keys = uniq[rows]
+    new_keys[:, i] = vals
+    new_amps = out[rows, vals]
+    keep = np.abs(new_amps) >= drop
+    return new_keys[keep], new_amps[keep]
+
+
+@pytest.mark.parametrize("huge", [False, True], ids=["flat-key", "overflow"])
+def test_local_kernel_prunes_once_exactly_as_before(huge):
+    # the overflow layout's product dimension exceeds int64, which sends the
+    # kernel down its row-sorting path
+    regs = [Register("a", 4, "work"), Register("b", 2, "flag"), Register("c", 5, "aux")]
+    if huge:
+        regs += [Register("h", 1 << 40), Register("k", 1 << 30)]
+    layout = RegisterLayout(regs)
+    assert (layout.flat_strides is None) == huge
+    rng = random.Random(31)
+    dims = [r.dim if r.dim < 64 else 3 for r in regs]
+    pruned = 0
+    for _ in range(30):
+        rows = {tuple(rng.randrange(d) for d in dims) for _ in range(25)}
+        amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in rows]
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        st = SparseState(layout, {k: a / norm for k, a in zip(rows, amps)})
+        for gate in (gates.qft(4, "a"), gates.qft(5, "c")):
+            # the Fourier pass then its inverse cancels almost every new cell
+            there = apply(st, gate)
+            for g in (gate, adjoint(gate)):
+                got_keys, got_amps = hilbert._apply_local(layout, there.keys, there.amps, g)
+                ref_keys, ref_amps = _ref_local(layout, there.keys, there.amps, g)
+                assert np.array_equal(got_keys, ref_keys) and np.array_equal(got_amps, ref_amps)
+                pruned += len(_ref_local(layout, there.keys, there.amps, g, 0.0)[1]) - len(got_amps)
+    assert pruned > 0
