@@ -105,7 +105,9 @@ class _Instance:
     n: int
     pulse: hp.PulseModel | None
     reductions: list  # per component: the forward reduction gate
+    unreductions: list  # per component: its adjoint
     aux_reductions: list  # per component: the reduction inside the aux oracle
+    aux_unreductions: list  # per component: its adjoint
     aux_swaps: list  # per component: the search/component swap inside the aux oracle
     search: mq.SearchGates  # the component search's gates on the search register
 
@@ -133,10 +135,14 @@ def _instance(config: ExperimentConfig) -> _Instance:
         # stripping carries a drifted phase and does not coherently undo the leak
         aux_reductions = reductions_for(
             hp.PulseModel(config.epsilon, config.gamma + math.pi / 3))
+    unreductions = aux_unreductions = [hilbert.adjoint(red) for red in reductions]
+    if aux_reductions is not reductions:
+        aux_unreductions = [hilbert.adjoint(red) for red in aux_reductions]
     aux_swaps = [gates.swap_regs(cr.SEARCH, comp) for comp in regs.comps]
     n = spec.p.bit_length()
-    inst = _Instance(spec, layout, regs, strip_regs, n, pulse, reductions, aux_reductions,
-                     aux_swaps, mq.search_gates(spec, cr.SEARCH, n))
+    inst = _Instance(spec, layout, regs, strip_regs, n, pulse, reductions, unreductions,
+                     aux_reductions, aux_unreductions, aux_swaps,
+                     mq.search_gates(spec, cr.SEARCH, n))
     _INSTANCE_CACHE[key] = inst
     return inst
 
@@ -191,7 +197,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         state = hilbert.apply(state, red, ledger)
         for j, step in _read_records(state, inst, k):
             halt_ledger.append({"component": k, "pair": j, "step": step})
-        aux = cr.make_aux_oracle(base_oracle, k, inst.aux_reductions[k], inst.aux_swaps[k])
+        aux = cr.make_aux_oracle(base_oracle, k, inst.aux_reductions[k],
+                                 inst.aux_unreductions[k], inst.aux_swaps[k])
         try:
             found, state, info = mq.subspace_search(aux, inst.search, k, state,
                                                     ledger=ledger)
@@ -200,7 +207,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             search_failed = True
             found, info = None, {"trial_probabilities": [], "oracle_calls": 0,
                                  "max_probability": 0.0}
-        state = hilbert.apply(state, hilbert.adjoint(red), ledger)
+        state = hilbert.apply(state, inst.unreductions[k], ledger)
         if inst.pulse is None:
             hilbert.assert_registers_clean(
                 state, tuple(x for x in layout.names if x != regs.w), "component search")

@@ -14,6 +14,22 @@ Conventions:
   - Controlled applies its inner gate where the control registers hold a tuple
     in the frozenset `on`.
   - Sequence applies its gates left to right.
+  - A permutation whose domain has at most EXHAUSTIVE_CHECK_LIMIT points
+    compiles to a lookup table, checked as a bijection once.  A larger one
+    keeps a support table instead: the flat codes met on its supports so far
+    and their images, as sorted integer arrays (int32 where every code of the
+    domain fits, else int64).  `fn` runs only on codes the table lacks, and
+    each new pair is checked as it is filled: the image lies in the domain,
+    `inv` leads it back to a preimage, and no other code in the table has
+    that image.  A hit is read back with no further check, since every entry
+    passed these.
+  - A Sequence whose leaves are all permutations (Controlled permutations
+    count) is one permutation of its registers: it keeps a support table of
+    its own, and only codes that table lacks walk the leaves, which run their
+    own checks; the fused map refuses an image the table already holds.
+    Where its registers' product dimension reaches CODE_LIMIT it walks its
+    gates instead.  Compiled and support tables are shared with the gate's
+    adjoint, which reads them the other way round.
   - Norm is checked after every gate application (tolerance NORM_TOL).  Only a
     local unitary recombines amplitudes, so it alone leaves numerical dust; it
     drops amplitudes below DROP_THRESHOLD once, as it gathers its output.
@@ -24,8 +40,10 @@ Conventions:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,6 +52,7 @@ NORM_TOL = 1e-10
 DROP_THRESHOLD = 1e-14
 RELEASE_TOL = 1e-8
 EXHAUSTIVE_CHECK_LIMIT = 1 << 20
+CODE_LIMIT = 1 << 62  # a product dimension below this flat-encodes into int64
 
 ROLES = ("work", "aux", "flag", "halt", "branch", "control", "record")
 
@@ -68,7 +87,7 @@ class RegisterLayout:
         # mixed-radix strides that flat-encode a whole basis tuple, or None
         # when the product dimension overflows int64
         self.flat_strides = (np.array(_strides(dims), dtype=np.int64)
-                             if math.prod(dims) < (1 << 62) else None)
+                             if math.prod(dims) < CODE_LIMIT else None)
 
     def index(self, name: str) -> int:
         try:
@@ -223,8 +242,11 @@ class Permutation(GateOp):
     """Bijection on the joint index set of `regs`; fn and inv must be mutual inverses.
 
     On first application at a given dims signature the map is checked
-    exhaustively (and compiled to a lookup table) when the affected dimension
-    is at most EXHAUSTIVE_CHECK_LIMIT.  The table caches are shared with the
+    exhaustively and compiled to a lookup table when the affected dimension
+    is at most EXHAUSTIVE_CHECK_LIMIT.  Above it the gate keeps a
+    `SupportTable` under that signature and calls `fn` once per new code,
+    checking each new image's range, `inv` and injectivity against every
+    image already in the table.  Both kinds of table are shared with the
     adjoint, so a gate and its inverse verify once between them.
     """
 
@@ -240,13 +262,13 @@ class Permutation(GateOp):
         return self.regs
 
     def table_for(self, dims: tuple[int, ...]) -> np.ndarray | None:
-        """Lookup table of the flattened map, or None above the check limit."""
+        """Lookup table of the flattened map, or None above the check limit,
+        where the gate keeps a support table under `dims` instead."""
         if dims in self.tables:
-            return self.tables[dims]
+            table = self.tables[dims]
+            return table if isinstance(table, np.ndarray) else None
         total = math.prod(dims)
         if total > EXHAUSTIVE_CHECK_LIMIT:
-            self.tables[dims] = None
-            self.inv_tables[dims] = None
             return None
         strides = _strides(dims)
         table = np.empty(total, dtype=np.int64)
@@ -269,6 +291,75 @@ class Permutation(GateOp):
         self.tables[dims] = table
         self.inv_tables[dims] = inv_table
         return table
+
+
+class SupportTable:
+    """The part of a permutation's map met so far, in flat codes: the codes
+    in ascending order with their images, and the same pairs ordered by image
+    for the adjoint, which reads the table the other way round (`inverse`)
+    and so shares every entry either side fills.  Four integer arrays of
+    `dtype`, which must hold every code of the domain."""
+
+    def __init__(self, dtype: type = np.int64):
+        # [codes, images by code, images, codes by image]; side 1 swaps the halves
+        self._pairs = [np.empty(0, dtype=dtype)] * 4
+        self._side = 0
+
+    def inverse(self) -> "SupportTable":
+        other = copy.copy(self)  # the same list of arrays, read from the other side
+        other._side = 1 - self._side
+        return other
+
+    def __len__(self) -> int:
+        return len(self._pairs[0])
+
+    def lookup(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Images of `codes`, and a mask of the codes the table holds (the
+        images of the others are meaningless)."""
+        src, dst = self._pairs[2 * self._side:2 * self._side + 2]
+        if not len(src):
+            return np.zeros_like(codes), np.zeros(len(codes), dtype=bool)
+        # in the table's own type, or searchsorted would convert the whole table
+        codes = codes.astype(src.dtype, copy=False)
+        at = np.minimum(np.searchsorted(src, codes), len(src) - 1)
+        return dst[at], src[at] == codes
+
+    def add(self, codes: np.ndarray, images: np.ndarray, label: str) -> None:
+        """Record new pairs: `codes` are distinct and not yet in the table.
+        Refuses images that repeat among themselves or that the table already
+        holds, since two codes with one image are no permutation."""
+        held = self._pairs[2 * (1 - self._side)]
+        codes, images = codes.astype(held.dtype), images.astype(held.dtype)
+        order = np.argsort(images)
+        ordered = images[order]
+        at = np.minimum(np.searchsorted(held, ordered), max(len(held) - 1, 0))
+        if (ordered[1:] == ordered[:-1]).any() or (len(held) and (held[at] == ordered).any()):
+            raise SimulationError(f"{label}: not injective on the support")
+        mine = 2 * self._side
+        theirs = 2 * (1 - self._side)
+        self._pairs[mine:mine + 2] = _merge(*self._pairs[mine:mine + 2], codes, images)
+        self._pairs[theirs:theirs + 2] = _merge(*self._pairs[theirs:theirs + 2],
+                                                ordered, codes[order])
+
+
+def _merge(keys: np.ndarray, vals: np.ndarray, new_keys: np.ndarray,
+           new_vals: np.ndarray) -> list[np.ndarray]:
+    """Insert (key, value) pairs into arrays kept sorted by key."""
+    order = np.argsort(new_keys)
+    at = np.searchsorted(keys, new_keys[order])
+    return [np.insert(keys, at, new_keys[order]), np.insert(vals, at, new_vals[order])]
+
+
+def _support_table(gate: "Permutation | Sequence", dims: tuple[int, ...]) -> SupportTable:
+    """The gate's support table for this dims signature, made empty on first
+    use and shared with its adjoint.  Codes below 2**31 are stored as int32,
+    which halves the table of a four-register arithmetic gate."""
+    table = gate.tables.get(dims)
+    if table is None:
+        table = gate.tables[dims] = SupportTable(
+            np.int32 if math.prod(dims) <= 1 << 31 else np.int64)
+        gate.inv_tables[dims] = table.inverse()
+    return table
 
 
 def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -355,8 +446,14 @@ class Controlled(GateOp):
 
 @dataclass
 class Sequence(GateOp):
+    """Gates applied left to right.  When every leaf permutes basis tuples,
+    the whole is applied as one map with a support table per dims signature
+    of its registers (in name order), shared with the adjoint."""
+
     gates: tuple[GateOp, ...]
     label: str = "seq"
+    tables: dict = field(default_factory=dict, repr=False)
+    inv_tables: dict = field(default_factory=dict, repr=False)
 
     def registers(self) -> tuple[str, ...]:
         seen: list[str] = []
@@ -366,6 +463,39 @@ class Sequence(GateOp):
                     seen.append(r)
         return tuple(seen)
 
+    @cached_property
+    def leaves(self) -> tuple[GateOp, ...]:
+        """The gates of nested sequences, flattened, in application order."""
+        return tuple(leaf for g in self.gates
+                     for leaf in (g.leaves if isinstance(g, Sequence) else (g,)))
+
+    @cached_property
+    def permutes(self) -> bool:
+        return all(_permutes(g) for g in self.leaves)
+
+    @cached_property
+    def code_registers(self) -> tuple[str, ...]:
+        """The registers in name order: the same for the gate and its adjoint."""
+        return tuple(sorted(self.registers()))
+
+    @cached_property
+    def ledger_entries(self) -> tuple[tuple[str, tuple[str, ...], str], ...]:
+        return tuple(_ledger_entry(g) for g in self.leaves)
+
+
+def _permutes(gate: GateOp) -> bool:
+    """True for a gate that only permutes basis tuples: a Permutation, a
+    Controlled one, or a Sequence of such."""
+    if isinstance(gate, Permutation):
+        return True
+    if isinstance(gate, Controlled):
+        return _permutes(gate.inner)
+    return isinstance(gate, Sequence) and gate.permutes
+
+
+def _ledger_entry(gate: GateOp) -> tuple[str, tuple[str, ...], str]:
+    return (gate.label, tuple(gate.registers()), gate.cost_class)
+
 
 class GateLedger:
     """Append-only record of (label, registers, cost class) per leaf application."""
@@ -374,7 +504,11 @@ class GateLedger:
         self.entries: list[tuple[str, tuple[str, ...], str]] = []
 
     def record(self, gate: GateOp) -> None:
-        self.entries.append((gate.label, tuple(gate.registers()), gate.cost_class))
+        """One entry for a leaf gate; one per leaf, in order, for a Sequence."""
+        if isinstance(gate, Sequence):
+            self.entries.extend(gate.ledger_entries)
+        else:
+            self.entries.append(_ledger_entry(gate))
 
     def counts_by_class(self) -> dict[str, int]:
         out: dict[str, int] = {}
@@ -400,47 +534,103 @@ def adjoint(gate: GateOp) -> GateOp:
     if isinstance(gate, Controlled):
         return Controlled(gate.controls, gate.on, adjoint(gate.inner), label=gate.label + "+")
     if isinstance(gate, Sequence):
-        return Sequence(tuple(adjoint(g) for g in reversed(gate.gates)), label=gate.label + "+")
+        return Sequence(tuple(adjoint(g) for g in reversed(gate.gates)), label=gate.label + "+",
+                        tables=gate.inv_tables, inv_tables=gate.tables)
     raise SimulationError(f"cannot take adjoint of {type(gate).__name__}")
 
 
-def _apply_permutation(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
-                       gate: Permutation) -> tuple[np.ndarray, np.ndarray]:
+def _permute_keys(layout: RegisterLayout, keys: np.ndarray, gate: Permutation) -> np.ndarray:
     pos = [layout.index(r) for r in gate.regs]
     dims = tuple(layout.registers[i].dim for i in pos)
     table = gate.table_for(dims)
-    if table is not None:
+    if table is not None and len(pos) == 1:
         new_keys = keys.copy()
-        if len(pos) == 1:
-            new_keys[:, pos[0]] = table[keys[:, pos[0]]]
-            return new_keys, amps
-        strides = _strides(dims)
-        new_flat = table[keys[:, pos] @ np.array(strides, dtype=np.int64)]
-        for j, d, s in zip(pos, dims, strides):
-            new_keys[:, j] = (new_flat // s) % d
-        return new_keys, amps
-    sub = keys[:, pos]
-    # domain too large to compile: map each distinct value tuple on the support
-    # once, and refuse a map that sends two of them to one image, since no
-    # table check vouches for this gate
-    big = math.prod(dims) >= (1 << 62)
-    strides = None if big else np.array(_strides(dims), dtype=np.int64)
-    order, starts = _sort_groups(sub if big else sub @ strides)
-    try:
-        images = np.array([gate.fn(tuple(v)) for v in sub[order[starts]].tolist()],
-                          dtype=np.int64)
-    except (ValueError, OverflowError):
-        images = None
-    if (images is None or images.shape != (int(starts.sum()), len(dims))
-            or (images < 0).any() or (images >= np.array(dims)).any()):
-        raise SimulationError(f"{gate.label}: image outside domain")
-    if not _sort_groups(images if big else images @ strides)[1].all():
-        raise SimulationError(f"{gate.label}: not injective on the support")
-    new_sub = np.empty_like(sub)
-    new_sub[order] = images[np.cumsum(starts) - 1]
+        new_keys[:, pos[0]] = table[keys[:, pos[0]]]
+        return new_keys
+    if math.prod(dims) >= CODE_LIMIT:
+        raise SimulationError(f"{gate.label}: domain {dims} too large for a flat code")
+    strides = np.array(_strides(dims), dtype=np.int64)
+    codes = keys[:, pos] @ strides
+    if table is not None:
+        return _decode_into(keys, pos, dims, strides, table[codes])
+
+    def fill(rows: np.ndarray) -> np.ndarray:
+        sub = keys[rows][:, pos].tolist()
+        try:
+            images = np.array([gate.fn(tuple(v)) for v in sub], dtype=np.int64)
+        except (ValueError, OverflowError):
+            images = None
+        if (images is None or images.shape != (len(sub), len(dims))
+                or (images < 0).any() or (images >= np.array(dims)).any()):
+            raise SimulationError(f"{gate.label}: image outside domain")
+        for x, y in zip(sub, images.tolist()):
+            # inv must lead the image back to a preimage; for a bijection
+            # that is x itself
+            back = tuple(gate.inv(tuple(y)))
+            if back != tuple(x) and tuple(gate.fn(back)) != tuple(y):
+                raise SimulationError(f"{gate.label}: inverse mismatch at {tuple(x)}")
+        return images @ strides
+
+    return _decode_into(keys, pos, dims, strides,
+                        _images(_support_table(gate, dims), codes, fill, gate.label))
+
+
+def _images(table: SupportTable, codes: np.ndarray, fill: Callable[[np.ndarray], np.ndarray],
+            label: str) -> np.ndarray:
+    """Images of `codes` from a support table.  `fill(rows)` maps support
+    rows, one per code the table lacks, to their images, which join it."""
+    images, hit = table.lookup(codes)
+    if hit.all():
+        return images
+    miss = np.flatnonzero(~hit)
+    order, starts = _sort_groups(codes[miss])
+    rows = miss[order[starts]]
+    table.add(codes[rows], fill(rows), label)
+    return table.lookup(codes)[0]
+
+
+def _decode_into(keys: np.ndarray, pos: list[int], dims: tuple[int, ...],
+                 strides: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """A copy of `keys` with columns `pos` set from their flat codes."""
     new_keys = keys.copy()
-    new_keys[:, pos] = new_sub
-    return new_keys, amps
+    for j, d, s in zip(pos, dims, strides.tolist()):
+        new_keys[:, j] = (codes // s) % d
+    return new_keys
+
+
+def _map_chain(layout: RegisterLayout, keys: np.ndarray, gate: Sequence) -> np.ndarray:
+    pos = [layout.index(r) for r in gate.code_registers]
+    dims = tuple(layout.registers[i].dim for i in pos)
+    if math.prod(dims) >= CODE_LIMIT:
+        # too wide for one flat code: walk the gates, whose own chains may fuse
+        for g in gate.gates:
+            keys = _map_keys(layout, keys, g)
+        return keys
+    strides = np.array(_strides(dims), dtype=np.int64)
+
+    def walk(rows: np.ndarray) -> np.ndarray:
+        sub = keys[rows]
+        for leaf in gate.leaves:
+            sub = _map_keys(layout, sub, leaf)
+        return sub[:, pos] @ strides
+
+    return _decode_into(keys, pos, dims, strides,
+                        _images(_support_table(gate, dims), keys[:, pos] @ strides, walk,
+                                gate.label))
+
+
+def _map_keys(layout: RegisterLayout, keys: np.ndarray, gate: GateOp) -> np.ndarray:
+    """The rows' images, row for row, under a gate that only permutes basis tuples."""
+    if isinstance(gate, Permutation):
+        return _permute_keys(layout, keys, gate)
+    if isinstance(gate, Controlled):
+        hot = _match(layout, keys, gate.controls, list(gate.on)) >= 0
+        if not hot.any():
+            return keys
+        new_keys = keys.copy()
+        new_keys[hot] = _map_keys(layout, keys[hot], gate.inner)
+        return new_keys
+    return _map_chain(layout, keys, gate)
 
 
 def _sort_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -543,14 +733,16 @@ def _apply_controlled(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray
 
 def _apply_arrays(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
                   gate: GateOp, ledger: GateLedger | None) -> tuple[np.ndarray, np.ndarray]:
+    if _permutes(gate):
+        if ledger is not None:
+            ledger.record(gate)
+        return _map_keys(layout, keys, gate), amps
     if isinstance(gate, Sequence):
         for g in gate.gates:
             keys, amps = _apply_arrays(layout, keys, amps, g, ledger)
         return keys, amps
     if ledger is not None:
         ledger.record(gate)
-    if isinstance(gate, Permutation):
-        return _apply_permutation(layout, keys, amps, gate)
     if isinstance(gate, PhaseFn):
         return _apply_phase(layout, keys, amps, gate)
     if isinstance(gate, LocalUnitary):

@@ -203,7 +203,8 @@ def test_aux_oracle_selective_on_hidden_component(k, s_k):
     spec, layout, regs, strip, base, n_dim = _aux_env(13, hidden_s=7)
     red = cr.reduction_gate(spec, regs, strip, k, n_dim)
     st = apply(SparseState.basis(layout, {regs.w: pow(2, 7, 13)}), red)
-    aux = cr.make_aux_oracle(base, k, red, gates.swap_regs(cr.SEARCH, regs.comps[k]))
+    aux = cr.make_aux_oracle(base, k, red, adjoint(red),
+                             gates.swap_regs(cr.SEARCH, regs.comps[k]))
     h_r = spec.subgroup_generators[-1]
     led = hilbert.GateLedger()
     for x in range(spec.largest_order):
@@ -222,7 +223,8 @@ def test_aux_oracle_single_call_per_application():
     spec, layout, regs, strip, base, n_dim = _aux_env(13, hidden_s=7)
     red = cr.reduction_gate(spec, regs, strip, 1, n_dim)
     st = apply(SparseState.basis(layout, {regs.w: 11}), red)
-    aux = cr.make_aux_oracle(base, 1, red, gates.swap_regs(cr.SEARCH, regs.comps[1]))
+    aux = cr.make_aux_oracle(base, 1, red, adjoint(red),
+                             gates.swap_regs(cr.SEARCH, regs.comps[1]))
     led = hilbert.GateLedger()
     apply(st, aux, led)
     assert led.count("oracle-call") == 1

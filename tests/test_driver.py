@@ -209,6 +209,25 @@ def test_warm_run_compiles_no_reduction_tables(monkeypatch):
     assert compiled == ["X_0_9"]
 
 
+def test_warm_run_builds_no_reduction_adjoint(monkeypatch):
+    # the inverse reductions belong to the instance, so their support tables
+    # outlive a run
+    from cycsim import crt_reduction, hilbert
+
+    built = []
+    adjoint = hilbert.adjoint
+
+    def spy(gate):
+        built.append(gate.label)
+        return adjoint(gate)
+
+    run_experiment(ExperimentConfig(p=13, hidden_s=5, run_demo=False))
+    for module in (hilbert, crt_reduction):
+        monkeypatch.setattr(module, "adjoint", spy)
+    run_experiment(ExperimentConfig(p=13, hidden_s=8, run_demo=False))
+    assert not [label for label in built if label.startswith("REDUCE_")]
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(cycsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -338,3 +338,162 @@ def test_local_kernel_prunes_once_exactly_as_before(huge):
                 assert np.array_equal(got_keys, ref_keys) and np.array_equal(got_amps, ref_amps)
                 pruned += len(_ref_local(layout, there.keys, there.amps, g, 0.0)[1]) - len(got_amps)
     assert pruned > 0
+
+
+# --- support tables: row-wise permutations and fused permutation chains -------
+
+BIG = EXHAUSTIVE_CHECK_LIMIT * 2
+
+
+def chain_layout():
+    # "d" lies off every chain below, so rows can repeat a chain sub-tuple
+    return RegisterLayout([Register("a", 4, "work"), Register("b", 2, "flag"),
+                           Register("c", 5, "aux"), Register("big", BIG, "aux"),
+                           Register("d", 3, "aux")])
+
+
+def _step(k):
+    return Permutation(("big",), lambda v: ((v[0] + k) % BIG,), lambda v: ((v[0] - k) % BIG,),
+                       label=f"step{k}")
+
+
+def _big_by_a():
+    # row-wise on two registers: big += a
+    return Permutation(("a", "big"), lambda v: (v[0], (v[1] + v[0]) % BIG),
+                       lambda v: (v[0], (v[1] - v[0]) % BIG), label="big+a")
+
+
+def perm_chain():
+    inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,),
+                      label="inc")
+    inner = Sequence((gates.add_mod(4, "a", "c"), _step(3)), label="inner")
+    return Sequence((
+        gates.mul3(4, "a", "b", "c"),
+        Controlled(("b",), frozenset({(1,)}), _step(5), label="c_step"),
+        inner,
+        Controlled(("b", "c"), frozenset({(1, 0), (0, 3), (1, 4)}), inc, label="cc_inc"),
+        _big_by_a(),
+        gates.transposition(0, 3, "a"),
+        adjoint(inner),
+    ), label="chain")
+
+
+def chain_state(layout, rng, support=12):
+    rows = set()
+    while len(rows) < support:
+        sub = (rng.randrange(4), rng.randrange(2), rng.randrange(5), rng.randrange(BIG))
+        for d in rng.sample(range(3), rng.randrange(1, 4)):
+            rows.add(sub + (d,))
+    rows = sorted(rows)[:support]
+    amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in rows]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    return SparseState(layout, {k: a / norm for k, a in zip(rows, amps)})
+
+
+def walk(state, chain, ledger):
+    for leaf in chain.leaves:
+        state = apply(state, leaf, ledger)
+    return state
+
+
+def test_fused_chain_matches_a_leaf_by_leaf_walk(monkeypatch):
+    layout = chain_layout()
+    rng = random.Random(41)
+    chain = perm_chain()
+    assert chain.permutes and all(not isinstance(g, Sequence) for g in chain.leaves)
+    states = [chain_state(layout, rng) for _ in range(25)]
+    for st in states:
+        fused_ledger, walk_ledger = GateLedger(), GateLedger()
+        out = apply(st, chain, fused_ledger)
+        ref = walk(st, chain, walk_ledger)
+        assert out.entries == ref.entries
+        assert fused_ledger.entries == walk_ledger.entries
+        assert len(fused_ledger.entries) == len(chain.leaves) == 9
+        # the adjoint shares the table: undoing the chain reads it backwards
+        assert apply(out, adjoint(chain)).entries == st.entries
+    # the second time round every code is in the table, so no leaf runs
+    walked = []
+    monkeypatch.setattr(hilbert, "_permute_keys",
+                        lambda *args: walked.append(args[2].label))
+    for st in states:
+        led = GateLedger()
+        out = apply(st, chain, led)
+        assert led.entries == walk_ledger.entries
+        assert apply(out, adjoint(chain)).entries == st.entries
+    assert walked == []
+    (dims,) = chain.tables
+    assert chain.code_registers == ("a", "b", "big", "c") and dims == (4, 2, BIG, 5)
+    assert adjoint(chain).tables[dims] is chain.inv_tables[dims]
+
+
+def test_chain_past_the_code_limit_walks_its_gates():
+    layout = RegisterLayout([Register("a", 4, "work"), Register("b", 2, "flag"),
+                             Register("c", 5, "aux"), Register("big", BIG, "aux"),
+                             Register("h", 1 << 40), Register("k", 1 << 30)])
+    far = Permutation(("h",), lambda v: ((v[0] + 7) % (1 << 40),),
+                      lambda v: ((v[0] - 7) % (1 << 40),), label="far")
+    chain = Sequence((perm_chain(), far, Controlled(("b",), frozenset({(0,)}), _step(1)),
+                      gates.set_const(1, "k", 1 << 30)), label="wide")
+    assert chain.permutes and layout.flat_strides is None
+    rng = random.Random(43)
+    for _ in range(10):
+        rows = {(rng.randrange(4), rng.randrange(2), rng.randrange(5), rng.randrange(BIG),
+                 rng.randrange(1 << 40), rng.randrange(3)) for _ in range(8)}
+        st = SparseState(layout, {k: 1 / math.sqrt(len(rows)) for k in rows})
+        led, ref_led = GateLedger(), GateLedger()
+        assert apply(st, chain, led).entries == walk(st, chain, ref_led).entries
+        assert led.entries == ref_led.entries
+    # too wide for one code, but the nested chain still fuses on its own
+    assert chain.tables == {} and list(chain.gates[0].tables) == [(4, 2, BIG, 5)]
+    with pytest.raises(SimulationError, match="too large"):
+        apply(st, Permutation(("h", "k"), lambda v: v, lambda v: v, label="wide_perm"))
+
+
+def test_rowwise_gate_calls_fn_once_per_new_code():
+    layout = chain_layout()
+    calls = {"fn": 0, "inv": 0}
+
+    def fn(v):
+        calls["fn"] += 1
+        return ((v[0] * 3 + 1) % BIG,)
+
+    def inv(v):
+        calls["inv"] += 1
+        return (((v[0] - 1) * pow(3, -1, BIG)) % BIG,)
+
+    gate = Permutation(("big",), fn, inv, label="affine")
+    # five rows, three distinct values of the gate's register
+    st = SparseState(layout, {(0, 0, 0, 10, 0): 0.2, (1, 0, 0, 10, 1): 0.4, (0, 1, 0, 11, 0): 0.4,
+                              (2, 0, 4, 12, 2): 0.6, (0, 0, 0, 12, 1): 0.529150262212918})
+    out = apply(st, gate)
+    assert calls == {"fn": 3, "inv": 3}
+    assert out.entries == {k[:3] + ((k[3] * 3 + 1) % BIG,) + k[4:]: a
+                           for k, a in st.entries.items()}
+    again = apply(st, gate)
+    assert calls == {"fn": 3, "inv": 3} and again.entries == out.entries
+    # the adjoint reads the same table backwards: no call either way
+    assert apply(out, adjoint(gate)).entries == st.entries
+    assert calls == {"fn": 3, "inv": 3}
+    assert len(gate.tables[(BIG,)]) == 3
+
+
+def test_rowwise_permutation_refuses_a_broken_inverse():
+    layout = chain_layout()
+    liar = Permutation(("big",), lambda v: ((v[0] + 1) % BIG,), lambda v: v, label="liar")
+    with pytest.raises(SimulationError, match="inverse mismatch"):
+        apply(SparseState.basis(layout, {"big": 9}), liar)
+    # a refused fill leaves nothing behind
+    assert len(liar.tables[(BIG,)]) == 0
+
+
+def test_support_table_refuses_a_repeated_image():
+    table = hilbert.SupportTable()
+    table.add(np.array([7, 2]), np.array([5, 9]), "t")
+    back = table.inverse()
+    images, hit = back.lookup(np.array([9, 5, 4]))
+    assert hit.tolist() == [True, True, False] and images[:2].tolist() == [2, 7]
+    with pytest.raises(SimulationError, match="not injective"):
+        table.add(np.array([3]), np.array([9]), "t")
+    with pytest.raises(SimulationError, match="not injective"):
+        back.add(np.array([1, 6]), np.array([4, 4]), "t")
+    assert len(table) == len(back) == 2
