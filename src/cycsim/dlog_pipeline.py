@@ -13,6 +13,7 @@ conjugated selective phases, never reading the index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -170,18 +171,18 @@ def good_weight(spec: CyclicGroupSpec) -> float:
     return euler_totient(factorize(m)) / m
 
 
-_KIT_MEMO: dict = {}
-
-
 def pipeline_kit(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
                  mode: str = "exact", grover_m: int | None = None) -> dict:
     """All gate pieces of the inversion sequence, built once per configuration
     so compiled permutation tables are shared across applications.  "stage1"
     is the concatenation of the named stages "psi1", "psi2" and "euler"."""
-    key = (spec, regs, mode, grover_m)
-    kit = _KIT_MEMO.get(key)
-    if kit is not None:
-        return kit
+    return _kit(spec, regs, mode, grover_m)
+
+
+@functools.lru_cache(maxsize=hilbert.GATE_SETS)
+def _kit(spec: CyclicGroupSpec, regs: DlogRegs, mode: str, grover_m: int | None) -> dict:
+    """The kit of the last GATE_SETS configurations; every argument is given by
+    position, so defaulted and spelled-out calls share one entry."""
     p, g, m = spec.p, spec.g, spec.p - 1
     schedule = amplification_schedule(good_weight(spec), mode, grover_m)
 
@@ -216,10 +217,8 @@ def pipeline_kit(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
         adjoint(gates.qft(p - 1, regs.x)),
         gates.transposition(1, 0, regs.f),  # state transfer |1> -> |0>
     ]
-    kit = {"psi1": psi1, "psi2": psi2, "euler": euler, "stage1": stage1, "amp1": amp1,
-           "mid": mid, "amp2": amp2, "tail": tail, "schedule": schedule}
-    _KIT_MEMO[key] = kit
-    return kit
+    return {"psi1": psi1, "psi2": psi2, "euler": euler, "stage1": stage1, "amp1": amp1,
+            "mid": mid, "amp2": amp2, "tail": tail, "schedule": schedule}
 
 
 def v_f_inverse(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -96,7 +97,7 @@ class ExperimentReport:
 
 @dataclass
 class _Instance:
-    """Everything derived from (p, g, epsilon) that is shareable across runs."""
+    """Everything derived from (p, g, epsilon, gamma) that is shareable across runs."""
 
     spec: CyclicGroupSpec
     layout: RegisterLayout
@@ -112,15 +113,10 @@ class _Instance:
     search: mq.SearchGates  # the component search's gates on the search register
 
 
-_INSTANCE_CACHE: dict = {}
-
-
-def _instance(config: ExperimentConfig) -> _Instance:
-    key = (config.p, config.g, config.epsilon, config.gamma)
-    inst = _INSTANCE_CACHE.get(key)
-    if inst is not None:
-        return inst
-    spec = make_group_spec(config.p, config.g)
+@functools.lru_cache(maxsize=hilbert.GATE_SETS)
+def _instance(p: int, g: int | None, epsilon: float, gamma: float) -> _Instance:
+    """The last GATE_SETS instances built, each with its gates and their tables."""
+    spec = make_group_spec(p, g)
     layout, regs, strip_regs = cr.make_search_layout(spec)
     n_dim = layout.dim(regs.w)
 
@@ -128,23 +124,21 @@ def _instance(config: ExperimentConfig) -> _Instance:
         return [cr.reduction_gate(spec, regs, strip_regs, k, n_dim, pulse)
                 for k in range(spec.r)]
 
-    pulse = hp.PulseModel(config.epsilon, config.gamma) if config.epsilon > 0 else None
+    pulse = hp.PulseModel(epsilon, gamma) if epsilon > 0 else None
     reductions = aux_reductions = reductions_for(pulse)
     if pulse is not None:
         # the locking phase depends on when the pulse fires, so the oracle-side
         # stripping carries a drifted phase and does not coherently undo the leak
         aux_reductions = reductions_for(
-            hp.PulseModel(config.epsilon, config.gamma + math.pi / 3))
+            hp.PulseModel(epsilon, gamma + math.pi / 3))
     unreductions = aux_unreductions = [hilbert.adjoint(red) for red in reductions]
     if aux_reductions is not reductions:
         aux_unreductions = [hilbert.adjoint(red) for red in aux_reductions]
     aux_swaps = [gates.swap_regs(cr.SEARCH, comp) for comp in regs.comps]
     n = spec.p.bit_length()
-    inst = _Instance(spec, layout, regs, strip_regs, n, pulse, reductions, unreductions,
+    return _Instance(spec, layout, regs, strip_regs, n, pulse, reductions, unreductions,
                      aux_reductions, aux_unreductions, aux_swaps,
                      mq.search_gates(spec, cr.SEARCH, n))
-    _INSTANCE_CACHE[key] = inst
-    return inst
 
 
 def _draw_hidden(config: ExperimentConfig) -> int:
@@ -157,7 +151,7 @@ def _draw_hidden(config: ExperimentConfig) -> int:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     t0 = time.perf_counter()
-    inst = _instance(config)
+    inst = _instance(config.p, config.g, config.epsilon, config.gamma)
     spec, layout, regs = inst.spec, inst.layout, inst.regs
     hidden_s = _draw_hidden(config)
     ospec = OracleSpec(hidden_s, config.theta, "subspace_selective", spec)
@@ -281,8 +275,8 @@ def _read_records(state: SparseState, inst: _Instance, keep: int) -> list[tuple[
 
 
 def run_sweep(config: ExperimentConfig) -> list[ExperimentReport]:
-    """One experiment per hidden index; the shared instance cache keeps gate
-    tables warm across runs."""
+    """One experiment per hidden index; every run shares one memoized instance,
+    so its gate tables stay warm across the sweep."""
     reports = []
     for s in range(config.p - 1):
         reports.append(run_experiment(dataclasses.replace(config, hidden_s=s)))

@@ -300,20 +300,7 @@ def relabel_permutation(f, r: int, dim: int, reg: str, label: str = "RELABEL") -
         raise DomainError("function is not injective on its period")
     if any(not 0 <= v < dim for v in image):
         raise DomainError("function image outside the register")
-    mapping = {x: image[x] for x in range(r)}
-    spare_src = sorted(set(image) - set(range(r)))      # image values needing a home
-    spare_dst = sorted(set(range(r)) - set(image))      # domain values freed up
-    extra = dict(zip(spare_src, spare_dst))
-    mapping.update(extra)
-    inv_map = {v: k for k, v in mapping.items()}
-
-    def fwd(v):
-        return (mapping.get(v[0], v[0]),)
-
-    def inv(v):
-        return (inv_map.get(v[0], v[0]),)
-
-    return Permutation((reg,), fwd, inv, label=label)
+    return pairing_permutation(list(range(r)), image, reg, label)
 
 
 def functional_qft(f, r: int, reg: str, dim: int) -> GateOp:

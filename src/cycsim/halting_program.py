@@ -13,6 +13,7 @@ single leakage unitary with residual amplitude epsilon.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,29 +168,30 @@ def make_qp_layout(config: ProgramConfig, regs: QpRegs = QpRegs()) -> RegisterLa
     ])
 
 
-_QP_GATE_CACHE: dict = {}
-
-
-def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
-            pulse: PulseModel | None = None) -> GateOp:
-    """The whole program as one permutation sequence: m_r units of
-    [branch check, halting statement, cyclic translation, conditional pair
-    transposition] plus the trailing check.  With a pulse model, each halting
-    event is followed by the locking leak on the pair register.
-
-    Instances are cached so the compiled permutation tables are shared across
-    runs with the same configuration.
-    """
-    key = (config, regs, g_dim, pulse)
-    cached = _QP_GATE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    seq: list[GateOp] = []
+def _unit_gates(config: ProgramConfig, regs: QpRegs) -> tuple[GateOp, GateOp, GateOp]:
+    """A unit's branch check U_b, cyclic translation U_g and conditional pair
+    transposition U_r_c."""
     inc_b = gates.set_const(1, regs.bh, config.branch_dim)
     u_b = Controlled((regs.g,), frozenset({(1,)}), inc_b, label="U_b")
     u_g = gates.cyclic_shift(config.p, config.h, regs.f, power=1)
     u_rc = Controlled((regs.bh,), frozenset({(0,)}),
                       u_r_gate(config, regs.f, regs.g), label="U_r_c")
+    return u_b, u_g, u_rc
+
+
+@functools.lru_cache(maxsize=hilbert.GATE_SETS)
+def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
+            pulse: PulseModel | None) -> GateOp:
+    """The whole program as one permutation sequence: m_r units of
+    [branch check, halting statement, cyclic translation, conditional pair
+    transposition] plus the trailing check.  With a pulse model, each halting
+    event is followed by the locking leak on the pair register.
+
+    The last GATE_SETS gates built are kept (an lru_cache; pass every argument
+    by position), so runs with the same configuration share compiled tables.
+    """
+    seq: list[GateOp] = []
+    u_b, u_g, u_rc = _unit_gates(config, regs)
     for i in range(1, config.m_r + 1):
         seq.append(u_b)
         seq.append(_halt_gate(config, i, regs.g, regs.nh, regs.rec))
@@ -204,9 +206,7 @@ def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
     if pulse is not None and pulse.epsilon > 0.0:
         seq.append(Controlled((regs.rec,), frozenset({(config.m_r + 1,)}),
                               _leak_gate(config, pulse, regs.g, g_dim), label="P_SL"))
-    gate = Sequence(tuple(seq), label="Q_p")
-    _QP_GATE_CACHE[key] = gate
-    return gate
+    return Sequence(tuple(seq), label="Q_p")
 
 
 def run_qp(state: SparseState, config: ProgramConfig, regs: QpRegs = QpRegs(),
@@ -226,7 +226,7 @@ def run_qp(state: SparseState, config: ProgramConfig, regs: QpRegs = QpRegs(),
     if tup[lay.index(regs.rec)] != 0:
         raise SimulationError("record register must start empty")
     g_dim = lay.dim(regs.g)
-    state = apply(state, qp_gate(config, regs, g_dim), ledger)
+    state = apply(state, qp_gate(config, regs, g_dim, None), ledger)
     rec = state.register_value(regs.rec)
     return state, HaltRecord(rec)
 
@@ -260,12 +260,8 @@ def run_qc(state: SparseState, config: ProgramConfig, pulse: PulseModel,
     lock[0, 0] = -eps * complex(math.cos(gam), math.sin(gam))
     lock_gate = LocalUnitary(regs.g, lock, label="P_SL")
 
-    inc_b = gates.set_const(1, regs.bh, config.branch_dim)
-    u_b = Controlled((regs.g,), frozenset({(1,)}), inc_b, label="U_b")
+    u_b, u_g, u_rc = _unit_gates(config, regs)
     p_t = gates.transposition(1, c, regs.g)
-    u_g = gates.cyclic_shift(config.p, config.h, regs.f, power=1)
-    u_rc = Controlled((regs.bh,), frozenset({(0,)}),
-                      u_r_gate(config, regs.f, regs.g), label="U_r_c")
 
     locked = False
     at_c = np.arange(g_dim) == c

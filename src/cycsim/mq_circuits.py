@@ -19,6 +19,7 @@ import numpy as np
 from . import gates, hilbert
 from .hilbert import GateLedger, GateOp, LocalUnitary, RegisterLayout, SparseState, SimulationError
 from .numtheory import CyclicGroupSpec, DomainError
+from .oracle import binary_rep, rep_value
 
 MAX_QUBITS = 12
 
@@ -202,12 +203,13 @@ def u_or_matrix(rep) -> np.ndarray:
 
     Conjugating a selective rotation C_s by this operator moves it to basis
     s XOR value (up to global phase); bits at +1 contribute identity factors.
+    Each rotation exp(i pi I_kx) is i times the flip of bit k, so the product
+    is i**popcount times the permutation x -> x XOR value.
     """
-    spins = SpinConventions(rep.n)
-    out = np.eye(2**rep.n, dtype=complex)
-    for k, bit in enumerate(rep.bits, start=1):
-        if bit:
-            out = out @ _expm_i_herm(spins.ix(k), math.pi)
+    SpinConventions(rep.n)  # validates the qubit count
+    x = np.arange(2**rep.n)
+    out = np.zeros((2**rep.n, 2**rep.n), dtype=complex)
+    out[x ^ rep_value(rep), x] = 1j ** sum(rep.bits)
     return out
 
 
@@ -223,8 +225,6 @@ def verify_solution(candidate: int, oracle_for_theta: Callable[[float], GateOp],
     The oracle factory must return the selective rotation of the hidden value on
     register "q" for a requested angle.
     """
-    from .oracle import binary_rep
-
     conj = u_or(binary_rep(candidate, n), "q")
     conj_adj = hilbert.adjoint(conj)
 

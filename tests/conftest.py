@@ -13,6 +13,15 @@ def spec5():
     return make_group_spec(5)
 
 
+@pytest.fixture
+def cleared_gate_caches():
+    """Start from empty memoized gate builders, as a fresh process would."""
+    from cycsim import dlog_pipeline, driver, halting_program
+
+    for builder in (dlog_pipeline._kit, halting_program.qp_gate, driver._instance):
+        builder.cache_clear()
+
+
 def pytest_addoption(parser):
     parser.addoption("--run-slow", action="store_true", default=False,
                      help="include slow large-prime checks")

@@ -254,3 +254,12 @@ def test_u_log_large_prime_samples():
             out = apply(SparseState.basis(lay, {regs.w: pow(spec.g, s, p)}), gate)
             tgt = SparseState.basis(lay, {regs.w: s})
             assert hilbert.fidelity(out, tgt) >= 1 - 1e-6
+
+
+def test_pipeline_kit_defaults_and_spelled_out_arguments_share_one_kit(cleared_gate_caches,
+                                                                        spec5):
+    # the memo is keyed on all four arguments, given by position, so a default
+    # and its spelled-out value cannot build (and compile) the kit twice
+    kit = dl.pipeline_kit(spec5)
+    assert dl.pipeline_kit(spec5, dl.DlogRegs(), "exact", None) is kit
+    assert dl._kit.cache_info().misses == 1

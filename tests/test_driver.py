@@ -1,16 +1,18 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import cycsim
-from cycsim import driver
+from cycsim import driver, hilbert
 from cycsim.driver import ExperimentConfig, cli_main, run_experiment, run_sweep
 from cycsim.hilbert import Permutation, SparseState
-from cycsim.numtheory import DomainError, classical_dlog
+from cycsim.numtheory import DomainError, classical_dlog, is_prime
 
 
 def test_run_experiment_example():
@@ -247,3 +249,25 @@ def test_a_run_never_builds_the_entries_dict(monkeypatch):
     monkeypatch.setattr(SparseState, "entries", property(refuse))
     rep = run_experiment(ExperimentConfig(p=13, hidden_s=7, epsilon=0.1))
     assert rep.verification["success"] is True and rep.dlog_demo is not None
+
+
+def test_an_evicted_configuration_frees_its_gates(cleared_gate_caches):
+    # the memoized builders keep the last GATE_SETS configurations, so a
+    # process that sweeps many primes holds a bounded set of gates and tables
+    # p = 7 goes first: 6 = 2 * 3 gives it two components, so its reductions
+    # hold Q_p gates
+    primes = [7] + [p for p in range(3, 100) if is_prime(p) and p != 7][:hilbert.GATE_SETS]
+    run_experiment(ExperimentConfig(p=primes[0], hidden_s=1, run_demo=False))
+    first = driver._instance(primes[0], None, 0.0, 0.0)  # the run's own instance
+    assert driver._instance.cache_info().misses == 1
+    reduce_0 = first.reductions[0]
+    strip = next(g for g in reduce_0.gates if g.label == "STRIP_0")
+    refs = [weakref.ref(obj) for obj in (first, reduce_0, strip.gates[0])]
+    assert [ref().label for ref in refs[1:]] == ["REDUCE_0", "Q_p"]
+    del first, reduce_0, strip
+    for p in primes[1:]:
+        assert run_experiment(ExperimentConfig(p=p, hidden_s=1, run_demo=False)
+                              ).verification["success"]
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    assert driver._instance.cache_info().currsize == hilbert.GATE_SETS

@@ -497,3 +497,20 @@ def test_support_table_refuses_a_repeated_image():
     with pytest.raises(SimulationError, match="not injective"):
         back.add(np.array([1, 6]), np.array([4, 4]), "t")
     assert len(table) == len(back) == 2
+
+
+def test_norm_is_checked_only_where_amplitudes_change(monkeypatch):
+    # a permutation hands back the input's own frozen amplitude array, whose
+    # norm cannot have moved; a gate that returns new amplitudes is checked
+    st = random_state(small_layout(), random.Random(3))
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda a: calls.append(len(a)) or norm(a))
+    out = apply(st, gates.transposition(0, 3, "a"))
+    assert out.amps is st.amps and calls == []
+    apply(st, gates.qft(4, "a"))
+    assert len(calls) == 2
+    monkeypatch.setattr(hilbert, "_apply_local",
+                        lambda layout, keys, amps, gate: (keys, 2 * amps))
+    with pytest.raises(SimulationError, match="norm drifted"):
+        apply(st, gates.qft(4, "a"))

@@ -186,6 +186,24 @@ def test_disambiguation():
         assert rep.verdict == "is_Nminus1" and abs(rep.probability - 1) < 1e-12
 
 
+def _rotation_product(rep):
+    """U_OR as its definition reads: a pi x-rotation for every set bit."""
+    spins = mq.SpinConventions(rep.n)
+    out = np.eye(2**rep.n, dtype=complex)
+    for k, bit in enumerate(rep.bits, start=1):
+        if bit:
+            out = out @ mq._expm_i_herm(spins.ix(k), math.pi)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_u_or_closed_form_matches_the_rotation_product(n):
+    from cycsim.oracle import binary_rep
+    for value in range(2**n):
+        rep = binary_rep(value, n)
+        assert np.max(np.abs(mq.u_or_matrix(rep) - _rotation_product(rep))) < 1e-14
+
+
 def test_u_or_conjugation():
     from cycsim.oracle import binary_rep
     n = 4
