@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gates, halting_program as hp
 from .hilbert import (GateLedger, GateOp, Register, RegisterLayout, Sequence,
-                      SimulationError, SparseState, adjoint, apply, assert_registers_clean)
+                      SimulationError, SparseState, adjoint, apply_all)
 from .numtheory import CyclicGroupSpec, DomainError
 
 
@@ -89,21 +89,28 @@ def make_search_layout(spec: CyclicGroupSpec
 
 # --- index-space decompositions ----------------------------------------------
 
-def residue_product_gates(spec: CyclicGroupSpec, regs: ReductionRegs,
-                          n_dim: int) -> list[GateOp]:
-    """|s> -> tensor of |s mod m_k| with the composite register cancelled via
-    the inverse-cofactor linear combination."""
+def _cancel_index(spec: CyclicGroupSpec, regs: ReductionRegs, n_dim: int,
+                  weights: list[int]) -> list[GateOp]:
+    """Subtract sum_k weights[k] * comps[k] mod (p-1) from the work register,
+    which empties it when the weighted components reassemble the index."""
     m = spec.p - 1
     seq: list[GateOp] = []
-    for k, comp in enumerate(spec.basis.components):
-        seq.append(gates.mod_reduce(comp.m, regs.w, regs.comps[k], n_dim))
-    for k, comp in enumerate(spec.basis.components):
-        c = (comp.n * comp.M) % m
-        load = gates.set_const(c, regs.a, n_dim)
+    for k, weight in enumerate(weights):
+        load = gates.set_const(weight % m, regs.a, n_dim)
         mul = gates.mul3(m, regs.a, regs.comps[k], regs.b)
         sub = adjoint(gates.add_mod(m, regs.b, regs.w))
         seq += [load, mul, sub, adjoint(mul), adjoint(load)]
     return seq
+
+
+def residue_product_gates(spec: CyclicGroupSpec, regs: ReductionRegs,
+                          n_dim: int) -> list[GateOp]:
+    """|s> -> tensor of |s mod m_k| with the composite register cancelled via
+    the inverse-cofactor linear combination."""
+    comps = spec.basis.components
+    seq = [gates.mod_reduce(comp.m, regs.w, regs.comps[k], n_dim)
+           for k, comp in enumerate(comps)]
+    return seq + _cancel_index(spec, regs, n_dim, [comp.n * comp.M for comp in comps])
 
 
 def scaled_product_gates(spec: CyclicGroupSpec, regs: ReductionRegs,
@@ -111,16 +118,12 @@ def scaled_product_gates(spec: CyclicGroupSpec, regs: ReductionRegs,
     """|s> -> tensor of |M_k s mod (p-1)>; the sum of inverse-weighted
     components reassembles s for the cancellation."""
     m = spec.p - 1
+    comps = spec.basis.components
     seq: list[GateOp] = []
-    for k, comp in enumerate(spec.basis.components):
+    for k, comp in enumerate(comps):
         load = gates.set_const(comp.M % m, regs.a, n_dim)
         seq += [load, gates.mul3(m, regs.a, regs.w, regs.comps[k]), adjoint(load)]
-    for k, comp in enumerate(spec.basis.components):
-        load = gates.set_const(comp.n % m, regs.a, n_dim)
-        mul = gates.mul3(m, regs.a, regs.comps[k], regs.b)
-        sub = adjoint(gates.add_mod(m, regs.b, regs.w))
-        seq += [load, mul, sub, adjoint(mul), adjoint(load)]
-    return seq
+    return seq + _cancel_index(spec, regs, n_dim, [comp.n for comp in comps])
 
 
 # --- group-space decomposition -----------------------------------------------
@@ -154,56 +157,17 @@ def largest_subspace_gates(spec: CyclicGroupSpec, regs: ReductionRegs) -> list[G
     return [subspace_lift(descs[k], top, regs.comps[k]) for k in range(spec.r - 1)]
 
 
-# --- state-level wrappers ------------------------------------------------------
-
-def _apply_all(state: SparseState, seq: list[GateOp],
-               ledger: GateLedger | None) -> SparseState:
-    for g in seq:
-        state = apply(state, g, ledger)
-    return state
-
-
-def index_to_residue_product(state: SparseState, spec: CyclicGroupSpec,
-                             regs: ReductionRegs,
-                             ledger: GateLedger | None = None) -> SparseState:
-    n_dim = state.layout.dim(regs.w)
-    state = _apply_all(state, residue_product_gates(spec, regs, n_dim), ledger)
-    assert_registers_clean(state, (regs.w, regs.a, regs.b), "residue decomposition")
-    return state
-
-
-def index_to_scaled_product(state: SparseState, spec: CyclicGroupSpec,
-                            regs: ReductionRegs,
-                            ledger: GateLedger | None = None) -> SparseState:
-    n_dim = state.layout.dim(regs.w)
-    state = _apply_all(state, scaled_product_gates(spec, regs, n_dim), ledger)
-    assert_registers_clean(state, (regs.w, regs.a, regs.b), "scaled decomposition")
-    return state
-
-
-def group_state_to_subgroup_product(state: SparseState, spec: CyclicGroupSpec,
-                                    regs: ReductionRegs,
-                                    ledger: GateLedger | None = None) -> SparseState:
-    """Tensor-decompose a group state; a dirty work register afterwards means
-    the inverse-weighted component product failed to reassemble it."""
-    n_dim = state.layout.dim(regs.w)
-    state = _apply_all(state, subgroup_product_gates(spec, regs, n_dim), ledger)
-    assert_registers_clean(state, (regs.w, regs.a, regs.prod), "group-state reconstruction")
-    return state
-
-
 def to_largest_subspace(state: SparseState, spec: CyclicGroupSpec,
                         regs: ReductionRegs,
                         ledger: GateLedger | None = None) -> SparseState:
-    descs = descriptors(spec)
-    top = descs[-1]
-    for k in range(spec.r - 1):
+    """Lift every component into the largest subgroup subspace, after checking
+    that each lies in its own source subspace."""
+    for k, desc in enumerate(descriptors(spec)[:-1]):
         col = state.keys[:, state.layout.index(regs.comps[k])]
-        if not np.isin(col, descs[k].basis).all():
+        if not np.isin(col, desc.basis).all():
             raise SimulationError(
                 f"component {k} has support outside its source subspace")
-        state = apply(state, subspace_lift(descs[k], top, regs.comps[k]), ledger)
-    return state
+    return apply_all(state, largest_subspace_gates(spec, regs), ledger)
 
 
 # --- the auxiliary per-subspace oracle ----------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gates, hilbert
 from .hilbert import (GateLedger, GateOp, PhaseFn, Register, RegisterLayout, Sequence,
-                      SimulationError, SparseState, adjoint, apply)
+                      SimulationError, SparseState, adjoint, apply, apply_all)
 from .numtheory import CyclicGroupSpec, DomainError, classical_dlog, euler_totient, factorize
 
 STAGES = ("psi0", "psi1", "psi2", "psi3", "psi3s-weight", "psi4s", "psi5s",
@@ -131,11 +131,7 @@ def amplification_schedule(w: float, mode: str, grover_m: int | None = None) -> 
 
 def amplification_gates(good_builder, full_builder, schedule: list[float]) -> list[GateOp]:
     """One good-rotation then one full-rotation per scheduled phase."""
-    seq: list[GateOp] = []
-    for phi in schedule:
-        seq.append(good_builder(phi))
-        seq.append(full_builder(phi))
-    return seq
+    return [gate for phi in schedule for gate in (good_builder(phi), full_builder(phi))]
 
 
 def amplitude_amplify(state: SparseState, good_builder, full_builder, mode: str,
@@ -147,8 +143,7 @@ def amplitude_amplify(state: SparseState, good_builder, full_builder, mode: str,
     gate; good_weight is the current weight of the good component.
     """
     schedule = amplification_schedule(good_weight, mode, grover_m)
-    for gate in amplification_gates(good_builder, full_builder, schedule):
-        state = apply(state, gate, ledger)
+    state = apply_all(state, amplification_gates(good_builder, full_builder, schedule), ledger)
     info = {"mode": mode, "iterations": len(schedule),
             "phases": schedule, "initial_weight": good_weight}
     return state, info
@@ -231,8 +226,9 @@ def v_f_inverse(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
 
 
 def forward_mod_exp(spec: CyclicGroupSpec, regs: DlogRegs) -> GateOp:
-    """|s>|0> -> |s>|g**s mod p> on (OUT as control, W as target is NOT used);
-    here built on (w=index register, out=group register) for the closing step."""
+    """|s>|0> -> |s>|g**s mod p> with the index s read from W and the group
+    element built in OUT (set to 1, then multiplied by g**s).  `u_log` applies
+    its adjoint as the closing step, which clears OUT once it holds g**s."""
     return Sequence((
         gates.transposition(0, 1, regs.out),
         gates.cond_mod_exp_two_reg(spec.g, spec.p, regs.w, regs.out),
@@ -261,9 +257,7 @@ def prepare_psi1(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
         raise DomainError(f"instance value {b} outside the group")
     layout = make_dlog_layout(spec, regs)
     state = SparseState.basis(layout, {regs.w: b})
-    for gate in pipeline_kit(spec, regs)["psi1"]:
-        state = apply(state, gate, ledger)
-    return state
+    return apply_all(state, pipeline_kit(spec, regs)["psi1"], ledger)
 
 
 def to_psi2(state: SparseState, spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
@@ -272,9 +266,7 @@ def to_psi2(state: SparseState, spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs
     exactly p-1 patterns (l, l*s mod (p-1))."""
     if state.support_size != (spec.p - 1) ** 2:
         raise SimulationError("input does not have the double-superposition shape")
-    for gate in pipeline_kit(spec, regs)["psi2"]:
-        state = apply(state, gate, ledger)
-    return state
+    return apply_all(state, pipeline_kit(spec, regs)["psi2"], ledger)
 
 
 def index_patterns(state: SparseState, regs: DlogRegs = DlogRegs()) -> set[tuple[int, int]]:
@@ -286,8 +278,7 @@ def euler_filter(state: SparseState, spec: CyclicGroupSpec, regs: DlogRegs = Dlo
                  ledger: GateLedger | None = None) -> tuple[SparseState, float]:
     """Apply the Euler-power filter; returns the state and the weight of the
     coprime components (phi(p-1)/(p-1) for a uniform pattern state)."""
-    for gate in pipeline_kit(spec, regs)["euler"]:
-        state = apply(state, gate, ledger)
+    state = apply_all(state, pipeline_kit(spec, regs)["euler"], ledger)
     return state, state.weight_where(regs.x, _coprime_mask(state.layout.dim(regs.x), spec.p - 1))
 
 
@@ -304,13 +295,11 @@ def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
     state = SparseState.basis(layout, {regs.w: b})
     trace.record("psi0", 1.0, state.support_size, ledger)
 
-    for gate in kit["psi1"]:
-        state = apply(state, gate, ledger)
+    state = apply_all(state, kit["psi1"], ledger)
     target = _psi1_target(spec, b, layout, regs)
     trace.record("psi1", hilbert.fidelity(state, target), state.support_size, ledger)
 
-    for gate in kit["psi2"]:
-        state = apply(state, gate, ledger)
+    state = apply_all(state, kit["psi2"], ledger)
     s_true = classical_dlog(p, g, b)
     want = {(l, (l * s_true) % m) for l in range(m)}
     pat_ok = index_patterns(state, regs) == want
@@ -318,28 +307,26 @@ def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
     if not pat_ok:
         raise SimulationError("index-pattern shape check failed after the Fourier pass")
 
-    for gate in kit["euler"]:
-        state = apply(state, gate, ledger)
+    state = apply_all(state, kit["euler"], ledger)
     weight = state.weight_where(regs.x, _coprime_mask(layout.dim(regs.x), m))
     trace.record("psi3", None, state.support_size, ledger)
     trace.record("psi3s-weight", weight, state.support_size, ledger)
 
-    for gate in kit["amp1"]:
-        state = apply(state, gate, ledger)
+    state = apply_all(state, kit["amp1"], ledger)
 
-    state = apply(state, kit["mid"][0], ledger)
+    clear_ls, unqft, unshift = kit["mid"]
+    state = apply(state, clear_ls, ledger)
     trace.record("psi4s", None, state.support_size, ledger)
     trace.record("psi5s", None, state.support_size, ledger)
 
-    state = apply(state, kit["mid"][1], ledger)
+    state = apply(state, unqft, ledger)
     trace.record("psi6s", None, state.support_size, ledger)
 
-    state = apply(state, kit["mid"][2], ledger)
+    state = apply(state, unshift, ledger)
     cross = state.weight_where(regs.f, np.arange(layout.dim(regs.f)) != 1)
     trace.record("psi7s", cross, state.support_size, ledger)
 
-    for gate in kit["amp2"] + kit["tail"]:
-        state = apply(state, gate, ledger)
+    state = apply_all(state, kit["amp2"] + kit["tail"], ledger)
 
     target = SparseState.basis(layout, {regs.w: b, regs.out: s_true})
     fid = hilbert.fidelity(state, target)

@@ -338,9 +338,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        if args.hidden_s is not None and (args.hidden_random or args.csv is not None):
+            other = "--hidden-random" if args.hidden_random else "--csv"
+            raise DomainError(f"--hidden-s conflicts with {other}")
         config = ExperimentConfig(
-            p=args.p, g=args.g,
-            hidden_s=None if args.hidden_random else args.hidden_s,
+            p=args.p, g=args.g, hidden_s=args.hidden_s,
             hidden_random=args.hidden_random, seed=args.seed, theta=args.theta,
             mode=args.mode, grover_m=args.grover_m, trotter_m=args.trotter_m,
             epsilon=args.epsilon, gamma=args.gamma, run_demo=not args.no_demo,

@@ -44,9 +44,10 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -474,7 +475,8 @@ class Sequence(GateOp):
 
     @cached_property
     def permutes(self) -> bool:
-        return all(_permutes(g) for g in self.leaves)
+        # a nested sequence answers from its own cached flag
+        return all(_permutes(g) for g in self.gates)
 
     @cached_property
     def code_registers(self) -> tuple[str, ...]:
@@ -484,6 +486,10 @@ class Sequence(GateOp):
     @cached_property
     def ledger_entries(self) -> tuple[tuple[str, tuple[str, ...], str], ...]:
         return tuple(_ledger_entry(g) for g in self.leaves)
+
+    @cached_property
+    def class_counts(self) -> Counter:
+        return Counter(cls for _, _, cls in self.ledger_entries)
 
 
 def _permutes(gate: GateOp) -> bool:
@@ -501,26 +507,28 @@ def _ledger_entry(gate: GateOp) -> tuple[str, tuple[str, ...], str]:
 
 
 class GateLedger:
-    """Append-only record of (label, registers, cost class) per leaf application."""
+    """Append-only record of (label, registers, cost class) per leaf
+    application, with the entries per cost class counted as they are recorded."""
 
     def __init__(self):
         self.entries: list[tuple[str, tuple[str, ...], str]] = []
+        self._counts: Counter = Counter()
 
     def record(self, gate: GateOp) -> None:
         """One entry for a leaf gate; one per leaf, in order, for a Sequence."""
         if isinstance(gate, Sequence):
             self.entries.extend(gate.ledger_entries)
+            self._counts.update(gate.class_counts)
         else:
-            self.entries.append(_ledger_entry(gate))
+            entry = _ledger_entry(gate)
+            self.entries.append(entry)
+            self._counts[entry[2]] += 1
 
     def counts_by_class(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for _, _, cls in self.entries:
-            out[cls] = out.get(cls, 0) + 1
-        return out
+        return dict(self._counts)
 
     def count(self, cost_class: str) -> int:
-        return sum(1 for _, _, c in self.entries if c == cost_class)
+        return self._counts[cost_class]
 
 
 def adjoint(gate: GateOp) -> GateOp:
@@ -763,6 +771,14 @@ def apply(state: SparseState, gate: GateOp, ledger: GateLedger | None = None) ->
         if abs(after - before) > NORM_TOL:
             raise SimulationError(f"{gate.label}: norm drifted {before} -> {after}")
     return SparseState.from_arrays(state.layout, keys, amps)
+
+
+def apply_all(state: SparseState, gates: Iterable[GateOp],
+              ledger: GateLedger | None = None) -> SparseState:
+    """Apply gates left to right, each through `apply`, so each is checked on its own."""
+    for gate in gates:
+        state = apply(state, gate, ledger)
+    return state
 
 
 def inner_product(s1: SparseState, s2: SparseState) -> complex:

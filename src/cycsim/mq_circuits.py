@@ -10,6 +10,7 @@ index; |0> is the +1/2 eigenstate of I_kz.  Dense 2^n matrices throughout
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -114,12 +115,6 @@ def u_ny_exact(n: int, theta: float, reg: str) -> GateOp:
     return LocalUnitary(reg, u_ny_matrix(n, theta), label=f"UNY_{n}", cost_class="arith")
 
 
-def c_t_matrix(n: int, t: int, theta: float) -> np.ndarray:
-    mat = np.eye(2**n, dtype=complex)
-    mat[t, t] = np.exp(-1j * theta)
-    return mat
-
-
 def u_ny_trotter_matrix(n: int, theta: float, m: int) -> np.ndarray:
     """Product-formula approximation of exp(-i 2 theta Q_ny) with O(1/m) error."""
     if m < 1:
@@ -154,20 +149,18 @@ def trotter_error(n: int, theta: float, m: int) -> float:
     return float(np.linalg.norm(diff, 2))
 
 
-def _single_register_state(n: int) -> tuple[RegisterLayout, SparseState]:
-    layout = RegisterLayout([hilbert.Register("q", 2**n, "work")])
-    return layout, SparseState.basis(layout)
+@functools.lru_cache(maxsize=hilbert.GATE_SETS)
+def _half_rotation(n: int) -> tuple[GateOp, GateOp]:
+    """exp(-i pi/2 Q_ny) on register "q" and its adjoint, built once per n."""
+    half = u_ny_exact(n, math.pi / 4, "q")
+    return half, hilbert.adjoint(half)
 
 
 def _run_conjugated(n: int, rotations: list[GateOp], ledger: GateLedger | None) -> SparseState:
     """exp(+i pi/2 Q_ny) . rotations . exp(-i pi/2 Q_ny) applied to the ground state."""
-    layout, state = _single_register_state(n)
-    half = u_ny_exact(n, math.pi / 4, "q")          # exp(-i pi/2 Q_ny)
-    state = hilbert.apply(state, half, ledger)
-    for rot in rotations:
-        state = hilbert.apply(state, rot, ledger)
-    state = hilbert.apply(state, hilbert.adjoint(half), ledger)
-    return state
+    state = SparseState.basis(RegisterLayout([hilbert.Register("q", 2**n, "work")]))
+    half, half_adj = _half_rotation(n)
+    return hilbert.apply_all(state, [half, *rotations, half_adj], ledger)
 
 
 def _top_weight(state: SparseState, reg: str) -> float:
@@ -282,11 +275,7 @@ def trial_circuit_prob(state: SparseState, search: SearchGates, x: int, aux_orac
     becomes the x-th subgroup state, call the auxiliary oracle once, undress, and
     read the |1...1> probability.  Returns the probability and the post-trial state.
     """
-    for gate in search.dress[x]:
-        state = hilbert.apply(state, gate, ledger)
-    state = hilbert.apply(state, aux_oracle, ledger)
-    for gate in search.undress[x]:
-        state = hilbert.apply(state, gate, ledger)
+    state = hilbert.apply_all(state, (*search.dress[x], aux_oracle, *search.undress[x]), ledger)
     return _top_weight(state, search.reg), state
 
 

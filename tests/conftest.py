@@ -16,9 +16,10 @@ def spec5():
 @pytest.fixture
 def cleared_gate_caches():
     """Start from empty memoized gate builders, as a fresh process would."""
-    from cycsim import dlog_pipeline, driver, halting_program
+    from cycsim import dlog_pipeline, driver, halting_program, mq_circuits
 
-    for builder in (dlog_pipeline._kit, halting_program.qp_gate, driver._instance):
+    for builder in (dlog_pipeline._kit, halting_program.qp_gate, driver._instance,
+                    mq_circuits._half_rotation):
         builder.cache_clear()
 
 

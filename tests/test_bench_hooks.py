@@ -9,12 +9,14 @@ import math
 import sys
 from pathlib import Path
 
-from cycsim import driver
+from cycsim import dlog_pipeline, driver
+from cycsim.hilbert import SparseState
+from cycsim.numtheory import make_group_spec
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(BENCH))
 
-from spans import TARGETS, Tracer  # noqa: E402
+from spans import EXPERIMENT, INFO, NAME, PARENT, TARGETS, Tracer  # noqa: E402
 from workloads import WORKLOADS, DigestGate  # noqa: E402
 
 
@@ -35,6 +37,29 @@ def test_tracer_yields_every_layer_metric():
     assert all(math.isfinite(v) for v in metrics.values())
     assert metrics["crt_reduction.aux_oracle_builds"] > 0
     assert metrics["oracle.calls"] > 0
+
+
+def test_demo_path_keeps_its_label_hooks_and_one_apply_per_gate(monkeypatch):
+    made = []  # `apply` wraps each result once, so this counts the gates passed to it
+    from_arrays = SparseState.from_arrays.__func__
+    monkeypatch.setattr(SparseState, "from_arrays", classmethod(
+        lambda cls, *args: made.append(args) or from_arrays(cls, *args)))
+    with Tracer() as tracer:
+        for s in (1, 2):
+            made.clear()
+            driver.run_experiment(driver.ExperimentConfig(p=5, hidden_s=s))
+    metrics = tracer.layer_metrics(cold=0, warm={1})
+    for name in ("dlog_pipeline.reflection_s", "dlog_pipeline.qft_s",
+                 "crt_reduction.reduction_s"):
+        assert metrics[name] > 0, name
+    assert metrics["hilbert.apply_calls"] == len(made)
+    # the demo applies every gate of its kit on its own, in order
+    spans = tracer.spans
+    demo = [s[INFO][0] for s in spans if s[NAME] == "hilbert.apply" and s[EXPERIMENT] == 1
+            and spans[s[PARENT]][NAME] == "dlog_pipeline.run_dlog_demo"]
+    kit = dlog_pipeline.pipeline_kit(make_group_spec(5))
+    assert demo == [g.label for key in ("stage1", "amp1", "mid", "amp2", "tail")
+                    for g in kit[key]]
 
 
 def test_sweep_reports_match_recorded_digests():

@@ -5,7 +5,7 @@ import pytest
 from cycsim import crt_reduction as cr
 from cycsim import halting_program as hp
 from cycsim import gates, hilbert
-from cycsim.hilbert import SparseState, adjoint, apply
+from cycsim.hilbert import SparseState, adjoint, apply, apply_all, assert_registers_clean
 from cycsim.numtheory import (DomainError, classical_dlog, crt_decompose,
                               make_group_spec)
 from cycsim.oracle import OracleSpec, make_subspace_oracle
@@ -23,6 +23,24 @@ def env13():
 def component_values(state, layout, regs):
     tup = state.sole_tuple()
     return tuple(tup[layout.index(c)] for c in regs.comps)
+
+
+def residue_product(state, spec, regs):
+    state = apply_all(state, cr.residue_product_gates(spec, regs, state.layout.dim(regs.w)))
+    assert_registers_clean(state, (regs.w, regs.a, regs.b), "residue decomposition")
+    return state
+
+
+def scaled_product(state, spec, regs):
+    state = apply_all(state, cr.scaled_product_gates(spec, regs, state.layout.dim(regs.w)))
+    assert_registers_clean(state, (regs.w, regs.a, regs.b), "scaled decomposition")
+    return state
+
+
+def subgroup_product(state, spec, regs):
+    state = apply_all(state, cr.subgroup_product_gates(spec, regs, state.layout.dim(regs.w)))
+    assert_registers_clean(state, (regs.w, regs.a, regs.prod), "group-state reconstruction")
+    return state
 
 
 @pytest.mark.parametrize("p", IDENTITY_PRIMES)
@@ -57,9 +75,9 @@ def test_descriptors(env13):
 
 def test_residue_product_example(env13):
     spec, layout, regs = env13
-    out = cr.index_to_residue_product(SparseState.basis(layout, {regs.w: 7}), spec, regs)
+    out = residue_product(SparseState.basis(layout, {regs.w: 7}), spec, regs)
     assert component_values(out, layout, regs) == (1, 3)
-    out = cr.index_to_residue_product(SparseState.basis(layout, {regs.w: 0}), spec, regs)
+    out = residue_product(SparseState.basis(layout, {regs.w: 0}), spec, regs)
     assert component_values(out, layout, regs) == (0, 0)
 
 
@@ -67,8 +85,7 @@ def test_residue_product_injective_exhaustive(env13):
     spec, layout, regs = env13
     seen = set()
     for s in range(12):
-        out = cr.index_to_residue_product(SparseState.basis(layout, {regs.w: s}),
-                                          spec, regs)
+        out = residue_product(SparseState.basis(layout, {regs.w: s}), spec, regs)
         vals = component_values(out, layout, regs)
         assert vals == crt_decompose(s, spec.basis)
         assert vals not in seen
@@ -82,7 +99,7 @@ def test_residue_product_linear_on_superpositions(env13):
     t2 = list(layout.zero_tuple())
     t1[iw], t2[iw] = 3, 8
     sup = SparseState(layout, {tuple(t1): 0.6, tuple(t2): 0.8j})
-    out = cr.index_to_residue_product(sup, spec, regs)
+    out = residue_product(sup, spec, regs)
     assert out.support_size == 2
     i1, i2 = (layout.index(c) for c in regs.comps)
     got = {(k[i1], k[i2]): a for k, a in out.entries.items()}
@@ -92,17 +109,16 @@ def test_residue_product_linear_on_superpositions(env13):
 
 def test_scaled_product_example(env13):
     spec, layout, regs = env13
-    out = cr.index_to_scaled_product(SparseState.basis(layout, {regs.w: 7}), spec, regs)
+    out = scaled_product(SparseState.basis(layout, {regs.w: 7}), spec, regs)
     assert component_values(out, layout, regs) == (4, 9)  # 4*7 mod 12, 3*7 mod 12
-    out = cr.index_to_scaled_product(SparseState.basis(layout, {regs.w: 0}), spec, regs)
+    out = scaled_product(SparseState.basis(layout, {regs.w: 0}), spec, regs)
     assert component_values(out, layout, regs) == (0, 0)
 
 
 def test_scaled_product_identity_exhaustive(env13):
     spec, layout, regs = env13
     for s in range(12):
-        out = cr.index_to_scaled_product(SparseState.basis(layout, {regs.w: s}),
-                                         spec, regs)
+        out = scaled_product(SparseState.basis(layout, {regs.w: s}), spec, regs)
         vals = component_values(out, layout, regs)
         for v, c in zip(vals, spec.basis.components):
             assert v == (c.M * (s % c.m)) % 12 == (c.M * s) % 12
@@ -110,11 +126,9 @@ def test_scaled_product_identity_exhaustive(env13):
 
 def test_group_state_decomposition_examples(env13):
     spec, layout, regs = env13
-    out = cr.group_state_to_subgroup_product(
-        SparseState.basis(layout, {regs.w: pow(2, 7, 13)}), spec, regs)
+    out = subgroup_product(SparseState.basis(layout, {regs.w: pow(2, 7, 13)}), spec, regs)
     assert component_values(out, layout, regs) == (3, 5)  # 3^1 and 8^3 mod 13
-    out = cr.group_state_to_subgroup_product(
-        SparseState.basis(layout, {regs.w: 1}), spec, regs)
+    out = subgroup_product(SparseState.basis(layout, {regs.w: 1}), spec, regs)
     assert component_values(out, layout, regs) == (1, 1)
     # reconstruction identity behind the uncompute: 3^1 * 8^9 = 2^7 (mod 13)
     assert (pow(3, 1, 13) * pow(8, 9, 13)) % 13 == 11 == pow(2, 7, 13)
@@ -163,8 +177,7 @@ def test_to_largest_subspace(env13):
     # each lifted register decodes back to s mod m_k in the top subspace
     h_r = spec.subgroup_generators[-1]
     for s in range(12):
-        st = cr.group_state_to_subgroup_product(
-            SparseState.basis(layout, {regs.w: pow(2, s, 13)}), spec, regs)
+        st = subgroup_product(SparseState.basis(layout, {regs.w: pow(2, s, 13)}), spec, regs)
         top = cr.to_largest_subspace(st, spec, regs)
         vals = component_values(top, layout, regs)
         for v, c in zip(vals, spec.basis.components):

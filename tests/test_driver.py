@@ -136,8 +136,12 @@ def test_cli_single_run(tmp_path):
     (["--p", "13", "--hidden-s", "1", "--mode", "grover", "--grover-m", "-1"], "grover_m"),
     (["--p", "13", "--hidden-s", "7", "--theta", "1.0"], "theta must be pi"),
     (["--p", "13", "--hidden-s", "7", "--theta", "0"], "theta must be pi"),
+    (["--p", "13", "--hidden-s", "5", "--hidden-random", "--seed", "1"],
+     "--hidden-s conflicts with --hidden-random"),
+    (["--p", "13", "--hidden-s", "5", "--csv", "sweep.csv"], "--hidden-s conflicts with --csv"),
 ], ids=["nonprime", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
-        "grover-m-negative", "theta-one", "theta-zero"])
+        "grover-m-negative", "theta-one", "theta-zero", "hidden-s-with-hidden-random",
+        "hidden-s-with-csv"])
 def test_cli_rejects_bad_config(argv, fragment, capsys):
     assert cli_main(argv) == 2
     assert fragment in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from cycsim import crt_reduction as cr
 from cycsim import halting_program as hp
-from cycsim.hilbert import SimulationError, SparseState, apply
+from cycsim.hilbert import SimulationError, SparseState, apply, apply_all, assert_registers_clean
 from cycsim.numtheory import DomainError, element_of_order, make_group_spec
 
 CASES = {3: 7, 4: 13, 8: 17, 16: 17}
@@ -149,14 +149,20 @@ def test_pulse_model_guard():
         hp.PulseModel(1.0)
 
 
+def lifted_components(state, spec, regs):
+    """A group state's subgroup components, lifted into the largest subspace."""
+    state = apply_all(state, cr.subgroup_product_gates(spec, regs, state.layout.dim(regs.w)))
+    assert_registers_clean(state, (regs.w, regs.a, regs.prod), "group-state reconstruction")
+    return cr.to_largest_subspace(state, spec, regs)
+
+
 def test_strip_registers_examples():
     spec = make_group_spec(13)
     layout, regs, strip = cr.make_search_layout(spec)
     gate = hp.strip_gate(spec, 1, strip, layout.dim(regs.w))
     # prepare the lifted component product for s = 7 and keep the second factor
     st = SparseState.basis(layout, {regs.w: pow(2, 7, 13)})
-    st = cr.group_state_to_subgroup_product(st, spec, regs)
-    st = cr.to_largest_subspace(st, spec, regs)
+    st = lifted_components(st, spec, regs)
     out = apply(st, gate)
     tup = out.sole_tuple()
     assert tup[layout.index(regs.comps[1])] == 5  # 8^3 mod 13
@@ -166,7 +172,6 @@ def test_strip_registers_examples():
     assert out.register_value(strip.recs[1]) == 0
     # identity index: component collapses to the unit element
     st = SparseState.basis(layout, {regs.w: 1})
-    st = cr.group_state_to_subgroup_product(st, spec, regs)
-    st = cr.to_largest_subspace(st, spec, regs)
+    st = lifted_components(st, spec, regs)
     out = apply(st, gate)
     assert out.sole_tuple()[layout.index(regs.comps[1])] == 1

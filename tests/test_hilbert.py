@@ -1,15 +1,17 @@
 import cmath
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cycsim import gates, hilbert
+from cycsim import dlog_pipeline, driver, gates, hilbert
 from cycsim.hilbert import (DROP_THRESHOLD, EXHAUSTIVE_CHECK_LIMIT, Controlled, GateLedger,
                             LocalUnitary, Permutation, PhaseFn, Register, RegisterLayout,
-                            Sequence, SimulationError, SparseState, adjoint, apply,
+                            Sequence, SimulationError, SparseState, adjoint, apply, apply_all,
                             assert_registers_clean, fidelity, inner_product)
+from cycsim.numtheory import make_group_spec
 
 
 def small_layout():
@@ -390,12 +392,6 @@ def chain_state(layout, rng, support=12):
     return SparseState(layout, {k: a / norm for k, a in zip(rows, amps)})
 
 
-def walk(state, chain, ledger):
-    for leaf in chain.leaves:
-        state = apply(state, leaf, ledger)
-    return state
-
-
 def test_fused_chain_matches_a_leaf_by_leaf_walk(monkeypatch):
     layout = chain_layout()
     rng = random.Random(41)
@@ -405,9 +401,10 @@ def test_fused_chain_matches_a_leaf_by_leaf_walk(monkeypatch):
     for st in states:
         fused_ledger, walk_ledger = GateLedger(), GateLedger()
         out = apply(st, chain, fused_ledger)
-        ref = walk(st, chain, walk_ledger)
+        ref = apply_all(st, chain.leaves, walk_ledger)
         assert out.entries == ref.entries
         assert fused_ledger.entries == walk_ledger.entries
+        assert fused_ledger.counts_by_class() == walk_ledger.counts_by_class() == {"arith": 9}
         assert len(fused_ledger.entries) == len(chain.leaves) == 9
         # the adjoint shares the table: undoing the chain reads it backwards
         assert apply(out, adjoint(chain)).entries == st.entries
@@ -426,6 +423,53 @@ def test_fused_chain_matches_a_leaf_by_leaf_walk(monkeypatch):
     assert adjoint(chain).tables[dims] is chain.inv_tables[dims]
 
 
+def test_ledger_counts_by_class_match_a_recount_of_its_entries(monkeypatch):
+    ledgers = []
+
+    class Recorded(GateLedger):
+        def __init__(self):
+            super().__init__()
+            ledgers.append(self)
+
+    monkeypatch.setattr(driver, "GateLedger", Recorded)
+    rep = driver.run_experiment(driver.ExperimentConfig(p=13, hidden_s=7))
+    main, demo = ledgers
+    for led in ledgers:
+        recount = Counter(cls for _, _, cls in led.entries)
+        assert led.counts_by_class() == recount
+        assert all(led.count(cls) == n for cls, n in recount.items())
+    assert demo.count("oracle-call") == 0 and demo.count("qft") > 0
+    assert rep.gate_counts == main.counts_by_class()
+    assert rep.dlog_demo["gate_counts"] == demo.counts_by_class()
+    assert rep.oracle_calls_total == main.count("oracle-call") > 0
+
+
+def _gate_tree(gate):
+    yield gate
+    if isinstance(gate, Sequence):
+        for g in gate.gates:
+            yield from _gate_tree(g)
+    elif isinstance(gate, Controlled):
+        yield from _gate_tree(gate.inner)
+
+
+def test_sequence_permutes_agrees_with_its_leaves(monkeypatch):
+    applied = []
+    monkeypatch.setattr(hilbert, "apply",
+                        lambda st, gate, led=None: applied.append(gate) or apply(st, gate, led))
+    driver.run_experiment(driver.ExperimentConfig(p=13, hidden_s=7))
+    kit = dlog_pipeline.pipeline_kit(make_group_spec(13))
+    roots = applied + [g for key in ("stage1", "amp1", "mid", "amp2", "tail") for g in kit[key]]
+    seqs = {id(g): g for root in roots for g in _gate_tree(root) if isinstance(g, Sequence)}
+    labels = {seq.label for seq in seqs.values()}
+    assert {"AUX_ORACLE_0", "AUX_ORACLE_1", "C_t", "REDUCE_0", "U_T2"} <= labels
+    verdicts = set()
+    for seq in seqs.values():
+        verdicts.add(seq.permutes)
+        assert seq.permutes == all(hilbert._permutes(leaf) for leaf in seq.leaves), seq.label
+    assert verdicts == {True, False}
+
+
 def test_chain_past_the_code_limit_walks_its_gates():
     layout = RegisterLayout([Register("a", 4, "work"), Register("b", 2, "flag"),
                              Register("c", 5, "aux"), Register("big", BIG, "aux"),
@@ -441,7 +485,7 @@ def test_chain_past_the_code_limit_walks_its_gates():
                  rng.randrange(1 << 40), rng.randrange(3)) for _ in range(8)}
         st = SparseState(layout, {k: 1 / math.sqrt(len(rows)) for k in rows})
         led, ref_led = GateLedger(), GateLedger()
-        assert apply(st, chain, led).entries == walk(st, chain, ref_led).entries
+        assert apply(st, chain, led).entries == apply_all(st, chain.leaves, ref_led).entries
         assert led.entries == ref_led.entries
     # too wide for one code, but the nested chain still fuses on its own
     assert chain.tables == {} and list(chain.gates[0].tables) == [(4, 2, BIG, 5)]

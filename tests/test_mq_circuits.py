@@ -211,11 +211,17 @@ def test_u_or_conjugation():
     s = 11
     # r = 0: all factors cancel to the identity
     assert np.allclose(mq.u_or_matrix(binary_rep(0, n)), np.eye(N))
-    cs = mq.c_t_matrix(n, s, 0.9)
+
+    def c_t(t):  # the selective rotation of basis t at theta = 0.9
+        mat = np.eye(N, dtype=complex)
+        mat[t, t] = np.exp(-0.9j)
+        return mat
+
+    cs = c_t(s)
     for r, want_t in ((s, 0), ((~s) & (N - 1), N - 1), (3, s ^ 3)):
         u = mq.u_or_matrix(binary_rep(r, n))
         conj = u @ cs @ u.conj().T
-        expect = mq.c_t_matrix(n, want_t, 0.9)
+        expect = c_t(want_t)
         # equality up to a global phase
         phase = conj[0, 0] / expect[0, 0]
         assert abs(abs(phase) - 1) < 1e-12
@@ -236,3 +242,22 @@ def test_verify_solution_examples():
     assert mq.verify_solution(5, orc, n) is False
     for r in range(N):
         assert mq.verify_solution(r, orc, n) is (r == s)
+
+
+def test_verify_solution_builds_the_half_rotation_once_per_qubit_count(monkeypatch):
+    n, s = 5, 19
+
+    def orc(theta):
+        return gates.selective_phase({s: theta}, "q", label="oracle",
+                                     cost_class="oracle-call")
+
+    applied = []
+    apply = hilbert.apply
+    monkeypatch.setattr(hilbert, "apply",
+                        lambda st, gate, led=None: applied.append(gate) or apply(st, gate, led))
+    for _ in range(2):
+        assert mq.verify_solution(s, orc, n) is True
+    halves = [g for g in applied if g.label.startswith("UNY_")]
+    # two runs, two circuits each, one rotation and its adjoint per circuit
+    assert len(halves) == 8
+    assert len({id(g) for g in halves}) == 2
