@@ -1,20 +1,26 @@
 """Constructors for reversible arithmetic and Fourier gates.
 
 Partial textbook definitions (result written into a |0> target) are extended to
-total permutations by *adding* the result into the target modulo the register
-dimension; on the intended inputs the behavior is unchanged.  Registers may be
-padded above the working modulus: every gate acts as the identity outside its
-defined domain, and pipelines assert that support never leaves that domain.
+total permutations by *adding* the result into the target modulo the working
+modulus L; on the intended inputs the behavior is unchanged.  Group-valued maps
+instead *multiply* the target by a unit mod L.  `_accumulate` and `_scale` are
+the one home of these two extensions: every arithmetic constructor below is one
+call to either.  Registers may be padded above the working modulus: every gate
+acts as the identity outside its defined domain (a target at or above L, or a
+value or factor forced to 0 or 1), and pipelines assert that support never
+leaves that domain.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from typing import Callable
 
 import numpy as np
 
 from .hilbert import GateOp, LocalUnitary, Permutation, PhaseFn, Sequence
-from .numtheory import DomainError, modinv
+from .numtheory import DomainError
 
 
 def register_dim(p: int) -> int:
@@ -23,18 +29,55 @@ def register_dim(p: int) -> int:
     return 2 ** p.bit_length()
 
 
-def add_mod(L: int, src: str, dst: str, label: str = "ADD") -> GateOp:
-    """|x>|y> -> |x>|(x+y) mod L> for x, y < L; identity outside Z_L x Z_L."""
+def _accumulate(regs: tuple[str, ...], L: int, value: Callable[..., int],
+                label: str) -> GateOp:
+    """|c...>|z> -> |c...>|(z + value(c...)) mod L> for z < L, identity for
+    z >= L; the adjoint subtracts.  The target is the last register, and
+    value is 0 wherever the gate must act as the identity."""
 
     def fwd(v):
-        x, y = v
-        return (x, (x + y) % L) if x < L and y < L else v
+        z = v[-1]
+        if z >= L:
+            return v
+        c = v[:-1]
+        return c + ((z + value(*c)) % L,)
 
     def inv(v):
-        x, y = v
-        return (x, (y - x) % L) if x < L and y < L else v
+        z = v[-1]
+        if z >= L:
+            return v
+        c = v[:-1]
+        return c + ((z - value(*c)) % L,)
 
-    return Permutation((src, dst), fwd, inv, label=f"{label}_{L}")
+    return Permutation(regs, fwd, inv, label=label)
+
+
+def _scale(regs: tuple[str, ...], L: int, factor: Callable[..., int], label: str) -> GateOp:
+    """|c...>|y> -> |c...>|y * factor(c...) mod L> for y < L, identity for
+    y >= L; the adjoint multiplies by the inverse of factor mod L.  The target
+    is the last register, factor(c...) must be a unit mod L, and it is 1
+    wherever the gate must act as the identity."""
+
+    def fwd(v):
+        y = v[-1]
+        if y >= L:
+            return v
+        c = v[:-1]
+        return c + (y * factor(*c) % L,)
+
+    def inv(v):
+        y = v[-1]
+        if y >= L:
+            return v
+        c = v[:-1]
+        return c + (y * pow(factor(*c), -1, L) % L,)
+
+    return Permutation(regs, fwd, inv, label=label)
+
+
+def add_mod(L: int, src: str, dst: str, label: str = "ADD") -> GateOp:
+    """|x>|y> -> |x>|(x+y) mod L> for x, y < L; identity outside Z_L x Z_L."""
+    return _accumulate((src, dst), L, lambda x: x if x < L else 0, f"{label}_{L}")
 
 
 def copy_gate(L: int, src: str, dst: str) -> GateOp:
@@ -44,30 +87,13 @@ def copy_gate(L: int, src: str, dst: str) -> GateOp:
 
 def mul3(L: int, a: str, b: str, dst: str) -> GateOp:
     """|x>|y>|z> -> |x>|y>|(z + x*y) mod L> for z < L (additive extension)."""
-
-    def fwd(v):
-        x, y, z = v
-        return (x, y, (z + x * y) % L) if z < L else v
-
-    def inv(v):
-        x, y, z = v
-        return (x, y, (z - x * y) % L) if z < L else v
-
-    return Permutation((a, b, dst), fwd, inv, label=f"MUL3_{L}")
+    return _accumulate((a, b, dst), L, operator.mul, f"MUL3_{L}")
 
 
 def mod_reduce(m: int, src: str, dst: str, dst_dim: int) -> GateOp:
-    """|s>|t> -> |s>|(t + s mod m) mod d>: loads the residue of s into a zero target."""
-
-    def fwd(v):
-        s, t = v
-        return (s, (t + s % m) % dst_dim)
-
-    def inv(v):
-        s, t = v
-        return (s, (t - s % m) % dst_dim)
-
-    return Permutation((src, dst), fwd, inv, label=f"MOD_{m}")
+    """|s>|t> -> |s>|(t + s mod m) mod d> for t < d: loads the residue of s into
+    a zero target."""
+    return _accumulate((src, dst), dst_dim, lambda s: s % m, f"MOD_{m}")
 
 
 def swap_regs(r1: str, r2: str) -> GateOp:
@@ -81,14 +107,7 @@ def set_const(j: int, reg: str, dim: int) -> GateOp:
     """Adds the constant j mod dim; on |0> this loads |j>."""
     if not 0 <= j < dim:
         raise DomainError(f"constant {j} outside register dimension {dim}")
-
-    def fwd(v):
-        return ((v[0] + j) % dim,)
-
-    def inv(v):
-        return ((v[0] - j) % dim,)
-
-    return Permutation((reg,), fwd, inv, label=f"SET_{j}")
+    return _accumulate((reg,), dim, lambda: j, f"SET_{j}")
 
 
 def transposition(a: int, b: int, reg: str) -> GateOp:
@@ -113,60 +132,25 @@ def mul_const(a: int, N: int, reg: str) -> GateOp:
     """|x> -> |x*a mod N> for x < N; refuses construction unless gcd(a, N) = 1."""
     if math.gcd(a, N) != 1:
         raise DomainError(f"mul_const({a}, {N}): multiplier not coprime, not unitary")
-    ainv = modinv(a, N)
-
-    def fwd(v):
-        return ((v[0] * a) % N,) if v[0] < N else v
-
-    def inv(v):
-        return ((v[0] * ainv) % N,) if v[0] < N else v
-
-    return Permutation((reg,), fwd, inv, label=f"MUL_{a}_{N}")
+    return _scale((reg,), N, lambda: a, f"MUL_{a}_{N}")
 
 
 def cond_mod_exp_two_reg(a: int, L: int, ctrl: str, tgt: str) -> GateOp:
     """|x>|y> -> |x>|y * a**x mod L> for y < L; requires gcd(a, L) = 1."""
     if math.gcd(a, L) != 1:
         raise DomainError(f"cond_mod_exp two_reg: gcd({a},{L}) != 1, not unitary")
-    ainv = modinv(a, L)
-
-    def fwd(v):
-        x, y = v
-        return (x, (y * pow(a, x, L)) % L) if y < L else v
-
-    def inv(v):
-        x, y = v
-        return (x, (y * pow(ainv, x, L)) % L) if y < L else v
-
-    return Permutation((ctrl, tgt), fwd, inv, label=f"CEXP_{a}_{L}")
+    return _scale((ctrl, tgt), L, lambda x: pow(a, x, L), f"CEXP_{a}_{L}")
 
 
 def cond_mod_exp_three_reg(a: int, L: int, ctrl: str, mul: str, tgt: str) -> GateOp:
     """|x>|y>|z> -> |x>|y>|(z + y*a**x) mod L> for z < L; unitary for any a."""
-
-    def fwd(v):
-        x, y, z = v
-        return (x, y, (z + y * pow(a, x, L)) % L) if v[2] < L else v
-
-    def inv(v):
-        x, y, z = v
-        return (x, y, (z - y * pow(a, x, L)) % L) if v[2] < L else v
-
-    return Permutation((ctrl, mul, tgt), fwd, inv, label=f"CEXP3_{a}_{L}")
+    return _accumulate((ctrl, mul, tgt), L, lambda x, y: y * pow(a, x, L), f"CEXP3_{a}_{L}")
 
 
 def cond_mod_exp_two_var(b: int, a: int, L: int, x_reg: str, y_reg: str, tgt: str) -> GateOp:
     """|x>|y>|z> -> |x>|y>|(z + b**x * a**y) mod L> for z < L."""
-
-    def fwd(v):
-        x, y, z = v
-        return (x, y, (z + pow(b, x, L) * pow(a, y, L)) % L) if z < L else v
-
-    def inv(v):
-        x, y, z = v
-        return (x, y, (z - pow(b, x, L) * pow(a, y, L)) % L) if z < L else v
-
-    return Permutation((x_reg, y_reg, tgt), fwd, inv, label=f"CEXP2V_{b}_{a}_{L}")
+    return _accumulate((x_reg, y_reg, tgt), L, lambda x, y: pow(b, x, L) * pow(a, y, L),
+                       f"CEXP2V_{b}_{a}_{L}")
 
 
 def cond_mod_exp(variant: str, **kw) -> GateOp:
@@ -186,34 +170,12 @@ def pow_const(e: int, L: int, src: str, tgt: str) -> GateOp:
     """
     if e < 0:
         raise DomainError("exponent must be non-negative")
-
-    def fwd(v):
-        x, z = v
-        return (x, (z + pow(x, e, L)) % L) if z < L else v
-
-    def inv(v):
-        x, z = v
-        return (x, (z - pow(x, e, L)) % L) if z < L else v
-
-    return Permutation((src, tgt), fwd, inv, label=f"POW_{e}_{L}")
+    return _accumulate((src, tgt), L, lambda x: pow(x, e, L), f"POW_{e}_{L}")
 
 
 def group_mul_acc(p: int, src: str, dst: str) -> GateOp:
     """|u>|w> -> |u>|w*u mod p> on the multiplicative group: u, w in Z_p^+."""
-
-    def fwd(v):
-        u, w = v
-        if 1 <= u < p and 1 <= w < p:
-            return (u, (w * u) % p)
-        return v
-
-    def inv(v):
-        u, w = v
-        if 1 <= u < p and 1 <= w < p:
-            return (u, (w * modinv(u, p)) % p)
-        return v
-
-    return Permutation((src, dst), fwd, inv, label=f"GMUL_{p}")
+    return _scale((src, dst), p, lambda u: u if 1 <= u < p else 1, f"GMUL_{p}")
 
 
 def work_mod_exp(g: int, p: int, x_reg: str, y_reg: str, w_reg: str, tgt: str) -> GateOp:
@@ -222,19 +184,9 @@ def work_mod_exp(g: int, p: int, x_reg: str, y_reg: str, w_reg: str, tgt: str) -
     The double-variable modular exponential with the base taken from the work
     register, so one gate serves every group element held there.
     """
-
-    def val(x, y, w):
-        return (pow(w, x, p) * pow(g, y, p)) % p if 1 <= w < p else 0
-
-    def fwd(v):
-        x, y, w, z = v
-        return (x, y, w, (z + val(x, y, w)) % p) if z < p else v
-
-    def inv(v):
-        x, y, w, z = v
-        return (x, y, w, (z - val(x, y, w)) % p) if z < p else v
-
-    return Permutation((x_reg, y_reg, w_reg, tgt), fwd, inv, label=f"UF_{g}_{p}")
+    return _accumulate((x_reg, y_reg, w_reg, tgt), p,
+                       lambda x, y, w: pow(w, x, p) * pow(g, y, p) if 1 <= w < p else 0,
+                       f"UF_{g}_{p}")
 
 
 def cyclic_shift(p: int, h: int, reg: str, power: int = 1,
@@ -246,37 +198,13 @@ def cyclic_shift(p: int, h: int, reg: str, power: int = 1,
     """
     if h % p == 0:
         raise DomainError("generator divisible by modulus")
-    hinv = modinv(h, p)
-
+    if math.gcd(h, p) != 1:
+        raise DomainError(f"{h} is not invertible mod {p}")
     if control is None:
-        mult = pow(h if power >= 0 else hinv, abs(power), p)
-        minv = modinv(mult, p)
-
-        def fwd(v):
-            y = v[0]
-            return ((y * mult) % p,) if 1 <= y < p else v
-
-        def inv(v):
-            y = v[0]
-            return ((y * minv) % p,) if 1 <= y < p else v
-
-        return Permutation((reg,), fwd, inv, label=f"SHIFT_{h}^{power}")
-
-    def cfwd(v):
-        a, y = v
-        if 1 <= y < p:
-            e = (power * a) % (p - 1)
-            return (a, (y * pow(h, e, p)) % p)
-        return v
-
-    def cinv(v):
-        a, y = v
-        if 1 <= y < p:
-            e = (power * a) % (p - 1)
-            return (a, (y * pow(hinv, e, p)) % p)
-        return v
-
-    return Permutation((control, reg), cfwd, cinv, label=f"CSHIFT_{h}^{power}")
+        mult = pow(h, power, p)
+        return _scale((reg,), p, lambda: mult, f"SHIFT_{h}^{power}")
+    return _scale((control, reg), p, lambda a: pow(h, power * a % (p - 1), p),
+                  f"CSHIFT_{h}^{power}")
 
 
 def qft(N: int, reg: str) -> GateOp:

@@ -74,12 +74,10 @@ class HaltRecord:
 @dataclass(frozen=True)
 class PulseModel:
     """Leakage model for the state-locking pulse: residual amplitude epsilon
-    stays on the control state with phase gamma at each locking event; dt0 is
-    conversion-interval bookkeeping only."""
+    stays on the control state with phase gamma at each locking event."""
 
     epsilon: float = 0.0
     gamma: float = 0.0
-    dt0: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:

@@ -43,6 +43,7 @@ Conventions:
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -190,16 +191,10 @@ class SparseState:
         top = max(mags)
         return max(map(tuple, self.keys[[m == top for m in mags]].tolist()))
 
-    def weight_where(self, reg: str | Callable[[tuple[int, ...]], bool],
-                     mask: np.ndarray | None = None) -> float:
+    def weight_where(self, reg: str, mask: np.ndarray) -> float:
         """Weight of the rows whose value on register `reg` is flagged in
-        `mask`, a boolean array indexed by that register's values.  A per-tuple
-        predicate in place of `reg` (and no mask) selects on several registers
-        at once, at the cost of one Python call per row."""
-        if mask is None:
-            hit = np.array([bool(reg(k)) for k in map(tuple, self.keys.tolist())], dtype=bool)
-        else:
-            hit = np.asarray(mask, dtype=bool)[self.keys[:, self.layout.index(reg)]]
+        `mask`, a boolean array indexed by that register's values."""
+        hit = np.asarray(mask, dtype=bool)[self.keys[:, self.layout.index(reg)]]
         return _weight(self.amps[hit])
 
     def register_weight_outside(self, name: str, value: int = 0) -> float:
@@ -276,8 +271,8 @@ class Permutation(GateOp):
             return None
         strides = _strides(dims)
         table = np.empty(total, dtype=np.int64)
-        for flat in range(total):
-            src = _decode(flat, dims)
+        # row-major enumeration: the n-th tuple has flat code n under `strides`
+        for flat, src in enumerate(itertools.product(*map(range, dims))):
             dst = self.fn(src)
             if len(dst) != len(dims) or any(not 0 <= v < d for v, d in zip(dst, dims)):
                 raise SimulationError(f"{self.label}: image {dst} outside domain")
@@ -288,10 +283,11 @@ class Permutation(GateOp):
         inv_table = np.empty(total, dtype=np.int64)
         inv_table[table] = np.arange(total)
         # spot-check that the supplied inverse matches the compiled one
-        for flat in range(0, total, max(1, total // 64)):
-            src = _decode(flat, dims)
-            if self.inv(_decode(int(table[flat]), dims)) != src:
-                raise SimulationError(f"{self.label}: inverse mismatch at {src}")
+        spots = np.arange(0, total, max(1, total // 64))
+        for src, dst in zip(np.transpose(np.unravel_index(spots, dims)).tolist(),
+                            np.transpose(np.unravel_index(table[spots], dims)).tolist()):
+            if self.inv(tuple(dst)) != tuple(src):
+                raise SimulationError(f"{self.label}: inverse mismatch at {tuple(src)}")
         self.tables[dims] = table
         self.inv_tables[dims] = inv_table
         return table
@@ -373,14 +369,6 @@ def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
         out.append(acc)
         acc *= d
     return tuple(reversed(out))
-
-
-def _decode(flat: int, dims: tuple[int, ...]) -> tuple[int, ...]:
-    vals = []
-    for d in reversed(dims):
-        vals.append(flat % d)
-        flat //= d
-    return tuple(reversed(vals))
 
 
 @dataclass
@@ -484,12 +472,8 @@ class Sequence(GateOp):
         return tuple(sorted(self.registers()))
 
     @cached_property
-    def ledger_entries(self) -> tuple[tuple[str, tuple[str, ...], str], ...]:
-        return tuple(_ledger_entry(g) for g in self.leaves)
-
-    @cached_property
     def class_counts(self) -> Counter:
-        return Counter(cls for _, _, cls in self.ledger_entries)
+        return Counter(leaf.cost_class for leaf in self.leaves)
 
 
 def _permutes(gate: GateOp) -> bool:
@@ -502,27 +486,18 @@ def _permutes(gate: GateOp) -> bool:
     return isinstance(gate, Sequence) and gate.permutes
 
 
-def _ledger_entry(gate: GateOp) -> tuple[str, tuple[str, ...], str]:
-    return (gate.label, tuple(gate.registers()), gate.cost_class)
-
-
 class GateLedger:
-    """Append-only record of (label, registers, cost class) per leaf
-    application, with the entries per cost class counted as they are recorded."""
+    """Leaf gate applications counted per cost class; a Sequence counts as
+    its leaves."""
 
     def __init__(self):
-        self.entries: list[tuple[str, tuple[str, ...], str]] = []
         self._counts: Counter = Counter()
 
     def record(self, gate: GateOp) -> None:
-        """One entry for a leaf gate; one per leaf, in order, for a Sequence."""
         if isinstance(gate, Sequence):
-            self.entries.extend(gate.ledger_entries)
             self._counts.update(gate.class_counts)
         else:
-            entry = _ledger_entry(gate)
-            self.entries.append(entry)
-            self._counts[entry[2]] += 1
+            self._counts[gate.cost_class] += 1
 
     def counts_by_class(self) -> dict[str, int]:
         return dict(self._counts)

@@ -4,8 +4,8 @@ membership/disambiguation tests, solution verification, and the per-subspace
 trial search loop.
 
 Spin conventions: qubit k = 1 is the least significant bit of the register
-index; |0> is the +1/2 eigenstate of I_kz.  Dense 2^n matrices throughout
-(n <= 12), applied through the sparse engine as local unitaries.
+index; |0> is the +1/2 eigenstate of I_kz.  Dense 2^n matrices (n <= 12),
+applied through the sparse engine as local unitaries; U_OR is a permutation.
 """
 
 from __future__ import annotations
@@ -191,23 +191,22 @@ def disambiguate_circuit(t_rotation_neg: GateOp, n: int,
     return TransitionReport(prob, verdict)
 
 
-def u_or_matrix(rep) -> np.ndarray:
-    """Basis-relabeling rotation: pi x-rotations on every bit set in the rep.
+def u_or(rep, reg: str) -> GateOp:
+    """Basis relabeling x -> x XOR value on the 2**n levels of the rep, the
+    identity above them.
 
-    Conjugating a selective rotation C_s by this operator moves it to basis
-    s XOR value (up to global phase); bits at +1 contribute identity factors.
-    Each rotation exp(i pi I_kx) is i times the flip of bit k, so the product
-    is i**popcount times the permutation x -> x XOR value.
+    By definition this is the product of pi x-rotations exp(i pi I_kx) on the
+    bits set in the rep, each i times the flip of bit k: i**popcount times
+    the permutation.  The global phase cancels in every conjugation
+    U_OR+ . C . U_OR, so the gate is the permutation alone.
     """
     SpinConventions(rep.n)  # validates the qubit count
-    x = np.arange(2**rep.n)
-    out = np.zeros((2**rep.n, 2**rep.n), dtype=complex)
-    out[x ^ rep_value(rep), x] = 1j ** sum(rep.bits)
-    return out
+    mask, top = rep_value(rep), 2**rep.n
 
+    def flip(v):
+        return (v[0] ^ mask,) if v[0] < top else v
 
-def u_or(rep, reg: str) -> GateOp:
-    return LocalUnitary(reg, u_or_matrix(rep), label="U_OR")
+    return hilbert.Permutation((reg,), flip, flip, label="U_OR")
 
 
 def verify_solution(candidate: int, oracle_for_theta: Callable[[float], GateOp], n: int,

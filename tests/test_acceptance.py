@@ -89,8 +89,8 @@ def test_criterion_3_euler_filter_and_grover():
             st, lambda phi: dl.good_rotation_stage1(spec, regs, phi),
             lambda phi: dl.reflect_about(prep1, dl._full_pivot(regs), phi),
             "grover", w, m)
-        ix = out.layout.index(regs.x)
-        got = out.weight_where(lambda k: math.gcd(k[ix], 12) == 1)
+        coprime = [math.gcd(v, 12) == 1 for v in range(out.layout.dim(regs.x))]
+        got = out.weight_where(regs.x, coprime)
         want = math.sin((2 * m + 1) * math.asin(math.sqrt(w))) ** 2
         assert abs(got - want) < 1e-9, (m, got, want)
     _report(3, True, "weights exact, rotation closed form to 1e-9")

@@ -9,14 +9,14 @@ import math
 import sys
 from pathlib import Path
 
-from cycsim import dlog_pipeline, driver
-from cycsim.hilbert import SparseState
+from cycsim import dlog_pipeline, driver, gates
+from cycsim.hilbert import SparseState, adjoint
 from cycsim.numtheory import make_group_spec
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(BENCH))
 
-from spans import EXPERIMENT, INFO, NAME, PARENT, TARGETS, Tracer  # noqa: E402
+from spans import COMPILE_KINDS, EXPERIMENT, INFO, NAME, PARENT, TARGETS, Tracer  # noqa: E402
 from workloads import WORKLOADS, DigestGate  # noqa: E402
 
 
@@ -37,6 +37,19 @@ def test_tracer_yields_every_layer_metric():
     assert all(math.isfinite(v) for v in metrics.values())
     assert metrics["crt_reduction.aux_oracle_builds"] > 0
     assert metrics["oracle.calls"] > 0
+
+
+def test_compile_kinds_match_their_own_constructors_labels():
+    # a label that matched no kind would move its compile time into
+    # gates.compile_s.other without a trace
+    built = {"work_mod_exp": gates.work_mod_exp(2, 29, "x", "y", "w", "z"),
+             "mul3": gates.mul3(29, "x", "y", "z"),
+             "pow_const": gates.pow_const(3, 29, "x", "z"),
+             "group_mul_acc": gates.group_mul_acc(29, "x", "z")}
+    assert set(built) == {kind for kind, _ in COMPILE_KINDS}
+    for kind, gate in built.items():
+        for label in (gate.label, adjoint(gate).label):
+            assert [k for k, rx in COMPILE_KINDS if rx.match(label)] == [kind], label
 
 
 def test_demo_path_keeps_its_label_hooks_and_one_apply_per_gate(monkeypatch):

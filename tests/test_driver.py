@@ -211,8 +211,9 @@ def test_warm_run_compiles_no_reduction_tables(monkeypatch):
     run_experiment(ExperimentConfig(p=13, hidden_s=5, run_demo=False))
     compiled.clear()
     run_experiment(ExperimentConfig(p=13, hidden_s=8, run_demo=False))
-    # only the per-run load of the instance value b = 2**8 mod 13 = 9 is new
-    assert compiled == ["X_0_9"]
+    # only the per-run gates of the instance value b = 2**8 mod 13 = 9 are new:
+    # its load, and the verification's relabeling by b (first met as the adjoint)
+    assert compiled == ["X_0_9", "U_OR+"]
 
 
 def test_warm_run_builds_no_reduction_adjoint(monkeypatch):

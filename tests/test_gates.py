@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from cycsim import gates, hilbert
 from cycsim.hilbert import Register, RegisterLayout, SparseState, adjoint, apply
-from cycsim.numtheory import DomainError, modinv
+from cycsim.numtheory import DomainError, find_primitive_root, modinv
 
 
 def layout2(d1=8, d2=8):
@@ -250,3 +251,135 @@ def test_pairing_permutation():
     assert reg_val(apply(as_basis(lay, r1=7), g), "r1") == 7  # outside both lists
     st = as_basis(lay, r1=9)
     assert apply(apply(st, g), adjoint(g)).entries == st.entries
+
+
+# The per-tuple formulas the arithmetic constructors were written with before
+# they shared `_accumulate` and `_scale`, kept as brute-force references:
+# ref(v, s) is the map for s = 1 and its inverse for s = -1.
+
+def _ref_add(L):
+    return lambda v, s: (v[0], (v[1] + s * v[0]) % L) if v[0] < L and v[1] < L else v
+
+
+def _ref_mul3(L):
+    return lambda v, s: (v[0], v[1], (v[2] + s * v[0] * v[1]) % L) if v[2] < L else v
+
+
+def _ref_mod_reduce(m, d):
+    return lambda v, s: (v[0], (v[1] + s * (v[0] % m)) % d)
+
+
+def _ref_set(j, d):
+    return lambda v, s: ((v[0] + s * j) % d,)
+
+
+def _ref_mul_const(a, N):
+    return lambda v, s: ((v[0] * pow(a, s, N)) % N,) if v[0] < N else v
+
+
+def _ref_cexp(a, L):
+    return lambda v, s: (v[0], (v[1] * pow(a, s * v[0], L)) % L) if v[1] < L else v
+
+
+def _ref_cexp3(a, L):
+    return lambda v, s: (v[0], v[1], (v[2] + s * v[1] * pow(a, v[0], L)) % L) if v[2] < L else v
+
+
+def _ref_cexp2v(b, a, L):
+    return lambda v, s: ((v[0], v[1], (v[2] + s * pow(b, v[0], L) * pow(a, v[1], L)) % L)
+                         if v[2] < L else v)
+
+
+def _ref_pow(e, L):
+    return lambda v, s: (v[0], (v[1] + s * pow(v[0], e, L)) % L) if v[1] < L else v
+
+
+def _ref_gmul(p):
+    return lambda v, s: ((v[0], (v[1] * pow(v[0], s, p)) % p)
+                         if 1 <= v[0] < p and 1 <= v[1] < p else v)
+
+
+def _ref_work(g, p):
+    def ref(v, s):
+        x, y, w, z = v
+        val = (pow(w, x, p) * pow(g, y, p)) % p if 1 <= w < p else 0
+        return (x, y, w, (z + s * val) % p) if z < p else v
+    return ref
+
+
+def _ref_shift(p, h, power):
+    return lambda v, s: ((v[0] * pow(h, s * power, p)) % p,) if 1 <= v[0] < p else v
+
+
+def _ref_cshift(p, h, power):
+    return lambda v, s: ((v[0], (v[1] * pow(h, s * ((power * v[0]) % (p - 1)), p)) % p)
+                         if 1 <= v[1] < p else v)
+
+
+def _assert_matches(gate, ref, dims, label):
+    assert gate.label == label
+    for v in itertools.product(*map(range, dims)):
+        assert gate.fn(v) == ref(v, 1), (label, v)
+        assert gate.inv(v) == ref(v, -1), (label, v)
+
+
+def _unit(L, start=2):
+    """The first unit mod L from `start` on."""
+    return next(a for a in itertools.count(start) if math.gcd(a, L) == 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_arithmetic_constructors_match_their_reference_formulas(p):
+    D = gates.register_dim(p)
+    for L in (p, p - 1, D):
+        a = _unit(L)
+        cases = [
+            (gates.add_mod(L, "x", "z"), _ref_add(L), (D, D), f"ADD_{L}"),
+            (gates.copy_gate(L, "x", "z"), _ref_add(L), (D, D), f"COPY_{L}"),
+            (gates.mul3(L, "x", "y", "z"), _ref_mul3(L), (D, D, D), f"MUL3_{L}"),
+            (gates.mod_reduce(L, "x", "z", D), _ref_mod_reduce(L, D), (D, D), f"MOD_{L}"),
+            (gates.set_const(L - 1, "z", D), _ref_set(L - 1, D), (D,), f"SET_{L - 1}"),
+            (gates.mul_const(a, L, "z"), _ref_mul_const(a, L), (D,), f"MUL_{a}_{L}"),
+            (gates.cond_mod_exp_two_reg(a, L, "x", "z"), _ref_cexp(a, L), (D, D),
+             f"CEXP_{a}_{L}"),
+            # any base: 2 shares a factor with the even moduli
+            (gates.cond_mod_exp_three_reg(2, L, "x", "y", "z"), _ref_cexp3(2, L), (D, D, D),
+             f"CEXP3_2_{L}"),
+            (gates.cond_mod_exp_two_var(3, 2, L, "x", "y", "z"), _ref_cexp2v(3, 2, L),
+             (D, D, D), f"CEXP2V_3_2_{L}"),
+        ]
+        cases += [(gates.pow_const(e, L, "x", "z"), _ref_pow(e, L), (D, D), f"POW_{e}_{L}")
+                  for e in range(4)]
+        for gate, ref, dims, label in cases:
+            _assert_matches(gate, ref, dims, label)
+    _assert_matches(gates.group_mul_acc(p, "x", "z"), _ref_gmul(p), (D, D), f"GMUL_{p}")
+    for h in (find_primitive_root(p), p - 1):
+        for power in range(-3, 6):
+            _assert_matches(gates.cyclic_shift(p, h, "z", power=power),
+                            _ref_shift(p, h, power), (D,), f"SHIFT_{h}^{power}")
+            _assert_matches(gates.cyclic_shift(p, h, "z", power=power, control="x"),
+                            _ref_cshift(p, h, power), (D, D), f"CSHIFT_{h}^{power}")
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, pytest.param(11, marks=pytest.mark.slow),
+                               pytest.param(13, marks=pytest.mark.slow)])
+def test_work_mod_exp_matches_its_reference_formula(p):
+    D = gates.register_dim(p)
+    g = find_primitive_root(p)
+    _assert_matches(gates.work_mod_exp(g, p, "x", "y", "w", "z"), _ref_work(g, p), (D,) * 4,
+                    f"UF_{g}_{p}")
+
+
+def test_construction_refusals_are_kept():
+    with pytest.raises(DomainError):
+        gates.mul_const(4, 6, "z")
+    with pytest.raises(DomainError):
+        gates.cond_mod_exp_two_reg(2, 6, "x", "z")
+    with pytest.raises(DomainError):
+        gates.pow_const(-1, 5, "x", "z")
+    with pytest.raises(DomainError):
+        gates.set_const(-1, "z", 8)
+    with pytest.raises(DomainError, match="divisible"):
+        gates.cyclic_shift(7, 14, "z")
+    with pytest.raises(DomainError, match="not invertible"):
+        gates.cyclic_shift(9, 3, "z")

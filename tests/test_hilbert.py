@@ -403,9 +403,8 @@ def test_fused_chain_matches_a_leaf_by_leaf_walk(monkeypatch):
         out = apply(st, chain, fused_ledger)
         ref = apply_all(st, chain.leaves, walk_ledger)
         assert out.entries == ref.entries
-        assert fused_ledger.entries == walk_ledger.entries
         assert fused_ledger.counts_by_class() == walk_ledger.counts_by_class() == {"arith": 9}
-        assert len(fused_ledger.entries) == len(chain.leaves) == 9
+        assert fused_ledger.count("arith") == len(chain.leaves) == 9
         # the adjoint shares the table: undoing the chain reads it backwards
         assert apply(out, adjoint(chain)).entries == st.entries
     # the second time round every code is in the table, so no leaf runs
@@ -415,7 +414,7 @@ def test_fused_chain_matches_a_leaf_by_leaf_walk(monkeypatch):
     for st in states:
         led = GateLedger()
         out = apply(st, chain, led)
-        assert led.entries == walk_ledger.entries
+        assert led.counts_by_class() == walk_ledger.counts_by_class()
         assert apply(out, adjoint(chain)).entries == st.entries
     assert walked == []
     (dims,) = chain.tables
@@ -427,15 +426,23 @@ def test_ledger_counts_by_class_match_a_recount_of_its_entries(monkeypatch):
     ledgers = []
 
     class Recorded(GateLedger):
+        """Also lists the cost class of every leaf it is handed."""
+
         def __init__(self):
             super().__init__()
+            self.classes = []
             ledgers.append(self)
+
+        def record(self, gate):
+            super().record(gate)
+            leaves = gate.leaves if isinstance(gate, Sequence) else (gate,)
+            self.classes += [leaf.cost_class for leaf in leaves]
 
     monkeypatch.setattr(driver, "GateLedger", Recorded)
     rep = driver.run_experiment(driver.ExperimentConfig(p=13, hidden_s=7))
     main, demo = ledgers
     for led in ledgers:
-        recount = Counter(cls for _, _, cls in led.entries)
+        recount = Counter(led.classes)
         assert led.counts_by_class() == recount
         assert all(led.count(cls) == n for cls, n in recount.items())
     assert demo.count("oracle-call") == 0 and demo.count("qft") > 0
@@ -486,7 +493,7 @@ def test_chain_past_the_code_limit_walks_its_gates():
         st = SparseState(layout, {k: 1 / math.sqrt(len(rows)) for k in rows})
         led, ref_led = GateLedger(), GateLedger()
         assert apply(st, chain, led).entries == apply_all(st, chain.leaves, ref_led).entries
-        assert led.entries == ref_led.entries
+        assert led.counts_by_class() == ref_led.counts_by_class()
     # too wide for one code, but the nested chain still fuses on its own
     assert chain.tables == {} and list(chain.gates[0].tables) == [(4, 2, BIG, 5)]
     with pytest.raises(SimulationError, match="too large"):
@@ -541,6 +548,20 @@ def test_support_table_refuses_a_repeated_image():
     with pytest.raises(SimulationError, match="not injective"):
         back.add(np.array([1, 6]), np.array([4, 4]), "t")
     assert len(table) == len(back) == 2
+
+
+@pytest.mark.parametrize("fn, inv, refusal", [
+    (lambda v: (v[0], v[1] + 1), lambda v: (v[0], v[1] - 1), "outside domain"),
+    (lambda v: (v[0], v[1] // 2), lambda v: (v[0], v[1] * 2), "not a bijection"),
+    (lambda v: (v[0], (v[1] + 1) % 4), lambda v: v, "inverse mismatch"),
+], ids=["image-out-of-range", "not-injective", "inverse-disagrees"])
+def test_compiled_table_refuses_a_broken_permutation(fn, inv, refusal):
+    layout = RegisterLayout([Register("a", 4), Register("b", 4)])
+    assert 16 <= EXHAUSTIVE_CHECK_LIMIT  # compiled, not kept as a support table
+    gate = Permutation(("a", "b"), fn, inv, label="broken")
+    with pytest.raises(SimulationError, match=refusal):
+        apply(SparseState.basis(layout, {"b": 1}), gate)
+    assert gate.tables == {} and gate.inv_tables == {}
 
 
 def test_norm_is_checked_only_where_amplitudes_change(monkeypatch):
