@@ -163,8 +163,7 @@ def to_largest_subspace(state: SparseState, spec: CyclicGroupSpec,
     """Lift every component into the largest subgroup subspace, after checking
     that each lies in its own source subspace."""
     for k, desc in enumerate(descriptors(spec)[:-1]):
-        col = state.keys[:, state.layout.index(regs.comps[k])]
-        if not np.isin(col, desc.basis).all():
+        if not np.isin(state.column(regs.comps[k]), desc.basis).all():
             raise SimulationError(
                 f"component {k} has support outside its source subspace")
     return apply_all(state, largest_subspace_gates(spec, regs), ledger)

@@ -134,21 +134,6 @@ def amplification_gates(good_builder, full_builder, schedule: list[float]) -> li
     return [gate for phi in schedule for gate in (good_builder(phi), full_builder(phi))]
 
 
-def amplitude_amplify(state: SparseState, good_builder, full_builder, mode: str,
-                      good_weight: float, grover_m: int | None = None,
-                      ledger: GateLedger | None = None) -> tuple[SparseState, dict]:
-    """Rotate weight onto the good component of `state`.
-
-    good_builder/full_builder map a phase angle to the corresponding rotation
-    gate; good_weight is the current weight of the good component.
-    """
-    schedule = amplification_schedule(good_weight, mode, grover_m)
-    state = apply_all(state, amplification_gates(good_builder, full_builder, schedule), ledger)
-    info = {"mode": mode, "iterations": len(schedule),
-            "phases": schedule, "initial_weight": good_weight}
-    return state, info
-
-
 def _coprime_mask(dim: int, m: int) -> np.ndarray:
     """Boolean mask over register values 0..dim-1: True where gcd(x, m) == 1."""
     return np.gcd(np.arange(dim), m) == 1
@@ -247,39 +232,8 @@ def u_log(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
     ), label="U_log")
 
 
-# --- state-level stage operations (diagnostics and tests) --------------------
-
-def prepare_psi1(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
-                 ledger: GateLedger | None = None) -> SparseState:
-    """Uniform double index superposition with the functional register loaded:
-    support (p-1)^2, every amplitude of magnitude 1/(p-1)."""
-    if not 1 <= b < spec.p:
-        raise DomainError(f"instance value {b} outside the group")
-    layout = make_dlog_layout(spec, regs)
-    state = SparseState.basis(layout, {regs.w: b})
-    return apply_all(state, pipeline_kit(spec, regs)["psi1"], ledger)
-
-
-def to_psi2(state: SparseState, spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
-            ledger: GateLedger | None = None) -> SparseState:
-    """Second Fourier pass and swap; afterwards the two index registers show
-    exactly p-1 patterns (l, l*s mod (p-1))."""
-    if state.support_size != (spec.p - 1) ** 2:
-        raise SimulationError("input does not have the double-superposition shape")
-    return apply_all(state, pipeline_kit(spec, regs)["psi2"], ledger)
-
-
 def index_patterns(state: SparseState, regs: DlogRegs = DlogRegs()) -> set[tuple[int, int]]:
-    cols = [state.layout.index(regs.x), state.layout.index(regs.y)]
-    return set(map(tuple, state.keys[:, cols].tolist()))
-
-
-def euler_filter(state: SparseState, spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
-                 ledger: GateLedger | None = None) -> tuple[SparseState, float]:
-    """Apply the Euler-power filter; returns the state and the weight of the
-    coprime components (phi(p-1)/(p-1) for a uniform pattern state)."""
-    state = apply_all(state, pipeline_kit(spec, regs)["euler"], ledger)
-    return state, state.weight_where(regs.x, _coprime_mask(state.layout.dim(regs.x), spec.p - 1))
+    return set(zip(state.column(regs.x).tolist(), state.column(regs.y).tolist()))
 
 
 def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),

@@ -1,12 +1,15 @@
 """Sparse state engine for multi-register, mixed-radix Hilbert spaces.
 
-A state is a pair of arrays: an n x width int64 key matrix whose rows are the
-basis tuples of its support (one column per register), and a length-n complex
-vector of their amplitudes.  Gates are permutations, phase functions, local
-dense unitaries, controlled gates, or sequences thereof; applying one maps the
-two arrays to two new ones, so total dimension can be astronomical as long as
-support stays small.  `SparseState.entries`, a {basis tuple: amplitude} dict,
-is built only when a caller reads it.
+A state is a pair of arrays: an n x W int64 matrix of words, one row per basis
+tuple of its support, and a length-n complex vector of their amplitudes.  The
+layout packs a tuple's registers in order into the fewest words that hold
+them, each word a mixed-radix number of whole registers below CODE_LIMIT, so
+word rows sort as the tuples do.  Gates are permutations, phase functions,
+local dense unitaries, controlled gates, or sequences thereof; applying one
+maps the two arrays to two new ones, so total dimension can be astronomical as
+long as support stays small.  `SparseState.entries`, a {basis tuple:
+amplitude} dict, is built only when read; `SparseState.column` reads one
+register.
 
 Conventions:
   - PhaseFn multiplies the amplitude of a listed basis tuple x of its registers
@@ -48,7 +51,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -56,8 +59,9 @@ NORM_TOL = 1e-10
 DROP_THRESHOLD = 1e-14
 RELEASE_TOL = 1e-8
 EXHAUSTIVE_CHECK_LIMIT = 1 << 20
-CODE_LIMIT = 1 << 62  # a product dimension below this flat-encodes into int64
+CODE_LIMIT = 1 << 62  # bounds a flat code's domain and a word's values
 GATE_SETS = 8  # gate builders memoized per process (functools.lru_cache maxsize)
+MANY_ROWS = 1 << 10  # from here a few more numpy passes, each cheaper, beat fewer calls
 
 ROLES = ("work", "aux", "flag", "halt", "branch", "control", "record")
 
@@ -79,20 +83,55 @@ class Register:
             raise SimulationError(f"register {self.name}: unknown role {self.role!r}")
 
 
+class _Run(NamedTuple):
+    """Registers next to each other in one word, read as one mixed-radix
+    digit (word // stride) % span; `top`: no register of the word lies above."""
+    word: int
+    stride: int
+    span: int
+    top: bool
+
+
+class _Code(NamedTuple):
+    """Where k registers lie in the words.  Their flat code (row-major in the
+    given order, as compiled and support tables key it) is digits @ weights,
+    with digits = words[:, cols] // strides % spans; a change of digits times
+    `scatter` (k x W, strides[j] in column cols[j]) is the change of the words."""
+    dims: tuple[int, ...]
+    run: _Run | None  # the registers as one run, when they are one in this order
+    places: tuple[_Run, ...]
+    cols: np.ndarray
+    strides: np.ndarray
+    spans: np.ndarray
+    weights: np.ndarray | None  # None when the domain reaches CODE_LIMIT
+    scatter: np.ndarray
+
+
 class RegisterLayout:
-    """Ordered, uniquely-named registers; positions are fixed at construction."""
+    """Ordered, uniquely-named registers; positions and their packing into
+    words are fixed at construction."""
 
     def __init__(self, registers: list[Register] | tuple[Register, ...]):
         self.registers = tuple(registers)
-        names = [r.name for r in self.registers]
-        if len(set(names)) != len(names):
+        self.names = tuple(r.name for r in self.registers)
+        if len(set(self.names)) != len(self.names):
             raise SimulationError("duplicate register names")
         self._pos = {r.name: i for i, r in enumerate(self.registers)}
-        dims = tuple(r.dim for r in self.registers)
-        # mixed-radix strides that flat-encode a whole basis tuple, or None
-        # when the product dimension overflows int64
-        self.flat_strides = (np.array(_strides(dims), dtype=np.int64)
-                             if math.prod(dims) < CODE_LIMIT else None)
+        caps: list[int] = []
+        filled = []  # per register: its word, and the product of its word's dims so far
+        for r in self.registers:
+            if r.dim > CODE_LIMIT:
+                raise SimulationError(f"register {r.name}: dimension above {CODE_LIMIT}")
+            # greedy: a register opens a word only when the last cannot hold it
+            if not caps or caps[-1] * r.dim > CODE_LIMIT:
+                caps.append(1)
+            caps[-1] *= r.dim
+            filled.append((len(caps) - 1, caps[-1]))
+        self.word_caps, self.width = tuple(caps), len(caps)  # each word's product dim; words per row
+        self.places = tuple(_Run(w, caps[w] // part, r.dim, part == r.dim)
+                            for (w, part), r in zip(filled, self.registers))
+        self._codes: dict[tuple[str, ...], _Code] = {}
+        self._rows = self.code(self.names)  # every register in order: packs and unpacks rows
 
     def index(self, name: str) -> int:
         try:
@@ -103,53 +142,124 @@ class RegisterLayout:
     def dim(self, name: str) -> int:
         return self.registers[self.index(name)].dim
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.registers)
-
     def zero_tuple(self) -> tuple[int, ...]:
         return (0,) * len(self.registers)
 
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """Words of an n x len(registers) matrix of in-range basis tuples."""
+        return rows @ self._rows.scatter
+
+    def unpack(self, words: np.ndarray) -> np.ndarray:
+        """The basis tuples of word rows, one column per register."""
+        return _digits(words, self._rows)
+
+    def code(self, regs: tuple[str, ...]) -> _Code:
+        """Where the registers `regs` lie in the words; worked out once."""
+        found = self._codes.get(regs)
+        if found is None:
+            pos = [self.index(r) for r in regs]
+            places = tuple(self.places[i] for i in pos)
+            dims = tuple(pl.span for pl in places)
+            run = None
+            if pos == list(range(pos[0], pos[0] + len(pos))) and len({pl.word for pl in places}) == 1:
+                run = _Run(places[0].word, places[-1].stride, math.prod(dims), places[0].top)
+            cols, strides = np.array([pl.word for pl in places]), np.array([pl.stride for pl in places])
+            scatter = np.zeros((len(pos), self.width), dtype=np.int64)
+            scatter[np.arange(len(pos)), cols] = strides
+            weights = np.array(_strides(dims)) if math.prod(dims) < CODE_LIMIT else None
+            found = self._codes[regs] = _Code(dims, run, places, cols, strides, np.array(dims),
+                                              weights, scatter)
+        return found
+
+
+def _run_value(words: np.ndarray, run: _Run) -> np.ndarray:
+    x = words[:, run.word]
+    if run.stride != 1:
+        x = x // run.stride
+    return x if run.top else x % run.span
+
+
+def _digits(words: np.ndarray, code: _Code) -> np.ndarray:
+    """The rows' values on a code's registers, one column per register."""
+    return words[:, code.cols] // code.strides % code.spans
+
+
+def _encode(words: np.ndarray, code: _Code) -> tuple[np.ndarray, np.ndarray | list | None]:
+    """The rows' flat codes (the domain below CODE_LIMIT), and their digits for
+    `_recode` unless the registers are one run: a matrix for few rows, and from
+    MANY_ROWS on a list of columns, as numpy divides by a scalar much faster."""
+    if code.run is not None:
+        return _run_value(words, code.run), None
+    if len(words) < MANY_ROWS:
+        digits = _digits(words, code)
+        return digits @ code.weights, digits
+    digits = [_run_value(words, place) for place in code.places]
+    return sum(d * w for d, w in zip(digits, code.weights.tolist())), digits
+
+
+def _recode(words: np.ndarray, code: _Code, codes: np.ndarray,
+            digits: np.ndarray | list | None, images: np.ndarray) -> np.ndarray:
+    """The rows' words with their registers moved from `codes` (and the
+    `digits` `_encode` gave with them) to `images`."""
+    if code.run is not None:
+        delta = (images - codes) * code.run.stride
+        if words.shape[1] == 1:
+            return (words[:, 0] + delta)[:, None]
+        new = words.copy()
+        new[:, code.run.word] += delta
+        return new
+    if isinstance(digits, list):
+        new = words.copy()
+        for place, weight, old in zip(code.places, code.weights.tolist(), digits):
+            new[:, place.word] += (images // weight % place.span - old) * place.stride
+        return new
+    return words + (images[:, None] // code.weights % code.spans - digits) @ code.scatter
+
 
 class SparseState:
-    """Normalized sparse state: row j of the int64 matrix `keys` is a basis
-    tuple (one column per register) and `amps[j]` is its amplitude.  Rows are
-    distinct; their order carries no meaning."""
+    """Normalized sparse state: row j of the int64 matrix `words` packs a
+    basis tuple (see `RegisterLayout`) and `amps[j]` is its amplitude.  Rows
+    are distinct; their order carries no meaning."""
 
     def __init__(self, layout: RegisterLayout, entries: dict[tuple[int, ...], complex]):
         self.layout = layout
-        self.keys = np.array(list(entries), dtype=np.int64).reshape(
-            len(entries), len(layout.registers))
+        dims = [r.dim for r in layout.registers]
+        try:
+            rows = np.array(list(entries) or np.empty((0, len(dims))), dtype=np.int64)
+        except (ValueError, TypeError, OverflowError):
+            rows = np.empty((0, 0))  # ragged or out of int64: refused below
+        if rows.shape[1:] != (len(dims),) or ((rows < 0) | (rows >= dims)).any():
+            raise SimulationError(
+                f"basis tuples need one value in [0, dim) per register of {layout.names}")
+        self.words = layout.pack(rows)
         self.amps = np.array(list(entries.values()), dtype=complex)
         self._entries = None
-        _freeze(self.keys, self.amps)
+        _freeze(self.words, self.amps)
         if abs(self.norm() - 1.0) > NORM_TOL:
             raise SimulationError(f"state norm {self.norm()} outside tolerance")
 
     @classmethod
-    def from_arrays(cls, layout: RegisterLayout, keys: np.ndarray,
+    def from_arrays(cls, layout: RegisterLayout, words: np.ndarray,
                     amps: np.ndarray) -> "SparseState":
         """Wrap gate-application output as is: no copy and no norm check."""
         state = cls.__new__(cls)
-        state.layout, state.keys, state.amps, state._entries = layout, keys, amps, None
-        _freeze(keys, amps)
+        state.layout, state.words, state.amps, state._entries = layout, words, amps, None
+        _freeze(words, amps)
         return state
 
     @classmethod
     def basis(cls, layout: RegisterLayout, values: dict[str, int] | None = None) -> "SparseState":
         tup = list(layout.zero_tuple())
         for name, v in (values or {}).items():
-            i = layout.index(name)
-            if not 0 <= v < layout.registers[i].dim:
-                raise SimulationError(f"value {v} outside register {name}")
-            tup[i] = v
+            tup[layout.index(name)] = v
         return cls(layout, {tuple(tup): 1.0 + 0.0j})
 
     @property
     def entries(self) -> dict[tuple[int, ...], complex]:
         """{basis tuple: amplitude}, built on first read; a read-only view."""
         if self._entries is None:
-            self._entries = dict(zip(map(tuple, self.keys.tolist()), self.amps.tolist()))
+            self._entries = dict(zip(map(tuple, self.layout.unpack(self.words).tolist()),
+                                     self.amps.tolist()))
         return self._entries
 
     def norm(self) -> float:
@@ -165,11 +275,15 @@ class SparseState:
     def sole_tuple(self) -> tuple[int, ...]:
         if not self.is_basis_state():
             raise SimulationError("state is a superposition, not a single basis state")
-        return tuple(self.keys[0].tolist())
+        return tuple(self.layout.unpack(self.words)[0].tolist())
+
+    def column(self, name: str) -> np.ndarray:
+        """The value of register `name` on each row."""
+        return _run_value(self.words, self.layout.places[self.layout.index(name)])
 
     def register_value(self, name: str) -> int:
         """Value of one register when it is sharp across the support."""
-        col = self.keys[:, self.layout.index(name)]
+        col = self.column(name)
         if not len(col) or (col != col[0]).any():
             raise SimulationError(
                 f"register {name} is not sharp: values {sorted(set(col.tolist()))}")
@@ -177,10 +291,9 @@ class SparseState:
 
     def dominant_register_value(self, name: str) -> int:
         """Highest-weight value of one register (ties break to the lowest value)."""
-        order = _lex_order(self.keys)
+        order = _sort_groups(self.words)[0]
         weights: dict[int, float] = {}
-        for v, a in zip(self.keys[order, self.layout.index(name)].tolist(),
-                        self.amps[order].tolist()):
+        for v, a in zip(self.column(name)[order].tolist(), self.amps[order].tolist()):
             weights[v] = weights.get(v, 0.0) + abs(a) ** 2
         return max(weights.items(), key=lambda kv: (kv[1], -kv[0]))[0]
 
@@ -189,21 +302,15 @@ class SparseState:
         lexicographically largest tuple)."""
         mags = [abs(a) for a in self.amps.tolist()]
         top = max(mags)
-        return max(map(tuple, self.keys[[m == top for m in mags]].tolist()))
+        return max(map(tuple, self.layout.unpack(self.words[[m == top for m in mags]]).tolist()))
 
     def weight_where(self, reg: str, mask: np.ndarray) -> float:
         """Weight of the rows whose value on register `reg` is flagged in
         `mask`, a boolean array indexed by that register's values."""
-        hit = np.asarray(mask, dtype=bool)[self.keys[:, self.layout.index(reg)]]
-        return _weight(self.amps[hit])
+        return _weight(self.amps[np.asarray(mask, dtype=bool)[self.column(reg)]])
 
     def register_weight_outside(self, name: str, value: int = 0) -> float:
-        return _weight(self.amps[self.keys[:, self.layout.index(name)] != value])
-
-
-def _lex_order(rows: np.ndarray) -> np.ndarray:
-    """Indices that visit the rows of an integer matrix in lexicographic order."""
-    return np.lexsort(rows.T[::-1])
+        return _weight(self.amps[self.column(name) != value])
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -448,12 +555,7 @@ class Sequence(GateOp):
     inv_tables: dict = field(default_factory=dict, repr=False)
 
     def registers(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for g in self.gates:
-            for r in g.registers():
-                if r not in seen:
-                    seen.append(r)
-        return tuple(seen)
+        return tuple(dict.fromkeys(r for g in self.gates for r in g.registers()))
 
     @cached_property
     def leaves(self) -> tuple[GateOp, ...]:
@@ -525,40 +627,34 @@ def adjoint(gate: GateOp) -> GateOp:
     raise SimulationError(f"cannot take adjoint of {type(gate).__name__}")
 
 
-def _permute_keys(layout: RegisterLayout, keys: np.ndarray, gate: Permutation) -> np.ndarray:
-    pos = [layout.index(r) for r in gate.regs]
-    dims = tuple(layout.registers[i].dim for i in pos)
-    table = gate.table_for(dims)
-    if table is not None and len(pos) == 1:
-        new_keys = keys.copy()
-        new_keys[:, pos[0]] = table[keys[:, pos[0]]]
-        return new_keys
-    if math.prod(dims) >= CODE_LIMIT:
-        raise SimulationError(f"{gate.label}: domain {dims} too large for a flat code")
-    strides = np.array(_strides(dims), dtype=np.int64)
-    codes = keys[:, pos] @ strides
+def _permute_words(layout: RegisterLayout, words: np.ndarray, gate: Permutation) -> np.ndarray:
+    code = layout.code(gate.regs)
+    table = gate.table_for(code.dims)
+    if table is None and code.weights is None:
+        raise SimulationError(f"{gate.label}: domain {code.dims} too large for a flat code")
+    codes, digits = _encode(words, code)
     if table is not None:
-        return _decode_into(keys, pos, dims, strides, table[codes])
+        return _recode(words, code, codes, digits, table[codes])
 
     def fill(rows: np.ndarray) -> np.ndarray:
-        sub = keys[rows][:, pos].tolist()
+        sub = list(zip(*(c.tolist() for c in np.unravel_index(codes[rows], code.dims))))
         try:
-            images = np.array([gate.fn(tuple(v)) for v in sub], dtype=np.int64)
+            images = np.array([gate.fn(v) for v in sub], dtype=np.int64)
         except (ValueError, OverflowError):
             images = None
-        if (images is None or images.shape != (len(sub), len(dims))
-                or (images < 0).any() or (images >= np.array(dims)).any()):
+        if (images is None or images.shape != (len(sub), len(code.dims))
+                or (images < 0).any() or (images >= np.array(code.dims)).any()):
             raise SimulationError(f"{gate.label}: image outside domain")
         for x, y in zip(sub, images.tolist()):
             # inv must lead the image back to a preimage; for a bijection
             # that is x itself
             back = tuple(gate.inv(tuple(y)))
-            if back != tuple(x) and tuple(gate.fn(back)) != tuple(y):
-                raise SimulationError(f"{gate.label}: inverse mismatch at {tuple(x)}")
-        return images @ strides
+            if back != x and tuple(gate.fn(back)) != tuple(y):
+                raise SimulationError(f"{gate.label}: inverse mismatch at {x}")
+        return images @ code.weights
 
-    return _decode_into(keys, pos, dims, strides,
-                        _images(_support_table(gate, dims), codes, fill, gate.label))
+    return _recode(words, code, codes, digits,
+                   _images(_support_table(gate, code.dims), codes, fill, gate.label))
 
 
 def _images(table: SupportTable, codes: np.ndarray, fill: Callable[[np.ndarray], np.ndarray],
@@ -569,71 +665,65 @@ def _images(table: SupportTable, codes: np.ndarray, fill: Callable[[np.ndarray],
     if hit.all():
         return images
     miss = np.flatnonzero(~hit)
-    order, starts = _sort_groups(codes[miss])
+    order, _, starts = _sort_groups(codes[miss])
     rows = miss[order[starts]]
     table.add(codes[rows], fill(rows), label)
     return table.lookup(codes)[0]
 
 
-def _decode_into(keys: np.ndarray, pos: list[int], dims: tuple[int, ...],
-                 strides: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """A copy of `keys` with columns `pos` set from their flat codes."""
-    new_keys = keys.copy()
-    for j, d, s in zip(pos, dims, strides.tolist()):
-        new_keys[:, j] = (codes // s) % d
-    return new_keys
-
-
-def _map_chain(layout: RegisterLayout, keys: np.ndarray, gate: Sequence) -> np.ndarray:
-    pos = [layout.index(r) for r in gate.code_registers]
-    dims = tuple(layout.registers[i].dim for i in pos)
-    if math.prod(dims) >= CODE_LIMIT:
+def _map_chain(layout: RegisterLayout, words: np.ndarray, gate: Sequence) -> np.ndarray:
+    code = layout.code(gate.code_registers)
+    if code.weights is None:
         # too wide for one flat code: walk the gates, whose own chains may fuse
         for g in gate.gates:
-            keys = _map_keys(layout, keys, g)
-        return keys
-    strides = np.array(_strides(dims), dtype=np.int64)
+            words = _map_words(layout, words, g)
+        return words
 
     def walk(rows: np.ndarray) -> np.ndarray:
-        sub = keys[rows]
+        sub = words[rows]
         for leaf in gate.leaves:
-            sub = _map_keys(layout, sub, leaf)
-        return sub[:, pos] @ strides
+            sub = _map_words(layout, sub, leaf)
+        return _encode(sub, code)[0]
 
-    return _decode_into(keys, pos, dims, strides,
-                        _images(_support_table(gate, dims), keys[:, pos] @ strides, walk,
-                                gate.label))
+    codes, digits = _encode(words, code)
+    return _recode(words, code, codes, digits,
+                   _images(_support_table(gate, code.dims), codes, walk, gate.label))
 
 
-def _map_keys(layout: RegisterLayout, keys: np.ndarray, gate: GateOp) -> np.ndarray:
+def _map_words(layout: RegisterLayout, words: np.ndarray, gate: GateOp) -> np.ndarray:
     """The rows' images, row for row, under a gate that only permutes basis tuples."""
     if isinstance(gate, Permutation):
-        return _permute_keys(layout, keys, gate)
+        return _permute_words(layout, words, gate)
     if isinstance(gate, Controlled):
-        hot = _match(layout, keys, gate.controls, list(gate.on)) >= 0
+        hot = _match(layout, words, gate.controls, list(gate.on)) >= 0
         if not hot.any():
-            return keys
-        new_keys = keys.copy()
-        new_keys[hot] = _map_keys(layout, keys[hot], gate.inner)
-        return new_keys
-    return _map_chain(layout, keys, gate)
+            return words
+        new = words.copy()
+        new[hot] = _map_words(layout, words[hot], gate.inner)
+        return new
+    return _map_chain(layout, words, gate)
 
 
-def _sort_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An order that sorts `codes` (integers, or the rows of a matrix taken
-    lexicographically), and a mask over the sorted positions that is True
-    where a new distinct code starts."""
-    if codes.ndim == 1:
-        order = np.argsort(codes)
-        ordered = codes[order]
-        changed = ordered[1:] != ordered[:-1]
+def _sort_groups(rows: np.ndarray, bound: int = 1 << 63) -> tuple[np.ndarray, ...]:
+    """An order that sorts `rows` (integers, or matrix rows taken lexicographically),
+    the sorted rows, and a mask that is True where a new distinct row starts.
+    From MANY_ROWS on, integers below `bound` sort packed with their index."""
+    if rows.ndim == 2 and rows.shape[1] == 1:
+        rows = rows[:, 0]
+    n = len(rows)
+    if rows.ndim == 1 and n >= MANY_ROWS and bound << n.bit_length() <= 1 << 63:
+        ordered = rows << n.bit_length()
+        ordered |= np.arange(n)
+        ordered.sort()
+        order = ordered & ((1 << n.bit_length()) - 1)
+        ordered >>= n.bit_length()
     else:
-        order = _lex_order(codes)
-        ordered = codes[order]
-        changed = np.any(ordered[1:] != ordered[:-1], axis=1)
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = changed
-    return order, starts
+        order = np.argsort(rows) if rows.ndim == 1 else np.lexsort(rows.T[::-1])
+        ordered = rows[order]
+    changed = ordered[1:] != ordered[:-1]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = changed if changed.ndim == 1 else changed.any(axis=1)
+    return order, ordered, starts
 
 
 def _check_arity(label: str, regs: tuple[str, ...], listed) -> None:
@@ -641,30 +731,31 @@ def _check_arity(label: str, regs: tuple[str, ...], listed) -> None:
         raise SimulationError(f"{label}: listed tuples need one value per register {regs}")
 
 
-def _match(layout: RegisterLayout, keys: np.ndarray, regs: tuple[str, ...],
+def _match(layout: RegisterLayout, words: np.ndarray, regs: tuple[str, ...],
            listed: list[tuple[int, ...]]) -> np.ndarray:
     """Per support row, the position in `listed` of the row's values on `regs`,
     or -1 when they are not listed."""
-    pos = [layout.index(r) for r in regs]
-    if len(pos) == 1:
-        dim = layout.registers[pos[0]].dim
+    code = layout.code(regs)
+    if len(regs) == 1:
+        (dim,) = code.dims
         table = np.full(dim, -1, dtype=np.int64)
         for j, (v,) in enumerate(listed):
             if 0 <= v < dim:
                 table[v] = j
-        return table[keys[:, pos[0]]]
-    # several registers: few listed tuples, compared column-wise with no flat
-    # encoding that could overflow
-    found = np.full(keys.shape[0], -1, dtype=np.int64)
-    sub = keys[:, pos]
+        return table[_run_value(words, code.run)]
+    # several registers: few listed tuples, compared digit by digit, so a
+    # domain past CODE_LIMIT needs no flat code
+    found = np.full(len(words), -1, dtype=np.int64)
+    digits = _digits(words, code)
     for j, x in enumerate(listed):
-        found[np.all(sub == np.array(x, dtype=np.int64), axis=1)] = j
+        if all(0 <= v < d for v, d in zip(x, code.dims)):
+            found[(digits == x).all(axis=1)] = j
     return found
 
 
-def _apply_phase(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
+def _apply_phase(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
                  gate: PhaseFn) -> tuple[np.ndarray, np.ndarray]:
-    found = _match(layout, keys, gate.regs, list(gate.angles))
+    found = _match(layout, words, gate.regs, list(gate.angles))
     hit = found >= 0
     if hit.any():
         angles = np.array(list(gate.angles.values()), dtype=float)
@@ -672,80 +763,96 @@ def _apply_phase(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
         # out of place on purpose: numpy's in-place complex `*=` can round the
         # last bit differently, which would move report bytes
         amps[hit] = amps[hit] * np.exp(1j * angles[found[hit]])
-    return keys, amps
+    return words, amps
 
 
-def _apply_local(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
+def _apply_local(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
                  gate: LocalUnitary) -> tuple[np.ndarray, np.ndarray]:
     i = layout.index(gate.reg)
     d = gate.matrix.shape[0]
     if layout.registers[i].dim < d:
         raise SimulationError(f"{gate.label}: matrix larger than register {gate.reg}")
-    col = keys[:, i]
+    place = layout.places[i]
+    col = _run_value(words, place)
     if col.size and int(col.max()) >= d:
         raise SimulationError(
             f"{gate.label}: support at {int(col.max())} outside the {d}-dim domain of {gate.reg}")
     # group rows that agree off register i, groups in sorted order of their
-    # other columns (a row's place within its group does not matter)
-    strides = layout.flat_strides
-    if strides is not None:
-        order, starts = _sort_groups(keys @ np.where(np.arange(len(strides)) == i, 0, strides))
+    # other registers (a row's place within its group does not matter): the
+    # group key is the row's word with register i cleared
+    key = col * place.stride
+    np.subtract(words[:, place.word], key, out=key)
+    if words.shape[1] == 1:
+        order, ordered, starts = _sort_groups(key, layout.word_caps[0])
     else:
-        order, starts = _sort_groups(np.delete(keys, i, axis=1))
-    first = order[starts]
-    cell = np.empty(len(order), dtype=np.int64)  # each row's cell in the flat bucket
-    cell[order] = (np.cumsum(starts) - 1) * d
+        grouped = words.copy()
+        grouped[:, place.word] = key
+        order, ordered, starts = _sort_groups(grouped)
+    groups = ordered[starts]
+    at = np.cumsum(starts, out=key)  # the keys are spent: each sorted row's group
+    at -= 1
+    at *= d
+    cell = np.empty(len(key), dtype=np.int64)  # each row's cell in the flat bucket
+    cell[order] = at
     cell += col
-    bucket = np.zeros((len(first), d), dtype=complex)
+    bucket = np.zeros((len(groups), d), dtype=complex)
     bucket.reshape(-1)[cell] = amps
     out = bucket @ gate.matrix.T
-    # recombination leaves numerical dust behind: keep only what clears the threshold
-    kept = np.flatnonzero(np.abs(out) >= DROP_THRESHOLD)
-    rows, vals = np.divmod(kept, d)
-    new_keys = np.take(keys, np.take(first, rows), axis=0)
-    new_keys[:, i] = vals
-    return new_keys, np.take(out, kept)
+    # recombination leaves numerical dust behind: keep only what clears the
+    # threshold (the spent bucket's real parts take the magnitudes); a kept
+    # cell's words are its group's, with register i set to the cell's column
+    kept = np.abs(out, out=bucket.real) >= DROP_THRESHOLD
+    if kept.all() and groups.ndim == 1:
+        return (groups[:, None] + np.arange(0, d * place.stride, place.stride)).reshape(-1, 1), \
+            out.reshape(-1)
+    rows, vals = np.divmod(np.flatnonzero(kept), d)
+    vals *= place.stride
+    new = groups[rows]
+    if new.ndim == 1:
+        return (new + vals)[:, None], out[kept]
+    new[:, place.word] += vals
+    return new, out[kept]
 
 
-def _apply_controlled(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
+def _apply_controlled(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
                       gate: Controlled) -> tuple[np.ndarray, np.ndarray]:
-    mask = _match(layout, keys, gate.controls, list(gate.on)) >= 0
+    mask = _match(layout, words, gate.controls, list(gate.on)) >= 0
     if not mask.any():
-        return keys, amps
+        return words, amps
     # the inner gate cannot touch control registers, so hot and cold stay disjoint
-    hk, ha = _apply_arrays(layout, keys[mask], amps[mask], gate.inner, None)
-    return np.concatenate([keys[~mask], hk]), np.concatenate([amps[~mask], ha])
+    hw, ha = _apply_arrays(layout, words[mask], amps[mask], gate.inner, None)
+    return np.concatenate([words[~mask], hw]), np.concatenate([amps[~mask], ha])
 
 
-def _apply_arrays(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
+def _apply_arrays(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
                   gate: GateOp, ledger: GateLedger | None) -> tuple[np.ndarray, np.ndarray]:
     if _permutes(gate):
         if ledger is not None:
             ledger.record(gate)
-        return _map_keys(layout, keys, gate), amps
+        return _map_words(layout, words, gate), amps
     if isinstance(gate, Sequence):
         for g in gate.gates:
-            keys, amps = _apply_arrays(layout, keys, amps, g, ledger)
-        return keys, amps
+            words, amps = _apply_arrays(layout, words, amps, g, ledger)
+        return words, amps
     if ledger is not None:
         ledger.record(gate)
     if isinstance(gate, PhaseFn):
-        return _apply_phase(layout, keys, amps, gate)
+        return _apply_phase(layout, words, amps, gate)
     if isinstance(gate, LocalUnitary):
-        return _apply_local(layout, keys, amps, gate)
+        return _apply_local(layout, words, amps, gate)
     if isinstance(gate, Controlled):
-        return _apply_controlled(layout, keys, amps, gate)
+        return _apply_controlled(layout, words, amps, gate)
     raise SimulationError(f"unknown gate type {type(gate).__name__}")
 
 
 def apply(state: SparseState, gate: GateOp, ledger: GateLedger | None = None) -> SparseState:
     """Apply a gate; enforces norm preservation."""
-    keys, amps = _apply_arrays(state.layout, state.keys, state.amps, gate, ledger)
+    words, amps = _apply_arrays(state.layout, state.words, state.amps, gate, ledger)
     if amps is not state.amps:  # the input's own (frozen) amplitudes keep their norm
         before, after = float(np.linalg.norm(state.amps)), float(np.linalg.norm(amps))
         if abs(after - before) > NORM_TOL:
             raise SimulationError(f"{gate.label}: norm drifted {before} -> {after}")
-    return SparseState.from_arrays(state.layout, keys, amps)
+    return SparseState.from_arrays(state.layout, words, amps)
 
 
 def apply_all(state: SparseState, gates: Iterable[GateOp],
@@ -758,11 +865,13 @@ def apply_all(state: SparseState, gates: Iterable[GateOp],
 
 def inner_product(s1: SparseState, s2: SparseState) -> complex:
     """<s1|s2>, summed term by term over the shared basis tuples in lexicographic order."""
-    if s1.layout is not s2.layout and s1.layout.names != s2.layout.names:
+    if s1.layout is not s2.layout and (s1.layout.names, s1.layout.places) != (
+            s2.layout.names, s2.layout.places):
         raise SimulationError("layout mismatch in inner product")
     # rows are distinct within each state, so a tuple both hold sorts into two
     # adjacent rows, the lower index from s1
-    order, starts = _sort_groups(np.concatenate([s1.keys, s2.keys]))
+    order, _, starts = _sort_groups(np.concatenate([s1.words, s2.words]),
+                                    s1.layout.word_caps[0])
     both = ~starts[1:]
     lo = np.minimum(order[:-1], order[1:])[both]
     hi = np.maximum(order[:-1], order[1:])[both] - len(s1.amps)

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import dlog_stages as stages
 from cycsim import dlog_pipeline as dl
 from cycsim import gates, halting_program as hp
 from cycsim import hilbert, mq_circuits as mq
@@ -71,9 +72,9 @@ def test_criterion_2_dlog_unitary(p):
 def test_criterion_3_euler_filter_and_grover():
     for p in CRT_PRIMES:
         spec = make_group_spec(p)
-        st = dl.prepare_psi1(spec, b=pow(spec.g, min(3, p - 2), p))
-        st = dl.to_psi2(st, spec)
-        _, weight = dl.euler_filter(st, spec)
+        st = stages.prepare_psi1(spec, b=pow(spec.g, min(3, p - 2), p))
+        st = stages.to_psi2(st, spec)
+        _, weight = stages.euler_filter(st, spec)
         assert abs(weight - totient(p - 1) / (p - 1)) < 1e-12, p
     # amplified weight follows the closed-form rotation
     spec = make_group_spec(13)
@@ -82,10 +83,10 @@ def test_criterion_3_euler_filter_and_grover():
     prep1 = hilbert.Sequence(tuple(kit["stage1"]))
     w = totient(12) / 12
     for m in (1, 2, 3):
-        st = dl.prepare_psi1(spec, b=11)
-        st = dl.to_psi2(st, spec)
-        st, _ = dl.euler_filter(st, spec)
-        out, _ = dl.amplitude_amplify(
+        st = stages.prepare_psi1(spec, b=11)
+        st = stages.to_psi2(st, spec)
+        st, _ = stages.euler_filter(st, spec)
+        out, _ = stages.amplitude_amplify(
             st, lambda phi: dl.good_rotation_stage1(spec, regs, phi),
             lambda phi: dl.reflect_about(prep1, dl._full_pivot(regs), phi),
             "grover", w, m)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import dlog_stages as stages
 from cycsim import dlog_pipeline as dl
 from cycsim import gates, hilbert
 from cycsim.hilbert import SparseState, adjoint, apply
@@ -11,7 +12,7 @@ PRIMES_WEIGHT = (5, 7, 11, 13, 29, 61)
 
 
 def test_prepare_psi1_uniform(spec13):
-    st = dl.prepare_psi1(spec13, b=pow(2, 7, 13))
+    st = stages.prepare_psi1(spec13, b=pow(2, 7, 13))
     assert st.support_size == 144
     assert all(abs(abs(a) - 1 / 12) < 1e-12 for a in st.entries.values())
     assert abs(st.norm() - 1) < 1e-10
@@ -19,7 +20,7 @@ def test_prepare_psi1_uniform(spec13):
 
 def test_prepare_psi1_p3_support():
     spec = make_group_spec(3)
-    st = dl.prepare_psi1(spec, b=2)  # b = g^1
+    st = stages.prepare_psi1(spec, b=2)  # b = g^1
     assert st.support_size == 4
     # third register always holds 2^(x+y) mod 3
     lay = st.layout
@@ -31,8 +32,8 @@ def test_prepare_psi1_p3_support():
 
 def test_to_psi2_patterns():
     spec = make_group_spec(5)
-    st = dl.prepare_psi1(spec, b=pow(spec.g, 1, 5))
-    st = dl.to_psi2(st, spec)
+    st = stages.prepare_psi1(spec, b=pow(spec.g, 1, 5))
+    st = stages.to_psi2(st, spec)
     assert dl.index_patterns(st) == {(l, l) for l in range(4)}  # s = 1
     # zero pattern always present, total probability 1
     assert (0, 0) in dl.index_patterns(st)
@@ -42,23 +43,23 @@ def test_to_psi2_patterns():
 def test_to_psi2_rejects_wrong_shape(spec13):
     lay = dl.make_dlog_layout(spec13)
     with pytest.raises(hilbert.SimulationError):
-        dl.to_psi2(SparseState.basis(lay, {"W": 2}), spec13)
+        stages.to_psi2(SparseState.basis(lay, {"W": 2}), spec13)
 
 
 @pytest.mark.parametrize("p", PRIMES_WEIGHT)
 def test_euler_filter_weight(p):
     spec = make_group_spec(p)
-    st = dl.prepare_psi1(spec, b=pow(spec.g, min(2, p - 2), p))
-    st = dl.to_psi2(st, spec)
-    st, weight = dl.euler_filter(st, spec)
+    st = stages.prepare_psi1(spec, b=pow(spec.g, min(2, p - 2), p))
+    st = stages.to_psi2(st, spec)
+    st, weight = stages.euler_filter(st, spec)
     assert abs(weight - totient(p - 1) / (p - 1)) < 1e-12
 
 
 def test_euler_filter_coprime_components_hold_index(spec13):
     s = 7
-    st = dl.prepare_psi1(spec13, b=pow(2, s, 13))
-    st = dl.to_psi2(st, spec13)
-    st, _ = dl.euler_filter(st, spec13)
+    st = stages.prepare_psi1(spec13, b=pow(2, s, 13))
+    st = stages.to_psi2(st, spec13)
+    st, _ = stages.euler_filter(st, spec13)
     lay = st.layout
     regs = dl.DlogRegs()
     ix, iout = lay.index(regs.x), lay.index(regs.out)
@@ -129,13 +130,13 @@ def test_amplification_on_pipeline_state(spec13, mode, m):
     # drive the real Euler-filtered state and compare against the closed form
     regs = dl.DlogRegs()
     kit = dl.pipeline_kit(spec13, regs, "exact", None)
-    st = dl.prepare_psi1(spec13, b=pow(2, 7, 13))
-    st = dl.to_psi2(st, spec13)
-    st, w = dl.euler_filter(st, spec13)
+    st = stages.prepare_psi1(spec13, b=pow(2, 7, 13))
+    st = stages.to_psi2(st, spec13)
+    st, w = stages.euler_filter(st, spec13)
     prep1 = hilbert.Sequence(tuple(kit["stage1"]))
     good = lambda phi: dl.good_rotation_stage1(spec13, regs, phi)
     full = lambda phi: dl.reflect_about(prep1, dl._full_pivot(regs), phi)
-    out, info = dl.amplitude_amplify(st, good, full, mode, w, m)
+    out, info = stages.amplitude_amplify(st, good, full, mode, w, m)
     coprime = [math.gcd(v, 12) == 1 for v in range(out.layout.dim(regs.x))]
     got = out.weight_where(regs.x, coprime)
     if mode == "grover":
@@ -216,8 +217,8 @@ def test_u_log_superposition_support(spec13):
 def test_fourier_pair_consistency(spec13):
     # undoing the second Fourier pass reconstructs the functional superposition
     b = pow(2, 7, 13)
-    st1 = dl.prepare_psi1(spec13, b)
-    st2 = dl.to_psi2(st1, spec13)
+    st1 = stages.prepare_psi1(spec13, b)
+    st2 = stages.to_psi2(st1, spec13)
     regs = dl.DlogRegs()
     back = st2
     for gate in [gates.swap_regs(regs.x, regs.y),

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -9,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import cycsim
-from cycsim import driver, hilbert
+from cycsim import crt_reduction, driver, hilbert
 from cycsim.driver import ExperimentConfig, cli_main, run_experiment, run_sweep
 from cycsim.hilbert import Permutation, SparseState
-from cycsim.numtheory import DomainError, classical_dlog, is_prime
+from cycsim.numtheory import DomainError, classical_dlog, is_prime, make_group_spec
 
 
 def test_run_experiment_example():
@@ -276,3 +277,17 @@ def test_an_evicted_configuration_frees_its_gates(cleared_gate_caches):
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
     assert driver._instance.cache_info().currsize == hilbert.GATE_SETS
+
+
+@pytest.mark.parametrize("p, digest", [
+    (127, "111bbd8453f558148aa27cce278c4df6ac020c604a993f8c927376fe19044486"),
+    pytest.param(67, "246f5d02a8a6f8d534cc54ce4fbfa9d3b9e2f852106e1517109d18d3c04e4619",
+                 marks=pytest.mark.slow),
+])
+def test_two_word_search_layout_reports_match_recorded_digests(p, digest):
+    # the benchmark's digests cover one-word layouts only; these search
+    # layouts pack into two words per row
+    layout = crt_reduction.make_search_layout(make_group_spec(p))[0]
+    assert layout.width == 2
+    rep = run_experiment(ExperimentConfig(p=p, hidden_s=5, run_demo=False))
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest

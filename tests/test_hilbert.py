@@ -5,12 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from cycsim import dlog_pipeline, driver, gates, hilbert
-from cycsim.hilbert import (DROP_THRESHOLD, EXHAUSTIVE_CHECK_LIMIT, Controlled, GateLedger,
-                            LocalUnitary, Permutation, PhaseFn, Register, RegisterLayout,
-                            Sequence, SimulationError, SparseState, adjoint, apply, apply_all,
-                            assert_registers_clean, fidelity, inner_product)
+from cycsim.hilbert import (CODE_LIMIT, DROP_THRESHOLD, EXHAUSTIVE_CHECK_LIMIT, MANY_ROWS,
+                            Controlled, GateLedger, LocalUnitary, Permutation, PhaseFn,
+                            Register, RegisterLayout, Sequence, SimulationError, SparseState,
+                            adjoint, apply, apply_all, assert_registers_clean, fidelity,
+                            inner_product)
 from cycsim.numtheory import make_group_spec
 
 
@@ -314,32 +316,132 @@ def _ref_local(layout, keys, amps, gate, drop=DROP_THRESHOLD):
     return new_keys[keep], new_amps[keep]
 
 
-@pytest.mark.parametrize("huge", [False, True], ids=["flat-key", "overflow"])
-def test_local_kernel_prunes_once_exactly_as_before(huge):
-    # the overflow layout's product dimension exceeds int64, which sends the
-    # kernel down its row-sorting path
+@pytest.mark.parametrize("extra, width, support", [
+    ((), 1, 25), ((1 << 40, 1 << 30), 2, 25), ((1 << 40, 1 << 30, 1 << 40, 3), 3, 25),
+    ((50, 60), 1, 1500), ((1 << 40, 1 << 14), 1, 1500), ((1 << 40, 1 << 30), 2, 1500),
+], ids=["flat-key", "overflow", "three-words", "many-rows", "many-rows-wide-key",
+        "many-rows-two-words"])
+def test_local_kernel_prunes_once_exactly_as_before(extra, width, support):
+    # past one word the product dimension exceeds int64, which sends the
+    # kernel down its row-sorting path; from MANY_ROWS rows on, a word with
+    # room for the row index takes the one-sort path; tuples are compared decoded
     regs = [Register("a", 4, "work"), Register("b", 2, "flag"), Register("c", 5, "aux")]
-    if huge:
-        regs += [Register("h", 1 << 40), Register("k", 1 << 30)]
+    regs += [Register(f"h{j}", dim) for j, dim in enumerate(extra)]
     layout = RegisterLayout(regs)
-    assert (layout.flat_strides is None) == huge
+    assert layout.width == width
     rng = random.Random(31)
-    dims = [r.dim if r.dim < 64 else 3 for r in regs]
+    spread = 3 if support < MANY_ROWS else 60
+    dims = [r.dim if r.dim < 64 else spread for r in regs]
     pruned = 0
-    for _ in range(30):
-        rows = {tuple(rng.randrange(d) for d in dims) for _ in range(25)}
+    for _ in range(30 if support < MANY_ROWS else 2):
+        rows = {tuple(rng.randrange(d) for d in dims) for _ in range(support)}
         amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in rows]
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
         st = SparseState(layout, {k: a / norm for k, a in zip(rows, amps)})
         for gate in (gates.qft(4, "a"), gates.qft(5, "c")):
             # the Fourier pass then its inverse cancels almost every new cell
             there = apply(st, gate)
+            tuples = layout.unpack(there.words)
             for g in (gate, adjoint(gate)):
-                got_keys, got_amps = hilbert._apply_local(layout, there.keys, there.amps, g)
-                ref_keys, ref_amps = _ref_local(layout, there.keys, there.amps, g)
-                assert np.array_equal(got_keys, ref_keys) and np.array_equal(got_amps, ref_amps)
-                pruned += len(_ref_local(layout, there.keys, there.amps, g, 0.0)[1]) - len(got_amps)
+                got_words, got_amps = hilbert._apply_local(layout, there.words, there.amps, g)
+                ref_keys, ref_amps = _ref_local(layout, tuples, there.amps, g)
+                assert got_words.shape[1] == width
+                assert np.array_equal(layout.unpack(got_words), ref_keys)
+                assert np.array_equal(got_amps, ref_amps)
+                pruned += len(_ref_local(layout, tuples, there.amps, g, 0.0)[1]) - len(got_amps)
     assert pruned > 0
+
+
+# --- packing basis tuples into words ----------------------------------------
+
+PACK_DIMS = hst.one_of(hst.integers(2, 100), hst.sampled_from([1 << 30, 1 << 40, 3 ** 20]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=hst.lists(PACK_DIMS, min_size=1, max_size=9), data=hst.data())
+@example(dims=[4, 2, 5], data=None)
+@example(dims=[4, 2, 5, 1 << 40, 1 << 30], data=None)
+@example(dims=[4, 2, 5, 1 << 40, 1 << 30, 1 << 40, 3], data=None)
+def test_packing_round_trips_in_tuple_order(dims, data):
+    layout = RegisterLayout([Register(f"r{i}", d) for i, d in enumerate(dims)])
+    rng = random.Random(len(dims) if data is None else data.draw(hst.integers(0, 99)))
+    tuples = [tuple(rng.randrange(d) for d in dims) for _ in range(40)]
+    tuples += [tuple(d - 1 for d in dims), (0,) * len(dims)]
+    words = layout.pack(np.array(tuples, dtype=np.int64))
+    assert words.shape == (len(tuples), layout.width)
+    assert np.array_equal(layout.unpack(words), tuples)
+    # word rows sort as the tuples do
+    order = np.lexsort(words.T[::-1])
+    assert [tuples[i] for i in order] == sorted(tuples)
+    # every word stays below 2**62
+    assert all(cap <= CODE_LIMIT for cap in layout.word_caps)
+    assert ((0 <= words) & (words < CODE_LIMIT)).all()
+    # no register is split: moving one register moves one word
+    for i, d in enumerate(dims):
+        moved = [tuples[0][:i] + ((tuples[0][i] + 1) % d,) + tuples[0][i + 1:]]
+        changed = (layout.pack(np.array(moved)) != words[:1])[0]
+        assert changed.sum() == 1 and changed[layout.places[i].word]
+    # the fewest words: greedy, each word's first register would not fit the one before
+    firsts = [i for i, place in enumerate(layout.places) if place.top]
+    assert [layout.places[i].word for i in firsts] == list(range(layout.width))
+    for w, i in enumerate(firsts[1:]):
+        assert layout.word_caps[w] * dims[i] > CODE_LIMIT
+    assert layout.width == 1 or math.prod(dims) > CODE_LIMIT
+
+
+@pytest.mark.parametrize("bad", [(9, 0), (-1, 0), (0,), (0, 0, 0), (1 << 70, 0), 1],
+                         ids=["too-big", "negative", "short", "long", "huge", "not-a-tuple"])
+def test_state_refuses_a_malformed_basis_tuple(bad):
+    layout = RegisterLayout([Register("a", 4, "work"), Register("b", 2, "flag")])
+    with pytest.raises(SimulationError, match="basis tuple"):
+        SparseState(layout, {(1, 1): 0.6, bad: 0.8})
+    # a good state reads back as written
+    st = SparseState(layout, {(1, 1): 0.6, (3, 0): 0.8})
+    assert st.entries == {(1, 1): 0.6, (3, 0): 0.8}
+    assert st.column("a").tolist() == [1, 3] and st.column("b").tolist() == [1, 0]
+    assert st.weight_where("a", [True, False, False, False]) == 0.0
+
+
+def test_register_past_the_code_limit_is_refused():
+    with pytest.raises(SimulationError, match="dimension above"):
+        RegisterLayout([Register("a", 4), Register("h", CODE_LIMIT + 1)])
+
+
+def big_layout():
+    # dims that are not powers of two, and registers out of layout order in the gates
+    return RegisterLayout([Register("a", 64, "work"), Register("b", 37, "aux"),
+                           Register("big", BIG, "aux"), Register("c", 50, "aux"),
+                           Register("d", 3, "aux")])
+
+
+def _ref_permute(layout, st, gate):
+    pos = [layout.index(r) for r in gate.regs]
+    out = {}
+    for x, a in st.entries.items():
+        y = list(x)
+        for i, v in zip(pos, gate.fn(tuple(x[i] for i in pos))):
+            y[i] = v
+        out[tuple(y)] = a
+    return out
+
+
+@pytest.mark.parametrize("support", [12, 3 * MANY_ROWS // 2], ids=["few-rows", "many-rows"])
+def test_permutations_move_words_as_their_tuples_move(support):
+    layout = big_layout()
+    rng = random.Random(47)
+    rows = {(rng.randrange(64), rng.randrange(37), rng.randrange(BIG), rng.randrange(50),
+             rng.randrange(3)) for _ in range(support)}
+    st = SparseState(layout, {k: 1 / math.sqrt(len(rows)) for k in rows})
+    big_by_c = Permutation(("c", "big"), lambda v: (v[0], (v[1] + 7 * v[0]) % BIG),
+                           lambda v: (v[0], (v[1] - 7 * v[0]) % BIG), label="big+7c")
+    for gate in (gates.mul3(50, "d", "a", "c"), gates.add_mod(37, "c", "b"),
+                 gates.transposition(2, 30, "a"), gates.add_mod(64, "b", "a"), _step(11), big_by_c,
+                 Permutation(("d", "b"), lambda v: (v[0], (v[1] + v[0]) % 37),
+                             lambda v: (v[0], (v[1] - v[0]) % 37), label="b+d")):
+        assert apply(st, gate).entries == _ref_permute(layout, st, gate), gate.label
+    chain = Sequence((gates.add_mod(37, "c", "b"), big_by_c, gates.transposition(2, 30, "a"),
+                      Controlled(("d",), frozenset({(1,)}), _step(3))), label="chain")
+    assert apply(st, chain).entries == apply_all(st, chain.leaves).entries
 
 
 # --- support tables: row-wise permutations and fused permutation chains -------
@@ -409,7 +511,7 @@ def test_fused_chain_matches_a_leaf_by_leaf_walk(monkeypatch):
         assert apply(out, adjoint(chain)).entries == st.entries
     # the second time round every code is in the table, so no leaf runs
     walked = []
-    monkeypatch.setattr(hilbert, "_permute_keys",
+    monkeypatch.setattr(hilbert, "_permute_words",
                         lambda *args: walked.append(args[2].label))
     for st in states:
         led = GateLedger()
@@ -485,7 +587,7 @@ def test_chain_past_the_code_limit_walks_its_gates():
                       lambda v: ((v[0] - 7) % (1 << 40),), label="far")
     chain = Sequence((perm_chain(), far, Controlled(("b",), frozenset({(0,)}), _step(1)),
                       gates.set_const(1, "k", 1 << 30)), label="wide")
-    assert chain.permutes and layout.flat_strides is None
+    assert chain.permutes and layout.width == 3
     rng = random.Random(43)
     for _ in range(10):
         rows = {(rng.randrange(4), rng.randrange(2), rng.randrange(5), rng.randrange(BIG),
