@@ -78,12 +78,12 @@ def make_search_layout(spec: CyclicGroupSpec
                          recs=tuple(f"R{k + 1}" for k in range(r)))
     cfg = hp.ProgramConfig.from_spec(spec)
     n_dim = gates.register_dim(spec.p)
-    registers = [Register(regs.w, n_dim, "work")]
-    registers += [Register(name, n_dim, "aux")
+    registers = [Register(regs.w, n_dim)]
+    registers += [Register(name, n_dim)
                   for name in regs.comps + (regs.a, regs.b, regs.prod)]
-    registers += [Register(strip.nh, 2, "halt"), Register(strip.bh, cfg.branch_dim, "branch")]
-    registers += [Register(name, cfg.record_dim, "record") for name in strip.recs]
-    registers.append(Register(SEARCH, n_dim, "work"))
+    registers += [Register(strip.nh, 2), Register(strip.bh, cfg.branch_dim)]
+    registers += [Register(name, cfg.record_dim) for name in strip.recs]
+    registers.append(Register(SEARCH, n_dim))
     return RegisterLayout(registers), regs, strip
 
 

@@ -66,13 +66,13 @@ class PipelineTrace:
 def make_dlog_layout(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs()) -> RegisterLayout:
     N = gates.register_dim(spec.p)
     return RegisterLayout([
-        Register(regs.w, N, "work"),
-        Register(regs.x, N, "aux"),
-        Register(regs.y, N, "aux"),
-        Register(regs.f, N, "aux"),
-        Register(regs.out, N, "aux"),
-        Register(regs.t, N, "aux"),
-        Register(regs.e, N, "aux"),
+        Register(regs.w, N),
+        Register(regs.x, N),
+        Register(regs.y, N),
+        Register(regs.f, N),
+        Register(regs.out, N),
+        Register(regs.t, N),
+        Register(regs.e, N),
     ])
 
 

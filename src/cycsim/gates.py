@@ -1,14 +1,16 @@
-"""Constructors for reversible arithmetic and Fourier gates.
+"""Constructors for reversible arithmetic, relabeling and Fourier gates.
 
 Partial textbook definitions (result written into a |0> target) are extended to
 total permutations by *adding* the result into the target modulo the working
 modulus L; on the intended inputs the behavior is unchanged.  Group-valued maps
 instead *multiply* the target by a unit mod L.  `_accumulate` and `_scale` are
 the one home of these two extensions: every arithmetic constructor below is one
-call to either.  Registers may be padded above the working modulus: every gate
-acts as the identity outside its defined domain (a target at or above L, or a
-value or factor forced to 0 or 1), and pipelines assert that support never
-leaves that domain.
+call to either.  Relabelings of listed basis tuples (transpositions, the
+halting statement, the pair transposition U_r, U_OR) have one home too,
+`pairing_permutation`.  Registers may be padded above the working modulus:
+every gate acts as the identity outside its defined domain (a target at or
+above L, or a value or factor forced to 0 or 1), and pipelines assert that
+support never leaves that domain.
 """
 
 from __future__ import annotations
@@ -111,21 +113,13 @@ def set_const(j: int, reg: str, dim: int) -> GateOp:
 
 
 def transposition(a: int, b: int, reg: str) -> GateOp:
-    """Swap two basis values of one register, identity elsewhere.
+    """Swap two basis values of one register, identity elsewhere (and
+    everywhere when a == b).
 
     Used where a state transfer |0> -> |j> must leave every other basis value
     (in particular the top of the register) untouched.
     """
-
-    def fl(v):
-        x = v[0]
-        if x == a:
-            return (b,)
-        if x == b:
-            return (a,)
-        return v
-
-    return Permutation((reg,), fl, fl, label=f"X_{a}_{b}")
+    return pairing_permutation([a], [b], reg, f"X_{a}_{b}")
 
 
 def mul_const(a: int, N: int, reg: str) -> GateOp:
@@ -151,16 +145,6 @@ def cond_mod_exp_two_var(b: int, a: int, L: int, x_reg: str, y_reg: str, tgt: st
     """|x>|y>|z> -> |x>|y>|(z + b**x * a**y) mod L> for z < L."""
     return _accumulate((x_reg, y_reg, tgt), L, lambda x, y: pow(b, x, L) * pow(a, y, L),
                        f"CEXP2V_{b}_{a}_{L}")
-
-
-def cond_mod_exp(variant: str, **kw) -> GateOp:
-    if variant == "two_reg":
-        return cond_mod_exp_two_reg(kw["a"], kw["L"], kw["ctrl"], kw["tgt"])
-    if variant == "three_reg":
-        return cond_mod_exp_three_reg(kw["a"], kw["L"], kw["ctrl"], kw["mul"], kw["tgt"])
-    if variant == "two_var":
-        return cond_mod_exp_two_var(kw["b"], kw["a"], kw["L"], kw["x_reg"], kw["y_reg"], kw["tgt"])
-    raise DomainError(f"unknown cond_mod_exp variant {variant!r}")
 
 
 def pow_const(e: int, L: int, src: str, tgt: str) -> GateOp:
@@ -240,28 +224,30 @@ def functional_qft(f, r: int, reg: str, dim: int) -> GateOp:
     return Sequence((adjoint(relabel), qft(r, reg), relabel), label=f"FQFT_{r}")
 
 
-def pairing_permutation(src_values: list[int], dst_values: list[int], reg: str,
+def pairing_permutation(src_values: list, dst_values: list, regs: str | tuple[str, ...],
                         label: str = "PAIR") -> GateOp:
     """Bijection sending src_values[i] -> dst_values[i], identity outside both
     lists; leftover destination values are folded back onto leftover sources in
-    ascending order so the whole map stays a permutation."""
+    ascending order so the whole map stays a permutation ([a] -> [b] is the
+    transposition of a and b).
+
+    The values are basis tuples of the registers `regs`; with a single
+    register name for `regs` they are that register's ints.
+    """
+    if isinstance(regs, str):
+        regs = (regs,)
+        src_values = [(v,) for v in src_values]
+        dst_values = [(v,) for v in dst_values]
     if len(src_values) != len(dst_values):
         raise DomainError("pairing lists must have equal length")
-    if len(set(src_values)) != len(src_values) or len(set(dst_values)) != len(dst_values):
+    src, dst = set(src_values), set(dst_values)
+    if len(src) != len(src_values) or len(dst) != len(dst_values):
         raise DomainError("pairing lists must not repeat values")
     mapping = dict(zip(src_values, dst_values))
-    spare_src = sorted(set(dst_values) - set(src_values))
-    spare_dst = sorted(set(src_values) - set(dst_values))
-    mapping.update(zip(spare_src, spare_dst))
+    mapping.update(zip(sorted(dst - src), sorted(src - dst)))
     inv_map = {v: k for k, v in mapping.items()}
-
-    def fwd(v):
-        return (mapping.get(v[0], v[0]),)
-
-    def inv(v):
-        return (inv_map.get(v[0], v[0]),)
-
-    return Permutation((reg,), fwd, inv, label=label)
+    return Permutation(regs, lambda v: mapping.get(v, v), lambda v: inv_map.get(v, v),
+                       label=label)
 
 
 def selective_phase(values: dict[int, float], reg: str, label: str = "CSEL",

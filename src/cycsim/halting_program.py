@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, hilbert
-from .hilbert import (Controlled, GateLedger, GateOp, LocalUnitary, Permutation, Register,
+from .hilbert import (Controlled, GateLedger, GateOp, LocalUnitary, Register,
                       RegisterLayout, Sequence, SimulationError, SparseState, adjoint, apply)
 from .numtheory import CyclicGroupSpec, DomainError, multiplicative_order
 
@@ -98,38 +98,17 @@ def expected_record(x: int, y: int, m_r: int) -> int:
 
 def u_r_gate(config: ProgramConfig, f_reg: str, g_reg: str) -> GateOp:
     """For f = h**x, transpose the paired value h**(-x) with 1 in the second
-    register; identity elsewhere.  An involution."""
-    exponent = {v: x for x, v in enumerate(config.basis_values)}
-    values = set(exponent)
-
-    def fl(v):
-        fv, gv = v
-        x = exponent.get(fv)
-        if x is None or gv not in values:
-            return v
-        partner = config.f_r(-x % config.m_r)
-        if gv == partner:
-            return (fv, 1)
-        if gv == 1:
-            return (fv, partner)
-        return v
-
-    return Permutation((f_reg, g_reg), fl, fl, label="U_r")
+    register (for x = 0 both are 1); identity elsewhere.  An involution."""
+    xs = range(config.m_r)
+    return gates.pairing_permutation([(config.f_r(x), config.f_r(-x % config.m_r)) for x in xs],
+                                     [(config.f_r(x), 1) for x in xs], (f_reg, g_reg), "U_r")
 
 
-def _halt_gate(config: ProgramConfig, step: int, g_reg: str, nh_reg: str,
-               rec_reg: str) -> GateOp:
+def _halt_gate(step: int, g_reg: str, nh_reg: str, rec_reg: str) -> GateOp:
     """Transposition (g, halt, record) = (1, 0, 0) <-> (0, 1, step): fires the
     halting statement exactly once and stores when it happened."""
-
-    def fl(v):
-        if v == (1, 0, 0):
-            return (0, 1, step)
-        if v == (0, 1, step):
-            return (1, 0, 0)
-        return v
-
-    return Permutation((g_reg, nh_reg, rec_reg), fl, fl, label=f"HALT_{step}")
+    return gates.pairing_permutation([(1, 0, 0)], [(0, 1, step)], (g_reg, nh_reg, rec_reg),
+                                     f"HALT_{step}")
 
 
 def _leak_gate(config: ProgramConfig, pulse: PulseModel, g_reg: str, dim: int) -> GateOp:
@@ -158,11 +137,11 @@ class QpRegs:
 def make_qp_layout(config: ProgramConfig, regs: QpRegs = QpRegs()) -> RegisterLayout:
     n_dim = gates.register_dim(config.p)
     return RegisterLayout([
-        Register(regs.nh, 2, "halt"),
-        Register(regs.bh, config.branch_dim, "branch"),
-        Register(regs.f, n_dim, "work"),
-        Register(regs.g, n_dim, "work"),
-        Register(regs.rec, config.record_dim, "record"),
+        Register(regs.nh, 2),
+        Register(regs.bh, config.branch_dim),
+        Register(regs.f, n_dim),
+        Register(regs.g, n_dim),
+        Register(regs.rec, config.record_dim),
     ])
 
 
@@ -192,7 +171,7 @@ def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
     u_b, u_g, u_rc = _unit_gates(config, regs)
     for i in range(1, config.m_r + 1):
         seq.append(u_b)
-        seq.append(_halt_gate(config, i, regs.g, regs.nh, regs.rec))
+        seq.append(_halt_gate(i, regs.g, regs.nh, regs.rec))
         if pulse is not None and pulse.epsilon > 0.0:
             seq.append(Controlled((regs.rec,), frozenset({(i,)}),
                                   _leak_gate(config, pulse, regs.g, g_dim),
@@ -200,7 +179,7 @@ def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
         seq.append(u_g)
         seq.append(u_rc)
     seq.append(u_b)
-    seq.append(_halt_gate(config, config.m_r + 1, regs.g, regs.nh, regs.rec))
+    seq.append(_halt_gate(config.m_r + 1, regs.g, regs.nh, regs.rec))
     if pulse is not None and pulse.epsilon > 0.0:
         seq.append(Controlled((regs.rec,), frozenset({(config.m_r + 1,)}),
                               _leak_gate(config, pulse, regs.g, g_dim), label="P_SL"))

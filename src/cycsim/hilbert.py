@@ -63,9 +63,6 @@ CODE_LIMIT = 1 << 62  # bounds a flat code's domain and a word's values
 GATE_SETS = 8  # gate builders memoized per process (functools.lru_cache maxsize)
 MANY_ROWS = 1 << 10  # from here a few more numpy passes, each cheaper, beat fewer calls
 
-ROLES = ("work", "aux", "flag", "halt", "branch", "control", "record")
-
-
 class SimulationError(RuntimeError):
     """A gate or state contract was violated during simulation."""
 
@@ -74,13 +71,10 @@ class SimulationError(RuntimeError):
 class Register:
     name: str
     dim: int
-    role: str = "aux"
 
     def __post_init__(self):
         if self.dim < 2:
             raise SimulationError(f"register {self.name}: dimension must be >= 2")
-        if self.role not in ROLES:
-            raise SimulationError(f"register {self.name}: unknown role {self.role!r}")
 
 
 class _Run(NamedTuple):

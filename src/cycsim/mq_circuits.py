@@ -158,7 +158,7 @@ def _half_rotation(n: int) -> tuple[GateOp, GateOp]:
 
 def _run_conjugated(n: int, rotations: list[GateOp], ledger: GateLedger | None) -> SparseState:
     """exp(+i pi/2 Q_ny) . rotations . exp(-i pi/2 Q_ny) applied to the ground state."""
-    state = SparseState.basis(RegisterLayout([hilbert.Register("q", 2**n, "work")]))
+    state = SparseState.basis(RegisterLayout([hilbert.Register("q", 2**n)]))
     half, half_adj = _half_rotation(n)
     return hilbert.apply_all(state, [half, *rotations, half_adj], ledger)
 
@@ -201,12 +201,8 @@ def u_or(rep, reg: str) -> GateOp:
     U_OR+ . C . U_OR, so the gate is the permutation alone.
     """
     SpinConventions(rep.n)  # validates the qubit count
-    mask, top = rep_value(rep), 2**rep.n
-
-    def flip(v):
-        return (v[0] ^ mask,) if v[0] < top else v
-
-    return hilbert.Permutation((reg,), flip, flip, label="U_OR")
+    mask, levels = rep_value(rep), range(2**rep.n)
+    return gates.pairing_permutation(list(levels), [x ^ mask for x in levels], reg, "U_OR")
 
 
 def verify_solution(candidate: int, oracle_for_theta: Callable[[float], GateOp], n: int,

@@ -232,8 +232,8 @@ def test_criterion_8_end_to_end(p):
 
 
 def _fuzz_layout():
-    return RegisterLayout([Register("a", 6, "work"), Register("b", 4, "aux"),
-                           Register("c", 3, "flag"), Register("q", 8, "work")])
+    return RegisterLayout([Register("a", 6), Register("b", 4),
+                           Register("c", 3), Register("q", 8)])
 
 
 def _fuzz_zoo():
@@ -248,9 +248,9 @@ def _fuzz_zoo():
         gates.transposition(1, 4, "a"),
         gates.set_const(2, "b", 4),
         gates.mul_const(3, 5, "a"),
-        gates.cond_mod_exp("two_reg", a=2, L=5, ctrl="b", tgt="a"),
-        gates.cond_mod_exp("three_reg", a=2, L=4, ctrl="a", mul="c", tgt="b"),
-        gates.cond_mod_exp("two_var", b=2, a=3, L=5, x_reg="b", y_reg="c", tgt="a"),
+        gates.cond_mod_exp_two_reg(2, 5, "b", "a"),
+        gates.cond_mod_exp_three_reg(2, 4, "a", "c", "b"),
+        gates.cond_mod_exp_two_var(2, 3, 5, "b", "c", "a"),
         gates.pow_const(3, 5, "a", "q"),
         gates.group_mul_acc(5, "a", "q"),
         gates.cyclic_shift(5, 2, "a"),

@@ -110,6 +110,19 @@ def test_sweep_small_prime():
     assert [r.verification["hidden_s"] for r in reports] == list(range(6))
 
 
+@pytest.mark.slow
+def test_search_only_sweep_recovers_every_index_up_to_p127_and_at_p257():
+    # every relabeling on search layouts of one word and, at p = 67, 127 and
+    # 257, of two words per row
+    missed = []
+    for p in [q for q in range(5, 128) if is_prime(q)] + [257]:
+        reports = run_sweep(ExperimentConfig(p=p, run_demo=False))
+        assert [r.verification["hidden_s"] for r in reports] == list(range(p - 1))
+        missed += [(p, r.verification["hidden_s"]) for r in reports
+                   if not r.verification["success"]]
+    assert missed == []
+
+
 def test_leakage_degrades_probabilities_monotonically():
     tops = []
     for eps in (0.0, 0.1, 0.2):

@@ -87,15 +87,15 @@ def test_mul_const():
 
 def test_cond_mod_exp_variants():
     lay = layout3()
-    two = gates.cond_mod_exp("two_reg", a=2, L=5, ctrl="r1", tgt="r2")
+    two = gates.cond_mod_exp_two_reg(2, 5, "r1", "r2")
     out = apply(as_basis(lay, r1=3, r2=1), two)
     assert reg_val(out, "r2") == 3  # 1*2^3 mod 5
     with pytest.raises(DomainError):
-        gates.cond_mod_exp("two_reg", a=2, L=6, ctrl="r1", tgt="r2")
-    three = gates.cond_mod_exp("three_reg", a=2, L=6, ctrl="r1", mul="r2", tgt="r3")
+        gates.cond_mod_exp_two_reg(2, 6, "r1", "r2")
+    three = gates.cond_mod_exp_three_reg(2, 6, "r1", "r2", "r3")
     out = apply(as_basis(lay, r1=2, r2=1), three)
     assert reg_val(out, "r3") == 4  # 1*2^2 mod 6 (non-coprime base allowed)
-    twov = gates.cond_mod_exp("two_var", b=11, a=2, L=13, x_reg="r1", y_reg="r2", tgt="r3")
+    twov = gates.cond_mod_exp_two_var(11, 2, 13, "r1", "r2", "r3")
     out = apply(as_basis(lay, r1=1, r2=1), twov)
     assert reg_val(out, "r3") == 9  # 11*2 mod 13
 

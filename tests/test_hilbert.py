@@ -17,8 +17,8 @@ from cycsim.numtheory import make_group_spec
 
 
 def small_layout():
-    return RegisterLayout([Register("a", 4, "work"), Register("b", 2, "flag"),
-                           Register("c", 5, "aux")])
+    return RegisterLayout([Register("a", 4), Register("b", 2),
+                           Register("c", 5)])
 
 
 def random_state(layout, rng, support=6):
@@ -223,8 +223,8 @@ def test_permutation_bijectivity_checked_exhaustively_below_limit():
 def test_rowwise_permutation_refuses_a_collision():
     # above the check limit nothing compiles, so the row-wise path itself must
     # notice that two support rows land on one basis tuple
-    layout = RegisterLayout([Register("big", EXHAUSTIVE_CHECK_LIMIT * 2, "work"),
-                             Register("b", 2, "flag")])
+    layout = RegisterLayout([Register("big", EXHAUSTIVE_CHECK_LIMIT * 2),
+                             Register("b", 2)])
     halve = Permutation(("big",), lambda v: (v[0] // 2,), lambda v: (2 * v[0],), label="halve")
     st = SparseState(layout, {(4, 1): 0.6, (5, 1): 0.8})
     with pytest.raises(SimulationError, match="not injective"):
@@ -325,7 +325,7 @@ def test_local_kernel_prunes_once_exactly_as_before(extra, width, support):
     # past one word the product dimension exceeds int64, which sends the
     # kernel down its row-sorting path; from MANY_ROWS rows on, a word with
     # room for the row index takes the one-sort path; tuples are compared decoded
-    regs = [Register("a", 4, "work"), Register("b", 2, "flag"), Register("c", 5, "aux")]
+    regs = [Register("a", 4), Register("b", 2), Register("c", 5)]
     regs += [Register(f"h{j}", dim) for j, dim in enumerate(extra)]
     layout = RegisterLayout(regs)
     assert layout.width == width
@@ -392,7 +392,7 @@ def test_packing_round_trips_in_tuple_order(dims, data):
 @pytest.mark.parametrize("bad", [(9, 0), (-1, 0), (0,), (0, 0, 0), (1 << 70, 0), 1],
                          ids=["too-big", "negative", "short", "long", "huge", "not-a-tuple"])
 def test_state_refuses_a_malformed_basis_tuple(bad):
-    layout = RegisterLayout([Register("a", 4, "work"), Register("b", 2, "flag")])
+    layout = RegisterLayout([Register("a", 4), Register("b", 2)])
     with pytest.raises(SimulationError, match="basis tuple"):
         SparseState(layout, {(1, 1): 0.6, bad: 0.8})
     # a good state reads back as written
@@ -409,9 +409,9 @@ def test_register_past_the_code_limit_is_refused():
 
 def big_layout():
     # dims that are not powers of two, and registers out of layout order in the gates
-    return RegisterLayout([Register("a", 64, "work"), Register("b", 37, "aux"),
-                           Register("big", BIG, "aux"), Register("c", 50, "aux"),
-                           Register("d", 3, "aux")])
+    return RegisterLayout([Register("a", 64), Register("b", 37),
+                           Register("big", BIG), Register("c", 50),
+                           Register("d", 3)])
 
 
 def _ref_permute(layout, st, gate):
@@ -451,9 +451,9 @@ BIG = EXHAUSTIVE_CHECK_LIMIT * 2
 
 def chain_layout():
     # "d" lies off every chain below, so rows can repeat a chain sub-tuple
-    return RegisterLayout([Register("a", 4, "work"), Register("b", 2, "flag"),
-                           Register("c", 5, "aux"), Register("big", BIG, "aux"),
-                           Register("d", 3, "aux")])
+    return RegisterLayout([Register("a", 4), Register("b", 2),
+                           Register("c", 5), Register("big", BIG),
+                           Register("d", 3)])
 
 
 def _step(k):
@@ -580,8 +580,8 @@ def test_sequence_permutes_agrees_with_its_leaves(monkeypatch):
 
 
 def test_chain_past_the_code_limit_walks_its_gates():
-    layout = RegisterLayout([Register("a", 4, "work"), Register("b", 2, "flag"),
-                             Register("c", 5, "aux"), Register("big", BIG, "aux"),
+    layout = RegisterLayout([Register("a", 4), Register("b", 2),
+                             Register("c", 5), Register("big", BIG),
                              Register("h", 1 << 40), Register("k", 1 << 30)])
     far = Permutation(("h",), lambda v: ((v[0] + 7) % (1 << 40),),
                       lambda v: ((v[0] - 7) % (1 << 40),), label="far")

@@ -46,7 +46,7 @@ def test_q_n_corner_actions():
 def test_u_ny_exact_actions():
     n = 3
     N = 2**n
-    lay = hilbert.RegisterLayout([hilbert.Register("q", N, "work")])
+    lay = hilbert.RegisterLayout([hilbert.Register("q", N)])
     half = mq.u_ny_exact(n, math.pi / 4, "q")
     out = hilbert.apply(hilbert.SparseState.basis(lay), half)
     amps = {k[0]: a for k, a in out.entries.items()}
@@ -132,7 +132,7 @@ def test_product_formula_is_exact():
 def test_product_formula_state_preparation():
     n = 3
     N = 2**n
-    lay = hilbert.RegisterLayout([hilbert.Register("q", N, "work")])
+    lay = hilbert.RegisterLayout([hilbert.Register("q", N)])
     out = hilbert.apply(hilbert.SparseState.basis(lay),
                         mq.u_ny_trotter(n, math.pi / 4, 256, "q"))
     amps = {k[0]: a for k, a in out.entries.items()}

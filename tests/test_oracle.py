@@ -62,7 +62,7 @@ def test_phase_oracle_inverse_pair(spec13):
 
 
 def test_flag_oracle(spec13):
-    lay = RegisterLayout([Register("w", 16), Register("flag", 2, "flag")])
+    lay = RegisterLayout([Register("w", 16), Register("flag", 2)])
     spec = OracleSpec(7, math.pi, "flag", spec13)
     gate = make_oracle(spec, "w", "flag")
     marked = pow(spec13.g, 7, 13)
@@ -75,8 +75,8 @@ def test_flag_oracle(spec13):
 
 
 def test_subspace_oracle_cases(spec13):
-    lay = RegisterLayout([Register("w", 16), Register("a1", 4, "aux"),
-                          Register("a2", 4, "aux")])
+    lay = RegisterLayout([Register("w", 16), Register("a1", 4),
+                          Register("a2", 4)])
     spec = OracleSpec(7, math.pi, "subspace_selective", spec13)
     gate = make_subspace_oracle(spec, lay, "w")
     marked = pow(spec13.g, 7, 13)
@@ -94,8 +94,8 @@ def test_subspace_oracle_cases(spec13):
 
 
 def test_subspace_oracle_fires_only_on_a_clean_library(spec13):
-    lay = RegisterLayout([Register("w", 16), Register("a1", 4, "aux"),
-                          Register("a2", 3, "aux")])
+    lay = RegisterLayout([Register("w", 16), Register("a1", 4),
+                          Register("a2", 3)])
     spec = OracleSpec(7, math.pi, "subspace_selective", spec13)
     gate = make_subspace_oracle(spec, lay, "w")
     assert gate.on == {(0, 0)}
@@ -109,7 +109,7 @@ def test_subspace_oracle_fires_only_on_a_clean_library(spec13):
 
 
 def test_oracle_ledger_class(spec13):
-    lay = RegisterLayout([Register("w", 16), Register("a1", 4, "aux")])
+    lay = RegisterLayout([Register("w", 16), Register("a1", 4)])
     spec = OracleSpec(3, math.pi, "subspace_selective", spec13)
     gate = make_subspace_oracle(spec, lay, "w")
     led = hilbert.GateLedger()

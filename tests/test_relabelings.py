@@ -1,0 +1,173 @@
+"""The relabeling gates against the per-tuple maps they were once written as.
+
+`transposition`, the halting statement, the pair transposition U_r and U_OR
+are each one call to `gates.pairing_permutation`.  The hand-written involutions
+they replaced are kept here as brute-force references, and each gate's
+compiled forward and inverse tables are checked against them on the full
+domain.
+"""
+
+import ast
+import itertools
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import cycsim
+from cycsim import gates
+from cycsim import halting_program as hp
+from cycsim import mq_circuits as mq
+from cycsim.hilbert import Register, RegisterLayout, SparseState, adjoint, apply
+from cycsim.numtheory import DomainError, element_of_order, make_group_spec
+from cycsim.oracle import binary_rep, rep_value
+
+
+def _ref_transposition(a, b):
+    def fl(v):
+        x = v[0]
+        if x == a:
+            return (b,)
+        if x == b:
+            return (a,)
+        return v
+    return fl
+
+
+def _ref_halt(step):
+    def fl(v):
+        if v == (1, 0, 0):
+            return (0, 1, step)
+        if v == (0, 1, step):
+            return (1, 0, 0)
+        return v
+    return fl
+
+
+def _ref_u_r(config):
+    exponent = {v: x for x, v in enumerate(config.basis_values)}
+    values = set(exponent)
+
+    def fl(v):
+        fv, gv = v
+        x = exponent.get(fv)
+        if x is None or gv not in values:
+            return v
+        partner = config.f_r(-x % config.m_r)
+        if gv == partner:
+            return (fv, 1)
+        if gv == 1:
+            return (fv, partner)
+        return v
+    return fl
+
+
+def _ref_u_or(rep):
+    mask, top = rep_value(rep), 2**rep.n
+    return lambda v: (v[0] ^ mask,) if v[0] < top else v
+
+
+def _assert_tables_match(gate, ref, dims, label):
+    """The gate's compiled table, and the inverse one its adjoint reads, equal
+    the tables of `ref` enumerated over the whole domain."""
+    assert gate.label == label
+    images = [ref(v) for v in itertools.product(*map(range, dims))]
+    want = np.ravel_multi_index(np.array(images).T, dims)
+    want_inv = np.empty_like(want)
+    want_inv[want] = np.arange(len(want))
+    assert np.array_equal(gate.table_for(dims), want), label
+    assert np.array_equal(gate.inv_tables[dims], want_inv), label
+    assert np.array_equal(adjoint(gate).table_for(dims), want_inv), label
+
+
+def test_transposition_matches_its_reference():
+    for a, b in itertools.product(range(16), repeat=2):
+        _assert_tables_match(gates.transposition(a, b, "r"), _ref_transposition(a, b), (16,),
+                             f"X_{a}_{b}")
+
+
+def test_halt_gate_matches_its_reference():
+    dims = (64, 2, 9)  # the pair register, halt flag and record at p=43
+    for step in range(dims[2]):
+        _assert_tables_match(hp._halt_gate(step, "GR", "NH", "REC"), _ref_halt(step), dims,
+                             f"HALT_{step}")
+
+
+@pytest.mark.parametrize("m_r, p", [(3, 7), (4, 13), (8, 17), (16, 17), (None, 43)])
+def test_u_r_gate_matches_its_reference(m_r, p):
+    # the four programs of acceptance criterion 4, and the one a p=43 run uses
+    config = (hp.ProgramConfig.from_spec(make_group_spec(p)) if m_r is None
+              else hp.ProgramConfig(p, m_r, element_of_order(m_r, p)))
+    dim = gates.register_dim(p)
+    gate = hp.u_r_gate(config, "FR", "GR")
+    _assert_tables_match(gate, _ref_u_r(config), (dim, dim), "U_r")
+    # x = 0 pairs 1 with itself: the gate fixes |1>|1>
+    assert gate.fn((1, 1)) == (1, 1)
+
+
+def test_u_or_matches_its_reference():
+    for n in range(1, 7):
+        for value in range(2**n):
+            rep = binary_rep(value, n)
+            # two levels above the rep, which the gate must leave alone
+            _assert_tables_match(mq.u_or(rep, "q"), _ref_u_or(rep), (2**n + 2,), "U_OR")
+
+
+def test_pairing_over_several_registers():
+    layout = RegisterLayout([Register("a", 3), Register("b", 4)])
+    cycle = [(0, 0), (1, 2), (2, 3)]
+    gate = gates.pairing_permutation(cycle, cycle[1:] + cycle[:1], ("a", "b"), "CYCLE")
+    want = {x: y for x, y in zip(cycle, cycle[1:] + cycle[:1])}
+    for v in itertools.product(range(3), range(4)):
+        out = apply(SparseState.basis(layout, {"a": v[0], "b": v[1]}), gate)
+        assert out.sole_tuple() == want.get(v, v)
+        assert gate.inv(want.get(v, v)) == v
+    # leftover destinations fold back onto leftover sources in ascending order
+    fold = gates.pairing_permutation([(0, 0), (0, 1)], [(1, 1), (1, 0)], ("a", "b"))
+    assert [fold.fn(v) for v in [(1, 0), (1, 1), (2, 2)]] == [(0, 0), (0, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("src, dst, regs", [
+    ([1, 2], [3], "r"),
+    ([1, 1], [2, 3], "r"),
+    ([1, 2], [3, 3], "r"),
+    ([(0, 1), (1, 0)], [(1, 1)], ("a", "b")),
+    ([(0, 1), (0, 1)], [(1, 1), (1, 0)], ("a", "b")),
+    ([(0, 1), (1, 0)], [(1, 1), (1, 1)], ("a", "b")),
+])
+def test_pairing_refusals(src, dst, regs):
+    with pytest.raises(DomainError, match="equal length|repeat"):
+        gates.pairing_permutation(src, dst, regs)
+
+
+# the functions allowed to construct a Permutation: the two arithmetic
+# builders, the one relabeling builder, the register swap, the flag oracle
+# and the adjoint
+PERMUTATION_BUILDERS = {"gates._accumulate", "gates._scale", "gates.swap_regs",
+                        "gates.pairing_permutation", "oracle.make_oracle", "hilbert.adjoint"}
+
+
+def _permutation_callers(path):
+    """Qualified names of the functions in `path` that call Permutation(...)."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "Permutation":
+                found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_only_the_builders_construct_permutations():
+    # a basis relabeling belongs in gates.pairing_permutation, not in a new
+    # hand-written fn/inv pair
+    src = Path(cycsim.__file__).parent
+    callers = set().union(*(_permutation_callers(path) for path in src.glob("*.py")))
+    assert callers == PERMUTATION_BUILDERS
