@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, halting_program as hp
-from .hilbert import (GateLedger, GateOp, Register, RegisterLayout, Sequence,
-                      SimulationError, SparseState, adjoint, apply_all)
+from .hilbert import (GateOp, Register, RegisterLayout, Sequence, SimulationError, SparseState,
+                      adjoint, apply_all)
 from .numtheory import CyclicGroupSpec, DomainError
 
 
@@ -158,15 +158,14 @@ def largest_subspace_gates(spec: CyclicGroupSpec, regs: ReductionRegs) -> list[G
 
 
 def to_largest_subspace(state: SparseState, spec: CyclicGroupSpec,
-                        regs: ReductionRegs,
-                        ledger: GateLedger | None = None) -> SparseState:
+                        regs: ReductionRegs) -> SparseState:
     """Lift every component into the largest subgroup subspace, after checking
     that each lies in its own source subspace."""
     for k, desc in enumerate(descriptors(spec)[:-1]):
         if not np.isin(state.column(regs.comps[k]), desc.basis).all():
             raise SimulationError(
                 f"component {k} has support outside its source subspace")
-    return apply_all(state, largest_subspace_gates(spec, regs), ledger)
+    return apply_all(state, largest_subspace_gates(spec, regs))
 
 
 # --- the auxiliary per-subspace oracle ----------------------------------------

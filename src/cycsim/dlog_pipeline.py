@@ -22,7 +22,7 @@ import numpy as np
 from . import gates, hilbert
 from .hilbert import (GateLedger, GateOp, PhaseFn, Register, RegisterLayout, Sequence,
                       SimulationError, SparseState, adjoint, apply, apply_all)
-from .numtheory import CyclicGroupSpec, DomainError, classical_dlog, euler_totient, factorize
+from .numtheory import CyclicGroupSpec, DomainError, classical_dlog, totient
 
 STAGES = ("psi0", "psi1", "psi2", "psi3", "psi3s-weight", "psi4s", "psi5s",
           "psi6s", "psi7s", "final")
@@ -44,6 +44,9 @@ class DlogRegs:
         return (self.x, self.y, self.f, self.out, self.t, self.e)
 
 
+REGS = DlogRegs()  # the pipeline's one register vocabulary
+
+
 @dataclass
 class PipelineTrace:
     """Per-stage diagnostics: (stage, fidelity-to-analytic-target or None,
@@ -63,22 +66,14 @@ class PipelineTrace:
         return list(self.entries)
 
 
-def make_dlog_layout(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs()) -> RegisterLayout:
+def make_dlog_layout(spec: CyclicGroupSpec) -> RegisterLayout:
     N = gates.register_dim(spec.p)
-    return RegisterLayout([
-        Register(regs.w, N),
-        Register(regs.x, N),
-        Register(regs.y, N),
-        Register(regs.f, N),
-        Register(regs.out, N),
-        Register(regs.t, N),
-        Register(regs.e, N),
-    ])
+    return RegisterLayout([Register(name, N) for name in (REGS.w,) + REGS.aux()])
 
 
 # --- stage gates -------------------------------------------------------------
 
-def good_rotation_stage1(spec: CyclicGroupSpec, regs: DlogRegs, phi: float) -> GateOp:
+def good_rotation_stage1(spec: CyclicGroupSpec, phi: float) -> GateOp:
     """Selective rotation of the Euler-filtered components: compare the work
     register against the candidate index via a conditional group translation,
     rotate the |1> comparison outcome, and uncompute.
@@ -90,11 +85,11 @@ def good_rotation_stage1(spec: CyclicGroupSpec, regs: DlogRegs, phi: float) -> G
     """
     p, g, m = spec.p, spec.g, spec.p - 1
     N = gates.register_dim(p)
-    load = gates.add_mod(N, regs.w, regs.t)
-    shift = gates.cyclic_shift(p, g, regs.t, power=-1, control=regs.out)
-    inner = gates.selective_phase({1: phi}, regs.t, label="C_1", cost_class="reflection")
+    load = gates.add_mod(N, REGS.w, REGS.t)
+    shift = gates.cyclic_shift(p, g, REGS.t, power=-1, control=REGS.out)
+    inner = gates.selective_phase({1: phi}, REGS.t, label="C_1", cost_class="reflection")
     coprime = frozenset((x,) for x in range(N) if math.gcd(x, m) == 1)
-    rot = hilbert.Controlled((regs.x,), coprime, inner, label="C_good")
+    rot = hilbert.Controlled((REGS.x,), coprime, inner, label="C_good")
     return Sequence((load, shift, rot, adjoint(shift), adjoint(load)), label="R_good1")
 
 
@@ -139,130 +134,126 @@ def _coprime_mask(dim: int, m: int) -> np.ndarray:
     return np.gcd(np.arange(dim), m) == 1
 
 
-def _full_pivot(regs: DlogRegs) -> dict[str, int | None]:
-    pivot: dict[str, int | None] = {n: 0 for n in regs.aux()}
-    pivot[regs.w] = None  # covariant in the work register
+def _full_pivot() -> dict[str, int | None]:
+    pivot: dict[str, int | None] = {n: 0 for n in REGS.aux()}
+    pivot[REGS.w] = None  # covariant in the work register
     return pivot
 
 
 def good_weight(spec: CyclicGroupSpec) -> float:
     """Weight of the coprime components after the Euler filter: phi(p-1)/(p-1)."""
     m = spec.p - 1
-    return euler_totient(factorize(m)) / m
+    return totient(m) / m
 
 
-def pipeline_kit(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
-                 mode: str = "exact", grover_m: int | None = None) -> dict:
+def pipeline_kit(spec: CyclicGroupSpec, mode: str = "exact",
+                 grover_m: int | None = None) -> dict:
     """All gate pieces of the inversion sequence, built once per configuration
     so compiled permutation tables are shared across applications.  "stage1"
     is the concatenation of the named stages "psi1", "psi2" and "euler"."""
-    return _kit(spec, regs, mode, grover_m)
+    return _kit(spec, mode, grover_m)
 
 
 @functools.lru_cache(maxsize=hilbert.GATE_SETS)
-def _kit(spec: CyclicGroupSpec, regs: DlogRegs, mode: str, grover_m: int | None) -> dict:
+def _kit(spec: CyclicGroupSpec, mode: str, grover_m: int | None) -> dict:
     """The kit of the last GATE_SETS configurations; every argument is given by
     position, so defaulted and spelled-out calls share one entry."""
     p, g, m = spec.p, spec.g, spec.p - 1
     schedule = amplification_schedule(good_weight(spec), mode, grover_m)
 
-    psi1 = [gates.qft(m, regs.x), gates.qft(m, regs.y),
-            gates.work_mod_exp(g, p, regs.x, regs.y, regs.w, regs.f)]
-    psi2 = [gates.qft(m, regs.x), gates.qft(m, regs.y), gates.swap_regs(regs.x, regs.y)]
+    psi1 = [gates.qft(m, REGS.x), gates.qft(m, REGS.y),
+            gates.work_mod_exp(g, p, REGS.x, REGS.y, REGS.w, REGS.f)]
+    psi2 = [gates.qft(m, REGS.x), gates.qft(m, REGS.y), gates.swap_regs(REGS.x, REGS.y)]
     # load l**phi(p-1) * (l s) into OUT via a powered temporary: coprime l
     # components then hold the bare index there
-    pw = gates.pow_const(euler_totient(factorize(m)) - 1, m, regs.x, regs.e)
-    euler = [pw, gates.mul3(m, regs.e, regs.y, regs.out), adjoint(pw)]
+    pw = gates.pow_const(totient(m) - 1, m, REGS.x, REGS.e)
+    euler = [pw, gates.mul3(m, REGS.e, REGS.y, REGS.out), adjoint(pw)]
     stage1 = psi1 + psi2 + euler
     prep1 = Sequence(tuple(stage1), label="U_T1")
     amp1 = amplification_gates(
-        lambda phi: good_rotation_stage1(spec, regs, phi),
-        lambda phi: reflect_about(prep1, _full_pivot(regs), phi, label="R_full1"),
+        lambda phi: good_rotation_stage1(spec, phi),
+        lambda phi: reflect_about(prep1, _full_pivot(), phi, label="R_full1"),
         schedule)
 
     mid = [
-        adjoint(gates.mul3(m, regs.x, regs.out, regs.y)),  # clear l*s using l and s
-        adjoint(gates.qft(p - 1, regs.x)),
-        adjoint(gates.cyclic_shift(p, g, regs.f, power=1, control=regs.x)),
+        adjoint(gates.mul3(m, REGS.x, REGS.out, REGS.y)),  # clear l*s using l and s
+        adjoint(gates.qft(p - 1, REGS.x)),
+        adjoint(gates.cyclic_shift(p, g, REGS.f, power=1, control=REGS.x)),
     ]
 
     prep2 = Sequence(tuple(stage1 + amp1 + mid), label="U_T2")
     amp2 = amplification_gates(
-        lambda phi: gates.selective_phase({1: phi}, regs.f, label="C_1",
+        lambda phi: gates.selective_phase({1: phi}, REGS.f, label="C_1",
                                           cost_class="reflection"),
-        lambda phi: reflect_about(prep2, _full_pivot(regs), phi, label="R_full2"),
+        lambda phi: reflect_about(prep2, _full_pivot(), phi, label="R_full2"),
         schedule)
 
     tail = [
-        adjoint(gates.qft(p - 1, regs.x)),
-        gates.transposition(1, 0, regs.f),  # state transfer |1> -> |0>
+        adjoint(gates.qft(p - 1, REGS.x)),
+        gates.transposition(1, 0, REGS.f),  # state transfer |1> -> |0>
     ]
     return {"psi1": psi1, "psi2": psi2, "euler": euler, "stage1": stage1, "amp1": amp1,
             "mid": mid, "amp2": amp2, "tail": tail, "schedule": schedule}
 
 
-def v_f_inverse(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
-                mode: str = "exact", grover_m: int | None = None) -> GateOp:
+def v_f_inverse(spec: CyclicGroupSpec) -> GateOp:
     """Gate sequence mapping |R0>|g**s mod p>|0> to |R0>|g**s mod p>|s> for
-    every s (exact mode: fidelity 1 up to rounding)."""
-    kit = pipeline_kit(spec, regs, mode, grover_m)
+    every s (exact amplification: fidelity 1 up to rounding)."""
+    kit = pipeline_kit(spec)
     return Sequence(tuple(kit["stage1"] + kit["amp1"] + kit["mid"]
                           + kit["amp2"] + kit["tail"]), label="V_finv")
 
 
-def forward_mod_exp(spec: CyclicGroupSpec, regs: DlogRegs) -> GateOp:
+def forward_mod_exp(spec: CyclicGroupSpec) -> GateOp:
     """|s>|0> -> |s>|g**s mod p> with the index s read from W and the group
     element built in OUT (set to 1, then multiplied by g**s).  `u_log` applies
     its adjoint as the closing step, which clears OUT once it holds g**s."""
     return Sequence((
-        gates.transposition(0, 1, regs.out),
-        gates.cond_mod_exp_two_reg(spec.g, spec.p, regs.w, regs.out),
+        gates.transposition(0, 1, REGS.out),
+        gates.cond_mod_exp_two_reg(spec.g, spec.p, REGS.w, REGS.out),
     ), label="V_f")
 
 
-def u_log(spec: CyclicGroupSpec, regs: DlogRegs = DlogRegs(),
-          mode: str = "exact", grover_m: int | None = None) -> GateOp:
+def u_log(spec: CyclicGroupSpec) -> GateOp:
     """|g**s mod p> -> |s> in the work register, auxiliaries restored; the
     adjoint maps |s> -> |g**s mod p>."""
-    vinv = v_f_inverse(spec, regs, mode, grover_m)
     return Sequence((
-        vinv,
-        gates.swap_regs(regs.w, regs.out),
-        adjoint(forward_mod_exp(spec, regs)),
+        v_f_inverse(spec),
+        gates.swap_regs(REGS.w, REGS.out),
+        adjoint(forward_mod_exp(spec)),
     ), label="U_log")
 
 
-def index_patterns(state: SparseState, regs: DlogRegs = DlogRegs()) -> set[tuple[int, int]]:
-    return set(zip(state.column(regs.x).tolist(), state.column(regs.y).tolist()))
+def index_patterns(state: SparseState) -> set[tuple[int, int]]:
+    return set(zip(state.column(REGS.x).tolist(), state.column(REGS.y).tolist()))
 
 
-def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
-                  mode: str = "exact", grover_m: int | None = None,
+def run_dlog_demo(spec: CyclicGroupSpec, b: int, mode: str = "exact", grover_m: int | None = None,
                   ledger: GateLedger | None = None) -> tuple[PipelineTrace, int, SparseState]:
     """Run the staged inversion on |g**s> = |b> with per-stage diagnostics;
     returns the trace, the recovered index, and the final state."""
     trace = PipelineTrace()
     ledger = ledger if ledger is not None else GateLedger()
     p, g, m = spec.p, spec.g, spec.p - 1
-    kit = pipeline_kit(spec, regs, mode, grover_m)
-    layout = make_dlog_layout(spec, regs)
-    state = SparseState.basis(layout, {regs.w: b})
+    kit = pipeline_kit(spec, mode, grover_m)
+    layout = make_dlog_layout(spec)
+    state = SparseState.basis(layout, {REGS.w: b})
     trace.record("psi0", 1.0, state.support_size, ledger)
 
     state = apply_all(state, kit["psi1"], ledger)
-    target = _psi1_target(spec, b, layout, regs)
+    target = _psi1_target(spec, b, layout)
     trace.record("psi1", hilbert.fidelity(state, target), state.support_size, ledger)
 
     state = apply_all(state, kit["psi2"], ledger)
     s_true = classical_dlog(p, g, b)
     want = {(l, (l * s_true) % m) for l in range(m)}
-    pat_ok = index_patterns(state, regs) == want
+    pat_ok = index_patterns(state) == want
     trace.record("psi2", 1.0 if pat_ok else 0.0, state.support_size, ledger)
     if not pat_ok:
         raise SimulationError("index-pattern shape check failed after the Fourier pass")
 
     state = apply_all(state, kit["euler"], ledger)
-    weight = state.weight_where(regs.x, _coprime_mask(layout.dim(regs.x), m))
+    weight = state.weight_where(REGS.x, _coprime_mask(layout.dim(REGS.x), m))
     trace.record("psi3", None, state.support_size, ledger)
     trace.record("psi3s-weight", weight, state.support_size, ledger)
 
@@ -277,31 +268,27 @@ def run_dlog_demo(spec: CyclicGroupSpec, b: int, regs: DlogRegs = DlogRegs(),
     trace.record("psi6s", None, state.support_size, ledger)
 
     state = apply(state, unshift, ledger)
-    cross = state.weight_where(regs.f, np.arange(layout.dim(regs.f)) != 1)
+    cross = state.weight_where(REGS.f, np.arange(layout.dim(REGS.f)) != 1)
     trace.record("psi7s", cross, state.support_size, ledger)
 
     state = apply_all(state, kit["amp2"] + kit["tail"], ledger)
 
-    target = SparseState.basis(layout, {regs.w: b, regs.out: s_true})
+    target = SparseState.basis(layout, {REGS.w: b, REGS.out: s_true})
     fid = hilbert.fidelity(state, target)
     trace.record("final", fid, state.support_size, ledger)
     if mode == "exact":
         # plain reflections leave genuine residue; only exact mode owes clean aux
         hilbert.assert_registers_clean(
-            state, tuple(x for x in regs.aux() if x != regs.out), "log-gate inversion")
-    recovered = state.peak_tuple()[layout.index(regs.out)]
+            state, tuple(x for x in REGS.aux() if x != REGS.out), "log-gate inversion")
+    recovered = state.peak_tuple()[layout.index(REGS.out)]
     return trace, recovered, state
 
 
-def _psi1_target(spec: CyclicGroupSpec, b: int, layout: RegisterLayout,
-                 regs: DlogRegs) -> SparseState:
+def _psi1_target(spec: CyclicGroupSpec, b: int, layout: RegisterLayout) -> SparseState:
     p, g, m = spec.p, spec.g, spec.p - 1
     amp = 1.0 / m
     entries = {}
-    iw = layout.index(regs.w)
-    ix = layout.index(regs.x)
-    iy = layout.index(regs.y)
-    i_f = layout.index(regs.f)
+    iw, ix, iy, i_f = (layout.index(name) for name in (REGS.w, REGS.x, REGS.y, REGS.f))
     base = list(layout.zero_tuple())
     base[iw] = b
     for x in range(m):

@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise DomainError("trotter_m must be at least 1")
         if self.grover_m is not None and self.grover_m < 0:
             raise DomainError("grover_m must be non-negative")
+        if self.grover_m is not None and self.mode != "grover":
+            raise DomainError("grover_m applies only to mode 'grover'")
         if self.theta != math.pi:
             # the component search's trial threshold assumes a pi rotation
             raise DomainError(f"theta must be pi, got {self.theta}")
@@ -154,7 +156,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     inst = _instance(config.p, config.g, config.epsilon, config.gamma)
     spec, layout, regs = inst.spec, inst.layout, inst.regs
     hidden_s = _draw_hidden(config)
-    ospec = OracleSpec(hidden_s, config.theta, "subspace_selective", spec)
+    ospec = OracleSpec(hidden_s, spec)
     b = ospec.marked_value  # the instance data: the marked group element
     ledger = GateLedger()
     log.info("instance p=%d g=%d, searching over %d components", spec.p, spec.g, spec.r)
@@ -176,8 +178,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         }
 
     base_oracle = make_subspace_oracle(
-        ospec, layout, regs.w,
-        designated=tuple(x for x in layout.names if x not in (regs.w, cr.SEARCH)))
+        ospec, regs.w, tuple(x for x in layout.names if x not in (regs.w, cr.SEARCH)),
+        config.theta)
 
     components: list[dict] = []
     halt_ledger: list[dict] = []
@@ -194,8 +196,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         aux = cr.make_aux_oracle(base_oracle, k, inst.aux_reductions[k],
                                  inst.aux_unreductions[k], inst.aux_swaps[k])
         try:
-            found, state, info = mq.subspace_search(aux, inst.search, k, state,
-                                                    ledger=ledger)
+            found, state, info = mq.subspace_search(aux, inst.search, k, state, ledger)
         except SimulationError as err:
             log.error("component %d search failed: %s", k, err)
             search_failed = True
@@ -221,11 +222,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if not search_failed and len(residues) == spec.r:
         recovered_s = crt_compose(tuple(residues), spec.basis)
         candidate_value = pow(spec.g, recovered_s, spec.p)
-
-        def oracle_for_theta(th: float):
-            return make_oracle(dataclasses.replace(ospec, theta=th, flavor="phase"), "q")
-
-        verified = mq.verify_solution(candidate_value, oracle_for_theta, inst.n, ledger)
+        verified = mq.verify_solution(candidate_value, functools.partial(make_oracle, ospec, "q"),
+                                      inst.n, ledger)
         classical_ok = classical_dlog(spec.p, spec.g, b) == recovered_s
 
     success = bool(recovered_s == hidden_s and verified and classical_ok)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, hilbert
-from .hilbert import (Controlled, GateLedger, GateOp, LocalUnitary, Register,
-                      RegisterLayout, Sequence, SimulationError, SparseState, adjoint, apply)
+from .hilbert import (Controlled, GateOp, LocalUnitary, Register, RegisterLayout, Sequence,
+                      SimulationError, SparseState, adjoint, apply)
 from .numtheory import CyclicGroupSpec, DomainError, multiplicative_order
 
 
@@ -134,8 +134,8 @@ class QpRegs:
     rec: str = "REC"
 
 
-def make_qp_layout(config: ProgramConfig, regs: QpRegs = QpRegs()) -> RegisterLayout:
-    n_dim = gates.register_dim(config.p)
+def make_qp_layout(config: ProgramConfig) -> RegisterLayout:
+    regs, n_dim = QpRegs(), gates.register_dim(config.p)
     return RegisterLayout([
         Register(regs.nh, 2),
         Register(regs.bh, config.branch_dim),
@@ -186,8 +186,7 @@ def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
     return Sequence(tuple(seq), label="Q_p")
 
 
-def run_qp(state: SparseState, config: ProgramConfig, regs: QpRegs = QpRegs(),
-           ledger: GateLedger | None = None) -> tuple[SparseState, HaltRecord]:
+def run_qp(state: SparseState, config: ProgramConfig) -> tuple[SparseState, HaltRecord]:
     """Execute the program on a single basis input |0>|0>|f(x)>|g(y)>.
 
     Superposed inputs are rejected: the halting protocol is defined for basis
@@ -196,21 +195,19 @@ def run_qp(state: SparseState, config: ProgramConfig, regs: QpRegs = QpRegs(),
     if not state.is_basis_state():
         raise SimulationError("program input must be a single basis state, "
                               "got a superposition")
-    tup = state.sole_tuple()
-    lay = state.layout
+    regs, tup, lay = QpRegs(), state.sole_tuple(), state.layout
     if tup[lay.index(regs.nh)] != 0 or tup[lay.index(regs.bh)] != 0:
         raise SimulationError("halt and branch registers must start at 0")
     if tup[lay.index(regs.rec)] != 0:
         raise SimulationError("record register must start empty")
     g_dim = lay.dim(regs.g)
-    state = apply(state, qp_gate(config, regs, g_dim, None), ledger)
+    state = apply(state, qp_gate(config, regs, g_dim, None))
     rec = state.register_value(regs.rec)
     return state, HaltRecord(rec)
 
 
-def run_qc(state: SparseState, config: ProgramConfig, pulse: PulseModel,
-           regs: QpRegs = QpRegs(),
-           ledger: GateLedger | None = None) -> tuple[SparseState, dict]:
+def run_qc(state: SparseState, config: ProgramConfig,
+           pulse: PulseModel) -> tuple[SparseState, dict]:
     """Circuit variant: trigger pulse moves the cleared pair state through the
     control level; the locking pulse converts it down, leaving epsilon behind.
 
@@ -221,20 +218,16 @@ def run_qc(state: SparseState, config: ProgramConfig, pulse: PulseModel,
     """
     if not state.is_basis_state():
         raise SimulationError("circuit input must be a single basis state")
-    lay = state.layout
-    tup = state.sole_tuple()
-    x_val = tup[lay.index(regs.f)]
+    regs, lay = QpRegs(), state.layout
+    x_val = state.sole_tuple()[lay.index(regs.f)]
     g_dim = lay.dim(regs.g)
     c = config.control_value
-    eps, gam = pulse.epsilon, pulse.gamma
-    root = math.sqrt(1.0 - eps * eps)
 
-    # locking conversion c -> 0 with residue eps left on c (phase gamma)
-    lock = np.eye(g_dim, dtype=complex)
-    lock[c, c] = eps * complex(math.cos(gam), -math.sin(gam))
-    lock[0, c] = root
-    lock[c, 0] = root
-    lock[0, 0] = -eps * complex(math.cos(gam), math.sin(gam))
+    # locking conversion c -> 0 with residue eps left on c (phase gamma): the
+    # leak with columns 0 and c exchanged
+    cols = np.arange(g_dim)
+    cols[[0, c]] = c, 0
+    lock = _leak_gate(config, pulse, regs.g, g_dim).matrix[:, cols]
     lock_gate = LocalUnitary(regs.g, lock, label="P_SL")
 
     u_b, u_g, u_rc = _unit_gates(config, regs)
@@ -247,25 +240,25 @@ def run_qc(state: SparseState, config: ProgramConfig, pulse: PulseModel,
         return s.weight_where(regs.g, at_c) > 0.0
 
     for _ in range(config.m_r):
-        state = apply(state, u_b, ledger)
+        state = apply(state, u_b)
         if not locked:
-            state = apply(state, p_t, ledger)
+            state = apply(state, p_t)
             if locking_due(state):
-                state = apply(state, lock_gate, ledger)
+                state = apply(state, lock_gate)
                 locked = True
-        state = apply(state, u_g, ledger)
-        state = apply(state, u_rc, ledger)
-    state = apply(state, u_b, ledger)
+        state = apply(state, u_g)
+        state = apply(state, u_rc)
+    state = apply(state, u_b)
     if not locked:
-        state = apply(state, p_t, ledger)
+        state = apply(state, p_t)
         if locking_due(state):
-            state = apply(state, lock_gate, ledger)
+            state = apply(state, lock_gate)
             locked = True
 
     ideal = {regs.bh: 1, regs.f: x_val, regs.g: 0}
     ideal_state = SparseState.basis(lay, ideal)
     fid = hilbert.fidelity(state, ideal_state)
-    return state, {"fidelity": fid, "locked": locked, "epsilon": eps}
+    return state, {"fidelity": fid, "locked": locked, "epsilon": pulse.epsilon}
 
 
 def reset_flags_gates(config: ProgramConfig, regs: QpRegs) -> list[GateOp]:

@@ -274,24 +274,26 @@ def trial_circuit_prob(state: SparseState, search: SearchGates, x: int, aux_orac
     return _top_weight(state, search.reg), state
 
 
+TRIAL_THRESHOLD = 0.5  # the hit trial of a theta = pi oracle reads 1
+
+
 def subspace_search(aux_oracle: GateOp, search: SearchGates, k: int, state: SparseState,
-                    threshold: float = 0.5,
                     ledger: GateLedger | None = None) -> tuple[int, SparseState, dict]:
     """Try subgroup indices x = 0, 1, ... until the highest-state probability
-    crosses the threshold; at most m_r trials, one oracle call each."""
+    crosses TRIAL_THRESHOLD; at most m_r trials, one oracle call each."""
     probs: list[float] = []
     found: int | None = None
     for x in range(len(search.dress)):
         prob, state = trial_circuit_prob(state, search, x, aux_oracle, ledger)
         probs.append(prob)
-        if prob > threshold:
+        if prob > TRIAL_THRESHOLD:
             found = x
             # measured outcome is the highest state; return the register to 0
             state = hilbert.apply(state, search.top_reset, ledger)
             break
     if found is None:
         raise SimulationError(
-            f"search fault: no trial probability above {threshold} (component {k})")
+            f"search fault: no trial probability above {TRIAL_THRESHOLD} (component {k})")
     info = {"trial_probabilities": probs, "oracle_calls": len(probs),
             "max_probability": max(probs)}
     return found, state, info

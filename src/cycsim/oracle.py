@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gates
-from .hilbert import Controlled, GateOp, Permutation, RegisterLayout
+from .hilbert import Controlled, GateOp
 from .numtheory import CyclicGroupSpec, DomainError
-
-ORACLE_FLAVORS = ("phase", "flag", "subspace_selective")
 
 
 @dataclass(frozen=True)
@@ -46,22 +44,18 @@ def rep_value(rep: BinaryRep) -> int:
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """Hidden marked index plus rotation angle and oracle flavor.
+    """Hidden marked index and its group.
 
     `hidden_index` is the only copy of the secret; only oracle constructors and
     the driver's verification step may touch it.
     """
 
     hidden_index: int
-    theta: float
-    flavor: str
     group: CyclicGroupSpec
 
     def __post_init__(self):
         if not 0 <= self.hidden_index < self.group.p - 1:
             raise DomainError("hidden index outside the group order")
-        if self.flavor not in ORACLE_FLAVORS:
-            raise DomainError(f"unknown oracle flavor {self.flavor!r}")
 
     @property
     def marked_value(self) -> int:
@@ -69,40 +63,20 @@ class OracleSpec:
         return pow(self.group.g, self.hidden_index, self.group.p)
 
 
-def make_oracle(spec: OracleSpec, work_reg: str, flag_reg: str | None = None) -> GateOp:
-    """Phase flavor: selective rotation on the marked group state (the explicit
-    (|0>-|1>)/sqrt2 ancilla is folded into the phase).  Flag flavor: toggle a
-    flag register exactly on the marked state."""
-    target = spec.marked_value
-    if spec.flavor == "flag":
-        if flag_reg is None:
-            raise DomainError("flag flavor needs a flag register")
-
-        def fwd(v):
-            x, f = v
-            return (x, f ^ 1) if x == target else v
-
-        return Permutation((work_reg, flag_reg), fwd, fwd, label="oracle_flag",
-                           cost_class="oracle-call")
-    if spec.flavor != "phase":
-        raise DomainError("use make_subspace_oracle for the subspace-selective flavor")
-    return gates.selective_phase({target: spec.theta}, work_reg, label="oracle",
+def make_oracle(spec: OracleSpec, reg: str, theta: float) -> GateOp:
+    """Selective rotation by theta on the marked group state (the explicit
+    (|0>-|1>)/sqrt2 ancilla is folded into the phase)."""
+    return gates.selective_phase({spec.marked_value: theta}, reg, label="oracle",
                                  cost_class="oracle-call")
 
 
-def make_subspace_oracle(spec: OracleSpec, layout: RegisterLayout, work_reg: str,
-                         designated: tuple[str, ...] | None = None) -> GateOp:
+def make_subspace_oracle(spec: OracleSpec, work_reg: str, designated: tuple[str, ...],
+                         theta: float) -> GateOp:
     """Phase exp(-i theta) only when every designated auxiliary register reads 0
-    AND the work register holds the marked state.
-
-    By default every register except the work register is designated, which is
-    the strictest reading of acting on the register library state alone.
-    """
-    if designated is None:
-        designated = tuple(n for n in layout.names if n != work_reg)
+    AND the work register holds the marked state."""
     if work_reg in designated:
         raise DomainError("work register cannot be part of the designated library")
-    inner = gates.selective_phase({spec.marked_value: spec.theta}, work_reg,
+    inner = gates.selective_phase({spec.marked_value: theta}, work_reg,
                                   label="oracle_sub", cost_class="oracle-call")
     return Controlled(tuple(designated), frozenset({(0,) * len(designated)}), inner,
                       label="oracle_sub")

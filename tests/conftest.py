@@ -15,12 +15,17 @@ def spec5():
 
 @pytest.fixture
 def cleared_gate_caches():
-    """Start from empty memoized gate builders, as a fresh process would."""
+    """Start from empty memoized gate builders, as a fresh process would; the
+    returned function empties them again."""
     from cycsim import dlog_pipeline, driver, halting_program, mq_circuits
 
-    for builder in (dlog_pipeline._kit, halting_program.qp_gate, driver._instance,
-                    mq_circuits._half_rotation):
-        builder.cache_clear()
+    def clear():
+        for builder in (dlog_pipeline._kit, halting_program.qp_gate, driver._instance,
+                        mq_circuits._half_rotation):
+            builder.cache_clear()
+
+    clear()
+    return clear
 
 
 def pytest_addoption(parser):

@@ -25,30 +25,29 @@ def amplitude_amplify(state: SparseState, good_builder, full_builder, mode: str,
     return state, info
 
 
-def prepare_psi1(spec: CyclicGroupSpec, b: int, regs: dl.DlogRegs = dl.DlogRegs(),
+def prepare_psi1(spec: CyclicGroupSpec, b: int,
                  ledger: GateLedger | None = None) -> SparseState:
     """Uniform double index superposition with the functional register loaded:
     support (p-1)^2, every amplitude of magnitude 1/(p-1)."""
     if not 1 <= b < spec.p:
         raise DomainError(f"instance value {b} outside the group")
-    layout = dl.make_dlog_layout(spec, regs)
-    state = SparseState.basis(layout, {regs.w: b})
-    return apply_all(state, dl.pipeline_kit(spec, regs)["psi1"], ledger)
+    state = SparseState.basis(dl.make_dlog_layout(spec), {dl.REGS.w: b})
+    return apply_all(state, dl.pipeline_kit(spec)["psi1"], ledger)
 
 
-def to_psi2(state: SparseState, spec: CyclicGroupSpec, regs: dl.DlogRegs = dl.DlogRegs(),
+def to_psi2(state: SparseState, spec: CyclicGroupSpec,
             ledger: GateLedger | None = None) -> SparseState:
     """Second Fourier pass and swap; afterwards the two index registers show
     exactly p-1 patterns (l, l*s mod (p-1))."""
     if state.support_size != (spec.p - 1) ** 2:
         raise SimulationError("input does not have the double-superposition shape")
-    return apply_all(state, dl.pipeline_kit(spec, regs)["psi2"], ledger)
+    return apply_all(state, dl.pipeline_kit(spec)["psi2"], ledger)
 
 
-def euler_filter(state: SparseState, spec: CyclicGroupSpec, regs: dl.DlogRegs = dl.DlogRegs(),
+def euler_filter(state: SparseState, spec: CyclicGroupSpec,
                  ledger: GateLedger | None = None) -> tuple[SparseState, float]:
     """Apply the Euler-power filter; returns the state and the weight of the
     coprime components (phi(p-1)/(p-1) for a uniform pattern state)."""
-    state = apply_all(state, dl.pipeline_kit(spec, regs)["euler"], ledger)
-    return state, state.weight_where(regs.x,
-                                     dl._coprime_mask(state.layout.dim(regs.x), spec.p - 1))
+    x = dl.REGS.x
+    state = apply_all(state, dl.pipeline_kit(spec)["euler"], ledger)
+    return state, state.weight_where(x, dl._coprime_mask(state.layout.dim(x), spec.p - 1))

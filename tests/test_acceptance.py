@@ -54,7 +54,7 @@ def test_criterion_1_crt_identities():
 def test_criterion_2_dlog_unitary(p):
     t0 = time.perf_counter()
     spec = make_group_spec(p)
-    regs = dl.DlogRegs()
+    regs = dl.REGS
     layout = dl.make_dlog_layout(spec)
     gate = dl.u_log(spec)
     for s in range(p - 1):
@@ -78,8 +78,8 @@ def test_criterion_3_euler_filter_and_grover():
         assert abs(weight - totient(p - 1) / (p - 1)) < 1e-12, p
     # amplified weight follows the closed-form rotation
     spec = make_group_spec(13)
-    regs = dl.DlogRegs()
-    kit = dl.pipeline_kit(spec, regs)
+    regs = dl.REGS
+    kit = dl.pipeline_kit(spec)
     prep1 = hilbert.Sequence(tuple(kit["stage1"]))
     w = totient(12) / 12
     for m in (1, 2, 3):
@@ -87,8 +87,8 @@ def test_criterion_3_euler_filter_and_grover():
         st = stages.to_psi2(st, spec)
         st, _ = stages.euler_filter(st, spec)
         out, _ = stages.amplitude_amplify(
-            st, lambda phi: dl.good_rotation_stage1(spec, regs, phi),
-            lambda phi: dl.reflect_about(prep1, dl._full_pivot(regs), phi),
+            st, lambda phi: dl.good_rotation_stage1(spec, phi),
+            lambda phi: dl.reflect_about(prep1, dl._full_pivot(), phi),
             "grover", w, m)
         coprime = [math.gcd(v, 12) == 1 for v in range(out.layout.dim(regs.x))]
         got = out.weight_where(regs.x, coprime)

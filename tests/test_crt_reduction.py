@@ -188,13 +188,11 @@ def test_to_largest_subspace(env13):
         cr.to_largest_subspace(bad, spec, regs)
 
 
-def _aux_env(p, hidden_s, theta=math.pi):
+def _aux_env(p, hidden_s):
     spec = make_group_spec(p)
     layout, regs, strip = cr.make_search_layout(spec)
-    ospec = OracleSpec(hidden_s, theta, "subspace_selective", spec)
-    base = make_subspace_oracle(ospec, layout, regs.w,
-                                designated=tuple(n for n in layout.names
-                                                 if n not in (regs.w, cr.SEARCH)))
+    designated = tuple(n for n in layout.names if n not in (regs.w, cr.SEARCH))
+    base = make_subspace_oracle(OracleSpec(hidden_s, spec), regs.w, designated, math.pi)
     return spec, layout, regs, strip, base, layout.dim(regs.w)
 
 

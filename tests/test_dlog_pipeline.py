@@ -24,7 +24,7 @@ def test_prepare_psi1_p3_support():
     assert st.support_size == 4
     # third register always holds 2^(x+y) mod 3
     lay = st.layout
-    regs = dl.DlogRegs()
+    regs = dl.REGS
     for k in st.entries:
         x, y = k[lay.index(regs.x)], k[lay.index(regs.y)]
         assert k[lay.index(regs.f)] == pow(2, x + y, 3)
@@ -61,7 +61,7 @@ def test_euler_filter_coprime_components_hold_index(spec13):
     st = stages.to_psi2(st, spec13)
     st, _ = stages.euler_filter(st, spec13)
     lay = st.layout
-    regs = dl.DlogRegs()
+    regs = dl.REGS
     ix, iout = lay.index(regs.x), lay.index(regs.out)
     for k in st.entries:
         if math.gcd(k[ix], 12) == 1:
@@ -72,7 +72,7 @@ def test_euler_filter_coprime_components_hold_index(spec13):
 
 def test_reflect_about_properties(spec5):
     # pivot reflection on a fully specified basis tuple
-    regs = dl.DlogRegs()
+    regs = dl.REGS
     lay = dl.make_dlog_layout(spec5)
     prep = gates.qft(4, regs.x)
     pivot = {n: 0 for n in lay.names}
@@ -96,10 +96,10 @@ def test_reflect_about_properties(spec5):
 def test_good_rotation_fires_on_coprime_index(p):
     # every value of the X register, including those >= p-1, keeps the gcd verdict
     spec = make_group_spec(p)
-    regs = dl.DlogRegs()
-    rot = dl.good_rotation_stage1(spec, regs, 0.5).gates[2]
+    regs = dl.REGS
+    rot = dl.good_rotation_stage1(spec, 0.5).gates[2]
     assert rot.label == "C_good"
-    layout = dl.make_dlog_layout(spec, regs)
+    layout = dl.make_dlog_layout(spec)
     N = gates.register_dim(p)
     amp = 1 / math.sqrt(N)
     rows = {}
@@ -128,14 +128,14 @@ def test_amplification_schedule_grover_default():
 @pytest.mark.parametrize("mode,m", [("grover", 1), ("grover", 2), ("exact", None)])
 def test_amplification_on_pipeline_state(spec13, mode, m):
     # drive the real Euler-filtered state and compare against the closed form
-    regs = dl.DlogRegs()
-    kit = dl.pipeline_kit(spec13, regs, "exact", None)
+    regs = dl.REGS
+    kit = dl.pipeline_kit(spec13, "exact", None)
     st = stages.prepare_psi1(spec13, b=pow(2, 7, 13))
     st = stages.to_psi2(st, spec13)
     st, w = stages.euler_filter(st, spec13)
     prep1 = hilbert.Sequence(tuple(kit["stage1"]))
-    good = lambda phi: dl.good_rotation_stage1(spec13, regs, phi)
-    full = lambda phi: dl.reflect_about(prep1, dl._full_pivot(regs), phi)
+    good = lambda phi: dl.good_rotation_stage1(spec13, phi)
+    full = lambda phi: dl.reflect_about(prep1, dl._full_pivot(), phi)
     out, info = stages.amplitude_amplify(st, good, full, mode, w, m)
     coprime = [math.gcd(v, 12) == 1 for v in range(out.layout.dim(regs.x))]
     got = out.weight_where(regs.x, coprime)
@@ -147,7 +147,7 @@ def test_amplification_on_pipeline_state(spec13, mode, m):
 
 
 def test_v_f_inverse_examples(spec13):
-    regs = dl.DlogRegs()
+    regs = dl.REGS
     lay = dl.make_dlog_layout(spec13)
     vinv = dl.v_f_inverse(spec13)
     # index of the unit element is 0
@@ -171,7 +171,7 @@ def test_v_f_inverse_cross_term_weight(spec13):
 @pytest.mark.parametrize("p", (5, 7, 13))
 def test_u_log_exhaustive(p):
     spec = make_group_spec(p)
-    regs = dl.DlogRegs()
+    regs = dl.REGS
     lay = dl.make_dlog_layout(spec)
     gate = dl.u_log(spec)
     for s in range(p - 1):
@@ -183,7 +183,7 @@ def test_u_log_exhaustive(p):
 
 
 def test_u_log_adjoint_roundtrip(spec13):
-    regs = dl.DlogRegs()
+    regs = dl.REGS
     lay = dl.make_dlog_layout(spec13)
     gate = dl.u_log(spec13)
     for s in (0, 3, 7, 11):
@@ -197,7 +197,7 @@ def test_u_log_adjoint_roundtrip(spec13):
 
 
 def test_u_log_superposition_support(spec13):
-    regs = dl.DlogRegs()
+    regs = dl.REGS
     lay = dl.make_dlog_layout(spec13)
     gate = dl.u_log(spec13)
     iw = lay.index(regs.w)
@@ -219,7 +219,7 @@ def test_fourier_pair_consistency(spec13):
     b = pow(2, 7, 13)
     st1 = stages.prepare_psi1(spec13, b)
     st2 = stages.to_psi2(st1, spec13)
-    regs = dl.DlogRegs()
+    regs = dl.REGS
     back = st2
     for gate in [gates.swap_regs(regs.x, regs.y),
                  adjoint(gates.qft(12, regs.x)), adjoint(gates.qft(12, regs.y))]:
@@ -249,7 +249,7 @@ def test_u_log_large_prime_samples():
         spec = make_group_spec(p)
         lay = dl.make_dlog_layout(spec)
         gate = dl.u_log(spec)
-        regs = dl.DlogRegs()
+        regs = dl.REGS
         for s in samples:
             out = apply(SparseState.basis(lay, {regs.w: pow(spec.g, s, p)}), gate)
             tgt = SparseState.basis(lay, {regs.w: s})
@@ -258,8 +258,8 @@ def test_u_log_large_prime_samples():
 
 def test_pipeline_kit_defaults_and_spelled_out_arguments_share_one_kit(cleared_gate_caches,
                                                                         spec5):
-    # the memo is keyed on all four arguments, given by position, so a default
+    # the memo is keyed on all three arguments, given by position, so a default
     # and its spelled-out value cannot build (and compile) the kit twice
     kit = dl.pipeline_kit(spec5)
-    assert dl.pipeline_kit(spec5, dl.DlogRegs(), "exact", None) is kit
+    assert dl.pipeline_kit(spec5, "exact", None) is kit
     assert dl._kit.cache_info().misses == 1

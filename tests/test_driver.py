@@ -7,6 +7,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cycsim
@@ -148,14 +149,15 @@ def test_cli_single_run(tmp_path):
     (["--p", "13", "--g", "15", "--hidden-s", "1"], "15 is not a primitive root mod 13"),
     (["--p", "13", "--hidden-s", "1", "--trotter-m", "0"], "trotter_m"),
     (["--p", "13", "--hidden-s", "1", "--mode", "grover", "--grover-m", "-1"], "grover_m"),
+    (["--p", "13", "--hidden-s", "1", "--grover-m", "3"], "grover_m applies only to mode"),
     (["--p", "13", "--hidden-s", "7", "--theta", "1.0"], "theta must be pi"),
     (["--p", "13", "--hidden-s", "7", "--theta", "0"], "theta must be pi"),
     (["--p", "13", "--hidden-s", "5", "--hidden-random", "--seed", "1"],
      "--hidden-s conflicts with --hidden-random"),
     (["--p", "13", "--hidden-s", "5", "--csv", "sweep.csv"], "--hidden-s conflicts with --csv"),
 ], ids=["nonprime", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
-        "grover-m-negative", "theta-one", "theta-zero", "hidden-s-with-hidden-random",
-        "hidden-s-with-csv"])
+        "grover-m-negative", "grover-m-without-grover-mode", "theta-one", "theta-zero",
+        "hidden-s-with-hidden-random", "hidden-s-with-csv"])
 def test_cli_rejects_bad_config(argv, fragment, capsys):
     assert cli_main(argv) == 2
     assert fragment in capsys.readouterr().err
@@ -228,6 +230,35 @@ def test_warm_run_compiles_no_reduction_tables(monkeypatch):
     # only the per-run gates of the instance value b = 2**8 mod 13 = 9 are new:
     # its load, and the verification's relabeling by b (first met as the adjoint)
     assert compiled == ["X_0_9", "U_OR+"]
+
+
+def test_only_the_verification_relabeling_tables_depend_on_the_hidden_index(
+        cleared_gate_caches, monkeypatch):
+    # the hidden index lives only in the oracle, a phase gate: two cold runs
+    # compile equal tables for every (label, dims) they share, except the
+    # verification's relabeling by the recovered value.  The instance load
+    # X_0_b and the trials past the first run's hit compile in one run only
+    runs = []
+    table_for = Permutation.table_for
+
+    def spy(self, dims):
+        fresh = dims not in self.tables
+        table = table_for(self, dims)
+        if fresh and table is not None:
+            runs[-1][self.label, dims] = table
+        return table
+
+    monkeypatch.setattr(Permutation, "table_for", spy)
+    for s in (1, 7):
+        cleared_gate_caches()
+        runs.append({})
+        run_experiment(ExperimentConfig(p=13, hidden_s=s, run_demo=False))
+    first, second = runs
+    shared = first.keys() & second.keys()
+    assert {"HALT_1", "U_r", "SWAP", "LIFT_3_4"} <= {label for label, _ in shared}
+    differ = {label for label, dims in shared
+              if not np.array_equal(first[label, dims], second[label, dims])}
+    assert differ == {"U_OR+"}
 
 
 def test_warm_run_builds_no_reduction_adjoint(monkeypatch):

@@ -30,15 +30,15 @@ def test_binary_rep_roundtrip_exhaustive(n):
 
 def test_oracle_spec_guards(spec13):
     with pytest.raises(DomainError):
-        OracleSpec(12, math.pi, "phase", spec13)
+        OracleSpec(12, spec13)
     with pytest.raises(DomainError):
-        OracleSpec(3, math.pi, "banana", spec13)
+        OracleSpec(-1, spec13)
 
 
 def test_phase_oracle_marks_exactly_one_state(spec13):
     lay = RegisterLayout([Register("w", 16)])
-    spec = OracleSpec(7, math.pi, "phase", spec13)
-    gate = make_oracle(spec, "w")
+    spec = OracleSpec(7, spec13)
+    gate = make_oracle(spec, "w", math.pi)
     flipped = 0
     for x in range(12):
         st = SparseState.basis(lay, {"w": pow(spec13.g, x, 13)})
@@ -52,33 +52,19 @@ def test_phase_oracle_marks_exactly_one_state(spec13):
 
 
 def test_phase_oracle_inverse_pair(spec13):
-    import dataclasses
     lay = RegisterLayout([Register("w", 16)])
-    spec = OracleSpec(5, 1.1, "phase", spec13)
-    fwd = make_oracle(spec, "w")
-    back = make_oracle(dataclasses.replace(spec, theta=-1.1), "w")
+    spec = OracleSpec(5, spec13)
+    fwd = make_oracle(spec, "w", 1.1)
+    back = make_oracle(spec, "w", -1.1)
     st = apply(SparseState.basis(lay), hilbert.Sequence((fwd, back)))
     assert st.entries == SparseState.basis(lay).entries
-
-
-def test_flag_oracle(spec13):
-    lay = RegisterLayout([Register("w", 16), Register("flag", 2)])
-    spec = OracleSpec(7, math.pi, "flag", spec13)
-    gate = make_oracle(spec, "w", "flag")
-    marked = pow(spec13.g, 7, 13)
-    out = apply(SparseState.basis(lay, {"w": marked}), gate)
-    assert out.sole_tuple()[lay.index("flag")] == 1
-    out = apply(SparseState.basis(lay, {"w": 2}), gate)
-    assert out.sole_tuple()[lay.index("flag")] == 0
-    with pytest.raises(DomainError):
-        make_oracle(spec, "w")  # flag register required
 
 
 def test_subspace_oracle_cases(spec13):
     lay = RegisterLayout([Register("w", 16), Register("a1", 4),
                           Register("a2", 4)])
-    spec = OracleSpec(7, math.pi, "subspace_selective", spec13)
-    gate = make_subspace_oracle(spec, lay, "w")
+    spec = OracleSpec(7, spec13)
+    gate = make_subspace_oracle(spec, "w", ("a1", "a2"), math.pi)
     marked = pow(spec13.g, 7, 13)
     # aux all zero and marked work value: phase applied
     out = apply(SparseState.basis(lay, {"w": marked}), gate)
@@ -90,14 +76,14 @@ def test_subspace_oracle_cases(spec13):
     out = apply(SparseState.basis(lay, {"w": 5}), gate)
     assert abs(list(out.entries.values())[0] - 1) < 1e-12
     with pytest.raises(DomainError):
-        make_subspace_oracle(spec, lay, "w", designated=("w", "a1"))
+        make_subspace_oracle(spec, "w", ("w", "a1"), math.pi)
 
 
 def test_subspace_oracle_fires_only_on_a_clean_library(spec13):
     lay = RegisterLayout([Register("w", 16), Register("a1", 4),
                           Register("a2", 3)])
-    spec = OracleSpec(7, math.pi, "subspace_selective", spec13)
-    gate = make_subspace_oracle(spec, lay, "w")
+    spec = OracleSpec(7, spec13)
+    gate = make_subspace_oracle(spec, "w", ("a1", "a2"), math.pi)
     assert gate.on == {(0, 0)}
     marked = pow(spec13.g, 7, 13)
     rows = [(w, a1, a2) for w in (marked, 5) for a1 in range(4) for a2 in range(3)]
@@ -110,8 +96,8 @@ def test_subspace_oracle_fires_only_on_a_clean_library(spec13):
 
 def test_oracle_ledger_class(spec13):
     lay = RegisterLayout([Register("w", 16), Register("a1", 4)])
-    spec = OracleSpec(3, math.pi, "subspace_selective", spec13)
-    gate = make_subspace_oracle(spec, lay, "w")
+    spec = OracleSpec(3, spec13)
+    gate = make_subspace_oracle(spec, "w", ("a1",), math.pi)
     led = hilbert.GateLedger()
     apply(SparseState.basis(lay, {"w": 1}), gate, led)
     assert led.count("oracle-call") == 1

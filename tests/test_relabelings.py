@@ -141,10 +141,9 @@ def test_pairing_refusals(src, dst, regs):
 
 
 # the functions allowed to construct a Permutation: the two arithmetic
-# builders, the one relabeling builder, the register swap, the flag oracle
-# and the adjoint
+# builders, the one relabeling builder, the register swap and the adjoint
 PERMUTATION_BUILDERS = {"gates._accumulate", "gates._scale", "gates.swap_regs",
-                        "gates.pairing_permutation", "oracle.make_oracle", "hilbert.adjoint"}
+                        "gates.pairing_permutation", "hilbert.adjoint"}
 
 
 def _permutation_callers(path):
