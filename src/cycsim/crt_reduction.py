@@ -1,8 +1,8 @@
-"""State transformations between the whole cyclic-group space and its subgroup
-subspaces: decompose an index or group state into a tensor product of residue /
-subgroup components, lift components between subspaces, and build the
-auxiliary per-subspace oracle by conjugating the base oracle with the full
-reduction-plus-stripping pipeline.
+"""The reduction from the whole cyclic-group space to one subgroup subspace:
+the search register layout, the decomposition of a group state into a tensor
+product of subgroup components, the lifts of components into the largest
+subgroup subspace, the reduction gate that strips all but one component, and
+the auxiliary per-subspace oracle that conjugates the base oracle with it.
 
 Everything here is a permutation sequence built from the public group data, so
 the transformations act linearly on superpositions and never read the hidden
@@ -13,11 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gates, halting_program as hp
-from .hilbert import (GateOp, Register, RegisterLayout, Sequence, SimulationError, SparseState,
-                      adjoint, apply_all)
+from .hilbert import GateOp, Register, RegisterLayout, Sequence, adjoint
 from .numtheory import CyclicGroupSpec, DomainError
 
 
@@ -87,45 +84,6 @@ def make_search_layout(spec: CyclicGroupSpec
     return RegisterLayout(registers), regs, strip
 
 
-# --- index-space decompositions ----------------------------------------------
-
-def _cancel_index(spec: CyclicGroupSpec, regs: ReductionRegs, n_dim: int,
-                  weights: list[int]) -> list[GateOp]:
-    """Subtract sum_k weights[k] * comps[k] mod (p-1) from the work register,
-    which empties it when the weighted components reassemble the index."""
-    m = spec.p - 1
-    seq: list[GateOp] = []
-    for k, weight in enumerate(weights):
-        load = gates.set_const(weight % m, regs.a, n_dim)
-        mul = gates.mul3(m, regs.a, regs.comps[k], regs.b)
-        sub = adjoint(gates.add_mod(m, regs.b, regs.w))
-        seq += [load, mul, sub, adjoint(mul), adjoint(load)]
-    return seq
-
-
-def residue_product_gates(spec: CyclicGroupSpec, regs: ReductionRegs,
-                          n_dim: int) -> list[GateOp]:
-    """|s> -> tensor of |s mod m_k| with the composite register cancelled via
-    the inverse-cofactor linear combination."""
-    comps = spec.basis.components
-    seq = [gates.mod_reduce(comp.m, regs.w, regs.comps[k], n_dim)
-           for k, comp in enumerate(comps)]
-    return seq + _cancel_index(spec, regs, n_dim, [comp.n * comp.M for comp in comps])
-
-
-def scaled_product_gates(spec: CyclicGroupSpec, regs: ReductionRegs,
-                         n_dim: int) -> list[GateOp]:
-    """|s> -> tensor of |M_k s mod (p-1)>; the sum of inverse-weighted
-    components reassembles s for the cancellation."""
-    m = spec.p - 1
-    comps = spec.basis.components
-    seq: list[GateOp] = []
-    for k, comp in enumerate(comps):
-        load = gates.set_const(comp.M % m, regs.a, n_dim)
-        seq += [load, gates.mul3(m, regs.a, regs.w, regs.comps[k]), adjoint(load)]
-    return seq + _cancel_index(spec, regs, n_dim, [comp.n for comp in comps])
-
-
 # --- group-space decomposition -----------------------------------------------
 
 def subgroup_product_gates(spec: CyclicGroupSpec, regs: ReductionRegs,
@@ -155,17 +113,6 @@ def largest_subspace_gates(spec: CyclicGroupSpec, regs: ReductionRegs) -> list[G
     descs = descriptors(spec)
     top = descs[-1]
     return [subspace_lift(descs[k], top, regs.comps[k]) for k in range(spec.r - 1)]
-
-
-def to_largest_subspace(state: SparseState, spec: CyclicGroupSpec,
-                        regs: ReductionRegs) -> SparseState:
-    """Lift every component into the largest subgroup subspace, after checking
-    that each lies in its own source subspace."""
-    for k, desc in enumerate(descriptors(spec)[:-1]):
-        if not np.isin(state.column(regs.comps[k]), desc.basis).all():
-            raise SimulationError(
-                f"component {k} has support outside its source subspace")
-    return apply_all(state, largest_subspace_gates(spec, regs))
 
 
 # --- the auxiliary per-subspace oracle ----------------------------------------

@@ -59,6 +59,8 @@ class ExperimentConfig:
             raise DomainError(f"hidden index {self.hidden_s} outside Z_{self.p - 1}")
         if not 0.0 <= self.epsilon < 1.0:
             raise DomainError("epsilon must lie in [0, 1)")
+        if not math.isfinite(self.gamma):
+            raise DomainError(f"gamma must be finite, got {self.gamma}")
         if self.mode not in ("exact", "grover"):
             raise DomainError(f"unknown amplification mode {self.mode!r}")
         if self.g is not None and not (

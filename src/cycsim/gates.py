@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import GateOp, LocalUnitary, Permutation, PhaseFn, Sequence
+from .hilbert import GateOp, LocalUnitary, Permutation, PhaseFn
 from .numtheory import DomainError
 
 
@@ -77,25 +77,15 @@ def _scale(regs: tuple[str, ...], L: int, factor: Callable[..., int], label: str
     return Permutation(regs, fwd, inv, label=label)
 
 
-def add_mod(L: int, src: str, dst: str, label: str = "ADD") -> GateOp:
-    """|x>|y> -> |x>|(x+y) mod L> for x, y < L; identity outside Z_L x Z_L."""
-    return _accumulate((src, dst), L, lambda x: x if x < L else 0, f"{label}_{L}")
-
-
-def copy_gate(L: int, src: str, dst: str) -> GateOp:
-    """COPY = ADD on a zero target; its adjoint is the subtraction."""
-    return add_mod(L, src, dst, label="COPY")
+def add_mod(L: int, src: str, dst: str) -> GateOp:
+    """|x>|y> -> |x>|(x+y) mod L> for x, y < L; identity outside Z_L x Z_L.
+    On a zero target this copies x; the adjoint subtracts."""
+    return _accumulate((src, dst), L, lambda x: x if x < L else 0, f"ADD_{L}")
 
 
 def mul3(L: int, a: str, b: str, dst: str) -> GateOp:
     """|x>|y>|z> -> |x>|y>|(z + x*y) mod L> for z < L (additive extension)."""
     return _accumulate((a, b, dst), L, operator.mul, f"MUL3_{L}")
-
-
-def mod_reduce(m: int, src: str, dst: str, dst_dim: int) -> GateOp:
-    """|s>|t> -> |s>|(t + s mod m) mod d> for t < d: loads the residue of s into
-    a zero target."""
-    return _accumulate((src, dst), dst_dim, lambda s: s % m, f"MOD_{m}")
 
 
 def swap_regs(r1: str, r2: str) -> GateOp:
@@ -122,29 +112,11 @@ def transposition(a: int, b: int, reg: str) -> GateOp:
     return pairing_permutation([a], [b], reg, f"X_{a}_{b}")
 
 
-def mul_const(a: int, N: int, reg: str) -> GateOp:
-    """|x> -> |x*a mod N> for x < N; refuses construction unless gcd(a, N) = 1."""
-    if math.gcd(a, N) != 1:
-        raise DomainError(f"mul_const({a}, {N}): multiplier not coprime, not unitary")
-    return _scale((reg,), N, lambda: a, f"MUL_{a}_{N}")
-
-
 def cond_mod_exp_two_reg(a: int, L: int, ctrl: str, tgt: str) -> GateOp:
     """|x>|y> -> |x>|y * a**x mod L> for y < L; requires gcd(a, L) = 1."""
     if math.gcd(a, L) != 1:
         raise DomainError(f"cond_mod_exp two_reg: gcd({a},{L}) != 1, not unitary")
     return _scale((ctrl, tgt), L, lambda x: pow(a, x, L), f"CEXP_{a}_{L}")
-
-
-def cond_mod_exp_three_reg(a: int, L: int, ctrl: str, mul: str, tgt: str) -> GateOp:
-    """|x>|y>|z> -> |x>|y>|(z + y*a**x) mod L> for z < L; unitary for any a."""
-    return _accumulate((ctrl, mul, tgt), L, lambda x, y: y * pow(a, x, L), f"CEXP3_{a}_{L}")
-
-
-def cond_mod_exp_two_var(b: int, a: int, L: int, x_reg: str, y_reg: str, tgt: str) -> GateOp:
-    """|x>|y>|z> -> |x>|y>|(z + b**x * a**y) mod L> for z < L."""
-    return _accumulate((x_reg, y_reg, tgt), L, lambda x, y: pow(b, x, L) * pow(a, y, L),
-                       f"CEXP2V_{b}_{a}_{L}")
 
 
 def pow_const(e: int, L: int, src: str, tgt: str) -> GateOp:
@@ -199,29 +171,6 @@ def qft(N: int, reg: str) -> GateOp:
     k = np.arange(N)
     mat = np.exp(2j * math.pi * np.outer(k, k) / N) / math.sqrt(N)
     return LocalUnitary(reg, mat, label=f"QFT_{N}", cost_class="qft")
-
-
-def relabel_permutation(f, r: int, dim: int, reg: str, label: str = "RELABEL") -> GateOp:
-    """Bijection on Z_dim sending x -> f(x) for x < r.
-
-    Values in the image that are not in Z_r are paired back onto the unused part
-    of Z_r (ascending order), so the whole map is a deterministic permutation.
-    """
-    image = [f(x) for x in range(r)]
-    if len(set(image)) != r:
-        raise DomainError("function is not injective on its period")
-    if any(not 0 <= v < dim for v in image):
-        raise DomainError("function image outside the register")
-    return pairing_permutation(list(range(r)), image, reg, label)
-
-
-def functional_qft(f, r: int, reg: str, dim: int) -> GateOp:
-    """Fourier transform conjugated into the image basis of an injective f:
-    |f(l)> -> (1/sqrt r) sum_k exp(+i 2 pi k l / r)|f(k)>."""
-    relabel = relabel_permutation(f, r, dim, reg, label="UF_RELABEL")
-    from .hilbert import adjoint  # local import to avoid cycle at module load
-
-    return Sequence((adjoint(relabel), qft(r, reg), relabel), label=f"FQFT_{r}")
 
 
 def pairing_permutation(src_values: list, dst_values: list, regs: str | tuple[str, ...],

@@ -1,4 +1,4 @@
-"""The register-stripping quantum program and its pulsed circuit model.
+"""The register-stripping quantum program as gates.
 
 A program run walks a pair of subgroup-state registers through m_r conditional
 units (branch check, halting statement, cyclic translation, conditional pair
@@ -6,9 +6,10 @@ transposition) plus one trailing check, returning every legal basis input
 (x, y) to the shape |halt=1>|branch=1>|f(x)>|0>.  The step at which the halting
 statement fired is written into a dedicated record register; the (output,
 record) pairs are pairwise distinct, which is what keeps the whole map a
-permutation.  The circuit variant replaces the halting flag with a two-level
-control subspace driven by trigger and state-locking pulses, modeled here by a
-single leakage unitary with residual amplitude epsilon.
+permutation.  `qp_gate` builds one run as a gate sequence and `strip_gate`
+chains runs to strip a product state down to one component.  Lossy
+state-locking pulses are modeled by a leakage unitary with residual amplitude
+epsilon on the pair register after each halting event.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, hilbert
-from .hilbert import (Controlled, GateOp, LocalUnitary, Register, RegisterLayout, Sequence,
-                      SimulationError, SparseState, adjoint, apply)
+from .hilbert import Controlled, GateOp, LocalUnitary, Sequence, adjoint
 from .numtheory import CyclicGroupSpec, DomainError, multiplicative_order
 
 
@@ -45,10 +45,6 @@ class ProgramConfig:
         return pow(self.h, x, self.p)
 
     @property
-    def basis_values(self) -> tuple[int, ...]:
-        return tuple(self.f_r(x) for x in range(self.m_r))
-
-    @property
     def control_value(self) -> int:
         """First basis value outside the group: used as the circuit control state."""
         return self.p
@@ -63,15 +59,6 @@ class ProgramConfig:
 
 
 @dataclass(frozen=True)
-class HaltRecord:
-    """Step at which the halting statement fired (1..m_r+1; the +1 step is the
-    trailing check that catches inputs whose pair transposition fires at the
-    last unit)."""
-
-    step: int
-
-
-@dataclass(frozen=True)
 class PulseModel:
     """Leakage model for the state-locking pulse: residual amplitude epsilon
     stays on the control state with phase gamma at each locking event."""
@@ -82,18 +69,6 @@ class PulseModel:
     def __post_init__(self):
         if not 0.0 <= self.epsilon < 1.0:
             raise DomainError("residual amplitude must lie in [0, 1)")
-
-
-def expected_record(x: int, y: int, m_r: int) -> int:
-    """Closed form for the halting step, from the unit-by-unit trace: y = 0
-    halts at step 1; otherwise the pair transposition fires at the unique step
-    k = -(x+y) mod m_r in {1..m_r} and the statement fires one unit later."""
-    if y % m_r == 0:
-        return 1
-    k = (-(x + y)) % m_r
-    if k == 0:
-        k = m_r
-    return k + 1
 
 
 def u_r_gate(config: ProgramConfig, f_reg: str, g_reg: str) -> GateOp:
@@ -132,17 +107,6 @@ class QpRegs:
     f: str = "FR"
     g: str = "GR"
     rec: str = "REC"
-
-
-def make_qp_layout(config: ProgramConfig) -> RegisterLayout:
-    regs, n_dim = QpRegs(), gates.register_dim(config.p)
-    return RegisterLayout([
-        Register(regs.nh, 2),
-        Register(regs.bh, config.branch_dim),
-        Register(regs.f, n_dim),
-        Register(regs.g, n_dim),
-        Register(regs.rec, config.record_dim),
-    ])
 
 
 def _unit_gates(config: ProgramConfig, regs: QpRegs) -> tuple[GateOp, GateOp, GateOp]:
@@ -184,81 +148,6 @@ def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
         seq.append(Controlled((regs.rec,), frozenset({(config.m_r + 1,)}),
                               _leak_gate(config, pulse, regs.g, g_dim), label="P_SL"))
     return Sequence(tuple(seq), label="Q_p")
-
-
-def run_qp(state: SparseState, config: ProgramConfig) -> tuple[SparseState, HaltRecord]:
-    """Execute the program on a single basis input |0>|0>|f(x)>|g(y)>.
-
-    Superposed inputs are rejected: the halting protocol is defined for basis
-    states only, and silently accepting anything else would hide the restriction.
-    """
-    if not state.is_basis_state():
-        raise SimulationError("program input must be a single basis state, "
-                              "got a superposition")
-    regs, tup, lay = QpRegs(), state.sole_tuple(), state.layout
-    if tup[lay.index(regs.nh)] != 0 or tup[lay.index(regs.bh)] != 0:
-        raise SimulationError("halt and branch registers must start at 0")
-    if tup[lay.index(regs.rec)] != 0:
-        raise SimulationError("record register must start empty")
-    g_dim = lay.dim(regs.g)
-    state = apply(state, qp_gate(config, regs, g_dim, None))
-    rec = state.register_value(regs.rec)
-    return state, HaltRecord(rec)
-
-
-def run_qc(state: SparseState, config: ProgramConfig,
-           pulse: PulseModel) -> tuple[SparseState, dict]:
-    """Circuit variant: trigger pulse moves the cleared pair state through the
-    control level; the locking pulse converts it down, leaving epsilon behind.
-
-    Time-dependent pulse control is simulated procedurally (single-basis input
-    only); with epsilon = 0 the register contents reproduce the program output
-    exactly.  Returns the state and a report with the fidelity to the ideal
-    output.
-    """
-    if not state.is_basis_state():
-        raise SimulationError("circuit input must be a single basis state")
-    regs, lay = QpRegs(), state.layout
-    x_val = state.sole_tuple()[lay.index(regs.f)]
-    g_dim = lay.dim(regs.g)
-    c = config.control_value
-
-    # locking conversion c -> 0 with residue eps left on c (phase gamma): the
-    # leak with columns 0 and c exchanged
-    cols = np.arange(g_dim)
-    cols[[0, c]] = c, 0
-    lock = _leak_gate(config, pulse, regs.g, g_dim).matrix[:, cols]
-    lock_gate = LocalUnitary(regs.g, lock, label="P_SL")
-
-    u_b, u_g, u_rc = _unit_gates(config, regs)
-    p_t = gates.transposition(1, c, regs.g)
-
-    locked = False
-    at_c = np.arange(g_dim) == c
-
-    def locking_due(s: SparseState) -> bool:
-        return s.weight_where(regs.g, at_c) > 0.0
-
-    for _ in range(config.m_r):
-        state = apply(state, u_b)
-        if not locked:
-            state = apply(state, p_t)
-            if locking_due(state):
-                state = apply(state, lock_gate)
-                locked = True
-        state = apply(state, u_g)
-        state = apply(state, u_rc)
-    state = apply(state, u_b)
-    if not locked:
-        state = apply(state, p_t)
-        if locking_due(state):
-            state = apply(state, lock_gate)
-            locked = True
-
-    ideal = {regs.bh: 1, regs.f: x_val, regs.g: 0}
-    ideal_state = SparseState.basis(lay, ideal)
-    fid = hilbert.fidelity(state, ideal_state)
-    return state, {"fidelity": fid, "locked": locked, "epsilon": pulse.epsilon}
 
 
 def reset_flags_gates(config: ProgramConfig, regs: QpRegs) -> list[GateOp]:

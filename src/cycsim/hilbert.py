@@ -229,7 +229,7 @@ class SparseState:
         self.amps = np.array(list(entries.values()), dtype=complex)
         self._entries = None
         _freeze(self.words, self.amps)
-        if abs(self.norm() - 1.0) > NORM_TOL:
+        if not abs(self.norm() - 1.0) <= NORM_TOL:  # NaN fails too
             raise SimulationError(f"state norm {self.norm()} outside tolerance")
 
     @classmethod
@@ -503,7 +503,7 @@ class LocalUnitary(GateOp):
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise SimulationError(f"{self.label}: matrix must be square")
         err = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-        if err > NORM_TOL:
+        if not err <= NORM_TOL:  # NaN fails too
             raise SimulationError(f"{self.label}: matrix not unitary (defect {err:.2e})")
         self.matrix = u
 
@@ -844,7 +844,7 @@ def apply(state: SparseState, gate: GateOp, ledger: GateLedger | None = None) ->
     words, amps = _apply_arrays(state.layout, state.words, state.amps, gate, ledger)
     if amps is not state.amps:  # the input's own (frozen) amplitudes keep their norm
         before, after = float(np.linalg.norm(state.amps)), float(np.linalg.norm(amps))
-        if abs(after - before) > NORM_TOL:
+        if not abs(after - before) <= NORM_TOL:  # NaN fails too
             raise SimulationError(f"{gate.label}: norm drifted {before} -> {after}")
     return SparseState.from_arrays(state.layout, words, amps)
 

@@ -86,18 +86,6 @@ class TransitionReport:
             raise SimulationError("probability outside [0, 1]")
 
 
-def q_n_operator(n: int, axis: str) -> np.ndarray:
-    """Hermitian operator coupling only |00...0> and |11...1>."""
-    spins = SpinConventions(n)
-    up = spins.product_chain(spins.iplus)
-    down = spins.product_chain(spins.iminus)
-    if axis == "x":
-        return (up + down) / 2
-    if axis == "y":
-        return (up - down) / 2j
-    raise DomainError(f"axis must be x or y, got {axis!r}")
-
-
 def u_ny_matrix(n: int, theta: float) -> np.ndarray:
     """exp(-i 2 theta Q_ny): plane rotation in span{|0...0>, |1...1>}."""
     N = 2**n
@@ -137,10 +125,6 @@ def _expm_i_herm(h: np.ndarray, c: float) -> np.ndarray:
     """exp(1j * c * h) for Hermitian h, via eigendecomposition (exactly unitary)."""
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * c * w)) @ v.conj().T
-
-
-def u_ny_trotter(n: int, theta: float, m: int, reg: str) -> GateOp:
-    return LocalUnitary(reg, u_ny_trotter_matrix(n, theta, m), label=f"UNY_TROT_{n}_{m}")
 
 
 def trotter_error(n: int, theta: float, m: int) -> float:

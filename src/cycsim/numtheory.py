@@ -1,6 +1,6 @@
 """Exact integer number theory: factorization, Euclid, totient, primitive roots,
-CRT composition/decomposition, and the classical discrete-log oracle used to
-cross-check every quantum stage.
+CRT composition, and the classical discrete-log oracle used to cross-check
+every quantum stage.
 
 All functions are pure and operate on plain ints; nothing here is probabilistic.
 Scale target is desk-sized moduli (p <= 2^16), so trial division and brute-force
@@ -124,14 +124,6 @@ def find_primitive_root(p: int) -> int:
     raise DomainError(f"no primitive root mod {p}")  # unreachable for prime p
 
 
-def element_of_order(m: int, p: int) -> int:
-    """An element of exact multiplicative order m mod p; requires m | p-1."""
-    if (p - 1) % m != 0:
-        raise DomainError(f"{m} does not divide {p - 1}")
-    g = find_primitive_root(p)
-    return pow(g, (p - 1) // m, p)
-
-
 @dataclass(frozen=True)
 class CrtComponent:
     m: int  # prime-power modulus m_k
@@ -167,12 +159,6 @@ def crt_basis(f: Factorization) -> CrtBasis:
         M = f.n // m
         comps.append(CrtComponent(m=m, M=M, n=modinv(M, m) if m > 1 else 0))
     return CrtBasis(f.n, tuple(comps))
-
-
-def crt_decompose(s: int, basis: CrtBasis) -> tuple[int, ...]:
-    if not 0 <= s < basis.modulus:
-        raise DomainError(f"{s} outside Z_{basis.modulus}")
-    return tuple(s % c.m for c in basis.components)
 
 
 def crt_compose(residues: tuple[int, ...] | list[int], basis: CrtBasis) -> int:

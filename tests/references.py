@@ -1,0 +1,166 @@
+"""Reference constructions the tests compare the library against.
+
+None of these is reached by a run: the driver and the pipeline use the
+builders in `cycsim`.  They are the paper's formulas and procedures written
+out directly (the procedural pulse model, the closed-form halting record,
+the Q_n operator, the CRT residues), plus the arithmetic constructors the
+unitarity checks exercise beyond the ones a run builds.
+"""
+
+import math
+
+import numpy as np
+
+from cycsim import gates, hilbert
+from cycsim import halting_program as hp
+from cycsim.hilbert import GateOp, LocalUnitary, Register, RegisterLayout, SparseState, apply
+from cycsim.mq_circuits import SpinConventions
+from cycsim.numtheory import CrtBasis, DomainError, find_primitive_root
+
+# --- number theory -----------------------------------------------------------
+
+def element_of_order(m: int, p: int) -> int:
+    """An element of exact multiplicative order m mod p; requires m | p-1."""
+    if (p - 1) % m != 0:
+        raise DomainError(f"{m} does not divide {p - 1}")
+    g = find_primitive_root(p)
+    return pow(g, (p - 1) // m, p)
+
+
+def crt_decompose(s: int, basis: CrtBasis) -> tuple[int, ...]:
+    if not 0 <= s < basis.modulus:
+        raise DomainError(f"{s} outside Z_{basis.modulus}")
+    return tuple(s % c.m for c in basis.components)
+
+
+# --- arithmetic and Fourier gates --------------------------------------------
+
+def mul_const(a: int, N: int, reg: str) -> GateOp:
+    """|x> -> |x*a mod N> for x < N; refuses construction unless gcd(a, N) = 1."""
+    if math.gcd(a, N) != 1:
+        raise DomainError(f"mul_const({a}, {N}): multiplier not coprime, not unitary")
+    return gates._scale((reg,), N, lambda: a, f"MUL_{a}_{N}")
+
+
+def mod_reduce(m: int, src: str, dst: str, dst_dim: int) -> GateOp:
+    """|s>|t> -> |s>|(t + s mod m) mod d> for t < d: loads the residue of s into
+    a zero target."""
+    return gates._accumulate((src, dst), dst_dim, lambda s: s % m, f"MOD_{m}")
+
+
+def cond_mod_exp_three_reg(a: int, L: int, ctrl: str, mul: str, tgt: str) -> GateOp:
+    """|x>|y>|z> -> |x>|y>|(z + y*a**x) mod L> for z < L; unitary for any a."""
+    return gates._accumulate((ctrl, mul, tgt), L, lambda x, y: y * pow(a, x, L),
+                             f"CEXP3_{a}_{L}")
+
+
+def cond_mod_exp_two_var(b: int, a: int, L: int, x_reg: str, y_reg: str, tgt: str) -> GateOp:
+    """|x>|y>|z> -> |x>|y>|(z + b**x * a**y) mod L> for z < L."""
+    return gates._accumulate((x_reg, y_reg, tgt), L,
+                             lambda x, y: pow(b, x, L) * pow(a, y, L), f"CEXP2V_{b}_{a}_{L}")
+
+
+def functional_qft(f, r: int, reg: str, dim: int) -> GateOp:
+    """Fourier transform conjugated into the image basis of an injective f:
+    |f(l)> -> (1/sqrt r) sum_k exp(+i 2 pi k l / r)|f(k)>."""
+    image = [f(x) for x in range(r)]
+    if any(not 0 <= v < dim for v in image):
+        raise DomainError("function image outside the register")
+    # refuses a non-injective f: the image would repeat a value
+    relabel = gates.pairing_permutation(list(range(r)), image, reg, "UF_RELABEL")
+    return hilbert.Sequence((hilbert.adjoint(relabel), gates.qft(r, reg), relabel),
+                            label=f"FQFT_{r}")
+
+
+# --- multiple-quantum operators ----------------------------------------------
+
+def q_n_operator(n: int, axis: str) -> np.ndarray:
+    """Hermitian operator coupling only |00...0> and |11...1>."""
+    spins = SpinConventions(n)
+    up = spins.product_chain(spins.iplus)
+    down = spins.product_chain(spins.iminus)
+    if axis == "x":
+        return (up + down) / 2
+    if axis == "y":
+        return (up - down) / 2j
+    raise DomainError(f"axis must be x or y, got {axis!r}")
+
+
+# --- the halting program -----------------------------------------------------
+
+def make_qp_layout(config: hp.ProgramConfig) -> RegisterLayout:
+    regs, n_dim = hp.QpRegs(), gates.register_dim(config.p)
+    return RegisterLayout([
+        Register(regs.nh, 2),
+        Register(regs.bh, config.branch_dim),
+        Register(regs.f, n_dim),
+        Register(regs.g, n_dim),
+        Register(regs.rec, config.record_dim),
+    ])
+
+
+def expected_record(x: int, y: int, m_r: int) -> int:
+    """Closed form for the halting step, from the unit-by-unit trace: y = 0
+    halts at step 1; otherwise the pair transposition fires at the unique step
+    k = -(x+y) mod m_r in {1..m_r} and the statement fires one unit later."""
+    if y % m_r == 0:
+        return 1
+    k = (-(x + y)) % m_r
+    if k == 0:
+        k = m_r
+    return k + 1
+
+
+def run_qc(state: SparseState, config: hp.ProgramConfig,
+           pulse: hp.PulseModel) -> tuple[SparseState, dict]:
+    """Circuit variant: trigger pulse moves the cleared pair state through the
+    control level; the locking pulse converts it down, leaving epsilon behind.
+
+    Time-dependent pulse control is simulated procedurally (single-basis input
+    only); with epsilon = 0 the register contents reproduce the program output
+    exactly.  Returns the state and a report with the fidelity to the ideal
+    output.
+    """
+    if not state.is_basis_state():
+        raise hilbert.SimulationError("circuit input must be a single basis state")
+    regs, lay = hp.QpRegs(), state.layout
+    x_val = state.sole_tuple()[lay.index(regs.f)]
+    g_dim = lay.dim(regs.g)
+    c = config.control_value
+
+    # locking conversion c -> 0 with residue eps left on c (phase gamma): the
+    # leak with columns 0 and c exchanged
+    cols = np.arange(g_dim)
+    cols[[0, c]] = c, 0
+    lock = hp._leak_gate(config, pulse, regs.g, g_dim).matrix[:, cols]
+    lock_gate = LocalUnitary(regs.g, lock, label="P_SL")
+
+    u_b, u_g, u_rc = hp._unit_gates(config, regs)
+    p_t = gates.transposition(1, c, regs.g)
+
+    locked = False
+    at_c = np.arange(g_dim) == c
+
+    def locking_due(s: SparseState) -> bool:
+        return s.weight_where(regs.g, at_c) > 0.0
+
+    for _ in range(config.m_r):
+        state = apply(state, u_b)
+        if not locked:
+            state = apply(state, p_t)
+            if locking_due(state):
+                state = apply(state, lock_gate)
+                locked = True
+        state = apply(state, u_g)
+        state = apply(state, u_rc)
+    state = apply(state, u_b)
+    if not locked:
+        state = apply(state, p_t)
+        if locking_due(state):
+            state = apply(state, lock_gate)
+            locked = True
+
+    ideal = {regs.bh: 1, regs.f: x_val, regs.g: 0}
+    ideal_state = SparseState.basis(lay, ideal)
+    fid = hilbert.fidelity(state, ideal_state)
+    return state, {"fidelity": fid, "locked": locked, "epsilon": pulse.epsilon}

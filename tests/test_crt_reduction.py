@@ -6,8 +6,7 @@ from cycsim import crt_reduction as cr
 from cycsim import halting_program as hp
 from cycsim import gates, hilbert
 from cycsim.hilbert import SparseState, adjoint, apply, apply_all, assert_registers_clean
-from cycsim.numtheory import (DomainError, classical_dlog, crt_decompose,
-                              make_group_spec)
+from cycsim.numtheory import DomainError, classical_dlog, make_group_spec
 from cycsim.oracle import OracleSpec, make_subspace_oracle
 
 IDENTITY_PRIMES = (5, 7, 11, 13, 29, 61)
@@ -23,18 +22,6 @@ def env13():
 def component_values(state, layout, regs):
     tup = state.sole_tuple()
     return tuple(tup[layout.index(c)] for c in regs.comps)
-
-
-def residue_product(state, spec, regs):
-    state = apply_all(state, cr.residue_product_gates(spec, regs, state.layout.dim(regs.w)))
-    assert_registers_clean(state, (regs.w, regs.a, regs.b), "residue decomposition")
-    return state
-
-
-def scaled_product(state, spec, regs):
-    state = apply_all(state, cr.scaled_product_gates(spec, regs, state.layout.dim(regs.w)))
-    assert_registers_clean(state, (regs.w, regs.a, regs.b), "scaled decomposition")
-    return state
 
 
 def subgroup_product(state, spec, regs):
@@ -71,57 +58,6 @@ def test_descriptors(env13):
     assert descs[1].basis == (1, 8, 12, 5)
     for d in descs:
         assert pow(d.generator, d.order, spec.p) == 1
-
-
-def test_residue_product_example(env13):
-    spec, layout, regs = env13
-    out = residue_product(SparseState.basis(layout, {regs.w: 7}), spec, regs)
-    assert component_values(out, layout, regs) == (1, 3)
-    out = residue_product(SparseState.basis(layout, {regs.w: 0}), spec, regs)
-    assert component_values(out, layout, regs) == (0, 0)
-
-
-def test_residue_product_injective_exhaustive(env13):
-    spec, layout, regs = env13
-    seen = set()
-    for s in range(12):
-        out = residue_product(SparseState.basis(layout, {regs.w: s}), spec, regs)
-        vals = component_values(out, layout, regs)
-        assert vals == crt_decompose(s, spec.basis)
-        assert vals not in seen
-        seen.add(vals)
-
-
-def test_residue_product_linear_on_superpositions(env13):
-    spec, layout, regs = env13
-    iw = layout.index(regs.w)
-    t1 = list(layout.zero_tuple())
-    t2 = list(layout.zero_tuple())
-    t1[iw], t2[iw] = 3, 8
-    sup = SparseState(layout, {tuple(t1): 0.6, tuple(t2): 0.8j})
-    out = residue_product(sup, spec, regs)
-    assert out.support_size == 2
-    i1, i2 = (layout.index(c) for c in regs.comps)
-    got = {(k[i1], k[i2]): a for k, a in out.entries.items()}
-    assert abs(got[(0, 3)] - 0.6) < 1e-12       # 3 mod 3, 3 mod 4
-    assert abs(got[(2, 0)] - 0.8j) < 1e-12      # 8 mod 3, 8 mod 4
-
-
-def test_scaled_product_example(env13):
-    spec, layout, regs = env13
-    out = scaled_product(SparseState.basis(layout, {regs.w: 7}), spec, regs)
-    assert component_values(out, layout, regs) == (4, 9)  # 4*7 mod 12, 3*7 mod 12
-    out = scaled_product(SparseState.basis(layout, {regs.w: 0}), spec, regs)
-    assert component_values(out, layout, regs) == (0, 0)
-
-
-def test_scaled_product_identity_exhaustive(env13):
-    spec, layout, regs = env13
-    for s in range(12):
-        out = scaled_product(SparseState.basis(layout, {regs.w: s}), spec, regs)
-        vals = component_values(out, layout, regs)
-        for v, c in zip(vals, spec.basis.components):
-            assert v == (c.M * (s % c.m)) % 12 == (c.M * s) % 12
 
 
 def test_group_state_decomposition_examples(env13):
@@ -169,23 +105,20 @@ def test_subspace_lift(env13):
 
 def test_to_largest_subspace(env13):
     spec, layout, regs = env13
+    lifts = cr.largest_subspace_gates(spec, regs)
     st = SparseState.basis(layout, {regs.comps[0]: 3, regs.comps[1]: 5})
-    out = cr.to_largest_subspace(st, spec, regs)
+    out = apply_all(st, lifts)
     assert component_values(out, layout, regs) == (8, 5)
     st0 = SparseState.basis(layout, {regs.comps[0]: 1, regs.comps[1]: 1})
-    assert component_values(cr.to_largest_subspace(st0, spec, regs), layout, regs) == (1, 1)
+    assert component_values(apply_all(st0, lifts), layout, regs) == (1, 1)
     # each lifted register decodes back to s mod m_k in the top subspace
     h_r = spec.subgroup_generators[-1]
     for s in range(12):
         st = subgroup_product(SparseState.basis(layout, {regs.w: pow(2, s, 13)}), spec, regs)
-        top = cr.to_largest_subspace(st, spec, regs)
+        top = apply_all(st, lifts)
         vals = component_values(top, layout, regs)
         for v, c in zip(vals, spec.basis.components):
             assert classical_dlog(13, h_r, v) % c.m == s % c.m
-    # support outside the source subspace is rejected
-    bad = SparseState.basis(layout, {regs.comps[0]: 8})
-    with pytest.raises(hilbert.SimulationError):
-        cr.to_largest_subspace(bad, spec, regs)
 
 
 def _aux_env(p, hidden_s):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -90,6 +91,41 @@ def test_reflect_about_properties(spec5):
     # squares to identity
     twice = apply(apply(psi, refl), refl)
     assert abs(hilbert.inner_product(psi, twice) - 1) < 1e-9
+
+
+def rank_one_reflection(psi, prep, phi):
+    """psi - (1 - exp(-i phi)) sum_w <Psi_w|psi> Psi_w with Psi_w = prep|w, 0...>
+    over every value w of the work register: the full reflection without the
+    conjugated pivot phase."""
+    out = dict(psi.entries)
+    for w in range(psi.layout.dim(dl.REGS.w)):
+        big_psi = apply(SparseState.basis(psi.layout, {dl.REGS.w: w}), prep)
+        coeff = (1 - cmath.exp(-1j * phi)) * hilbert.inner_product(big_psi, psi)
+        for key, amp in big_psi.entries.items():
+            out[key] = out.get(key, 0) - coeff * amp
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, pytest.param(29, marks=pytest.mark.slow)])
+def test_full_reflection_matches_its_rank_one_form(p):
+    spec = make_group_spec(p)
+    layout = dl.make_dlog_layout(spec)
+    prep1 = hilbert.Sequence(tuple(dl.pipeline_kit(spec)["stage1"]))
+
+    def stage1(b):
+        # rotated off the prepared state, so the reflection is more than a phase
+        st = apply(SparseState.basis(layout, {dl.REGS.w: b}), prep1)
+        return apply(st, dl.good_rotation_stage1(spec, 0.9))
+
+    one, two = stage1(spec.g), stage1(pow(spec.g, 2, p))
+    pair = SparseState(layout, {k: a / math.sqrt(2)
+                                for st in (one, two) for k, a in st.entries.items()})
+    for psi in (one, pair):
+        for phi in (math.pi, 0.9):
+            got = apply(psi, dl.reflect_about(prep1, dl._full_pivot(), phi)).entries
+            want = rank_one_reflection(psi, prep1, phi)
+            diff = max(abs(got.get(k, 0) - want.get(k, 0)) for k in got.keys() | want.keys())
+            assert diff < 1e-12, (p, phi)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61])

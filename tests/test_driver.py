@@ -155,9 +155,13 @@ def test_cli_single_run(tmp_path):
     (["--p", "13", "--hidden-s", "5", "--hidden-random", "--seed", "1"],
      "--hidden-s conflicts with --hidden-random"),
     (["--p", "13", "--hidden-s", "5", "--csv", "sweep.csv"], "--hidden-s conflicts with --csv"),
+    (["--p", "13", "--hidden-s", "3", "--no-demo", "--epsilon", "0.1", "--gamma", "nan"],
+     "gamma must be finite"),
+    (["--p", "13", "--hidden-s", "3", "--no-demo", "--epsilon", "0.1", "--gamma", "inf"],
+     "gamma must be finite"),
 ], ids=["nonprime", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
         "grover-m-negative", "grover-m-without-grover-mode", "theta-one", "theta-zero",
-        "hidden-s-with-hidden-random", "hidden-s-with-csv"])
+        "hidden-s-with-hidden-random", "hidden-s-with-csv", "gamma-nan", "gamma-inf"])
 def test_cli_rejects_bad_config(argv, fragment, capsys):
     assert cli_main(argv) == 2
     assert fragment in capsys.readouterr().err

@@ -1,19 +1,20 @@
 import itertools
-import math
 
+import numpy as np
 import pytest
 
+import references as ref
 from cycsim import crt_reduction as cr
 from cycsim import halting_program as hp
-from cycsim.hilbert import SimulationError, SparseState, apply, apply_all, assert_registers_clean
-from cycsim.numtheory import DomainError, element_of_order, make_group_spec
+from cycsim.hilbert import SparseState, apply, apply_all, assert_registers_clean
+from cycsim.numtheory import DomainError, make_group_spec
 
 CASES = {3: 7, 4: 13, 8: 17, 16: 17}
 
 
 def config_for(m_r):
     p = CASES[m_r]
-    return hp.ProgramConfig(p, m_r, element_of_order(m_r, p))
+    return hp.ProgramConfig(p, m_r, ref.element_of_order(m_r, p))
 
 
 def test_program_config_guards():
@@ -27,7 +28,7 @@ def test_program_config_guards():
 
 def test_u_r_examples():
     cfg = hp.ProgramConfig(13, 4, 8)
-    lay = hp.make_qp_layout(cfg)
+    lay = ref.make_qp_layout(cfg)
     gate = hp.u_r_gate(cfg, "FR", "GR")
     ig = lay.index("GR")
     # |8^1>|8^3> = |8>|5>: exponents sum to 0 mod 4, second register becomes |1>
@@ -43,7 +44,7 @@ def test_u_r_examples():
 
 def test_u_r_involution():
     cfg = config_for(8)
-    lay = hp.make_qp_layout(cfg)
+    lay = ref.make_qp_layout(cfg)
     gate = hp.u_r_gate(cfg, "FR", "GR")
     for x in range(8):
         for y in range(8):
@@ -51,21 +52,27 @@ def test_u_r_involution():
             assert apply(apply(st, gate), gate).entries == st.entries
 
 
+def run_program(cfg, lay, vals, pulse=None):
+    """The driver's program gate applied to one basis input."""
+    regs = hp.QpRegs()
+    return apply(SparseState.basis(lay, vals), hp.qp_gate(cfg, regs, lay.dim(regs.g), pulse))
+
+
 @pytest.mark.parametrize("m_r", sorted(CASES))
 def test_run_qp_exhaustive(m_r):
     cfg = config_for(m_r)
-    lay = hp.make_qp_layout(cfg)
+    lay = ref.make_qp_layout(cfg)
     regs = hp.QpRegs()
     seen = set()
     for x, y in itertools.product(range(m_r), repeat=2):
-        st = SparseState.basis(lay, {regs.f: cfg.f_r(x), regs.g: cfg.f_r(y)})
-        out, rec = hp.run_qp(st, cfg)
+        out = run_program(cfg, lay, {regs.f: cfg.f_r(x), regs.g: cfg.f_r(y)})
+        step = out.register_value(regs.rec)
         tup = out.sole_tuple()
         got = {n: tup[lay.index(n)] for n in lay.names}
         assert got == {regs.nh: 1, regs.bh: 1, regs.f: cfg.f_r(x), regs.g: 0,
-                       regs.rec: rec.step}
-        assert rec.step == hp.expected_record(x, y, m_r)
-        key = (cfg.f_r(x), rec.step)
+                       regs.rec: step}
+        assert step == ref.expected_record(x, y, m_r)
+        key = (cfg.f_r(x), step)
         assert key not in seen  # (output, record) injectivity = unitarity witness
         seen.add(key)
 
@@ -73,60 +80,75 @@ def test_run_qp_exhaustive(m_r):
 def test_expected_record_formula():
     # m_r=4, x=2, y=1: pair transposition fires at step 1 (2+1+1 = 0 mod 4),
     # the halting statement one unit later
-    assert hp.expected_record(2, 1, 4) == 2
-    assert hp.expected_record(0, 0, 4) == 1   # already cleared at entry
-    assert hp.expected_record(1, 3, 4) == 5   # fires at the trailing check
+    assert ref.expected_record(2, 1, 4) == 2
+    assert ref.expected_record(0, 0, 4) == 1   # already cleared at entry
+    assert ref.expected_record(1, 3, 4) == 5   # fires at the trailing check
 
 
 def test_run_qp_trace_example():
     cfg = hp.ProgramConfig(13, 4, 8)
-    lay = hp.make_qp_layout(cfg)
+    lay = ref.make_qp_layout(cfg)
     regs = hp.QpRegs()
-    st = SparseState.basis(lay, {regs.f: cfg.f_r(2), regs.g: cfg.f_r(1)})
-    out, rec = hp.run_qp(st, cfg)
+    out = run_program(cfg, lay, {regs.f: cfg.f_r(2), regs.g: cfg.f_r(1)})
     tup = out.sole_tuple()
     assert tup[lay.index(regs.f)] == cfg.f_r(2)
     assert (tup[lay.index(regs.nh)], tup[lay.index(regs.bh)]) == (1, 1)
     assert tup[lay.index(regs.g)] == 0
 
 
-def test_run_qp_rejects_superposition():
-    cfg = config_for(4)
-    lay = hp.make_qp_layout(cfg)
-    regs = hp.QpRegs()
-    i_f = lay.index(regs.f)
-    t1, t2 = list(lay.zero_tuple()), list(lay.zero_tuple())
-    t1[i_f], t2[i_f] = 1, 8
-    sup = SparseState(lay, {tuple(t1): 1 / math.sqrt(2), tuple(t2): 1 / math.sqrt(2)})
-    with pytest.raises(SimulationError, match="superposition"):
-        hp.run_qp(sup, cfg)
-
-
 @pytest.mark.parametrize("m_r", sorted(CASES))
 def test_run_qc_matches_qp_at_zero_leakage(m_r):
     cfg = config_for(m_r)
-    lay = hp.make_qp_layout(cfg)
+    lay = ref.make_qp_layout(cfg)
     regs = hp.QpRegs()
     pulse = hp.PulseModel(0.0)
     for x, y in itertools.product(range(m_r), repeat=2):
         vals = {regs.f: cfg.f_r(x), regs.g: cfg.f_r(y)}
-        qc_out, info = hp.run_qc(SparseState.basis(lay, vals), cfg, pulse)
+        qc_out, info = ref.run_qc(SparseState.basis(lay, vals), cfg, pulse)
         assert abs(info["fidelity"] - 1) < 1e-12
-        qp_out, _ = hp.run_qp(SparseState.basis(lay, vals), cfg)
+        qp_out = run_program(cfg, lay, vals)
         tq, tc = qp_out.sole_tuple(), qc_out.sole_tuple()
         for name in (regs.bh, regs.f, regs.g):
             assert tq[lay.index(name)] == tc[lay.index(name)]
 
 
+def marginal(state, names):
+    """Weight of each value tuple the named registers take."""
+    out = {}
+    cols = np.stack([state.column(n) for n in names], axis=1).tolist()
+    for key, amp in zip(map(tuple, cols), state.amps.tolist()):
+        out[key] = out.get(key, 0.0) + abs(amp) ** 2
+    return out
+
+
+@pytest.mark.parametrize("m_r", [3, 4, 8, pytest.param(16, marks=pytest.mark.slow)])
+def test_pulsed_program_gate_matches_the_procedural_circuit(m_r):
+    # one pulse model: the driver's leaky runs apply qp_gate with a P_SL leak
+    # after each halting event, and that gate must leave the same (BH, F, G)
+    # distribution as the step-by-step pulse simulation on every basis input
+    cfg = config_for(m_r)
+    lay = ref.make_qp_layout(cfg)
+    regs = hp.QpRegs()
+    names = (regs.bh, regs.f, regs.g)
+    for eps, gamma in [(0.05, 0.0), (0.2, 0.4), (0.3, 1.0), (0.6, 2.5)]:
+        pulse = hp.PulseModel(eps, gamma)
+        for x, y in itertools.product(range(m_r), repeat=2):
+            vals = {regs.f: cfg.f_r(x), regs.g: cfg.f_r(y)}
+            want = marginal(ref.run_qc(SparseState.basis(lay, vals), cfg, pulse)[0], names)
+            got = marginal(run_program(cfg, lay, vals, pulse), names)
+            assert got.keys() == want.keys(), (m_r, eps, x, y)
+            assert max(abs(got[k] - want[k]) for k in want) < 1e-9, (m_r, eps, x, y)
+
+
 def test_run_qc_fidelity_strictly_decreasing():
     cfg = config_for(4)
-    lay = hp.make_qp_layout(cfg)
+    lay = ref.make_qp_layout(cfg)
     regs = hp.QpRegs()
     vals = {regs.f: cfg.f_r(1), regs.g: cfg.f_r(2)}
     fids = []
     for eps in (0.05, 0.1, 0.2):
-        _, info = hp.run_qc(SparseState.basis(lay, vals), cfg,
-                            hp.PulseModel(eps, gamma=0.4))
+        _, info = ref.run_qc(SparseState.basis(lay, vals), cfg,
+                             hp.PulseModel(eps, gamma=0.4))
         fids.append(info["fidelity"])
     assert fids[0] > fids[1] > fids[2]
     assert all(abs(f - (1 - e * e)) < 1e-9 for f, e in zip(fids, (0.05, 0.1, 0.2)))
@@ -135,12 +157,12 @@ def test_run_qc_fidelity_strictly_decreasing():
 def test_run_qc_no_locking_event_is_leak_independent():
     # a pair value outside the subgroup never reaches the trigger
     cfg = config_for(4)
-    lay = hp.make_qp_layout(cfg)
+    lay = ref.make_qp_layout(cfg)
     regs = hp.QpRegs()
     outside = 2 ** cfg.p.bit_length() - 1
     vals = {regs.f: cfg.f_r(1), regs.g: outside}
-    out0, _ = hp.run_qc(SparseState.basis(lay, vals), cfg, hp.PulseModel(0.0))
-    out1, _ = hp.run_qc(SparseState.basis(lay, vals), cfg, hp.PulseModel(0.3, 1.0))
+    out0, _ = ref.run_qc(SparseState.basis(lay, vals), cfg, hp.PulseModel(0.0))
+    out1, _ = ref.run_qc(SparseState.basis(lay, vals), cfg, hp.PulseModel(0.3, 1.0))
     assert out0.entries == out1.entries
 
 
@@ -153,7 +175,7 @@ def lifted_components(state, spec, regs):
     """A group state's subgroup components, lifted into the largest subspace."""
     state = apply_all(state, cr.subgroup_product_gates(spec, regs, state.layout.dim(regs.w)))
     assert_registers_clean(state, (regs.w, regs.a, regs.prod), "group-state reconstruction")
-    return cr.to_largest_subspace(state, spec, regs)
+    return apply_all(state, cr.largest_subspace_gates(spec, regs))
 
 
 def test_strip_registers_examples():

@@ -111,6 +111,23 @@ def test_nonunitary_matrix_rejected():
         LocalUnitary("a", np.array([[1, 0], [0, 2]], dtype=complex))
 
 
+def test_nan_matrix_rejected():
+    with pytest.raises(SimulationError, match="not unitary"):
+        LocalUnitary("a", np.full((2, 2), np.nan))
+
+
+def test_nan_amplitude_rejected():
+    layout = small_layout()
+    with pytest.raises(SimulationError, match="state norm nan"):
+        SparseState(layout, {layout.zero_tuple(): complex("nan")})
+
+
+def test_nan_phase_fails_the_norm_check():
+    gate = PhaseFn(("a",), {(0,): float("nan")})
+    with pytest.raises(SimulationError, match="norm drifted 1.0 -> nan"):
+        apply(SparseState.basis(small_layout()), gate)
+
+
 def test_controlled_overlap_rejected():
     inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
     with pytest.raises(SimulationError):

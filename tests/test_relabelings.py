@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from references import element_of_order
 import cycsim
 from cycsim import gates
 from cycsim import halting_program as hp
 from cycsim import mq_circuits as mq
 from cycsim.hilbert import Register, RegisterLayout, SparseState, adjoint, apply
-from cycsim.numtheory import DomainError, element_of_order, make_group_spec
+from cycsim.numtheory import DomainError, make_group_spec
 from cycsim.oracle import binary_rep, rep_value
 
 
@@ -45,7 +46,7 @@ def _ref_halt(step):
 
 
 def _ref_u_r(config):
-    exponent = {v: x for x, v in enumerate(config.basis_values)}
+    exponent = {config.f_r(x): x for x in range(config.m_r)}
     values = set(exponent)
 
     def fl(v):
@@ -170,3 +171,33 @@ def test_only_the_builders_construct_permutations():
     src = Path(cycsim.__file__).parent
     callers = set().union(*(_permutation_callers(path) for path in src.glob("*.py")))
     assert callers == PERMUTATION_BUILDERS
+
+
+# u_log is the paper's log map |g**s> -> |s> as one gate: acceptance criterion
+# 2 tests it, while a run walks the same kit stage by stage for its diagnostics
+UNREACHED_BY_A_RUN = {"dlog_pipeline.u_log"}
+
+
+def _names(tree):
+    """Every name a tree uses as a Name or an Attribute (docstrings excluded)."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_is_reached_outside_the_tests():
+    # test-only API belongs in tests/references.py: each public top-level
+    # function or class is named by another src definition or by perfbench
+    src = Path(cycsim.__file__).parent
+    bench = set().union(*(_names(ast.parse(path.read_text()))
+                          for path in (Path(__file__).parents[1] / "perfbench").rglob("*.py")))
+    defs, used_by = [], {}
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(node, 'name', '')}"
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                defs.append((owner, node.name))
+            for name in _names(node):
+                used_by.setdefault(name, set()).add(owner)
+    unreached = {owner for owner, name in defs
+                 if name not in bench and not used_by.get(name, set()) - {owner}}
+    assert unreached == UNREACHED_BY_A_RUN
