@@ -38,6 +38,12 @@ Conventions:
     frozen amplitude array itself.  Only a local unitary recombines amplitudes,
     so it alone leaves numerical dust; it drops amplitudes below DROP_THRESHOLD
     once, as it gathers its output.
+  - The local-unitary kernel keeps its large work arrays in three buffers
+    its RegisterLayout owns: the bucket, the matrix product (which first
+    holds each row's register value and bucket cell) and the kept mask.
+    They only grow, live as long as the layout, and are overwritten by the
+    next call.  The words and amplitudes the kernel returns are always
+    fresh arrays, so no state holds a work buffer.
   - Readers whose result depends on row order (sequential sums, tie-breaks)
     visit rows in lexicographic order of their basis tuples; weights are
     `math.fsum`s, which are exact whatever the order.
@@ -126,6 +132,7 @@ class RegisterLayout:
                             for (w, part), r in zip(filled, self.registers))
         self._codes: dict[tuple[str, ...], _Code] = {}
         self._rows = self.code(self.names)  # every register in order: packs and unpacks rows
+        self._scratch: dict[str, np.ndarray] = {}
 
     def index(self, name: str) -> int:
         try:
@@ -147,6 +154,14 @@ class RegisterLayout:
         """The basis tuples of word rows, one column per register."""
         return _digits(words, self._rows)
 
+    def scratch(self, name: str, n: int, dtype: type) -> np.ndarray:
+        """The first n entries of the local-unitary kernel's work array `name`,
+        which only grows, so the next call reuses its pages and overwrites it."""
+        buf = self._scratch.get(name)
+        if buf is None or len(buf) < n:
+            buf = self._scratch[name] = np.empty(n, dtype=dtype)
+        return buf[:n]
+
     def code(self, regs: tuple[str, ...]) -> _Code:
         """Where the registers `regs` lie in the words; worked out once."""
         found = self._codes.get(regs)
@@ -166,11 +181,12 @@ class RegisterLayout:
         return found
 
 
-def _run_value(words: np.ndarray, run: _Run) -> np.ndarray:
+def _run_value(words: np.ndarray, run: _Run, out: np.ndarray | None = None) -> np.ndarray:
+    """The run's digit on each row, written to `out` unless it is a column of `words`."""
     x = words[:, run.word]
     if run.stride != 1:
-        x = x // run.stride
-    return x if run.top else x % run.span
+        x = np.floor_divide(x, run.stride, out=out)
+    return x if run.top else np.remainder(x, run.span, out=out)
 
 
 def _digits(words: np.ndarray, code: _Code) -> np.ndarray:
@@ -767,7 +783,14 @@ def _apply_local(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
     if layout.registers[i].dim < d:
         raise SimulationError(f"{gate.label}: matrix larger than register {gate.reg}")
     place = layout.places[i]
-    col = _run_value(words, place)
+    # bucket, out and kept are the layout's work buffers (see the module
+    # docstring), and what the kernel returns is always fresh, since states
+    # freeze and share their arrays.  Until the product is written, the out
+    # buffer holds each row's register value (col) and cell in the flat bucket
+    # (cell); rows never outnumber cells, so this never grows it past its need
+    n = len(words)
+    spare = layout.scratch("out", n, complex).view(np.int64)
+    col = _run_value(words, place, spare[:n])
     if col.size and int(col.max()) >= d:
         raise SimulationError(
             f"{gate.label}: support at {int(col.max())} outside the {d}-dim domain of {gate.reg}")
@@ -786,19 +809,23 @@ def _apply_local(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
     at = np.cumsum(starts, out=key)  # the keys are spent: each sorted row's group
     at -= 1
     at *= d
-    cell = np.empty(len(key), dtype=np.int64)  # each row's cell in the flat bucket
+    cell = spare[n:]
     cell[order] = at
     cell += col
-    bucket = np.zeros((len(groups), d), dtype=complex)
-    bucket.reshape(-1)[cell] = amps
-    out = bucket @ gate.matrix.T
+    size = len(groups) * d
+    flat = layout.scratch("bucket", size, complex)
+    flat.fill(0)
+    flat[cell] = amps
+    bucket = flat.reshape(-1, d)
+    out = np.matmul(bucket, gate.matrix.T, out=layout.scratch("out", size, complex).reshape(-1, d))
     # recombination leaves numerical dust behind: keep only what clears the
     # threshold (the spent bucket's real parts take the magnitudes); a kept
     # cell's words are its group's, with register i set to the cell's column
-    kept = np.abs(out, out=bucket.real) >= DROP_THRESHOLD
+    kept = np.greater_equal(np.abs(out, out=bucket.real), DROP_THRESHOLD,
+                            out=layout.scratch("kept", size, bool).reshape(-1, d))
     if kept.all() and groups.ndim == 1:
         return (groups[:, None] + np.arange(0, d * place.stride, place.stride)).reshape(-1, 1), \
-            out.reshape(-1)
+            out.reshape(-1).copy()
     rows, vals = np.divmod(np.flatnonzero(kept), d)
     vals *= place.stride
     new = groups[rows]

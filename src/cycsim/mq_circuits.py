@@ -28,7 +28,6 @@ _I2 = np.eye(2, dtype=complex)
 _IPLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # I+|1> = |0>
 _IMINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # I-|0> = |1>
 _IX = (_IPLUS + _IMINUS) / 2
-_IY = (_IPLUS - _IMINUS) / 2j
 _IZ = np.array([[0.5, 0], [0, -0.5]], dtype=complex)
 
 
@@ -54,17 +53,8 @@ class SpinConventions:
     def ix(self, k: int) -> np.ndarray:
         return self.single(k, _IX)
 
-    def iy(self, k: int) -> np.ndarray:
-        return self.single(k, _IY)
-
     def iz(self, k: int) -> np.ndarray:
         return self.single(k, _IZ)
-
-    def iplus(self, k: int) -> np.ndarray:
-        return self.single(k, _IPLUS)
-
-    def iminus(self, k: int) -> np.ndarray:
-        return self.single(k, _IMINUS)
 
     def iz_total(self) -> np.ndarray:
         return sum(self.iz(k) for k in range(1, self.n + 1))

@@ -74,11 +74,17 @@ def functional_qft(f, r: int, reg: str, dim: int) -> GateOp:
 
 # --- multiple-quantum operators ----------------------------------------------
 
+# single-qubit ladder operators and I_y, placed on qubit k by `SpinConventions.single`
+IPLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # I+|1> = |0>
+IMINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # I-|0> = |1>
+IY = (IPLUS - IMINUS) / 2j
+
+
 def q_n_operator(n: int, axis: str) -> np.ndarray:
     """Hermitian operator coupling only |00...0> and |11...1>."""
     spins = SpinConventions(n)
-    up = spins.product_chain(spins.iplus)
-    down = spins.product_chain(spins.iminus)
+    up = spins.product_chain(lambda k: spins.single(k, IPLUS))
+    down = spins.product_chain(lambda k: spins.single(k, IMINUS))
     if axis == "x":
         return (up + down) / 2
     if axis == "y":

@@ -346,16 +346,26 @@ def test_local_kernel_prunes_once_exactly_as_before(extra, width, support):
     regs += [Register(f"h{j}", dim) for j, dim in enumerate(extra)]
     layout = RegisterLayout(regs)
     assert layout.width == width
+    # a gate on every word's top and stride-1 register too ("a" and "c" are
+    # the first word's in the flat-key layout)
+    ends = sorted({i for i, pl in enumerate(layout.places) if pl.top or pl.stride == 1} - {0, 2})
     rng = random.Random(31)
-    spread = 3 if support < MANY_ROWS else 60
-    dims = [r.dim if r.dim < 64 else spread for r in regs]
+    # a large support first (past MANY_ROWS wherever the layout holds that
+    # many tuples; flat-key holds 40), then smaller ones on the same layout:
+    # the kernel's reused work arrays are then longer than a call needs, and
+    # what a larger call left in them must not show in the result
+    plan = [3 * MANY_ROWS // 2] * 2 + [min(support, 25)] * (30 if support < MANY_ROWS else 2)
     pruned = 0
-    for _ in range(30 if support < MANY_ROWS else 2):
-        rows = {tuple(rng.randrange(d) for d in dims) for _ in range(support)}
+    for draws in plan:
+        spread = 3 if draws < MANY_ROWS else 12
+        dims = [r.dim if r.dim < 64 else spread for r in regs]
+        rows = {tuple(rng.randrange(d) for d in dims) for _ in range(draws)}
+        assert draws < MANY_ROWS or len(rows) >= min(MANY_ROWS, math.prod(dims))
         amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in rows]
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
         st = SparseState(layout, {k: a / norm for k, a in zip(rows, amps)})
-        for gate in (gates.qft(4, "a"), gates.qft(5, "c")):
+        for gate in (gates.qft(4, "a"), gates.qft(5, "c"),
+                     *(gates.qft(dims[i], regs[i].name) for i in ends)):
             # the Fourier pass then its inverse cancels almost every new cell
             there = apply(st, gate)
             tuples = layout.unpack(there.words)
@@ -367,6 +377,41 @@ def test_local_kernel_prunes_once_exactly_as_before(extra, width, support):
                 assert np.array_equal(got_amps, ref_amps)
                 pruned += len(_ref_local(layout, tuples, there.amps, g, 0.0)[1]) - len(got_amps)
     assert pruned > 0
+
+
+def test_no_state_holds_a_kernel_work_array():
+    # the kernel's work arrays belong to the layout and are overwritten by its
+    # next call, so every state it returns must own fresh arrays
+    layout = RegisterLayout([Register("a", 8), Register("b", 4), Register("h", 1 << 20)])
+    rng = random.Random(7)
+    made = []
+
+    def check(state):
+        made.append((state, state.words.copy(), state.amps.copy()))
+        for earlier, words, amps in made:
+            assert np.array_equal(earlier.words, words) and np.array_equal(earlier.amps, amps)
+        for buf in layout._scratch.values():
+            assert not np.shares_memory(state.words, buf)
+            assert not np.shares_memory(state.amps, buf)
+
+    fourier = gates.qft(8, "a")
+    on_b1 = Controlled(("b",), frozenset({(1,)}), fourier)
+    for size in (3 * MANY_ROWS, 40, 4 * MANY_ROWS):
+        # register a sharp at 0: every cell of the Fourier pass clears the threshold
+        rows = {(0, rng.randrange(4), rng.randrange(1 << 20)) for _ in range(size)}
+        st = SparseState(layout, {k: 1 / math.sqrt(len(rows)) for k in rows})
+        check(st)
+        spread = apply(st, fourier)  # every cell kept
+        check(spread)
+        assert spread.support_size == 8 * st.support_size
+        back = apply(spread, adjoint(fourier))  # pruned back to the sharp rows
+        check(back)
+        assert back.support_size == st.support_size
+        hot = apply(st, on_b1)  # the kernel on the rows with b = 1 only
+        check(hot)
+        assert hot.support_size == st.support_size + 7 * int((st.column("b") == 1).sum())
+        check(apply(hot, adjoint(on_b1)))
+    assert sorted(layout._scratch) == ["bucket", "kept", "out"]
 
 
 # --- packing basis tuples into words ----------------------------------------

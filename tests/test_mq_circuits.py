@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from references import q_n_operator
+from references import IPLUS, IY, q_n_operator
 from cycsim import gates, hilbert, mq_circuits as mq
 from cycsim.numtheory import DomainError
 
@@ -12,10 +12,11 @@ def test_spin_relations():
     for n in (1, 2, 3):
         spins = mq.SpinConventions(n)
         for k in range(1, n + 1):
-            comm = spins.ix(k) @ spins.iy(k) - spins.iy(k) @ spins.ix(k)
+            iy = spins.single(k, IY)
+            comm = spins.ix(k) @ iy - iy @ spins.ix(k)
             assert np.allclose(comm, 1j * spins.iz(k))
         # ladder actions on the single-qubit factors: I+|1> = |0>, I+|0> = 0
-        up = spins.iplus(1)
+        up = spins.single(1, IPLUS)
         e0 = np.zeros(2**n)
         e0[0] = 1
         assert np.allclose(up @ e0, 0)
