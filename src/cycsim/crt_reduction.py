@@ -58,7 +58,6 @@ class ReductionRegs:
     w: str                      # work register (index state or group state)
     comps: tuple[str, ...]      # one component register per CRT factor
     a: str                      # constant temp
-    b: str                      # product temp
     prod: str                   # group-product accumulator
 
 
@@ -67,17 +66,17 @@ SEARCH = "SEARCH"  # the search register the auxiliary oracle swaps in
 
 def make_search_layout(spec: CyclicGroupSpec
                        ) -> tuple[RegisterLayout, ReductionRegs, hp.StripRegs]:
-    """The whole search layout: W, C1..Cr, TA/TB/TP, NH, BH, R1..Rr, SEARCH."""
+    """The whole search layout: W, C1..Cr, TA/TP, NH, BH, R1..Rr, SEARCH."""
     r = spec.r
     regs = ReductionRegs(w="W", comps=tuple(f"C{k + 1}" for k in range(r)),
-                         a="TA", b="TB", prod="TP")
+                         a="TA", prod="TP")
     strip = hp.StripRegs(nh="NH", bh="BH", comps=regs.comps,
                          recs=tuple(f"R{k + 1}" for k in range(r)))
     cfg = hp.ProgramConfig.from_spec(spec)
     n_dim = gates.register_dim(spec.p)
     registers = [Register(regs.w, n_dim)]
     registers += [Register(name, n_dim)
-                  for name in regs.comps + (regs.a, regs.b, regs.prod)]
+                  for name in regs.comps + (regs.a, regs.prod)]
     registers += [Register(strip.nh, 2), Register(strip.bh, cfg.branch_dim)]
     registers += [Register(name, cfg.record_dim) for name in strip.recs]
     registers.append(Register(SEARCH, n_dim))

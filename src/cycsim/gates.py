@@ -135,13 +135,16 @@ def group_mul_acc(p: int, src: str, dst: str) -> GateOp:
 
 
 def work_mod_exp(g: int, p: int, x_reg: str, y_reg: str, w_reg: str, tgt: str) -> GateOp:
-    """|x>|y>|w>|z> -> |x>|y>|w>|(z + w**x * g**y mod p) mod p> for w in Z_p^+.
+    """|w>|x>|y>|z> -> |w>|x>|y>|(z + w**x * g**y mod p) mod p> for w in Z_p^+.
 
     The double-variable modular exponential with the base taken from the work
-    register, so one gate serves every group element held there.
+    register, so one gate serves every group element held there.  The gate
+    lists the base register first: in the pipeline's layout (W X Y F ...) its
+    registers are then one run of one word, so a row's code is read with one
+    shift and written back with one add rather than as four digits.
     """
-    return _accumulate((x_reg, y_reg, w_reg, tgt), p,
-                       lambda x, y, w: pow(w, x, p) * pow(g, y, p) if 1 <= w < p else 0,
+    return _accumulate((w_reg, x_reg, y_reg, tgt), p,
+                       lambda w, x, y: pow(w, x, p) * pow(g, y, p) if 1 <= w < p else 0,
                        f"UF_{g}_{p}")
 
 

@@ -12,6 +12,13 @@ amplitude} dict, is built only when read; `SparseState.column` reads one
 register.
 
 Conventions:
+  - A register, or a run of registers next to each other in one word, is read
+    as one digit (word // stride) % span.  Where the stride or the span is a
+    power of two, as for every register of the pipeline's layouts, that is a
+    shift or a mask; otherwise a floor division and, for the remainder, a
+    product and a subtraction.  numpy's remainder by a scalar is several
+    times slower than any of these, so reads of one run and the per-register
+    reads past MANY_ROWS avoid it; only the few-row matrix reads keep `%`.
   - PhaseFn multiplies the amplitude of a listed basis tuple x of its registers
     by exp(1j * angles[x]) and leaves unlisted tuples alone.
   - Controlled applies its inner gate where the control registers hold a tuple
@@ -183,10 +190,28 @@ class RegisterLayout:
 
 def _run_value(words: np.ndarray, run: _Run, out: np.ndarray | None = None) -> np.ndarray:
     """The run's digit on each row, written to `out` unless it is a column of `words`."""
-    x = words[:, run.word]
-    if run.stride != 1:
-        x = np.floor_divide(x, run.stride, out=out)
-    return x if run.top else np.remainder(x, run.span, out=out)
+    return _digit(words[:, run.word], run.stride, None if run.top else run.span, out)
+
+
+def _digit(x: np.ndarray, stride: int, span: int | None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """(x // stride) % span of non-negative integers, with no reduction for a
+    None span; written to `out` unless it is x itself.  A power of two is a
+    shift or a mask, which numpy runs several times faster than a division by
+    a scalar; any other span's remainder is a product and a subtraction, as
+    np.remainder is slower still."""
+    if stride != 1:
+        if stride & (stride - 1):
+            x = np.floor_divide(x, stride, out=out)
+        else:
+            x = np.right_shift(x, stride.bit_length() - 1, out=out)
+    if span is None:
+        return x
+    if not span & (span - 1):
+        return np.bitwise_and(x, span - 1, out=out)
+    high = x // span
+    high *= span
+    return np.subtract(x, high, out=out)
 
 
 def _digits(words: np.ndarray, code: _Code) -> np.ndarray:
@@ -221,7 +246,7 @@ def _recode(words: np.ndarray, code: _Code, codes: np.ndarray,
     if isinstance(digits, list):
         new = words.copy()
         for place, weight, old in zip(code.places, code.weights.tolist(), digits):
-            new[:, place.word] += (images // weight % place.span - old) * place.stride
+            new[:, place.word] += (_digit(images, weight, place.span) - old) * place.stride
         return new
     return words + (images[:, None] // code.weights % code.spans - digits) @ code.scatter
 
@@ -826,7 +851,11 @@ def _apply_local(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
     if kept.all() and groups.ndim == 1:
         return (groups[:, None] + np.arange(0, d * place.stride, place.stride)).reshape(-1, 1), \
             out.reshape(-1).copy()
-    rows, vals = np.divmod(np.flatnonzero(kept), d)
+    # a cell's group and column; d is p - 1 for the pipeline's QFTs, no power
+    # of two, and a product and a subtraction beat a remainder
+    cells = np.flatnonzero(kept)
+    rows = cells // d
+    vals = cells - rows * d
     vals *= place.stride
     new = groups[rows]
     if new.ndim == 1:

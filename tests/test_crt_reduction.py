@@ -132,14 +132,13 @@ def _aux_env(p, hidden_s):
 def test_search_layout():
     spec = make_group_spec(13)
     layout, regs, strip = cr.make_search_layout(spec)
-    assert layout.names == ("W", "C1", "C2", "TA", "TB", "TP", "NH", "BH", "R1", "R2",
-                            "SEARCH")
+    assert layout.names == ("W", "C1", "C2", "TA", "TP", "NH", "BH", "R1", "R2", "SEARCH")
     assert strip.comps == regs.comps
     cfg = hp.ProgramConfig.from_spec(spec)
     assert layout.dim("NH") == 2
     assert layout.dim("BH") == cfg.branch_dim
     assert layout.dim("R1") == layout.dim("R2") == cfg.record_dim
-    assert all(layout.dim(n) == 16 for n in ("W", "C1", "C2", "TA", "TB", "TP", "SEARCH"))
+    assert all(layout.dim(n) == 16 for n in ("W", "C1", "C2", "TA", "TP", "SEARCH"))
 
 
 @pytest.mark.parametrize("k,s_k", [(0, 1), (1, 3)])

@@ -31,6 +31,16 @@ def test_prepare_psi1_p3_support():
         assert k[lay.index(regs.f)] == pow(2, x + y, 3)
 
 
+@pytest.mark.parametrize("p", [13, 29, 37])
+def test_work_mod_exp_is_one_run_of_the_layout(p):
+    # the base register listed first, UF's registers are the top run of one
+    # word, so a row's code is one shift of its word
+    spec = make_group_spec(p)
+    (uf,) = [g for g in dl.pipeline_kit(spec)["psi1"] if g.label.startswith("UF_")]
+    code = dl.make_dlog_layout(spec).code(uf.regs)
+    assert code.run is not None and code.run.top
+
+
 def test_to_psi2_patterns():
     spec = make_group_spec(5)
     st = stages.prepare_psi1(spec, b=pow(spec.g, 1, 5))

@@ -301,11 +301,14 @@ def _ref_gmul(p):
                          if 1 <= v[0] < p and 1 <= v[1] < p else v)
 
 
-def _ref_work(g, p):
+def _ref_work(g, p, regs):
+    """The reference on tuples of `regs`, read and written by register name."""
     def ref(v, s):
-        x, y, w, z = v
+        r = dict(zip(regs, v))
+        x, y, w, z = r["x"], r["y"], r["w"], r["z"]
         val = (pow(w, x, p) * pow(g, y, p)) % p if 1 <= w < p else 0
-        return (x, y, w, (z + s * val) % p) if z < p else v
+        r["z"] = (z + s * val) % p if z < p else z
+        return tuple(r[name] for name in regs)
     return ref
 
 
@@ -367,8 +370,9 @@ def test_arithmetic_constructors_match_their_reference_formulas(p):
 def test_work_mod_exp_matches_its_reference_formula(p):
     D = gates.register_dim(p)
     g = find_primitive_root(p)
-    _assert_matches(gates.work_mod_exp(g, p, "x", "y", "w", "z"), _ref_work(g, p), (D,) * 4,
-                    f"UF_{g}_{p}")
+    gate = gates.work_mod_exp(g, p, "x", "y", "w", "z")
+    assert sorted(gate.regs) == ["w", "x", "y", "z"]
+    _assert_matches(gate, _ref_work(g, p, gate.regs), (D,) * 4, f"UF_{g}_{p}")
 
 
 def test_construction_refusals_are_kept():

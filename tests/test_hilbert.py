@@ -469,6 +469,73 @@ def test_register_past_the_code_limit_is_refused():
         RegisterLayout([Register("a", 4), Register("h", CODE_LIMIT + 1)])
 
 
+# --- digit reads off the power-of-two path ----------------------------------
+# Registers are read with shifts and masks where a stride or span is a power
+# of two, and with a floor division and a subtraction elsewhere; each layout
+# mixes both, as strides and as spans, in one word and in two.
+
+DIGIT_DIMS = {"odd-strides": [64, 9, 32, 2, 28], "odd-spans": [9, 28, 64, 32, 2]}
+
+
+def digit_state(dims, words, support, seed):
+    extra = [1 << 40, 9, 32, 28] if words == 2 else []
+    layout = RegisterLayout([Register(f"r{i}", d) for i, d in enumerate(dims + extra)])
+    assert layout.width == words
+    rng = random.Random(seed)
+    rows = sorted({tuple(rng.randrange(r.dim) for r in layout.registers) for _ in range(support)})
+    st = SparseState(layout, {k: 1 / math.sqrt(len(rows)) for k in rows})
+    return st, np.array(rows, dtype=np.int64), rng
+
+
+DIGIT_CASES = pytest.mark.parametrize("dims, words, support", [
+    (dims, words, support) for dims in DIGIT_DIMS.values() for words in (1, 2)
+    for support in (40, 3 * MANY_ROWS // 2)],
+    ids=[f"{name}-{words}-word-{rows}-rows" for name in DIGIT_DIMS for words in (1, 2)
+         for rows in ("few", "many")])
+
+
+@DIGIT_CASES
+def test_digit_reads_match_plain_division(dims, words, support):
+    st, tuples, rng = digit_state(dims, words, support, seed=support + words)
+    layout = st.layout
+    for i, (reg, place) in enumerate(zip(layout.registers, layout.places)):
+        got = st.column(reg.name)
+        assert np.array_equal(got, tuples[:, i])
+        assert np.array_equal(got, st.words[:, place.word] // place.stride % place.span)
+    subsets = [("r1", "r4"), ("r4", "r2", "r1"), ("r2", "r3", "r4"), ("r0", "r1"), ("r3",)]
+    if words == 2:
+        subsets += [("r1", "r7"), ("r8", "r4", "r6"), ("r6", "r7", "r8"), ("r4", "r5")]
+    for regs in subsets:
+        code = layout.code(regs)
+        pos = [layout.index(r) for r in regs]
+        codes, digits = hilbert._encode(st.words, code)
+        assert np.array_equal(codes, tuples[:, pos] @ np.array(hilbert._strides(code.dims)))
+        # from MANY_ROWS on, registers that are no run take the per-register branch
+        assert isinstance(digits, list) == (support >= MANY_ROWS and code.run is None)
+        images = np.array([rng.randrange(math.prod(code.dims)) for _ in codes], dtype=np.int64)
+        moved = tuples.copy()
+        moved[:, pos] = np.transpose(np.unravel_index(images, code.dims))
+        # support tables hold int32 codes wherever the domain allows
+        for typed in {np.int64, np.int32 if math.prod(code.dims) <= 1 << 31 else np.int64}:
+            new = hilbert._recode(st.words, code, codes, digits, images.astype(typed))
+            assert np.array_equal(new, layout.pack(moved)), (regs, typed)
+
+
+@DIGIT_CASES
+def test_local_kernel_reads_odd_dimensions_exactly(dims, words, support):
+    st, _, _ = digit_state(dims, words, support, seed=3 * support + words)
+    layout = st.layout
+    fourier = [gates.qft(r.dim, r.name) for r in layout.registers if r.dim <= 64]
+    assert {g.matrix.shape[0] for g in fourier} >= {9, 28, 64}
+    for gate in fourier:
+        there = apply(st, gate)
+        for g, src in ((gate, st), (adjoint(gate), there)):
+            got_words, got_amps = hilbert._apply_local(layout, src.words, src.amps, g)
+            ref_keys, ref_amps = _ref_local(layout, layout.unpack(src.words), src.amps, g)
+            assert np.array_equal(layout.unpack(got_words), ref_keys), g.label
+            assert np.array_equal(got_amps, ref_amps), g.label
+
+
 def big_layout():
     # dims that are not powers of two, and registers out of layout order in the gates
     return RegisterLayout([Register("a", 64), Register("b", 37),

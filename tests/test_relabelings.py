@@ -16,7 +16,7 @@ import pytest
 
 from references import element_of_order
 import cycsim
-from cycsim import gates
+from cycsim import gates, hilbert
 from cycsim import halting_program as hp
 from cycsim import mq_circuits as mq
 from cycsim.hilbert import Register, RegisterLayout, SparseState, adjoint, apply
@@ -171,6 +171,21 @@ def test_only_the_builders_construct_permutations():
     src = Path(cycsim.__file__).parent
     callers = set().union(*(_permutation_callers(path) for path in src.glob("*.py")))
     assert callers == PERMUTATION_BUILDERS
+
+
+# the kernel's digit reads: numpy's remainder by a scalar costs several
+# times a shift, a mask or a floor division, so these bodies use none
+DIGIT_READERS = ("_run_value", "_digit", "_apply_local")
+
+
+def test_digit_readers_use_no_remainder():
+    tree = ast.parse(Path(hilbert.__file__).read_text())
+    bodies = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in DIGIT_READERS:
+        for node in ast.walk(bodies[name]):
+            assert not isinstance(getattr(node, "op", None), ast.Mod), (name, node.lineno)
+            assert getattr(node, "attr", getattr(node, "id", None)) not in (
+                "remainder", "mod", "divmod", "fmod"), (name, node.lineno)
 
 
 # u_log is the paper's log map |g**s> -> |s> as one gate: acceptance criterion
