@@ -1,12 +1,15 @@
 """The reduction from the whole cyclic-group space to one subgroup subspace:
-the search register layout, the decomposition of a group state into a tensor
-product of subgroup components, the lifts of components into the largest
-subgroup subspace, the reduction gate that strips all but one component, and
-the auxiliary per-subspace oracle that conjugates the base oracle with it.
+the search register layout and its names (`SearchRegs`), the decomposition of
+a group state into a tensor product of subgroup components, the lifts of
+components into the largest subgroup subspace, the stripping sequence that
+runs the halting program on pairs of components, the reduction gate that
+chains these three, and the auxiliary per-subspace oracle that conjugates the
+base oracle with it.
 
 Everything here is a permutation sequence built from the public group data, so
 the transformations act linearly on superpositions and never read the hidden
-index.
+index.  Every register holding a group element has `gates.register_dim(p)`
+levels.
 """
 
 from __future__ import annotations
@@ -15,78 +18,41 @@ from dataclasses import dataclass
 
 from . import gates, halting_program as hp
 from .hilbert import GateOp, Register, RegisterLayout, Sequence, adjoint
-from .numtheory import CyclicGroupSpec, DomainError
+from .numtheory import CyclicGroupSpec
 
 
 @dataclass(frozen=True)
-class SubspaceDescriptor:
-    """One cyclic subgroup subspace: generator g**M_k, order m_k, and its basis
-    values [generator**x mod p]."""
-
-    k: int
-    generator: int
-    order: int
-    basis: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.basis)) != len(self.basis):
-            raise DomainError("subspace basis values must be distinct")
-
-
-def descriptors(spec: CyclicGroupSpec) -> tuple[SubspaceDescriptor, ...]:
-    out = []
-    for k, comp in enumerate(spec.basis.components):
-        gen = spec.subgroup_generators[k]
-        basis = tuple(pow(gen, x, spec.p) for x in range(comp.m))
-        out.append(SubspaceDescriptor(k=k, generator=gen, order=comp.m, basis=basis))
-    return tuple(out)
-
-
-def subspace_lift(src: SubspaceDescriptor, dst: SubspaceDescriptor, reg: str) -> GateOp:
-    """|src_generator**x> -> |dst_generator**x> for x below the source order;
-    identity on values outside both basis lists."""
-    if src.order > dst.order:
-        raise DomainError("lift target must be at least as large as the source")
-    return gates.pairing_permutation(list(src.basis), list(dst.basis[:src.order]), reg,
-                                     label=f"LIFT_{src.order}_{dst.order}")
-
-
-@dataclass(frozen=True)
-class ReductionRegs:
-    """Register names for the reduction complex inside a host layout."""
+class SearchRegs:
+    """Register names of the search layout."""
 
     w: str                      # work register (index state or group state)
     comps: tuple[str, ...]      # one component register per CRT factor
     a: str                      # constant temp
     prod: str                   # group-product accumulator
+    nh: str                     # halting flag
+    bh: str                     # branch flag
+    recs: tuple[str, ...]       # record register for component j sits at recs[j]
+    search: str                 # the search register the auxiliary oracle swaps in
 
 
-SEARCH = "SEARCH"  # the search register the auxiliary oracle swaps in
-
-
-def make_search_layout(spec: CyclicGroupSpec
-                       ) -> tuple[RegisterLayout, ReductionRegs, hp.StripRegs]:
-    """The whole search layout: W, C1..Cr, TA/TP, NH, BH, R1..Rr, SEARCH."""
+def make_search_layout(spec: CyclicGroupSpec) -> tuple[RegisterLayout, SearchRegs]:
+    """The whole search layout: W, C1..Cr, TA, TP, NH, BH, R1..Rr, SEARCH."""
     r = spec.r
-    regs = ReductionRegs(w="W", comps=tuple(f"C{k + 1}" for k in range(r)),
-                         a="TA", prod="TP")
-    strip = hp.StripRegs(nh="NH", bh="BH", comps=regs.comps,
-                         recs=tuple(f"R{k + 1}" for k in range(r)))
+    regs = SearchRegs(w="W", comps=tuple(f"C{k + 1}" for k in range(r)), a="TA", prod="TP",
+                      nh="NH", bh="BH", recs=tuple(f"R{k + 1}" for k in range(r)),
+                      search="SEARCH")
     cfg = hp.ProgramConfig.from_spec(spec)
-    n_dim = gates.register_dim(spec.p)
-    registers = [Register(regs.w, n_dim)]
-    registers += [Register(name, n_dim)
-                  for name in regs.comps + (regs.a, regs.prod)]
-    registers += [Register(strip.nh, 2), Register(strip.bh, cfg.branch_dim)]
-    registers += [Register(name, cfg.record_dim) for name in strip.recs]
-    registers.append(Register(SEARCH, n_dim))
-    return RegisterLayout(registers), regs, strip
+    dim = gates.register_dim(spec.p)
+    registers = [Register(name, dim) for name in (regs.w, *regs.comps, regs.a, regs.prod)]
+    registers += [Register(regs.nh, 2), Register(regs.bh, cfg.branch_dim)]
+    registers += [Register(name, cfg.record_dim) for name in regs.recs]
+    registers.append(Register(regs.search, dim))
+    return RegisterLayout(registers), regs
 
 
 # --- group-space decomposition -----------------------------------------------
 
-def subgroup_product_gates(spec: CyclicGroupSpec, regs: ReductionRegs,
-                           n_dim: int) -> list[GateOp]:
+def subgroup_product_gates(spec: CyclicGroupSpec, regs: SearchRegs) -> list[GateOp]:
     """|g**s> -> tensor of |(g**M_k)**s_k>, removing the original group state
     through the product of inverse-weighted components (checked by the caller:
     the work register must come back to 0)."""
@@ -101,29 +67,52 @@ def subgroup_product_gates(spec: CyclicGroupSpec, regs: ReductionRegs,
         pw = gates.pow_const(comp.n, p, regs.comps[k], regs.a)
         recon += [pw, gates.group_mul_acc(p, regs.a, regs.prod), adjoint(pw)]
     seq += recon
-    seq.append(adjoint(gates.add_mod(n_dim, regs.prod, regs.w)))  # g**s - product = 0
+    # g**s - product = 0
+    seq.append(adjoint(gates.add_mod(gates.register_dim(p), regs.prod, regs.w)))
     seq += [adjoint(g) for g in reversed(recon)]
     seq.append(adjoint(f1))
     return seq
 
 
-def largest_subspace_gates(spec: CyclicGroupSpec, regs: ReductionRegs) -> list[GateOp]:
-    """Lift every component into the largest subgroup subspace."""
-    descs = descriptors(spec)
-    top = descs[-1]
-    return [subspace_lift(descs[k], top, regs.comps[k]) for k in range(spec.r - 1)]
+def largest_subspace_gates(spec: CyclicGroupSpec, regs: SearchRegs) -> list[GateOp]:
+    """Lift every component but the last, which is the largest, into the largest
+    subgroup subspace: |g_k**x> -> |h**x> for x below m_k, with g_k = g**M_k
+    and h the last subgroup generator; identity outside both value lists."""
+    p, h, m_r = spec.p, spec.subgroup_generators[-1], spec.largest_order
+    lifts: list[GateOp] = []
+    for k, comp in enumerate(spec.basis.components[:-1]):
+        g_k = spec.subgroup_generators[k]
+        lifts.append(gates.pairing_permutation(
+            [pow(g_k, x, p) for x in range(comp.m)], [pow(h, x, p) for x in range(comp.m)],
+            regs.comps[k], label=f"LIFT_{comp.m}_{m_r}"))
+    return lifts
+
+
+def strip_gate(spec: CyclicGroupSpec, keep: int, regs: SearchRegs,
+               pulse: hp.PulseModel | None = None) -> GateOp:
+    """Remove every component register except `keep` (0-based) by running the
+    program on pairs (kept, j); flags are reset between runs, records stay."""
+    config = hp.ProgramConfig.from_spec(spec)
+    seq: list[GateOp] = []
+    for j, comp in enumerate(regs.comps):
+        if j == keep:
+            continue
+        pair = hp.QpRegs(nh=regs.nh, bh=regs.bh, f=regs.comps[keep], g=comp,
+                         rec=regs.recs[j])
+        seq.append(hp.qp_gate(config, pair, pulse))
+        seq.extend(hp.reset_flags_gates(config, pair))
+    return Sequence(tuple(seq), label=f"STRIP_{keep}")
 
 
 # --- the auxiliary per-subspace oracle ----------------------------------------
 
-def reduction_gate(spec: CyclicGroupSpec, regs: ReductionRegs, strip: hp.StripRegs,
-                   keep: int, n_dim: int,
+def reduction_gate(spec: CyclicGroupSpec, regs: SearchRegs, keep: int,
                    pulse: hp.PulseModel | None = None) -> GateOp:
     """Forward pipeline |R0>|g**s> -> (records)|component keep>: decompose,
     lift, strip."""
-    seq = subgroup_product_gates(spec, regs, n_dim)
+    seq = subgroup_product_gates(spec, regs)
     seq += largest_subspace_gates(spec, regs)
-    seq.append(hp.strip_gate(spec, keep, strip, n_dim, pulse))
+    seq.append(strip_gate(spec, keep, regs, pulse))
     return Sequence(tuple(seq), label=f"REDUCE_{keep}")
 
 

@@ -105,8 +105,7 @@ class _Instance:
 
     spec: CyclicGroupSpec
     layout: RegisterLayout
-    regs: cr.ReductionRegs
-    strip_regs: hp.StripRegs
+    regs: cr.SearchRegs
     n: int
     pulse: hp.PulseModel | None
     reductions: list  # per component: the forward reduction gate
@@ -121,12 +120,10 @@ class _Instance:
 def _instance(p: int, g: int | None, epsilon: float, gamma: float) -> _Instance:
     """The last GATE_SETS instances built, each with its gates and their tables."""
     spec = make_group_spec(p, g)
-    layout, regs, strip_regs = cr.make_search_layout(spec)
-    n_dim = layout.dim(regs.w)
+    layout, regs = cr.make_search_layout(spec)
 
     def reductions_for(pulse: hp.PulseModel | None) -> list:
-        return [cr.reduction_gate(spec, regs, strip_regs, k, n_dim, pulse)
-                for k in range(spec.r)]
+        return [cr.reduction_gate(spec, regs, k, pulse) for k in range(spec.r)]
 
     pulse = hp.PulseModel(epsilon, gamma) if epsilon > 0 else None
     reductions = aux_reductions = reductions_for(pulse)
@@ -138,11 +135,11 @@ def _instance(p: int, g: int | None, epsilon: float, gamma: float) -> _Instance:
     unreductions = aux_unreductions = [hilbert.adjoint(red) for red in reductions]
     if aux_reductions is not reductions:
         aux_unreductions = [hilbert.adjoint(red) for red in aux_reductions]
-    aux_swaps = [gates.swap_regs(cr.SEARCH, comp) for comp in regs.comps]
+    aux_swaps = [gates.swap_regs(regs.search, comp) for comp in regs.comps]
     n = spec.p.bit_length()
-    return _Instance(spec, layout, regs, strip_regs, n, pulse, reductions, unreductions,
+    return _Instance(spec, layout, regs, n, pulse, reductions, unreductions,
                      aux_reductions, aux_unreductions, aux_swaps,
-                     mq.search_gates(spec, cr.SEARCH, n))
+                     mq.search_gates(spec, regs.search, n))
 
 
 def _draw_hidden(config: ExperimentConfig) -> int:
@@ -180,7 +177,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         }
 
     base_oracle = make_subspace_oracle(
-        ospec, regs.w, tuple(x for x in layout.names if x not in (regs.w, cr.SEARCH)),
+        ospec, regs.w, tuple(x for x in layout.names if x not in (regs.w, regs.search)),
         config.theta)
 
     components: list[dict] = []
@@ -268,7 +265,7 @@ def _read_records(state: SparseState, inst: _Instance, keep: int) -> list[tuple[
     for j in range(inst.spec.r):
         if j == keep:
             continue
-        name = inst.strip_regs.recs[j]
+        name = inst.regs.recs[j]
         step = state.register_value(name) if sharp else state.dominant_register_value(name)
         records.append((j, step))
     return records
@@ -350,6 +347,12 @@ def cli_main(argv: list[str] | None = None) -> int:
         config.validate()
         if config.hidden_s is None and not config.hidden_random and args.csv is None:
             raise DomainError("give --hidden-s, --hidden-random, or --csv for a sweep")
+        for flag, path in (("--out", args.out), ("--csv", args.csv)):
+            if path is None:
+                continue
+            folder = os.path.dirname(path) or "."
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise DomainError(f"{flag} {path}: {folder} is not a writable directory")
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

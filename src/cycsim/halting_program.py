@@ -6,21 +6,21 @@ transposition) plus one trailing check, returning every legal basis input
 (x, y) to the shape |halt=1>|branch=1>|f(x)>|0>.  The step at which the halting
 statement fired is written into a dedicated record register; the (output,
 record) pairs are pairwise distinct, which is what keeps the whole map a
-permutation.  `qp_gate` builds one run as a gate sequence and `strip_gate`
-chains runs to strip a product state down to one component.  Lossy
-state-locking pulses are modeled by a leakage unitary with residual amplitude
-epsilon on the pair register after each halting event.
+permutation.  `qp_gate` builds one run as a gate sequence; the stripping
+sequence that chains runs over pairs of components is
+`crt_reduction.strip_gate`.  Lossy state-locking pulses are modeled by a
+leakage unitary with residual amplitude epsilon on the pair register after
+each halting event.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import gates, hilbert
+from . import gates
 from .hilbert import Controlled, GateOp, LocalUnitary, Sequence, adjoint
 from .numtheory import CyclicGroupSpec, DomainError, multiplicative_order
 
@@ -86,13 +86,13 @@ def _halt_gate(step: int, g_reg: str, nh_reg: str, rec_reg: str) -> GateOp:
                                      f"HALT_{step}")
 
 
-def _leak_gate(config: ProgramConfig, pulse: PulseModel, g_reg: str, dim: int) -> GateOp:
+def _leak_gate(config: ProgramConfig, pulse: PulseModel, g_reg: str) -> GateOp:
     """Locking leak on the {0, c} subspace of the pair register: the freshly
     cleared branch keeps amplitude epsilon on the control state."""
     c = config.control_value
     eps, gam = pulse.epsilon, pulse.gamma
     root = math.sqrt(1.0 - eps * eps)
-    mat = np.eye(dim, dtype=complex)
+    mat = np.eye(gates.register_dim(config.p), dtype=complex)
     mat[0, 0] = root
     mat[c, 0] = eps * complex(math.cos(gam), -math.sin(gam))
     mat[0, c] = -eps * complex(math.cos(gam), math.sin(gam))
@@ -120,17 +120,11 @@ def _unit_gates(config: ProgramConfig, regs: QpRegs) -> tuple[GateOp, GateOp, Ga
     return u_b, u_g, u_rc
 
 
-@functools.lru_cache(maxsize=hilbert.GATE_SETS)
-def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
-            pulse: PulseModel | None) -> GateOp:
+def qp_gate(config: ProgramConfig, regs: QpRegs, pulse: PulseModel | None) -> GateOp:
     """The whole program as one permutation sequence: m_r units of
     [branch check, halting statement, cyclic translation, conditional pair
     transposition] plus the trailing check.  With a pulse model, each halting
-    event is followed by the locking leak on the pair register.
-
-    The last GATE_SETS gates built are kept (an lru_cache; pass every argument
-    by position), so runs with the same configuration share compiled tables.
-    """
+    event is followed by the locking leak on the pair register."""
     seq: list[GateOp] = []
     u_b, u_g, u_rc = _unit_gates(config, regs)
     for i in range(1, config.m_r + 1):
@@ -138,7 +132,7 @@ def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
         seq.append(_halt_gate(i, regs.g, regs.nh, regs.rec))
         if pulse is not None and pulse.epsilon > 0.0:
             seq.append(Controlled((regs.rec,), frozenset({(i,)}),
-                                  _leak_gate(config, pulse, regs.g, g_dim),
+                                  _leak_gate(config, pulse, regs.g),
                                   label="P_SL"))
         seq.append(u_g)
         seq.append(u_rc)
@@ -146,7 +140,7 @@ def qp_gate(config: ProgramConfig, regs: QpRegs, g_dim: int,
     seq.append(_halt_gate(config.m_r + 1, regs.g, regs.nh, regs.rec))
     if pulse is not None and pulse.epsilon > 0.0:
         seq.append(Controlled((regs.rec,), frozenset({(config.m_r + 1,)}),
-                              _leak_gate(config, pulse, regs.g, g_dim), label="P_SL"))
+                              _leak_gate(config, pulse, regs.g), label="P_SL"))
     return Sequence(tuple(seq), label="Q_p")
 
 
@@ -156,29 +150,3 @@ def reset_flags_gates(config: ProgramConfig, regs: QpRegs) -> list[GateOp]:
         gates.transposition(0, 1, regs.nh),
         adjoint(gates.set_const(1, regs.bh, config.branch_dim)),
     ]
-
-
-@dataclass(frozen=True)
-class StripRegs:
-    """Register names for stripping a product state down to one component."""
-
-    nh: str
-    bh: str
-    comps: tuple[str, ...]
-    recs: tuple[str, ...]  # record register for component j sits at recs[j]
-
-
-def strip_gate(spec: CyclicGroupSpec, keep: int, regs: StripRegs, g_dim: int,
-               pulse: PulseModel | None = None) -> GateOp:
-    """Remove every component register except `keep` (0-based) by running the
-    program on pairs (kept, j); flags are reset between runs, records stay."""
-    config = ProgramConfig.from_spec(spec)
-    seq: list[GateOp] = []
-    for j in range(len(regs.comps)):
-        if j == keep:
-            continue
-        pair = QpRegs(nh=regs.nh, bh=regs.bh, f=regs.comps[keep], g=regs.comps[j],
-                      rec=regs.recs[j])
-        seq.append(qp_gate(config, pair, g_dim, pulse))
-        seq.extend(reset_flags_gates(config, pair))
-    return Sequence(tuple(seq), label=f"STRIP_{keep}")

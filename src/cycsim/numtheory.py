@@ -1,4 +1,4 @@
-"""Exact integer number theory: factorization, Euclid, totient, primitive roots,
+"""Exact integer number theory: factorization, totient, primitive roots,
 CRT composition, and the classical discrete-log oracle used to cross-check
 every quantum stage.
 
@@ -67,30 +67,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (d, u, v) with u*a + v*b = d = gcd(a, b) >= 1."""
-    if a == 0 and b == 0:
-        raise DomainError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
-def modinv(a: int, m: int) -> int:
-    d, u, _ = extended_gcd(a % m, m)
-    if d != 1:
-        raise DomainError(f"{a} is not invertible mod {m}")
-    return u % m
-
-
 def euler_totient(f: Factorization) -> int:
     phi = 1
     for p, a in f.factors:
@@ -157,7 +133,7 @@ def crt_basis(f: Factorization) -> CrtBasis:
     for p, a in f.factors:
         m = p**a
         M = f.n // m
-        comps.append(CrtComponent(m=m, M=M, n=modinv(M, m) if m > 1 else 0))
+        comps.append(CrtComponent(m=m, M=M, n=pow(M, -1, m) if m > 1 else 0))
     return CrtBasis(f.n, tuple(comps))
 
 

@@ -138,7 +138,7 @@ def run_qc(state: SparseState, config: hp.ProgramConfig,
     # leak with columns 0 and c exchanged
     cols = np.arange(g_dim)
     cols[[0, c]] = c, 0
-    lock = hp._leak_gate(config, pulse, regs.g, g_dim).matrix[:, cols]
+    lock = hp._leak_gate(config, pulse, regs.g).matrix[:, cols]
     lock_gate = LocalUnitary(regs.g, lock, label="P_SL")
 
     u_b, u_g, u_rc = hp._unit_gates(config, regs)

@@ -104,7 +104,7 @@ def test_criterion_4_halting_program():
         cfg = hp.ProgramConfig(p, m_r, ref.element_of_order(m_r, p))
         layout = ref.make_qp_layout(cfg)
         regs = hp.QpRegs()
-        qp = hp.qp_gate(cfg, regs, layout.dim(regs.g), None)
+        qp = hp.qp_gate(cfg, regs, None)
         seen = set()
         for x, y in itertools.product(range(m_r), repeat=2):
             st = SparseState.basis(layout, {regs.f: cfg.f_r(x), regs.g: cfg.f_r(y)})
@@ -129,7 +129,7 @@ def test_criterion_5_pulse_model():
         cfg = hp.ProgramConfig(p, m_r, ref.element_of_order(m_r, p))
         layout = ref.make_qp_layout(cfg)
         regs = hp.QpRegs()
-        qp = hp.qp_gate(cfg, regs, layout.dim(regs.g), None)
+        qp = hp.qp_gate(cfg, regs, None)
         for x, y in itertools.product(range(m_r), repeat=2):
             vals = {regs.f: cfg.f_r(x), regs.g: cfg.f_r(y)}
             qc_out, info = ref.run_qc(SparseState.basis(layout, vals), cfg,

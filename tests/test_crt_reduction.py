@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -6,7 +7,7 @@ from cycsim import crt_reduction as cr
 from cycsim import halting_program as hp
 from cycsim import gates, hilbert
 from cycsim.hilbert import SparseState, adjoint, apply, apply_all, assert_registers_clean
-from cycsim.numtheory import DomainError, classical_dlog, make_group_spec
+from cycsim.numtheory import classical_dlog, make_group_spec
 from cycsim.oracle import OracleSpec, make_subspace_oracle
 
 IDENTITY_PRIMES = (5, 7, 11, 13, 29, 61)
@@ -15,7 +16,7 @@ IDENTITY_PRIMES = (5, 7, 11, 13, 29, 61)
 @pytest.fixture(scope="module")
 def env13():
     spec = make_group_spec(13)
-    layout, regs, _ = cr.make_search_layout(spec)
+    layout, regs = cr.make_search_layout(spec)
     return spec, layout, regs
 
 
@@ -25,7 +26,7 @@ def component_values(state, layout, regs):
 
 
 def subgroup_product(state, spec, regs):
-    state = apply_all(state, cr.subgroup_product_gates(spec, regs, state.layout.dim(regs.w)))
+    state = apply_all(state, cr.subgroup_product_gates(spec, regs))
     assert_registers_clean(state, (regs.w, regs.a, regs.prod), "group-state reconstruction")
     return state
 
@@ -50,16 +51,6 @@ def test_group_identity_classical(p):
         assert prod == pow(spec.g, s, p)
 
 
-def test_descriptors(env13):
-    spec, _, _ = env13
-    descs = cr.descriptors(spec)
-    assert [(d.generator, d.order) for d in descs] == [(3, 3), (8, 4)]
-    assert descs[0].basis == (1, 3, 9)
-    assert descs[1].basis == (1, 8, 12, 5)
-    for d in descs:
-        assert pow(d.generator, d.order, spec.p) == 1
-
-
 def test_group_state_decomposition_examples(env13):
     spec, layout, regs = env13
     out = subgroup_product(SparseState.basis(layout, {regs.w: pow(2, 7, 13)}), spec, regs)
@@ -72,8 +63,7 @@ def test_group_state_decomposition_examples(env13):
 
 def test_group_state_decomposition_exhaustive_and_adjoint(env13):
     spec, layout, regs = env13
-    n_dim = layout.dim(regs.w)
-    seq = cr.subgroup_product_gates(spec, regs, n_dim)
+    seq = cr.subgroup_product_gates(spec, regs)
     gate = hilbert.Sequence(tuple(seq))
     for s in range(12):
         st = SparseState.basis(layout, {regs.w: pow(2, s, 13)})
@@ -87,9 +77,10 @@ def test_group_state_decomposition_exhaustive_and_adjoint(env13):
 
 
 def test_subspace_lift(env13):
+    # p = 13: the first component is <3> = {1, 3, 9}, the largest <8> = {1, 8, 12, 5}
     spec, layout, regs = env13
-    descs = cr.descriptors(spec)
-    lift = cr.subspace_lift(descs[0], descs[1], regs.comps[0])
+    lift, = cr.largest_subspace_gates(spec, regs)
+    assert lift.label == "LIFT_3_4"
     i = layout.index(regs.comps[0])
     assert apply(SparseState.basis(layout, {regs.comps[0]: 1}), lift).sole_tuple()[i] == 1
     assert apply(SparseState.basis(layout, {regs.comps[0]: 3}), lift).sole_tuple()[i] == 8
@@ -99,8 +90,6 @@ def test_subspace_lift(env13):
     # roundtrip on the source subspace
     st = SparseState.basis(layout, {regs.comps[0]: 9})
     assert apply(apply(st, lift), adjoint(lift)).entries == st.entries
-    with pytest.raises(DomainError):
-        cr.subspace_lift(descs[1], descs[0], regs.comps[0])
 
 
 def test_to_largest_subspace(env13):
@@ -123,17 +112,25 @@ def test_to_largest_subspace(env13):
 
 def _aux_env(p, hidden_s):
     spec = make_group_spec(p)
-    layout, regs, strip = cr.make_search_layout(spec)
-    designated = tuple(n for n in layout.names if n not in (regs.w, cr.SEARCH))
+    layout, regs = cr.make_search_layout(spec)
+    designated = tuple(n for n in layout.names if n not in (regs.w, regs.search))
     base = make_subspace_oracle(OracleSpec(hidden_s, spec), regs.w, designated, math.pi)
-    return spec, layout, regs, strip, base, layout.dim(regs.w)
+    return spec, layout, regs, base
+
+
+@pytest.mark.parametrize("p", [7, 13, 61, 127])
+def test_search_layout_lists_its_registers_in_field_order(p):
+    layout, regs = cr.make_search_layout(make_group_spec(p))
+    assert [f.name for f in dataclasses.fields(regs)] == [
+        "w", "comps", "a", "prod", "nh", "bh", "recs", "search"]
+    assert layout.names == (regs.w, *regs.comps, regs.a, regs.prod, regs.nh, regs.bh,
+                            *regs.recs, regs.search)
 
 
 def test_search_layout():
     spec = make_group_spec(13)
-    layout, regs, strip = cr.make_search_layout(spec)
+    layout, regs = cr.make_search_layout(spec)
     assert layout.names == ("W", "C1", "C2", "TA", "TP", "NH", "BH", "R1", "R2", "SEARCH")
-    assert strip.comps == regs.comps
     cfg = hp.ProgramConfig.from_spec(spec)
     assert layout.dim("NH") == 2
     assert layout.dim("BH") == cfg.branch_dim
@@ -143,15 +140,15 @@ def test_search_layout():
 
 @pytest.mark.parametrize("k,s_k", [(0, 1), (1, 3)])
 def test_aux_oracle_selective_on_hidden_component(k, s_k):
-    spec, layout, regs, strip, base, n_dim = _aux_env(13, hidden_s=7)
-    red = cr.reduction_gate(spec, regs, strip, k, n_dim)
+    spec, layout, regs, base = _aux_env(13, hidden_s=7)
+    red = cr.reduction_gate(spec, regs, k)
     st = apply(SparseState.basis(layout, {regs.w: pow(2, 7, 13)}), red)
     aux = cr.make_aux_oracle(base, k, red, adjoint(red),
-                             gates.swap_regs(cr.SEARCH, regs.comps[k]))
+                             gates.swap_regs(regs.search, regs.comps[k]))
     h_r = spec.subgroup_generators[-1]
     led = hilbert.GateLedger()
     for x in range(spec.largest_order):
-        trial = apply(st, gates.transposition(0, pow(h_r, x, 13), cr.SEARCH))
+        trial = apply(st, gates.transposition(0, pow(h_r, x, 13), regs.search))
         out = apply(trial, aux, led)
         amp = list(out.entries.values())[0]
         assert out.support_size == 1
@@ -163,11 +160,11 @@ def test_aux_oracle_selective_on_hidden_component(k, s_k):
 
 
 def test_aux_oracle_single_call_per_application():
-    spec, layout, regs, strip, base, n_dim = _aux_env(13, hidden_s=7)
-    red = cr.reduction_gate(spec, regs, strip, 1, n_dim)
+    spec, layout, regs, base = _aux_env(13, hidden_s=7)
+    red = cr.reduction_gate(spec, regs, 1)
     st = apply(SparseState.basis(layout, {regs.w: 11}), red)
     aux = cr.make_aux_oracle(base, 1, red, adjoint(red),
-                             gates.swap_regs(cr.SEARCH, regs.comps[1]))
+                             gates.swap_regs(regs.search, regs.comps[1]))
     led = hilbert.GateLedger()
     apply(st, aux, led)
     assert led.count("oracle-call") == 1

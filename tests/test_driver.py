@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cycsim
-from cycsim import crt_reduction, driver, hilbert
+from cycsim import crt_reduction, driver, halting_program, hilbert
 from cycsim.driver import ExperimentConfig, cli_main, run_experiment, run_sweep
 from cycsim.hilbert import Permutation, SparseState
 from cycsim.numtheory import DomainError, classical_dlog, is_prime, make_group_spec
@@ -159,9 +159,14 @@ def test_cli_single_run(tmp_path):
      "gamma must be finite"),
     (["--p", "13", "--hidden-s", "3", "--no-demo", "--epsilon", "0.1", "--gamma", "inf"],
      "gamma must be finite"),
+    (["--p", "13", "--csv", "/nonexistent/x.csv"],
+     "--csv /nonexistent/x.csv: /nonexistent is not a writable directory"),
+    (["--p", "13", "--hidden-s", "7", "--out", "/nonexistent/r.json"],
+     "--out /nonexistent/r.json: /nonexistent is not a writable directory"),
 ], ids=["nonprime", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
         "grover-m-negative", "grover-m-without-grover-mode", "theta-one", "theta-zero",
-        "hidden-s-with-hidden-random", "hidden-s-with-csv", "gamma-nan", "gamma-inf"])
+        "hidden-s-with-hidden-random", "hidden-s-with-csv", "gamma-nan", "gamma-inf",
+        "csv-dir-missing", "out-dir-missing"])
 def test_cli_rejects_bad_config(argv, fragment, capsys):
     assert cli_main(argv) == 2
     assert fragment in capsys.readouterr().err
@@ -325,6 +330,25 @@ def test_an_evicted_configuration_frees_its_gates(cleared_gate_caches):
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
     assert driver._instance.cache_info().currsize == hilbert.GATE_SETS
+
+
+def test_an_instance_builds_one_program_gate_per_stripped_pair(cleared_gate_caches,
+                                                                monkeypatch):
+    # each (keep, j) pair runs the program on its own registers, so no two
+    # Q_p gates of an instance could be shared; the instance keeps them
+    calls = []
+    build = halting_program.qp_gate
+
+    def spy(config, regs, pulse):
+        calls.append(regs)
+        return build(config, regs, pulse)
+
+    monkeypatch.setattr(halting_program, "qp_gate", spy)
+    r = driver._instance(43, None, 0.0, 0.0).spec.r
+    assert r == 3  # 42 = 2 * 3 * 7
+    assert len(calls) == r * (r - 1) == len(set(calls))
+    driver._instance(43, None, 0.0, 0.0)
+    assert len(calls) == r * (r - 1)
 
 
 @pytest.mark.parametrize("p, digest", [

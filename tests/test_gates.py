@@ -9,7 +9,7 @@ from references import (cond_mod_exp_three_reg, cond_mod_exp_two_var, functional
                         mod_reduce, mul_const)
 from cycsim import gates, hilbert
 from cycsim.hilbert import Register, RegisterLayout, SparseState, adjoint, apply
-from cycsim.numtheory import DomainError, find_primitive_root, modinv
+from cycsim.numtheory import DomainError, find_primitive_root
 
 
 def layout2(d1=8, d2=8):
@@ -82,7 +82,7 @@ def test_mul_const():
         mul_const(2, 6, "r1")  # shared factor: not unitary
     # inverse via the modular inverse multiplier
     g = mul_const(3, 7, "r1")
-    ginv = mul_const(modinv(3, 7), 7, "r1")
+    ginv = mul_const(pow(3, -1, 7), 7, "r1")
     st = as_basis(lay, r1=4)
     assert apply(apply(st, g), ginv).entries == st.entries
 

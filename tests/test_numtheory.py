@@ -30,27 +30,6 @@ def test_factorize_reconstructs(n):
     assert all(nt.is_prime(p) for p, _ in f.factors)
 
 
-def test_extended_gcd_examples():
-    assert nt.extended_gcd(4, 3) == (1, 1, -1)
-    assert nt.extended_gcd(0, 5) == (5, 0, 1)
-    d, u, v = nt.extended_gcd(12, 8)
-    assert d == 4 and 12 * u + 8 * v == 4
-
-
-def test_extended_gcd_rejects_double_zero():
-    with pytest.raises(nt.DomainError):
-        nt.extended_gcd(0, 0)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-def test_extended_gcd_bezout(a, b):
-    if a == 0 and b == 0:
-        return
-    d, u, v = nt.extended_gcd(a, b)
-    assert d == math.gcd(a, b) >= 1
-    assert u * a + v * b == d
-
-
 def test_totient_examples():
     assert nt.euler_totient(nt.factorize(12)) == 4
     assert nt.euler_totient(nt.factorize(13)) == 12
