@@ -7,7 +7,11 @@ instead *multiply* the target by a unit mod L.  `_accumulate` and `_scale` are
 the one home of these two extensions: every arithmetic constructor below is one
 call to either.  Relabelings of listed basis tuples (transpositions, the
 halting statement, the pair transposition U_r, U_OR) have one home too,
-`pairing_permutation`.  Registers may be padded above the working modulus:
+`pairing_permutation`.  `_accumulate` also takes its value in column form,
+one numpy function of the control registers' int64 columns: the gate is then
+a column map (see `hilbert.Permutation`), its table compiles in one numpy
+pass and its inverse is checked on its whole domain.  `work_mod_exp` is the
+one builder on columns.  Registers may be padded above the working modulus:
 every gate acts as the identity outside its defined domain (a target at or
 above L, or a value or factor forced to 0 or 1), and pipelines assert that
 support never leaves that domain.
@@ -32,26 +36,28 @@ def register_dim(p: int) -> int:
 
 
 def _accumulate(regs: tuple[str, ...], L: int, value: Callable[..., int],
-                label: str) -> GateOp:
+                label: str, columns: bool = False) -> GateOp:
     """|c...>|z> -> |c...>|(z + value(c...)) mod L> for z < L, identity for
     z >= L; the adjoint subtracts.  The target is the last register, and
-    value is 0 wherever the gate must act as the identity."""
+    value is 0 wherever the gate must act as the identity.  With `columns`,
+    value is one numpy function of the control registers' int64 columns,
+    and the gate acts on columns (see `Permutation`)."""
 
-    def fwd(v):
-        z = v[-1]
-        if z >= L:
-            return v
-        c = v[:-1]
-        return c + ((z + value(*c)) % L,)
+    def shift(sign):
+        def on_columns(v):
+            *c, z = v
+            return np.vstack([*c, np.where(z < L, (z + sign * value(*c)) % L, z)])
 
-    def inv(v):
-        z = v[-1]
-        if z >= L:
-            return v
-        c = v[:-1]
-        return c + ((z - value(*c)) % L,)
+        def on_tuple(v):
+            z = v[-1]
+            if z >= L:
+                return v
+            c = v[:-1]
+            return c + ((z + sign * value(*c)) % L,)
 
-    return Permutation(regs, fwd, inv, label=label)
+        return on_columns if columns else on_tuple
+
+    return Permutation(regs, shift(1), shift(-1), label=label, columns=columns)
 
 
 def _scale(regs: tuple[str, ...], L: int, factor: Callable[..., int], label: str) -> GateOp:
@@ -141,11 +147,17 @@ def work_mod_exp(g: int, p: int, x_reg: str, y_reg: str, w_reg: str, tgt: str) -
     register, so one gate serves every group element held there.  The gate
     lists the base register first: in the pipeline's layout (W X Y F ...) its
     registers are then one run of one word, so a row's code is read with one
-    shift and written back with one add rather than as four digits.
+    shift and written back with one add rather than as four digits.  It acts
+    on columns: the value is `powers[w, x] * g_powers[y] % p`, two lookups
+    in tables of w**x mod p (0 outside 1 <= w < p) and of g**y mod p over the
+    registers' `register_dim(p)` values.
     """
+    n = register_dim(p)
+    powers = np.array([[pow(w, x, p) if 1 <= w < p else 0 for x in range(n)] for w in range(n)])
+    g_powers = np.array([pow(g, y, p) for y in range(n)])
     return _accumulate((w_reg, x_reg, y_reg, tgt), p,
-                       lambda w, x, y: pow(w, x, p) * pow(g, y, p) if 1 <= w < p else 0,
-                       f"UF_{g}_{p}")
+                       lambda w, x, y: powers[w, x] * g_powers[y] % p, f"UF_{g}_{p}",
+                       columns=True)
 
 
 def cyclic_shift(p: int, h: int, reg: str, power: int = 1,

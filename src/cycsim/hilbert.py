@@ -24,15 +24,21 @@ Conventions:
   - Controlled applies its inner gate where the control registers hold a tuple
     in the frozenset `on`.
   - Sequence applies its gates left to right.
-  - A permutation whose domain has at most EXHAUSTIVE_CHECK_LIMIT points
-    compiles to a lookup table, checked as a bijection once.  A larger one
-    keeps a support table instead: the flat codes met on its supports so far
-    and their images, as sorted integer arrays (int32 where every code of the
-    domain fits, else int64).  `fn` runs only on codes the table lacks, and
-    each new pair is checked as it is filled: the image lies in the domain,
-    `inv` leads it back to a preimage, and no other code in the table has
-    that image.  A hit is read back with no further check, since every entry
-    passed these.
+  - A permutation's fn and inv map one basis tuple of its registers, or, for
+    a gate on columns, a column map: a k x n int64 matrix of register
+    columns to the matrix of their images, in one numpy call.  A permutation
+    whose domain has at most EXHAUSTIVE_CHECK_LIMIT points compiles to a
+    lookup table, checked as a bijection once.  A column map compiles in one
+    pass, one value of its leading register at a time, and its inv is
+    checked on the whole domain; a per-tuple inv is checked on 64 spot
+    points.  A larger permutation keeps a support table instead: the flat
+    codes met on its supports so far and their images, as sorted integer
+    arrays (int32 where every code of the domain fits, else int64).  `fn`
+    runs once per batch of codes the table lacks, and each batch is checked
+    as it is filled: every image lies in the domain, no two share one, `inv`
+    leads each back to the same code, and no other code in the table has
+    it.  A hit is read back with no further check, since every entry passed
+    these.
   - A Sequence whose leaves are all permutations (Controlled permutations
     count) is one permutation of its registers: it keeps a support table of
     its own, and only codes that table lacks walk the leaves, which run their
@@ -382,20 +388,27 @@ class GateOp:
 class Permutation(GateOp):
     """Bijection on the joint index set of `regs`; fn and inv must be mutual inverses.
 
-    On first application at a given dims signature the map is checked
-    exhaustively and compiled to a lookup table when the affected dimension
-    is at most EXHAUSTIVE_CHECK_LIMIT.  Above it the gate keeps a
-    `SupportTable` under that signature and calls `fn` once per new code,
-    checking each new image's range, `inv` and injectivity against every
-    image already in the table.  Both kinds of table are shared with the
-    adjoint, so a gate and its inverse verify once between them.
+    fn and inv map one basis tuple of `regs` to another, or, for a gate on
+    `columns`, a k x n int64 matrix of register columns (one row per
+    register, one column per basis tuple) to the matrix of their images, in
+    one numpy call.  On first application at a given dims signature the map
+    is checked exhaustively and compiled to a lookup table when the affected
+    dimension is at most EXHAUSTIVE_CHECK_LIMIT; a gate on columns compiles
+    in one pass, a slice at a time, and `inv` is checked on its whole domain,
+    where a per-tuple gate's `inv` is checked on 64 spot points.  Above the
+    limit the gate keeps a `SupportTable` under that signature and calls `fn`
+    once per batch of new codes, checking each new image's range, that `inv`
+    sends it back to the same code, and injectivity against every image
+    already in the table.  Both kinds of table are shared with the adjoint,
+    so a gate and its inverse verify once between them.
     """
 
     regs: tuple[str, ...]
-    fn: Callable[[tuple[int, ...]], tuple[int, ...]]
-    inv: Callable[[tuple[int, ...]], tuple[int, ...]]
+    fn: Callable
+    inv: Callable
     label: str = "perm"
     cost_class: str = "arith"
+    columns: bool = False
     tables: dict = field(default_factory=dict, repr=False)
     inv_tables: dict = field(default_factory=dict, repr=False)
 
@@ -411,28 +424,89 @@ class Permutation(GateOp):
         total = math.prod(dims)
         if total > EXHAUSTIVE_CHECK_LIMIT:
             return None
-        strides = _strides(dims)
-        table = np.empty(total, dtype=np.int64)
-        # row-major enumeration: the n-th tuple has flat code n under `strides`
-        for flat, src in enumerate(itertools.product(*map(range, dims))):
-            dst = self.fn(src)
-            if len(dst) != len(dims) or any(not 0 <= v < d for v, d in zip(dst, dims)):
-                raise SimulationError(f"{self.label}: image {dst} outside domain")
-            table[flat] = sum(v * s for v, s in zip(dst, strides))
-        order = np.sort(table)
-        if not np.array_equal(order, np.arange(total)):
-            raise SimulationError(f"{self.label}: not a bijection on {dims}")
-        inv_table = np.empty(total, dtype=np.int64)
+        table, lost = (_table_on_columns if self.columns else _table_by_tuple)(self, dims)
+        inv_table = np.full(total, -1, dtype=np.int64)
+        # one scatter of the whole domain: freeing its domain-sized source
+        # also raises glibc's mmap threshold, and below that threshold a
+        # warm demo's local-unitary kernel faults its arrays in afresh on
+        # every call
         inv_table[table] = np.arange(total)
-        # spot-check that the supplied inverse matches the compiled one
-        spots = np.arange(0, total, max(1, total // 64))
-        for src, dst in zip(np.transpose(np.unravel_index(spots, dims)).tolist(),
-                            np.transpose(np.unravel_index(table[spots], dims)).tolist()):
-            if self.inv(tuple(dst)) != tuple(src):
-                raise SimulationError(f"{self.label}: inverse mismatch at {tuple(src)}")
+        if (inv_table < 0).any():  # two codes share an image
+            raise SimulationError(f"{self.label}: not a bijection on {dims}")
+        if lost:
+            raise SimulationError(f"{self.label}: inverse mismatch at {lost}")
         self.tables[dims] = table
         self.inv_tables[dims] = inv_table
         return table
+
+
+def _table_by_tuple(gate: Permutation, dims: tuple[int, ...]) -> tuple[np.ndarray, tuple | None]:
+    """A per-tuple gate's table, every image checked to lie in the domain,
+    and the first of 64 spot points that `inv` does not lead back to (None
+    when it leads back every one)."""
+    total = math.prod(dims)
+    strides = _strides(dims)
+    table = np.empty(total, dtype=np.int64)
+    # row-major enumeration: the n-th tuple has flat code n under `strides`
+    for flat, src in enumerate(itertools.product(*map(range, dims))):
+        dst = gate.fn(src)
+        if len(dst) != len(dims) or any(not 0 <= v < d for v, d in zip(dst, dims)):
+            raise SimulationError(f"{gate.label}: image {dst} outside domain")
+        table[flat] = sum(v * s for v, s in zip(dst, strides))
+    spots = np.arange(0, total, max(1, total // 64))
+    src, dst = (np.array(np.unravel_index(c, dims)) for c in (spots, table[spots]))
+    return table, _lost(gate, src, dst)
+
+
+def _table_on_columns(gate: Permutation, dims: tuple[int, ...]) -> tuple[np.ndarray, tuple | None]:
+    """A gate on columns' table, filled one slice at a time, one value of
+    the leading register per slice (the whole domain of a one-register
+    gate), so the map's temporaries stay a slice long; every image checked
+    to lie in the domain, and the first source that `inv` does not lead
+    back to, on the whole domain (None when it leads back every one)."""
+    total = math.prod(dims)
+    size = total // dims[0] if len(dims) > 1 else total
+    weights = np.array(_strides(dims))
+    table = np.empty(total, dtype=np.int64)
+    lost = None
+    for lo in range(0, total, size):
+        src = np.array(np.unravel_index(np.arange(lo, lo + size), dims))
+        dst = _images_in_domain(gate, src, dims)
+        table[lo:lo + size] = weights @ dst
+        lost = lost or _lost(gate, src, dst)
+    return table, lost
+
+
+def _map_columns(gate: Permutation, cols: np.ndarray, inverse: bool = False) -> np.ndarray | None:
+    """`fn`, or `inv` with `inverse`, on a k x n int64 matrix of register
+    columns: one call for a gate on columns, else one call per tuple.  None
+    where the result is no k x n integer matrix."""
+    f = gate.inv if inverse else gate.fn
+    try:
+        if gate.columns:
+            out = np.asarray(f(cols), dtype=np.int64)
+        else:
+            out = np.array([f(v) for v in zip(*cols.tolist())], dtype=np.int64).T
+    except (ValueError, TypeError, OverflowError):
+        return None
+    return out if out.shape == cols.shape else None
+
+
+def _images_in_domain(gate: Permutation, src: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """The image columns of the source columns `src`, refused unless every
+    image lies in the domain `dims`."""
+    dst = _map_columns(gate, src)
+    if dst is None or (dst < 0).any() or (dst >= np.array(dims)[:, None]).any():
+        raise SimulationError(f"{gate.label}: image outside domain {dims}")
+    return dst
+
+
+def _lost(gate: Permutation, src: np.ndarray, dst: np.ndarray) -> tuple[int, ...] | None:
+    """The first source tuple that `inv` does not send back from its image
+    `dst`, or None when it sends back every one."""
+    back = _map_columns(gate, dst, inverse=True)
+    bad = np.ones(src.shape[1], dtype=bool) if back is None else (back != src).any(axis=0)
+    return tuple(src[:, bad.argmax()].tolist()) if bad.any() else None
 
 
 class SupportTable:
@@ -646,7 +720,7 @@ class GateLedger:
 def adjoint(gate: GateOp) -> GateOp:
     if isinstance(gate, Permutation):
         return Permutation(gate.regs, gate.inv, gate.fn, label=gate.label + "+",
-                           cost_class=gate.cost_class,
+                           cost_class=gate.cost_class, columns=gate.columns,
                            tables=gate.inv_tables, inv_tables=gate.tables)
     if isinstance(gate, PhaseFn):
         return PhaseFn(gate.regs, {x: -a for x, a in gate.angles.items()},
@@ -672,21 +746,16 @@ def _permute_words(layout: RegisterLayout, words: np.ndarray, gate: Permutation)
         return _recode(words, code, codes, digits, table[codes])
 
     def fill(rows: np.ndarray) -> np.ndarray:
-        sub = list(zip(*(c.tolist() for c in np.unravel_index(codes[rows], code.dims))))
-        try:
-            images = np.array([gate.fn(v) for v in sub], dtype=np.int64)
-        except (ValueError, OverflowError):
-            images = None
-        if (images is None or images.shape != (len(sub), len(code.dims))
-                or (images < 0).any() or (images >= np.array(code.dims)).any()):
-            raise SimulationError(f"{gate.label}: image outside domain")
-        for x, y in zip(sub, images.tolist()):
-            # inv must lead the image back to a preimage; for a bijection
-            # that is x itself
-            back = tuple(gate.inv(tuple(y)))
-            if back != x and tuple(gate.fn(back)) != tuple(y):
-                raise SimulationError(f"{gate.label}: inverse mismatch at {x}")
-        return images @ code.weights
+        src = np.array(np.unravel_index(codes[rows], code.dims))
+        dst = _images_in_domain(gate, src, code.dims)
+        images = code.weights @ dst
+        # two rows with one image are no permutation, whatever inv says of them
+        if len(np.unique(images)) < len(images):
+            raise SimulationError(f"{gate.label}: not injective on the support")
+        lost = _lost(gate, src, dst)
+        if lost:
+            raise SimulationError(f"{gate.label}: inverse mismatch at {lost}")
+        return images
 
     return _recode(words, code, codes, digits,
                    _images(_support_table(gate, code.dims), codes, fill, gate.label))

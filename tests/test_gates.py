@@ -1,15 +1,18 @@
 import cmath
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from references import (cond_mod_exp_three_reg, cond_mod_exp_two_var, functional_qft,
                         mod_reduce, mul_const)
-from cycsim import gates, hilbert
+from cycsim import dlog_pipeline, gates, hilbert
 from cycsim.hilbert import Register, RegisterLayout, SparseState, adjoint, apply
-from cycsim.numtheory import DomainError, find_primitive_root
+from cycsim.numtheory import DomainError, find_primitive_root, is_prime, make_group_spec
 
 
 def layout2(d1=8, d2=8):
@@ -368,11 +371,67 @@ def test_arithmetic_constructors_match_their_reference_formulas(p):
 @pytest.mark.parametrize("p", [3, 5, 7, pytest.param(11, marks=pytest.mark.slow),
                                pytest.param(13, marks=pytest.mark.slow)])
 def test_work_mod_exp_matches_its_reference_formula(p):
+    # the gate acts on columns, so its compiled tables are what it does
     D = gates.register_dim(p)
     g = find_primitive_root(p)
     gate = gates.work_mod_exp(g, p, "x", "y", "w", "z")
-    assert sorted(gate.regs) == ["w", "x", "y", "z"]
-    _assert_matches(gate, _ref_work(g, p, gate.regs), (D,) * 4, f"UF_{g}_{p}")
+    assert sorted(gate.regs) == ["w", "x", "y", "z"] and gate.label == f"UF_{g}_{p}"
+    dims = (D,) * 4
+    ref = _ref_work(g, p, gate.regs)
+    weights = np.array(hilbert._strides(dims))
+    for table, s in ((gate.table_for(dims), 1), (adjoint(gate).table_for(dims), -1)):
+        want = [ref(v, s) for v in itertools.product(*map(range, dims))]
+        assert np.array_equal(table, np.array(want) @ weights), (gate.label, s)
+
+
+ODD_PRIMES_TO_61 = [q for q in range(3, 62) if is_prime(q)]
+
+
+@functools.lru_cache(maxsize=1)
+def _work_gate_on_dlog_layout(p):
+    spec = make_group_spec(p)
+    regs = dlog_pipeline.REGS
+    gate = gates.work_mod_exp(spec.g, p, regs.x, regs.y, regs.w, regs.f)
+    return spec.g, dlog_pipeline.make_dlog_layout(spec), gate, adjoint(gate)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_61)
+@settings(max_examples=40, deadline=None)
+@given(data=hst.data())
+def test_work_mod_exp_moves_basis_states_as_its_reference_does(p, data):
+    # up to p = 31 the gate runs on its compiled table, from 37 on row by row
+    g, layout, gate, back = _work_gate_on_dlog_layout(p)
+    D = gates.register_dim(p)
+    assert (gate.table_for((D,) * 4) is None) == (p >= 37)
+    regs = dlog_pipeline.REGS
+    ref = _ref_work(g, p, tuple({regs.w: "w", regs.x: "x", regs.y: "y", regs.f: "z"}[r]
+                                for r in gate.regs))
+    v = tuple(data.draw(hst.integers(0, D - 1), label=r) for r in gate.regs)
+    st = SparseState.basis(layout, dict(zip(gate.regs, v)))
+    for op, s in ((gate, 1), (back, -1)):
+        want = SparseState.basis(layout, dict(zip(gate.regs, ref(v, s))))
+        assert apply(st, op).sole_tuple() == want.sole_tuple(), (op.label, v)
+
+
+def test_work_mod_exp_compiles_a_slice_at_a_time():
+    # p = 29 is the demo's largest compiled table: 32**4 entries, made in one
+    # forward and one inverse call per value of w, within the table, its
+    # inverse, the source of the inverse's scatter and one slice's temporaries
+    gate = gates.work_mod_exp(2, 29, "x", "y", "w", "z")
+    widths = []
+
+    def spy(f):
+        return lambda cols: widths.append(cols.shape[1]) or f(cols)
+
+    gate.fn, gate.inv = spy(gate.fn), spy(gate.inv)
+    tracemalloc.start()
+    try:
+        table = gate.table_for((32,) * 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widths == [32 ** 3] * 64
+    assert table.nbytes == 8 << 20 and peak < 4 * table.nbytes
 
 
 def test_construction_refusals_are_kept():

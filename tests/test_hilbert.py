@@ -247,8 +247,12 @@ def test_rowwise_permutation_refuses_a_collision():
     with pytest.raises(SimulationError, match="not injective"):
         apply(st, halve)
     assert halve.table_for((EXHAUSTIVE_CHECK_LIMIT * 2,)) is None
-    # the same map is fine where it stays injective on the support
-    out = apply(SparseState(layout, {(4, 1): 0.6, (7, 1): 0.8}), halve)
+    # injective on the support is not enough: 7 shares its image with 6, off
+    # the support, and inv leads that image back to 6
+    with pytest.raises(SimulationError, match=r"inverse mismatch at \(7,\)"):
+        apply(SparseState(layout, {(4, 1): 0.6, (7, 1): 0.8}), halve)
+    # the same map is fine where inv leads every image back to its own row
+    out = apply(SparseState(layout, {(4, 1): 0.6, (6, 1): 0.8}), halve)
     assert out.entries == {(2, 1): 0.6, (3, 1): 0.8}
     leave = Permutation(("big",), lambda v: (v[0] + EXHAUSTIVE_CHECK_LIMIT * 2,),
                         lambda v: v, label="leave")
@@ -793,6 +797,37 @@ def test_compiled_table_refuses_a_broken_permutation(fn, inv, refusal):
     with pytest.raises(SimulationError, match=refusal):
         apply(SparseState.basis(layout, {"b": 1}), gate)
     assert gate.tables == {} and gate.inv_tables == {}
+
+
+@pytest.mark.parametrize("fn, inv, compiled, rowwise", [
+    (lambda v, m: v + 1, lambda v, m: v - 1, "outside domain", "outside domain"),
+    (lambda v, m: v // 2, lambda v, m: v * 2, "not a bijection", "not injective"),
+    (lambda v, m: (v + 1) % m, lambda v, m: v, "inverse mismatch", "inverse mismatch"),
+], ids=["image-out-of-range", "not-injective", "inverse-disagrees"])
+def test_column_maps_refuse_a_broken_permutation(fn, inv, compiled, rowwise):
+    # maps on k x n matrices of register columns, refused on both paths: a
+    # compiled table, and a support table above the check limit
+    small = Permutation(("a", "b"), lambda v: fn(v, 4), lambda v: inv(v, 4), label="broken",
+                        columns=True)
+    with pytest.raises(SimulationError, match=f"^broken: .*{compiled}"):
+        small.table_for((4, 4))
+    assert small.tables == {} and small.inv_tables == {}
+    big = Permutation(("big",), lambda v: fn(v, BIG), lambda v: inv(v, BIG), label="broken",
+                      columns=True)
+    st = SparseState(chain_layout(), {(0, 0, 0, k, 0): 1 / math.sqrt(3) for k in (4, 5, BIG - 1)})
+    with pytest.raises(SimulationError, match=f"^broken: .*{rowwise}"):
+        apply(st, big)
+    assert len(big.tables[(BIG,)]) == 0
+
+
+def test_rowwise_inverse_must_lead_back_to_the_same_code():
+    # fn sends 0 and 1 to 5 and inv(5) = 1: the collision lies off the
+    # support, so only inv(fn(0)) != 0 shows that |0> must not move to |5>
+    layout = RegisterLayout([Register("big", 2 * EXHAUSTIVE_CHECK_LIMIT)])
+    merge = Permutation(("big",), lambda v: (5,) if v[0] in (0, 1) else v,
+                        lambda v: (1,) if v == (5,) else v, label="merge")
+    with pytest.raises(SimulationError, match=r"merge: inverse mismatch at \(0,\)"):
+        apply(SparseState.basis(layout), merge)
 
 
 def test_norm_is_checked_only_where_amplitudes_change(monkeypatch):
