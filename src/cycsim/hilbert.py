@@ -57,6 +57,20 @@ Conventions:
     They only grow, live as long as the layout, and are overwritten by the
     next call.  The words and amplitudes the kernel returns are always
     fresh arrays, so no state holds a work buffer.
+  - A Sequence applies two adjacent local unitaries on different registers
+    a then b as one step where G_XY * d <= G_X: G_XY counts the groups of
+    rows that agree off both registers, G_X the groups of the one-register
+    step on a, and d is b's matrix size.  As G_X <= G_XY * d, that means
+    every group holds every value of b, and the group x b x a grid in the
+    bucket is no larger than a's bucket.  The rows are sorted once; the
+    first product runs on exactly the rows a's own step would bucket, every
+    cell under DROP_THRESHOLD is then set to +0.0 (what b's bucket holds
+    where a dropped a row), and the second product runs on the (group, a)
+    rows with a kept cell, exactly b's own bucket rows.  A product's rows
+    are bit for bit the same in any order and any batch of at least two
+    (a one-row product takes another BLAS path), so the pair gives the
+    same rows and amplitudes as two steps, in another row order.  Elsewhere,
+    or where a step would refuse its support, the two go one at a time.
   - Readers whose result depends on row order (sequential sums, tie-breaks)
     visit rows in lexicographic order of their basis tuples; weights are
     `math.fsum`s, which are exact whatever the order.
@@ -309,14 +323,6 @@ class SparseState:
     @property
     def support_size(self) -> int:
         return len(self.amps)
-
-    def is_basis_state(self) -> bool:
-        return len(self.amps) == 1
-
-    def sole_tuple(self) -> tuple[int, ...]:
-        if not self.is_basis_state():
-            raise SimulationError("state is a superposition, not a single basis state")
-        return tuple(self.layout.unpack(self.words)[0].tolist())
 
     def column(self, name: str) -> np.ndarray:
         """The value of register `name` on each row."""
@@ -889,38 +895,65 @@ def _apply_local(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
         raise SimulationError(
             f"{gate.label}: support at {int(col.max())} outside the {d}-dim domain of {gate.reg}")
     # group rows that agree off register i, groups in sorted order of their
-    # other registers (a row's place within its group does not matter): the
-    # group key is the row's word with register i cleared
-    key = col * place.stride
-    np.subtract(words[:, place.word], key, out=key)
-    if words.shape[1] == 1:
-        order, ordered, starts = _sort_groups(key, layout.word_caps[0])
-    else:
-        grouped = words.copy()
-        grouped[:, place.word] = key
-        order, ordered, starts = _sort_groups(grouped)
-    groups = ordered[starts]
-    at = np.cumsum(starts, out=key)  # the keys are spent: each sorted row's group
-    at -= 1
+    # other registers (a row's place within its group does not matter)
+    order, groups, at = _group_rows(layout, _cleared(words, ((place, col),)))
     at *= d
     cell = spare[n:]
     cell[order] = at
     cell += col
-    size = len(groups) * d
-    flat = layout.scratch("bucket", size, complex)
+    flat = layout.scratch("bucket", len(groups) * d, complex)
     flat.fill(0)
     flat[cell] = amps
-    bucket = flat.reshape(-1, d)
-    out = np.matmul(bucket, gate.matrix.T, out=layout.scratch("out", size, complex).reshape(-1, d))
-    # recombination leaves numerical dust behind: keep only what clears the
-    # threshold (the spent bucket's real parts take the magnitudes); a kept
-    # cell's words are its group's, with register i set to the cell's column
+    return _kept_cells(groups, *_product(layout, flat.reshape(-1, d), gate.matrix), place)
+
+
+def _cleared(words: np.ndarray, cleared: tuple[tuple[_Run, np.ndarray], ...]) -> np.ndarray:
+    """The rows' words with the registers in `cleared`, (place, value column)
+    pairs, set to 0: one integer per row in a one-word layout, else a row."""
+    if words.shape[1] == 1:
+        key = cleared[0][1] * cleared[0][0].stride
+        for place, col in cleared[1:]:
+            key += col * place.stride
+        return np.subtract(words[:, 0], key, out=key)
+    key = words.copy()
+    for place, col in cleared:
+        key[:, place.word] -= col * place.stride
+    return key
+
+
+def _group_rows(layout: RegisterLayout, key: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Groups the rows of equal `_cleared` keys: an order that sorts them,
+    the distinct keys in sorted order, and each sorted row's group."""
+    order, ordered, starts = _sort_groups(key, layout.word_caps[0])
+    # the keys are spent: an integer key holds the groups
+    at = np.cumsum(starts, out=key if key.ndim == 1 else None)
+    at -= 1
+    return order, ordered[starts], at
+
+
+def _product(layout: RegisterLayout, bucket: np.ndarray,
+             matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """bucket @ matrix.T in the out buffer, and the mask of the cells that
+    clear DROP_THRESHOLD in the kept buffer; the spent bucket's real parts
+    take the magnitudes.  Recombination leaves numerical dust behind, and only
+    what clears the threshold is kept."""
+    d = matrix.shape[0]
+    out = np.matmul(bucket, matrix.T, out=layout.scratch("out", bucket.size, complex).reshape(-1, d))
     kept = np.greater_equal(np.abs(out, out=bucket.real), DROP_THRESHOLD,
-                            out=layout.scratch("kept", size, bool).reshape(-1, d))
+                            out=layout.scratch("kept", bucket.size, bool).reshape(-1, d))
+    return out, kept
+
+
+def _kept_cells(groups: np.ndarray, out: np.ndarray, kept: np.ndarray,
+                place: _Run) -> tuple[np.ndarray, np.ndarray]:
+    """The kept cells of a product as fresh (words, amplitudes): a cell's
+    words are its bucket row's, `groups`, with the register at `place` set to
+    the cell's column."""
+    d = out.shape[1]
     if kept.all() and groups.ndim == 1:
         return (groups[:, None] + np.arange(0, d * place.stride, place.stride)).reshape(-1, 1), \
             out.reshape(-1).copy()
-    # a cell's group and column; d is p - 1 for the pipeline's QFTs, no power
+    # a cell's row and column; d is p - 1 for the pipeline's QFTs, no power
     # of two, and a product and a subtraction beat a remainder
     cells = np.flatnonzero(kept)
     rows = cells // d
@@ -931,6 +964,64 @@ def _apply_local(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
         return (new + vals)[:, None], out[kept]
     new[:, place.word] += vals
     return new, out[kept]
+
+
+def _apply_pair(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
+                first: LocalUnitary, second: LocalUnitary) -> tuple[np.ndarray, np.ndarray] | None:
+    """`first` then `second`, local unitaries on two different registers, as
+    one step with the same result as two `_apply_local` calls; None where
+    they must go one at a time: the rule in the module docstring fails, or a
+    check of `_apply_local` would refuse them."""
+    ends = [(layout.index(g.reg), g.matrix.shape[0]) for g in (first, second)]
+    if ends[0][0] == ends[1][0] or not len(words) or any(
+            layout.registers[i].dim < d for i, d in ends):
+        return None
+    (pa, da), (pb, db) = ((layout.places[i], d) for i, d in ends)
+    ca, cb = _run_value(words, pa), _run_value(words, pb)
+    if int(ca.max()) >= da or int(cb.max()) >= db:
+        return None
+    # G_XY groups agree off both registers; the first step buckets G_X rows,
+    # one per (group, value of b) held, and G_X <= G_XY * db, so the rule
+    # G_XY * db <= G_X asks for every value of b in every group: the first
+    # row's group is checked before any sort
+    key = _cleared(words, ((pa, ca), (pb, cb)))
+    same = key == key[0]
+    if len(np.unique(cb[same if same.ndim == 1 else same.all(axis=1)])) < db:
+        return None
+    order, groups, at = _group_rows(layout, key)
+    rows = len(groups) * db
+    if rows > len(words):
+        return None
+    at *= db
+    cell = np.empty_like(at)
+    cell[order] = at
+    cell += cb
+    held = layout.scratch("kept", rows, bool)
+    held.fill(False)
+    held[cell] = True
+    if not held.all():
+        return None
+    # the grid: group x b x a, its rows exactly the first step's bucket rows
+    cell *= da
+    cell += ca
+    grid = layout.scratch("bucket", rows * da, complex)
+    grid.fill(0)
+    grid[cell] = amps
+    out, kept = _product(layout, grid.reshape(-1, da), first.matrix)
+    # the second step buckets the (group, a) rows with a kept cell; a dropped
+    # cell is the +0.0 its bucket is filled with there (assigned: a product
+    # could leave -0.0)
+    hot = np.flatnonzero(kept.reshape(-1, db, da).any(axis=1))
+    np.copyto(out, 0, where=np.logical_not(kept, out=kept))
+    g = hot // da
+    a = hot - g * da
+    bucket = out.reshape(-1, db, da)[g, :, a]
+    base = groups[g]
+    if base.ndim == 1:
+        base += a * pa.stride
+    else:
+        base[:, pa.word] += a * pa.stride
+    return _kept_cells(base, *_product(layout, bucket, second.matrix), pb)
 
 
 def _apply_controlled(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
@@ -950,8 +1041,19 @@ def _apply_arrays(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
             ledger.record(gate)
         return _map_words(layout, words, gate), amps
     if isinstance(gate, Sequence):
-        for g in gate.gates:
-            words, amps = _apply_arrays(layout, words, amps, g, ledger)
+        i = 0
+        while i < len(gate.gates):
+            pair = gate.gates[i:i + 2]
+            fused = (_apply_pair(layout, words, amps, *pair) if len(pair) == 2
+                     and all(isinstance(g, LocalUnitary) for g in pair) else None)
+            if fused is None:
+                words, amps = _apply_arrays(layout, words, amps, pair[0], ledger)
+                i += 1
+                continue
+            words, amps = fused
+            for g in pair if ledger is not None else ():
+                ledger.record(g)
+            i += 2
         return words, amps
     if ledger is not None:
         ledger.record(gate)

@@ -33,10 +33,6 @@ class Factorization:
         if powers != sorted(powers) or len(set(p for p, _ in self.factors)) != len(self.factors):
             raise DomainError("factors must be distinct primes ordered by p**a")
 
-    @property
-    def prime_powers(self) -> tuple[int, ...]:
-        return tuple(p**a for p, a in self.factors)
-
 
 def factorize(n: int) -> Factorization:
     """Trial-division factorization; components sorted ascending by p**a."""
@@ -122,10 +118,6 @@ class CrtBasis:
                 raise DomainError("inconsistent CRT component")
         if prod != self.modulus:
             raise DomainError("component moduli do not multiply to the modulus")
-
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(c.m for c in self.components)
 
 
 def crt_basis(f: Factorization) -> CrtBasis:

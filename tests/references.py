@@ -15,7 +15,28 @@ from cycsim import gates, hilbert
 from cycsim import halting_program as hp
 from cycsim.hilbert import GateOp, LocalUnitary, Register, RegisterLayout, SparseState, apply
 from cycsim.mq_circuits import SpinConventions
-from cycsim.numtheory import CrtBasis, DomainError, find_primitive_root
+from cycsim.numtheory import CrtBasis, DomainError, Factorization, find_primitive_root
+
+# --- state and number-theory readers -------------------------------------------
+
+def is_basis_state(state: SparseState) -> bool:
+    return state.support_size == 1
+
+
+def sole_tuple(state: SparseState) -> tuple[int, ...]:
+    """The basis tuple of a state with one row of support."""
+    if not is_basis_state(state):
+        raise hilbert.SimulationError("state is a superposition, not a single basis state")
+    return tuple(state.layout.unpack(state.words)[0].tolist())
+
+
+def prime_powers(f: Factorization) -> tuple[int, ...]:
+    return tuple(p**a for p, a in f.factors)
+
+
+def moduli(basis: CrtBasis) -> tuple[int, ...]:
+    return tuple(c.m for c in basis.components)
+
 
 # --- number theory -----------------------------------------------------------
 
@@ -127,10 +148,10 @@ def run_qc(state: SparseState, config: hp.ProgramConfig,
     exactly.  Returns the state and a report with the fidelity to the ideal
     output.
     """
-    if not state.is_basis_state():
+    if not is_basis_state(state):
         raise hilbert.SimulationError("circuit input must be a single basis state")
     regs, lay = hp.QpRegs(), state.layout
-    x_val = state.sole_tuple()[lay.index(regs.f)]
+    x_val = sole_tuple(state)[lay.index(regs.f)]
     g_dim = lay.dim(regs.g)
     c = config.control_value
 

@@ -110,7 +110,7 @@ def test_criterion_4_halting_program():
             st = SparseState.basis(layout, {regs.f: cfg.f_r(x), regs.g: cfg.f_r(y)})
             out = apply(st, qp)
             step = out.register_value(regs.rec)
-            tup = out.sole_tuple()
+            tup = ref.sole_tuple(out)
             got = tuple(tup[layout.index(nm)]
                         for nm in (regs.nh, regs.bh, regs.f, regs.g))
             assert got == (1, 1, cfg.f_r(x), 0), (m_r, x, y, got)
@@ -136,7 +136,7 @@ def test_criterion_5_pulse_model():
                                       hp.PulseModel(0.0))
             assert abs(info["fidelity"] - 1) < 1e-12
             qp_out = apply(SparseState.basis(layout, vals), qp)
-            tq, tc = qp_out.sole_tuple(), qc_out.sole_tuple()
+            tq, tc = ref.sole_tuple(qp_out), ref.sole_tuple(qc_out)
             for nm in (regs.bh, regs.f, regs.g):
                 assert tq[layout.index(nm)] == tc[layout.index(nm)]
     cfg = hp.ProgramConfig(13, 4, 8)

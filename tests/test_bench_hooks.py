@@ -9,6 +9,8 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 from cycsim import dlog_pipeline, driver, gates
 from cycsim.hilbert import SparseState, adjoint
 from cycsim.numtheory import make_group_spec
@@ -82,3 +84,16 @@ def test_sweep_reports_match_recorded_digests():
     for done in (1, 2):
         gate.check_all(driver.run_sweep(workload.config()), workload.pass_indices())
         assert (gate.attempted, gate.failed) == (42 * done, 0)
+
+
+# demo indices whose reports pin the local-unitary kernel, the pair step
+# among it, to the recorded digests (the file is only read)
+DEMO_PINS = {"demo-p29": (1, 4, 7), "demo-p37": (1, 4, 12)}
+
+
+@pytest.mark.parametrize("name", DEMO_PINS)
+def test_demo_reports_match_recorded_digests(name):
+    workload = WORKLOADS[name]
+    gate = DigestGate.load(workload)
+    for s in DEMO_PINS[name]:
+        assert gate.check(driver.run_experiment(workload.config(s)), s), s

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -363,3 +364,32 @@ def test_two_word_search_layout_reports_match_recorded_digests(p, digest):
     assert layout.width == 2
     rep = run_experiment(ExperimentConfig(p=p, hidden_s=5, run_demo=False))
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+
+DEMO_PRIMES = [3, 5, 7, 11] + [pytest.param(p, marks=pytest.mark.slow)
+                               for p in (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)]
+
+
+@pytest.mark.parametrize("p", DEMO_PRIMES)
+def test_demo_reports_do_not_depend_on_the_pair_step(p, monkeypatch):
+    # one hidden index per class of gcd(s, p - 1), which sets the demo's
+    # support; each report byte for byte the same with adjacent local
+    # unitaries applied as one step and one at a time
+    m = p - 1
+    indices = sorted({min(s for s in range(m) if math.gcd(s, m) == math.gcd(t, m))
+                      for t in range(m)})
+    fused = []
+    pair = hilbert._apply_pair
+
+    def counted(*args):
+        step = pair(*args)
+        fused.append(step is not None)
+        return step
+
+    monkeypatch.setattr(hilbert, "_apply_pair", counted)
+    together = [run_experiment(ExperimentConfig(p=p, hidden_s=s)) for s in indices]
+    assert any(fused)
+    monkeypatch.setattr(hilbert, "_apply_pair", lambda *args: None)
+    for s, report in zip(indices, together):
+        assert report.verification["success"] is True, s
+        assert report.to_json() == run_experiment(ExperimentConfig(p=p, hidden_s=s)).to_json(), s

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
+from references import sole_tuple
 from cycsim import dlog_pipeline, driver, gates, hilbert
 from cycsim.hilbert import (CODE_LIMIT, DROP_THRESHOLD, EXHAUSTIVE_CHECK_LIMIT, MANY_ROWS,
                             Controlled, GateLedger, LocalUnitary, Permutation, PhaseFn,
@@ -77,7 +78,7 @@ def test_identity_and_swap_examples():
     assert apply(st, ident).entries == st.entries
     flip = gates.transposition(0, 1, "b")
     out = apply(SparseState.basis(layout), flip)
-    assert out.sole_tuple()[layout.index("b")] == 1
+    assert sole_tuple(out)[layout.index("b")] == 1
 
 
 def test_phase_flips_sign_only():
@@ -140,8 +141,8 @@ def test_controlled_applies_only_where_predicate_holds():
     gate = Controlled(("b",), frozenset({(1,)}), inc)
     cold = apply(SparseState.basis(layout, {"a": 1, "b": 0}), gate)
     hot = apply(SparseState.basis(layout, {"a": 1, "b": 1}), gate)
-    assert cold.sole_tuple()[layout.index("a")] == 1
-    assert hot.sole_tuple()[layout.index("a")] == 2
+    assert sole_tuple(cold)[layout.index("a")] == 1
+    assert sole_tuple(hot)[layout.index("a")] == 2
 
 
 def test_listed_tuples_need_one_value_per_register():
@@ -538,6 +539,123 @@ def test_local_kernel_reads_odd_dimensions_exactly(dims, words, support):
             ref_keys, ref_amps = _ref_local(layout, layout.unpack(src.words), src.amps, g)
             assert np.array_equal(layout.unpack(got_words), ref_keys), g.label
             assert np.array_equal(got_amps, ref_amps), g.label
+
+
+
+# --- two local unitaries in one step ----------------------------------------
+# A Sequence applies adjacent local unitaries on two registers as one step
+# where every group of rows that agree off both holds every value of the
+# second gate's register; elsewhere one at a time.  Either way the rows and
+# amplitudes are those of two single-register kernel calls, bit for bit.
+
+PAIR_LAYOUTS = {"one-word": [("h", 3), ("a", 6), ("b", 8), ("c", 5)],
+                "two-words": [("a", 6), ("h", 1 << 40), ("c", 1 << 30), ("b", 8)]}
+
+
+def pair_layout(name):
+    layout = RegisterLayout([Register(r, d) for r, d in PAIR_LAYOUTS[name]])
+    assert layout.width == (1 if name == "one-word" else 2)
+    return layout
+
+
+def pair_state(layout, first, second, full, seed, groups=12):
+    """Rows in `groups` groups that agree off both gates' registers, each
+    register inside its gate's domain; with `full` every group holds every
+    value of the second register.  A third of the groups carry amplitudes
+    near DROP_THRESHOLD, so the product leaves cells on both sides of it."""
+    rng = random.Random(seed)
+    d1, d2 = first.matrix.shape[0], second.matrix.shape[0]
+    entries = {}
+    for _ in range(groups):
+        row = {r.name: rng.randrange(min(r.dim, 7)) for r in layout.registers}
+        scale = rng.choice([1.0, 1.0, 2e-13])
+        for v in (range(d2) if full else rng.sample(range(d2), d2 - 1)):
+            for u in rng.sample(range(d1), rng.randint(1, d1)):
+                row[first.reg], row[second.reg] = u, v
+                key = tuple(row[r.name] for r in layout.registers)
+                entries[key] = scale * complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    norm = math.sqrt(sum(abs(a) ** 2 for a in entries.values()))
+    return SparseState(layout, {k: a / norm for k, a in entries.items()})
+
+
+def _pairs(words, amps):
+    """A kernel's output as its set of (word row, amplitude) pairs, sorted."""
+    return sorted(zip(map(tuple, words.tolist()), amps.tolist()))
+
+
+PAIR_GATES = {
+    "6-then-8": lambda: (gates.qft(6, "a"), gates.qft(8, "b")),
+    "8-then-6": lambda: (gates.qft(8, "b"), adjoint(gates.qft(6, "a"))),
+    "4-on-8-then-6": lambda: (gates.qft(4, "b"), gates.qft(6, "a")),
+}
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["fused", "refused"])
+@pytest.mark.parametrize("gate_pair", PAIR_GATES)
+@pytest.mark.parametrize("name", PAIR_LAYOUTS)
+def test_pair_step_matches_two_kernel_calls_bit_for_bit(name, gate_pair, full):
+    layout = pair_layout(name)
+    first, second = PAIR_GATES[gate_pair]()
+    pruned = 0
+    for seed in range(4):
+        st = pair_state(layout, first, second, full, seed)
+        want = hilbert._apply_local(
+            layout, *hilbert._apply_local(layout, st.words, st.amps, first), second)
+        got = hilbert._apply_pair(layout, st.words, st.amps, first, second)
+        assert (got is not None) == full
+        if full:
+            assert _pairs(*got) == _pairs(*want)
+            assert got[0].shape[1] == layout.width
+            assert not any(np.shares_memory(a, buf) for a in got for buf in layout._scratch.values())
+        # through a Sequence the ledger still counts both leaves
+        ledger = GateLedger()
+        out = apply(st, Sequence((first, second)), ledger)
+        assert _pairs(out.words, out.amps) == _pairs(*want)
+        assert ledger.counts_by_class() == {"qft": 2}
+        tuples = layout.unpack(st.words)
+        pruned += len(_ref_local(layout, tuples, st.amps, first, 0.0)[1]) - len(
+            _ref_local(layout, tuples, st.amps, first)[1])
+    assert pruned > 0
+
+
+@pytest.mark.parametrize("name", PAIR_LAYOUTS)
+def test_pair_step_with_a_one_row_second_bucket(name):
+    # one group, uniform over a: the inverse Fourier pass on a leaves a = 0
+    # only, so the second step buckets a single row, and a 1-row product
+    # takes another BLAS path than a row of a larger one (generic amplitudes
+    # over b show the difference)
+    layout = pair_layout(name)
+    first, second = adjoint(gates.qft(6, "a")), adjoint(gates.qft(8, "b"))
+    rng = random.Random(5)
+    over_b = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(8)]
+    norm = math.sqrt(6 * sum(abs(c) ** 2 for c in over_b))
+    entries = {}
+    for u in range(6):
+        for v, c in enumerate(over_b):
+            row = {"h": 2, "c": 4, "a": u, "b": v}
+            entries[tuple(row[r.name] for r in layout.registers)] = c / norm
+    st = SparseState(layout, entries)
+    mid = hilbert._apply_local(layout, st.words, st.amps, first)
+    assert len(mid[1]) == 8 and (layout.unpack(mid[0])[:, layout.index("a")] == 0).all()
+    want = hilbert._apply_local(layout, *mid, second)
+    got = hilbert._apply_pair(layout, st.words, st.amps, first, second)
+    assert got is not None and len(got[1]) == 8
+    assert _pairs(*got) == _pairs(*want)
+
+
+@pytest.mark.parametrize("fourier, refusal", [
+    (lambda: (gates.qft(5, "a"), gates.qft(8, "b")), "QFT_5: support at 5 outside the 5-dim domain of a"),
+    (lambda: (gates.qft(6, "a"), gates.qft(4, "b")), "QFT_4: support at 5 outside the 4-dim domain of b"),
+], ids=["first", "second"])
+@pytest.mark.parametrize("name", PAIR_LAYOUTS)
+def test_pair_step_refuses_support_outside_either_domain(name, fourier, refusal):
+    layout = pair_layout(name)
+    first, second = fourier()
+    row = {"h": 1, "c": 2, "a": 5, "b": 5}
+    st = SparseState(layout, {tuple(row[r.name] for r in layout.registers): 1.0})
+    with pytest.raises(SimulationError, match=refusal):
+        apply(st, Sequence((first, second)))
+    assert hilbert._apply_pair(layout, st.words, st.amps, first, second) is None
 
 
 def big_layout():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from references import IPLUS, IY, q_n_operator
+from references import IPLUS, IY, q_n_operator, sole_tuple
 from cycsim import gates, hilbert, mq_circuits as mq
 from cycsim.numtheory import DomainError
 
@@ -60,7 +60,7 @@ def test_u_ny_exact_actions():
     # middle basis states are untouched for any angle
     out = hilbert.apply(hilbert.SparseState.basis(lay, {"q": 1}),
                         mq.u_ny_exact(n, 1.0, "q"))
-    assert out.sole_tuple()[0] == 1
+    assert sole_tuple(out)[0] == 1
     with pytest.raises(DomainError):
         mq.u_ny_exact(n, 4.0, "q")
 

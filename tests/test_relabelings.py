@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from references import element_of_order
+from references import element_of_order, sole_tuple
 import cycsim
 from cycsim import gates, hilbert
 from cycsim import halting_program as hp
@@ -121,7 +121,7 @@ def test_pairing_over_several_registers():
     want = {x: y for x, y in zip(cycle, cycle[1:] + cycle[:1])}
     for v in itertools.product(range(3), range(4)):
         out = apply(SparseState.basis(layout, {"a": v[0], "b": v[1]}), gate)
-        assert out.sole_tuple() == want.get(v, v)
+        assert sole_tuple(out) == want.get(v, v)
         assert gate.inv(want.get(v, v)) == v
     # leftover destinations fold back onto leftover sources in ascending order
     fold = gates.pairing_permutation([(0, 0), (0, 1)], [(1, 1), (1, 0)], ("a", "b"))
@@ -175,7 +175,7 @@ def test_only_the_builders_construct_permutations():
 
 # the kernel's digit reads: numpy's remainder by a scalar costs several
 # times a shift, a mask or a floor division, so these bodies use none
-DIGIT_READERS = ("_run_value", "_digit", "_apply_local")
+DIGIT_READERS = ("_run_value", "_digit", "_apply_local", "_kept_cells", "_apply_pair")
 
 
 def test_digit_readers_use_no_remainder():
@@ -199,9 +199,11 @@ def _names(tree):
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_every_public_definition_is_reached_outside_the_tests():
-    # test-only API belongs in tests/references.py: each public top-level
-    # function or class is named by another src definition or by perfbench
+def _public_definitions():
+    """The public definitions of src, top-level ("module.name") and methods
+    ("module.Class.name"), each with its name; the names perfbench uses; and
+    for each name the definitions that use it, where what a method's body
+    uses counts as the method's own and the rest of a class as the class's."""
     src = Path(cycsim.__file__).parent
     bench = set().union(*(_names(ast.parse(path.read_text()))
                           for path in (Path(__file__).parents[1] / "perfbench").rglob("*.py")))
@@ -211,8 +213,35 @@ def test_every_public_definition_is_reached_outside_the_tests():
             owner = f"{path.stem}.{getattr(node, 'name', '')}"
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
                 defs.append((owner, node.name))
-            for name in _names(node):
-                used_by.setdefault(name, set()).add(owner)
-    unreached = {owner for owner, name in defs
-                 if name not in bench and not used_by.get(name, set()) - {owner}}
-    assert unreached == UNREACHED_BY_A_RUN
+            parts = [(owner, node)]
+            if isinstance(node, ast.ClassDef):
+                parts = [(owner if not isinstance(n, ast.FunctionDef) else f"{owner}.{n.name}", n)
+                         for n in node.body]
+                defs += [(f"{owner}.{n.name}", n.name) for n in node.body
+                         if isinstance(n, ast.FunctionDef) and n.name[0] != "_"]
+            for part, tree in parts:
+                for name in _names(tree):
+                    used_by.setdefault(name, set()).add(part)
+    return defs, bench, used_by
+
+
+def _unreached(methods: bool) -> set[str]:
+    defs, bench, used_by = _public_definitions()
+    # a definition's own body (for a class, its methods too) does not reach it
+    return {owner for owner, name in defs if (owner.count(".") == 2) == methods
+            and name not in bench and all(user == owner or user.startswith(owner + ".")
+                                          for user in used_by.get(name, ()))}
+
+
+def test_every_public_definition_is_reached_outside_the_tests():
+    # test-only API belongs in tests/references.py: each public top-level
+    # function or class is named by another src definition or by perfbench
+    assert _unreached(methods=False) == UNREACHED_BY_A_RUN
+
+
+def test_every_public_method_is_called_outside_the_tests():
+    # the same for methods and properties, matched by name: one that only
+    # the tests call becomes a function of tests/references.py (a name that
+    # another definition also uses, as `SparseState.entries` shares
+    # `PipelineTrace.entries`'s, passes)
+    assert _unreached(methods=True) == set()
