@@ -7,14 +7,16 @@ instead *multiply* the target by a unit mod L.  `_accumulate` and `_scale` are
 the one home of these two extensions: every arithmetic constructor below is one
 call to either.  Relabelings of listed basis tuples (transpositions, the
 halting statement, the pair transposition U_r, U_OR) have one home too,
-`pairing_permutation`.  `_accumulate` also takes its value in column form,
-one numpy function of the control registers' int64 columns: the gate is then
-a column map (see `hilbert.Permutation`), its table compiles in one numpy
-pass and its inverse is checked on its whole domain.  `work_mod_exp` is the
-one builder on columns.  Registers may be padded above the working modulus:
-every gate acts as the identity outside its defined domain (a target at or
-above L, or a value or factor forced to 0 or 1), and pipelines assert that
-support never leaves that domain.
+`pairing_permutation`.  Every permutation is a column map (see
+`hilbert.Permutation`): fn and inv take a k x n int64 matrix of register
+columns to the matrix of their images, and every compiled table is checked on
+its whole domain.  The builders write their rules on one basis tuple and pass
+them through `per_tuple`, which maps a column matrix one tuple at a time; only
+`work_mod_exp` gives `_accumulate` its value in column form, one numpy function
+of the control registers' int64 columns.  Registers may be padded above the
+working modulus: every gate acts as the identity outside its defined domain (a
+target at or above L, or a value or factor forced to 0 or 1), and pipelines
+assert that support never leaves that domain.
 """
 
 from __future__ import annotations
@@ -35,13 +37,19 @@ def register_dim(p: int) -> int:
     return 2 ** p.bit_length()
 
 
+def per_tuple(f: Callable[[tuple], tuple]) -> Callable[[np.ndarray], np.ndarray]:
+    """The column map of a map on basis tuples: each column of a k x n
+    matrix of register columns goes through `f` as one tuple."""
+    return lambda cols: np.array([f(v) for v in zip(*cols.tolist())], dtype=np.int64).T
+
+
 def _accumulate(regs: tuple[str, ...], L: int, value: Callable[..., int],
                 label: str, columns: bool = False) -> GateOp:
     """|c...>|z> -> |c...>|(z + value(c...)) mod L> for z < L, identity for
     z >= L; the adjoint subtracts.  The target is the last register, and
-    value is 0 wherever the gate must act as the identity.  With `columns`,
-    value is one numpy function of the control registers' int64 columns,
-    and the gate acts on columns (see `Permutation`)."""
+    value is 0 wherever the gate must act as the identity.  value takes the
+    control registers' values of one tuple, or with `columns` their int64
+    columns, as one numpy function."""
 
     def shift(sign):
         def on_columns(v):
@@ -55,9 +63,9 @@ def _accumulate(regs: tuple[str, ...], L: int, value: Callable[..., int],
             c = v[:-1]
             return c + ((z + sign * value(*c)) % L,)
 
-        return on_columns if columns else on_tuple
+        return on_columns if columns else per_tuple(on_tuple)
 
-    return Permutation(regs, shift(1), shift(-1), label=label, columns=columns)
+    return Permutation(regs, shift(1), shift(-1), label=label)
 
 
 def _scale(regs: tuple[str, ...], L: int, factor: Callable[..., int], label: str) -> GateOp:
@@ -80,7 +88,7 @@ def _scale(regs: tuple[str, ...], L: int, factor: Callable[..., int], label: str
         c = v[:-1]
         return c + (y * pow(factor(*c), -1, L) % L,)
 
-    return Permutation(regs, fwd, inv, label=label)
+    return Permutation(regs, per_tuple(fwd), per_tuple(inv), label=label)
 
 
 def add_mod(L: int, src: str, dst: str) -> GateOp:
@@ -95,9 +103,7 @@ def mul3(L: int, a: str, b: str, dst: str) -> GateOp:
 
 
 def swap_regs(r1: str, r2: str) -> GateOp:
-    def fl(v):
-        return (v[1], v[0])
-
+    fl = per_tuple(lambda v: (v[1], v[0]))
     return Permutation((r1, r2), fl, fl, label="SWAP")
 
 
@@ -147,8 +153,8 @@ def work_mod_exp(g: int, p: int, x_reg: str, y_reg: str, w_reg: str, tgt: str) -
     register, so one gate serves every group element held there.  The gate
     lists the base register first: in the pipeline's layout (W X Y F ...) its
     registers are then one run of one word, so a row's code is read with one
-    shift and written back with one add rather than as four digits.  It acts
-    on columns: the value is `powers[w, x] * g_powers[y] % p`, two lookups
+    shift and written back with one add rather than as four digits.  Its
+    value is in column form, `powers[w, x] * g_powers[y] % p`: two lookups
     in tables of w**x mod p (0 outside 1 <= w < p) and of g**y mod p over the
     registers' `register_dim(p)` values.
     """
@@ -210,8 +216,8 @@ def pairing_permutation(src_values: list, dst_values: list, regs: str | tuple[st
     mapping = dict(zip(src_values, dst_values))
     mapping.update(zip(sorted(dst - src), sorted(src - dst)))
     inv_map = {v: k for k, v in mapping.items()}
-    return Permutation(regs, lambda v: mapping.get(v, v), lambda v: inv_map.get(v, v),
-                       label=label)
+    return Permutation(regs, per_tuple(lambda v: mapping.get(v, v)),
+                       per_tuple(lambda v: inv_map.get(v, v)), label=label)
 
 
 def selective_phase(values: dict[int, float], reg: str, label: str = "CSEL",

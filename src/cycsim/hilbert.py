@@ -24,21 +24,19 @@ Conventions:
   - Controlled applies its inner gate where the control registers hold a tuple
     in the frozenset `on`.
   - Sequence applies its gates left to right.
-  - A permutation's fn and inv map one basis tuple of its registers, or, for
-    a gate on columns, a column map: a k x n int64 matrix of register
-    columns to the matrix of their images, in one numpy call.  A permutation
-    whose domain has at most EXHAUSTIVE_CHECK_LIMIT points compiles to a
-    lookup table, checked as a bijection once.  A column map compiles in one
-    pass, one value of its leading register at a time, and its inv is
-    checked on the whole domain; a per-tuple inv is checked on 64 spot
-    points.  A larger permutation keeps a support table instead: the flat
-    codes met on its supports so far and their images, as sorted integer
-    arrays (int32 where every code of the domain fits, else int64).  `fn`
-    runs once per batch of codes the table lacks, and each batch is checked
-    as it is filled: every image lies in the domain, no two share one, `inv`
-    leads each back to the same code, and no other code in the table has
-    it.  A hit is read back with no further check, since every entry passed
-    these.
+  - A permutation's fn and inv are column maps: a k x n int64 matrix of
+    register columns goes in, the matrix of their images comes out.  A
+    permutation whose domain has at most EXHAUSTIVE_CHECK_LIMIT points
+    compiles to a lookup table once, one value of its leading register at a
+    time, with every image checked to lie in the domain and inv checked to
+    lead every source back, on the whole domain.  A larger permutation keeps
+    a support table instead: the flat codes met on its supports so far and
+    their images, as sorted integer arrays (int32 where every code of the
+    domain fits, else int64).  `fn` runs once per batch of codes the table
+    lacks, and each batch is checked as it is filled: every image lies in
+    the domain, no two share one, `inv` leads each back to the same code,
+    and no other code in the table has it.  A hit is read back with no
+    further check, since every entry passed these.
   - A Sequence whose leaves are all permutations (Controlled permutations
     count) is one permutation of its registers: it keeps a support table of
     its own, and only codes that table lacks walk the leaves, which run their
@@ -79,7 +77,6 @@ Conventions:
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -394,19 +391,17 @@ class GateOp:
 class Permutation(GateOp):
     """Bijection on the joint index set of `regs`; fn and inv must be mutual inverses.
 
-    fn and inv map one basis tuple of `regs` to another, or, for a gate on
-    `columns`, a k x n int64 matrix of register columns (one row per
-    register, one column per basis tuple) to the matrix of their images, in
-    one numpy call.  On first application at a given dims signature the map
-    is checked exhaustively and compiled to a lookup table when the affected
-    dimension is at most EXHAUSTIVE_CHECK_LIMIT; a gate on columns compiles
-    in one pass, a slice at a time, and `inv` is checked on its whole domain,
-    where a per-tuple gate's `inv` is checked on 64 spot points.  Above the
-    limit the gate keeps a `SupportTable` under that signature and calls `fn`
-    once per batch of new codes, checking each new image's range, that `inv`
-    sends it back to the same code, and injectivity against every image
-    already in the table.  Both kinds of table are shared with the adjoint,
-    so a gate and its inverse verify once between them.
+    fn and inv are column maps: each takes a k x n int64 matrix of register
+    columns (one row per register, one column per basis tuple) to the matrix
+    of their images.  On first application at a given dims signature, a gate
+    whose domain has at most EXHAUSTIVE_CHECK_LIMIT points compiles to a
+    lookup table, a slice at a time, with every image checked to lie in the
+    domain and `inv` checked on the whole domain.  Above the limit the gate
+    keeps a `SupportTable` under that signature and calls `fn` once per batch
+    of new codes, checking each new image's range, that `inv` sends it back
+    to the same code, and injectivity against every image already in the
+    table.  Both kinds of table are shared with the adjoint, so a gate and
+    its inverse verify once between them.
     """
 
     regs: tuple[str, ...]
@@ -414,7 +409,6 @@ class Permutation(GateOp):
     inv: Callable
     label: str = "perm"
     cost_class: str = "arith"
-    columns: bool = False
     tables: dict = field(default_factory=dict, repr=False)
     inv_tables: dict = field(default_factory=dict, repr=False)
 
@@ -423,14 +417,26 @@ class Permutation(GateOp):
 
     def table_for(self, dims: tuple[int, ...]) -> np.ndarray | None:
         """Lookup table of the flattened map, or None above the check limit,
-        where the gate keeps a support table under `dims` instead."""
+        where the gate keeps a support table under `dims` instead.  Filled one
+        slice at a time, one value of the leading register per slice (the
+        whole domain of a one-register gate), so the map's temporaries stay a
+        slice long; every image is checked to lie in the domain, and `inv` to
+        lead every source back."""
         if dims in self.tables:
             table = self.tables[dims]
             return table if isinstance(table, np.ndarray) else None
         total = math.prod(dims)
         if total > EXHAUSTIVE_CHECK_LIMIT:
             return None
-        table, lost = (_table_on_columns if self.columns else _table_by_tuple)(self, dims)
+        size = total // dims[0] if len(dims) > 1 else total
+        weights = np.array(_strides(dims))
+        table = np.empty(total, dtype=np.int64)
+        lost = None
+        for lo in range(0, total, size):
+            src = np.array(np.unravel_index(np.arange(lo, lo + size), dims))
+            dst = _images_in_domain(self, src, dims)
+            table[lo:lo + size] = weights @ dst
+            lost = lost or _lost(self, src, dst)
         inv_table = np.full(total, -1, dtype=np.int64)
         # one scatter of the whole domain: freeing its domain-sized source
         # also raises glibc's mmap threshold, and below that threshold a
@@ -446,53 +452,11 @@ class Permutation(GateOp):
         return table
 
 
-def _table_by_tuple(gate: Permutation, dims: tuple[int, ...]) -> tuple[np.ndarray, tuple | None]:
-    """A per-tuple gate's table, every image checked to lie in the domain,
-    and the first of 64 spot points that `inv` does not lead back to (None
-    when it leads back every one)."""
-    total = math.prod(dims)
-    strides = _strides(dims)
-    table = np.empty(total, dtype=np.int64)
-    # row-major enumeration: the n-th tuple has flat code n under `strides`
-    for flat, src in enumerate(itertools.product(*map(range, dims))):
-        dst = gate.fn(src)
-        if len(dst) != len(dims) or any(not 0 <= v < d for v, d in zip(dst, dims)):
-            raise SimulationError(f"{gate.label}: image {dst} outside domain")
-        table[flat] = sum(v * s for v, s in zip(dst, strides))
-    spots = np.arange(0, total, max(1, total // 64))
-    src, dst = (np.array(np.unravel_index(c, dims)) for c in (spots, table[spots]))
-    return table, _lost(gate, src, dst)
-
-
-def _table_on_columns(gate: Permutation, dims: tuple[int, ...]) -> tuple[np.ndarray, tuple | None]:
-    """A gate on columns' table, filled one slice at a time, one value of
-    the leading register per slice (the whole domain of a one-register
-    gate), so the map's temporaries stay a slice long; every image checked
-    to lie in the domain, and the first source that `inv` does not lead
-    back to, on the whole domain (None when it leads back every one)."""
-    total = math.prod(dims)
-    size = total // dims[0] if len(dims) > 1 else total
-    weights = np.array(_strides(dims))
-    table = np.empty(total, dtype=np.int64)
-    lost = None
-    for lo in range(0, total, size):
-        src = np.array(np.unravel_index(np.arange(lo, lo + size), dims))
-        dst = _images_in_domain(gate, src, dims)
-        table[lo:lo + size] = weights @ dst
-        lost = lost or _lost(gate, src, dst)
-    return table, lost
-
-
 def _map_columns(gate: Permutation, cols: np.ndarray, inverse: bool = False) -> np.ndarray | None:
     """`fn`, or `inv` with `inverse`, on a k x n int64 matrix of register
-    columns: one call for a gate on columns, else one call per tuple.  None
-    where the result is no k x n integer matrix."""
-    f = gate.inv if inverse else gate.fn
+    columns.  None where the result is no k x n integer matrix."""
     try:
-        if gate.columns:
-            out = np.asarray(f(cols), dtype=np.int64)
-        else:
-            out = np.array([f(v) for v in zip(*cols.tolist())], dtype=np.int64).T
+        out = np.asarray((gate.inv if inverse else gate.fn)(cols), dtype=np.int64)
     except (ValueError, TypeError, OverflowError):
         return None
     return out if out.shape == cols.shape else None
@@ -726,8 +690,8 @@ class GateLedger:
 def adjoint(gate: GateOp) -> GateOp:
     if isinstance(gate, Permutation):
         return Permutation(gate.regs, gate.inv, gate.fn, label=gate.label + "+",
-                           cost_class=gate.cost_class, columns=gate.columns,
-                           tables=gate.inv_tables, inv_tables=gate.tables)
+                           cost_class=gate.cost_class, tables=gate.inv_tables,
+                           inv_tables=gate.tables)
     if isinstance(gate, PhaseFn):
         return PhaseFn(gate.regs, {x: -a for x, a in gate.angles.items()},
                        label=gate.label + "+", cost_class=gate.cost_class)

@@ -4,16 +4,19 @@ None of these is reached by a run: the driver and the pipeline use the
 builders in `cycsim`.  They are the paper's formulas and procedures written
 out directly (the procedural pulse model, the closed-form halting record,
 the Q_n operator, the CRT residues), plus the arithmetic constructors the
-unitarity checks exercise beyond the ones a run builds.
+unitarity checks exercise beyond the ones a run builds, and the one check
+that holds a gate's compiled tables against a reference map.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from cycsim import gates, hilbert
 from cycsim import halting_program as hp
-from cycsim.hilbert import GateOp, LocalUnitary, Register, RegisterLayout, SparseState, apply
+from cycsim.hilbert import (GateOp, LocalUnitary, Register, RegisterLayout, SparseState, adjoint,
+                            apply)
 from cycsim.mq_circuits import SpinConventions
 from cycsim.numtheory import CrtBasis, DomainError, Factorization, find_primitive_root
 
@@ -36,6 +39,22 @@ def prime_powers(f: Factorization) -> tuple[int, ...]:
 
 def moduli(basis: CrtBasis) -> tuple[int, ...]:
     return tuple(c.m for c in basis.components)
+
+
+# --- gates against reference maps --------------------------------------------
+
+def assert_tables_match(gate, ref, dims, label):
+    """The gate's compiled table, and the inverse one its adjoint reads, equal
+    the tables of `ref`, a map on basis tuples, enumerated over the whole
+    domain `dims`."""
+    assert gate.label == label
+    images = [ref(v) for v in itertools.product(*map(range, dims))]
+    want = np.ravel_multi_index(np.array(images).T, dims)
+    want_inv = np.empty_like(want)
+    want_inv[want] = np.arange(len(want))
+    assert np.array_equal(gate.table_for(dims), want), label
+    assert np.array_equal(gate.inv_tables[dims], want_inv), label
+    assert np.array_equal(adjoint(gate).table_for(dims), want_inv), label
 
 
 # --- number theory -----------------------------------------------------------

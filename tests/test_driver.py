@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cycsim
-from cycsim import crt_reduction, driver, halting_program, hilbert
+from cycsim import crt_reduction, dlog_pipeline, driver, halting_program, hilbert
 from cycsim.driver import ExperimentConfig, cli_main, run_experiment, run_sweep
 from cycsim.hilbert import Permutation, SparseState
 from cycsim.numtheory import DomainError, classical_dlog, is_prime, make_group_spec
@@ -242,33 +242,65 @@ def test_warm_run_compiles_no_reduction_tables(monkeypatch):
     assert compiled == ["X_0_9", "U_OR+"]
 
 
+def _tables_of_two_cold_runs(clear, monkeypatch, run_demo):
+    """The tables two cold p=13 runs (hidden indices 1 and 7) compile, each
+    run's as {(label, dims): table}: the demo's apart from the rest."""
+    runs = {"search": [], "demo": []}
+    section = ["search"]
+    table_for = Permutation.table_for
+    run_dlog_demo = dlog_pipeline.run_dlog_demo
+
+    def spy(self, dims):
+        fresh = dims not in self.tables
+        table = table_for(self, dims)
+        if fresh and table is not None:
+            runs[section[0]][-1][self.label, dims] = table
+        return table
+
+    def demo(*args, **kwargs):
+        section[0] = "demo"
+        try:
+            return run_dlog_demo(*args, **kwargs)
+        finally:
+            section[0] = "search"
+
+    monkeypatch.setattr(Permutation, "table_for", spy)
+    monkeypatch.setattr(dlog_pipeline, "run_dlog_demo", demo)
+    for s in (1, 7):
+        clear()
+        runs["search"].append({})
+        runs["demo"].append({})
+        run_experiment(ExperimentConfig(p=13, hidden_s=s, run_demo=run_demo))
+    return runs["search"], runs["demo"]
+
+
+def _tables_that_differ(first, second):
+    """The labels whose tables both runs compiled, unequal."""
+    return {label for label, dims in first.keys() & second.keys()
+            if not np.array_equal(first[label, dims], second[label, dims])}
+
+
 def test_only_the_verification_relabeling_tables_depend_on_the_hidden_index(
         cleared_gate_caches, monkeypatch):
     # the hidden index lives only in the oracle, a phase gate: two cold runs
     # compile equal tables for every (label, dims) they share, except the
     # verification's relabeling by the recovered value.  The instance load
     # X_0_b and the trials past the first run's hit compile in one run only
-    runs = []
-    table_for = Permutation.table_for
-
-    def spy(self, dims):
-        fresh = dims not in self.tables
-        table = table_for(self, dims)
-        if fresh and table is not None:
-            runs[-1][self.label, dims] = table
-        return table
-
-    monkeypatch.setattr(Permutation, "table_for", spy)
-    for s in (1, 7):
-        cleared_gate_caches()
-        runs.append({})
-        run_experiment(ExperimentConfig(p=13, hidden_s=s, run_demo=False))
-    first, second = runs
+    (first, second), _ = _tables_of_two_cold_runs(cleared_gate_caches, monkeypatch, False)
     shared = first.keys() & second.keys()
     assert {"HALT_1", "U_r", "SWAP", "LIFT_3_4"} <= {label for label, _ in shared}
-    differ = {label for label, dims in shared
-              if not np.array_equal(first[label, dims], second[label, dims])}
-    assert differ == {"U_OR+"}
+    assert _tables_that_differ(first, second) == {"U_OR+"}
+
+
+def test_the_demo_compiles_no_table_that_depends_on_the_hidden_index(
+        cleared_gate_caches, monkeypatch):
+    # the demo's gates hold no hidden index either: both runs compile the
+    # same (label, dims) pairs in the demo, each to the same table
+    search, (first, second) = _tables_of_two_cold_runs(cleared_gate_caches, monkeypatch, True)
+    assert first.keys() == second.keys()
+    assert {"UF_2_13", "MUL3_12", "POW_3_12"} <= {label for label, _ in first}
+    assert _tables_that_differ(first, second) == set()
+    assert _tables_that_differ(*search) == {"U_OR+"}
 
 
 def test_warm_run_builds_no_reduction_adjoint(monkeypatch):

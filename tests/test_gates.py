@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from references import (cond_mod_exp_three_reg, cond_mod_exp_two_var, functional_qft,
-                        mod_reduce, mul_const, sole_tuple)
+from references import (assert_tables_match, cond_mod_exp_three_reg, cond_mod_exp_two_var,
+                        functional_qft, mod_reduce, mul_const, sole_tuple)
 from cycsim import dlog_pipeline, gates, hilbert
 from cycsim.hilbert import Register, RegisterLayout, SparseState, adjoint, apply
 from cycsim.numtheory import DomainError, find_primitive_root, is_prime, make_group_spec
@@ -259,49 +259,48 @@ def test_pairing_permutation():
 
 
 # The per-tuple formulas the arithmetic constructors were written with before
-# they shared `_accumulate` and `_scale`, kept as brute-force references:
-# ref(v, s) is the map for s = 1 and its inverse for s = -1.
+# they shared `_accumulate` and `_scale`, kept as brute-force references: each
+# maps one basis tuple, and the adjoint's table is checked as their inverse.
 
 def _ref_add(L):
-    return lambda v, s: (v[0], (v[1] + s * v[0]) % L) if v[0] < L and v[1] < L else v
+    return lambda v: (v[0], (v[1] + v[0]) % L) if v[0] < L and v[1] < L else v
 
 
 def _ref_mul3(L):
-    return lambda v, s: (v[0], v[1], (v[2] + s * v[0] * v[1]) % L) if v[2] < L else v
+    return lambda v: (v[0], v[1], (v[2] + v[0] * v[1]) % L) if v[2] < L else v
 
 
 def _ref_mod_reduce(m, d):
-    return lambda v, s: (v[0], (v[1] + s * (v[0] % m)) % d)
+    return lambda v: (v[0], (v[1] + (v[0] % m)) % d)
 
 
 def _ref_set(j, d):
-    return lambda v, s: ((v[0] + s * j) % d,)
+    return lambda v: ((v[0] + j) % d,)
 
 
 def _ref_mul_const(a, N):
-    return lambda v, s: ((v[0] * pow(a, s, N)) % N,) if v[0] < N else v
+    return lambda v: ((v[0] * a) % N,) if v[0] < N else v
 
 
 def _ref_cexp(a, L):
-    return lambda v, s: (v[0], (v[1] * pow(a, s * v[0], L)) % L) if v[1] < L else v
+    return lambda v: (v[0], (v[1] * pow(a, v[0], L)) % L) if v[1] < L else v
 
 
 def _ref_cexp3(a, L):
-    return lambda v, s: (v[0], v[1], (v[2] + s * v[1] * pow(a, v[0], L)) % L) if v[2] < L else v
+    return lambda v: (v[0], v[1], (v[2] + v[1] * pow(a, v[0], L)) % L) if v[2] < L else v
 
 
 def _ref_cexp2v(b, a, L):
-    return lambda v, s: ((v[0], v[1], (v[2] + s * pow(b, v[0], L) * pow(a, v[1], L)) % L)
-                         if v[2] < L else v)
+    return lambda v: ((v[0], v[1], (v[2] + pow(b, v[0], L) * pow(a, v[1], L)) % L)
+                      if v[2] < L else v)
 
 
 def _ref_pow(e, L):
-    return lambda v, s: (v[0], (v[1] + s * pow(v[0], e, L)) % L) if v[1] < L else v
+    return lambda v: (v[0], (v[1] + pow(v[0], e, L)) % L) if v[1] < L else v
 
 
 def _ref_gmul(p):
-    return lambda v, s: ((v[0], (v[1] * pow(v[0], s, p)) % p)
-                         if 1 <= v[0] < p and 1 <= v[1] < p else v)
+    return lambda v: (v[0], (v[1] * v[0]) % p) if 1 <= v[0] < p and 1 <= v[1] < p else v
 
 
 def _ref_work(g, p, regs):
@@ -316,19 +315,12 @@ def _ref_work(g, p, regs):
 
 
 def _ref_shift(p, h, power):
-    return lambda v, s: ((v[0] * pow(h, s * power, p)) % p,) if 1 <= v[0] < p else v
+    return lambda v: ((v[0] * pow(h, power, p)) % p,) if 1 <= v[0] < p else v
 
 
 def _ref_cshift(p, h, power):
-    return lambda v, s: ((v[0], (v[1] * pow(h, s * ((power * v[0]) % (p - 1)), p)) % p)
-                         if 1 <= v[1] < p else v)
-
-
-def _assert_matches(gate, ref, dims, label):
-    assert gate.label == label
-    for v in itertools.product(*map(range, dims)):
-        assert gate.fn(v) == ref(v, 1), (label, v)
-        assert gate.inv(v) == ref(v, -1), (label, v)
+    return lambda v: ((v[0], (v[1] * pow(h, power * v[0] % (p - 1), p)) % p)
+                      if 1 <= v[1] < p else v)
 
 
 def _unit(L, start=2):
@@ -358,30 +350,26 @@ def test_arithmetic_constructors_match_their_reference_formulas(p):
         cases += [(gates.pow_const(e, L, "x", "z"), _ref_pow(e, L), (D, D), f"POW_{e}_{L}")
                   for e in range(4)]
         for gate, ref, dims, label in cases:
-            _assert_matches(gate, ref, dims, label)
-    _assert_matches(gates.group_mul_acc(p, "x", "z"), _ref_gmul(p), (D, D), f"GMUL_{p}")
+            assert_tables_match(gate, ref, dims, label)
+    assert_tables_match(gates.group_mul_acc(p, "x", "z"), _ref_gmul(p), (D, D), f"GMUL_{p}")
     for h in (find_primitive_root(p), p - 1):
         for power in range(-3, 6):
-            _assert_matches(gates.cyclic_shift(p, h, "z", power=power),
-                            _ref_shift(p, h, power), (D,), f"SHIFT_{h}^{power}")
-            _assert_matches(gates.cyclic_shift(p, h, "z", power=power, control="x"),
-                            _ref_cshift(p, h, power), (D, D), f"CSHIFT_{h}^{power}")
+            assert_tables_match(gates.cyclic_shift(p, h, "z", power=power),
+                                _ref_shift(p, h, power), (D,), f"SHIFT_{h}^{power}")
+            assert_tables_match(gates.cyclic_shift(p, h, "z", power=power, control="x"),
+                                _ref_cshift(p, h, power), (D, D), f"CSHIFT_{h}^{power}")
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, pytest.param(11, marks=pytest.mark.slow),
                                pytest.param(13, marks=pytest.mark.slow)])
 def test_work_mod_exp_matches_its_reference_formula(p):
-    # the gate acts on columns, so its compiled tables are what it does
+    # the compiled tables are what the gate does
     D = gates.register_dim(p)
     g = find_primitive_root(p)
     gate = gates.work_mod_exp(g, p, "x", "y", "w", "z")
     assert sorted(gate.regs) == ["w", "x", "y", "z"] and gate.label == f"UF_{g}_{p}"
-    dims = (D,) * 4
     ref = _ref_work(g, p, gate.regs)
-    weights = np.array(hilbert._strides(dims))
-    for table, s in ((gate.table_for(dims), 1), (adjoint(gate).table_for(dims), -1)):
-        want = [ref(v, s) for v in itertools.product(*map(range, dims))]
-        assert np.array_equal(table, np.array(want) @ weights), (gate.label, s)
+    assert_tables_match(gate, lambda v: ref(v, 1), (D,) * 4, gate.label)
 
 
 ODD_PRIMES_TO_61 = [q for q in range(3, 62) if is_prime(q)]

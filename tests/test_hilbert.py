@@ -17,6 +17,11 @@ from cycsim.hilbert import (CODE_LIMIT, DROP_THRESHOLD, EXHAUSTIVE_CHECK_LIMIT, 
 from cycsim.numtheory import make_group_spec
 
 
+def on_tuples(regs, fn, inv, **kw):
+    """A permutation from maps on basis tuples, through the builders' adapter."""
+    return Permutation(regs, gates.per_tuple(fn), gates.per_tuple(inv), **kw)
+
+
 def small_layout():
     return RegisterLayout([Register("a", 4), Register("b", 2),
                            Register("c", 5)])
@@ -33,8 +38,8 @@ def random_state(layout, rng, support=6):
 
 
 def gate_zoo():
-    inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,),
-                      label="inc")
+    inc = on_tuples(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,),
+                    label="inc")
     return [
         inc,
         gates.add_mod(4, "a", "c"),
@@ -74,7 +79,7 @@ def test_adjoint_roundtrip_every_gate():
 def test_identity_and_swap_examples():
     layout = small_layout()
     st = SparseState.basis(layout, {"a": 0})
-    ident = Permutation(("a",), lambda v: v, lambda v: v, label="id")
+    ident = on_tuples(("a",), lambda v: v, lambda v: v, label="id")
     assert apply(st, ident).entries == st.entries
     flip = gates.transposition(0, 1, "b")
     out = apply(SparseState.basis(layout), flip)
@@ -94,14 +99,14 @@ def test_phase_flips_sign_only():
 
 
 def test_nonbijective_permutation_rejected():
-    bad = Permutation(("a",), lambda v: (0,), lambda v: (0,), label="collapse")
+    bad = on_tuples(("a",), lambda v: (0,), lambda v: (0,), label="collapse")
     st = SparseState.basis(small_layout(), {"a": 1})
     with pytest.raises(SimulationError):
         apply(st, bad)
 
 
 def test_wrong_inverse_rejected():
-    bad = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: v, label="liar")
+    bad = on_tuples(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: v, label="liar")
     st = SparseState.basis(small_layout())
     with pytest.raises(SimulationError):
         apply(st, bad)
@@ -130,14 +135,14 @@ def test_nan_phase_fails_the_norm_check():
 
 
 def test_controlled_overlap_rejected():
-    inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
+    inc = on_tuples(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
     with pytest.raises(SimulationError):
         Controlled(("a",), frozenset({(0,)}), inc)
 
 
 def test_controlled_applies_only_where_predicate_holds():
     layout = small_layout()
-    inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
+    inc = on_tuples(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
     gate = Controlled(("b",), frozenset({(1,)}), inc)
     cold = apply(SparseState.basis(layout, {"a": 1, "b": 0}), gate)
     hot = apply(SparseState.basis(layout, {"a": 1, "b": 1}), gate)
@@ -146,7 +151,7 @@ def test_controlled_applies_only_where_predicate_holds():
 
 
 def test_listed_tuples_need_one_value_per_register():
-    inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
+    inc = on_tuples(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
     with pytest.raises(SimulationError):
         PhaseFn(("a",), {(1, 2): 0.3})
     with pytest.raises(SimulationError):
@@ -155,7 +160,7 @@ def test_listed_tuples_need_one_value_per_register():
 
 def test_phase_and_control_lookup_match_a_per_row_reference():
     layout = small_layout()
-    inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
+    inc = on_tuples(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
     phases = [PhaseFn(("c",), {(0,): 0.3, (4,): -2.0, (2,): 1.0}),
               PhaseFn(("a", "c"), {(1, 2): 0.4, (3, 0): -1.1, (0, 0): 2.5})]
     controls = [Controlled(("c",), frozenset({(1,), (3,)}), inc),
@@ -243,7 +248,7 @@ def test_rowwise_permutation_refuses_a_collision():
     # notice that two support rows land on one basis tuple
     layout = RegisterLayout([Register("big", EXHAUSTIVE_CHECK_LIMIT * 2),
                              Register("b", 2)])
-    halve = Permutation(("big",), lambda v: (v[0] // 2,), lambda v: (2 * v[0],), label="halve")
+    halve = on_tuples(("big",), lambda v: (v[0] // 2,), lambda v: (2 * v[0],), label="halve")
     st = SparseState(layout, {(4, 1): 0.6, (5, 1): 0.8})
     with pytest.raises(SimulationError, match="not injective"):
         apply(st, halve)
@@ -255,8 +260,8 @@ def test_rowwise_permutation_refuses_a_collision():
     # the same map is fine where inv leads every image back to its own row
     out = apply(SparseState(layout, {(4, 1): 0.6, (6, 1): 0.8}), halve)
     assert out.entries == {(2, 1): 0.6, (3, 1): 0.8}
-    leave = Permutation(("big",), lambda v: (v[0] + EXHAUSTIVE_CHECK_LIMIT * 2,),
-                        lambda v: v, label="leave")
+    leave = on_tuples(("big",), lambda v: (v[0] + EXHAUSTIVE_CHECK_LIMIT * 2,),
+                      lambda v: v, label="leave")
     with pytest.raises(SimulationError, match="outside domain"):
         apply(out, leave)
 
@@ -670,7 +675,7 @@ def _ref_permute(layout, st, gate):
     out = {}
     for x, a in st.entries.items():
         y = list(x)
-        for i, v in zip(pos, gate.fn(tuple(x[i] for i in pos))):
+        for i, v in zip(pos, gate.fn(np.array([[x[i]] for i in pos])).ravel().tolist()):
             y[i] = v
         out[tuple(y)] = a
     return out
@@ -683,12 +688,12 @@ def test_permutations_move_words_as_their_tuples_move(support):
     rows = {(rng.randrange(64), rng.randrange(37), rng.randrange(BIG), rng.randrange(50),
              rng.randrange(3)) for _ in range(support)}
     st = SparseState(layout, {k: 1 / math.sqrt(len(rows)) for k in rows})
-    big_by_c = Permutation(("c", "big"), lambda v: (v[0], (v[1] + 7 * v[0]) % BIG),
-                           lambda v: (v[0], (v[1] - 7 * v[0]) % BIG), label="big+7c")
+    big_by_c = on_tuples(("c", "big"), lambda v: (v[0], (v[1] + 7 * v[0]) % BIG),
+                         lambda v: (v[0], (v[1] - 7 * v[0]) % BIG), label="big+7c")
     for gate in (gates.mul3(50, "d", "a", "c"), gates.add_mod(37, "c", "b"),
                  gates.transposition(2, 30, "a"), gates.add_mod(64, "b", "a"), _step(11), big_by_c,
-                 Permutation(("d", "b"), lambda v: (v[0], (v[1] + v[0]) % 37),
-                             lambda v: (v[0], (v[1] - v[0]) % 37), label="b+d")):
+                 on_tuples(("d", "b"), lambda v: (v[0], (v[1] + v[0]) % 37),
+                           lambda v: (v[0], (v[1] - v[0]) % 37), label="b+d")):
         assert apply(st, gate).entries == _ref_permute(layout, st, gate), gate.label
     chain = Sequence((gates.add_mod(37, "c", "b"), big_by_c, gates.transposition(2, 30, "a"),
                       Controlled(("d",), frozenset({(1,)}), _step(3))), label="chain")
@@ -708,19 +713,19 @@ def chain_layout():
 
 
 def _step(k):
-    return Permutation(("big",), lambda v: ((v[0] + k) % BIG,), lambda v: ((v[0] - k) % BIG,),
-                       label=f"step{k}")
+    return on_tuples(("big",), lambda v: ((v[0] + k) % BIG,), lambda v: ((v[0] - k) % BIG,),
+                     label=f"step{k}")
 
 
 def _big_by_a():
     # row-wise on two registers: big += a
-    return Permutation(("a", "big"), lambda v: (v[0], (v[1] + v[0]) % BIG),
-                       lambda v: (v[0], (v[1] - v[0]) % BIG), label="big+a")
+    return on_tuples(("a", "big"), lambda v: (v[0], (v[1] + v[0]) % BIG),
+                     lambda v: (v[0], (v[1] - v[0]) % BIG), label="big+a")
 
 
 def perm_chain():
-    inc = Permutation(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,),
-                      label="inc")
+    inc = on_tuples(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,),
+                    label="inc")
     inner = Sequence((gates.add_mod(4, "a", "c"), _step(3)), label="inner")
     return Sequence((
         gates.mul3(4, "a", "b", "c"),
@@ -834,8 +839,8 @@ def test_chain_past_the_code_limit_walks_its_gates():
     layout = RegisterLayout([Register("a", 4), Register("b", 2),
                              Register("c", 5), Register("big", BIG),
                              Register("h", 1 << 40), Register("k", 1 << 30)])
-    far = Permutation(("h",), lambda v: ((v[0] + 7) % (1 << 40),),
-                      lambda v: ((v[0] - 7) % (1 << 40),), label="far")
+    far = on_tuples(("h",), lambda v: ((v[0] + 7) % (1 << 40),),
+                    lambda v: ((v[0] - 7) % (1 << 40),), label="far")
     chain = Sequence((perm_chain(), far, Controlled(("b",), frozenset({(0,)}), _step(1)),
                       gates.set_const(1, "k", 1 << 30)), label="wide")
     assert chain.permutes and layout.width == 3
@@ -850,7 +855,7 @@ def test_chain_past_the_code_limit_walks_its_gates():
     # too wide for one code, but the nested chain still fuses on its own
     assert chain.tables == {} and list(chain.gates[0].tables) == [(4, 2, BIG, 5)]
     with pytest.raises(SimulationError, match="too large"):
-        apply(st, Permutation(("h", "k"), lambda v: v, lambda v: v, label="wide_perm"))
+        apply(st, on_tuples(("h", "k"), lambda v: v, lambda v: v, label="wide_perm"))
 
 
 def test_rowwise_gate_calls_fn_once_per_new_code():
@@ -865,7 +870,7 @@ def test_rowwise_gate_calls_fn_once_per_new_code():
         calls["inv"] += 1
         return (((v[0] - 1) * pow(3, -1, BIG)) % BIG,)
 
-    gate = Permutation(("big",), fn, inv, label="affine")
+    gate = on_tuples(("big",), fn, inv, label="affine")
     # five rows, three distinct values of the gate's register
     st = SparseState(layout, {(0, 0, 0, 10, 0): 0.2, (1, 0, 0, 10, 1): 0.4, (0, 1, 0, 11, 0): 0.4,
                               (2, 0, 4, 12, 2): 0.6, (0, 0, 0, 12, 1): 0.529150262212918})
@@ -883,7 +888,7 @@ def test_rowwise_gate_calls_fn_once_per_new_code():
 
 def test_rowwise_permutation_refuses_a_broken_inverse():
     layout = chain_layout()
-    liar = Permutation(("big",), lambda v: ((v[0] + 1) % BIG,), lambda v: v, label="liar")
+    liar = on_tuples(("big",), lambda v: ((v[0] + 1) % BIG,), lambda v: v, label="liar")
     with pytest.raises(SimulationError, match="inverse mismatch"):
         apply(SparseState.basis(layout, {"big": 9}), liar)
     # a refused fill leaves nothing behind
@@ -903,47 +908,52 @@ def test_support_table_refuses_a_repeated_image():
     assert len(table) == len(back) == 2
 
 
-@pytest.mark.parametrize("fn, inv, refusal", [
-    (lambda v: (v[0], v[1] + 1), lambda v: (v[0], v[1] - 1), "outside domain"),
-    (lambda v: (v[0], v[1] // 2), lambda v: (v[0], v[1] * 2), "not a bijection"),
-    (lambda v: (v[0], (v[1] + 1) % 4), lambda v: v, "inverse mismatch"),
-], ids=["image-out-of-range", "not-injective", "inverse-disagrees"])
-def test_compiled_table_refuses_a_broken_permutation(fn, inv, refusal):
-    layout = RegisterLayout([Register("a", 4), Register("b", 4)])
-    assert 16 <= EXHAUSTIVE_CHECK_LIMIT  # compiled, not kept as a support table
-    gate = Permutation(("a", "b"), fn, inv, label="broken")
-    with pytest.raises(SimulationError, match=refusal):
-        apply(SparseState.basis(layout, {"b": 1}), gate)
-    assert gate.tables == {} and gate.inv_tables == {}
-
-
 @pytest.mark.parametrize("fn, inv, compiled, rowwise", [
     (lambda v, m: v + 1, lambda v, m: v - 1, "outside domain", "outside domain"),
     (lambda v, m: v // 2, lambda v, m: v * 2, "not a bijection", "not injective"),
     (lambda v, m: (v + 1) % m, lambda v, m: v, "inverse mismatch", "inverse mismatch"),
 ], ids=["image-out-of-range", "not-injective", "inverse-disagrees"])
-def test_column_maps_refuse_a_broken_permutation(fn, inv, compiled, rowwise):
-    # maps on k x n matrices of register columns, refused on both paths: a
-    # compiled table, and a support table above the check limit
-    small = Permutation(("a", "b"), lambda v: fn(v, 4), lambda v: inv(v, 4), label="broken",
-                        columns=True)
+@pytest.mark.parametrize("form", ["columns", "tuples"])
+def test_permutations_refuse_a_broken_map(fn, inv, compiled, rowwise, form):
+    # refused on both paths, a compiled table and a support table above the
+    # check limit; whether the map is one numpy call on the register columns
+    # or a map on basis tuples through the builders' adapter, where it moves
+    # the last register as a builder moves its target
+    def gate(regs, m):
+        if form == "columns":
+            return Permutation(regs, lambda v: fn(v, m), lambda v: inv(v, m), label="broken")
+        return on_tuples(regs, lambda v: v[:-1] + (fn(v[-1], m),),
+                         lambda v: v[:-1] + (inv(v[-1], m),), label="broken")
+
+    small = gate(("a", "b"), 4)
+    layout = RegisterLayout([Register("a", 4), Register("b", 4)])
+    assert 16 <= EXHAUSTIVE_CHECK_LIMIT  # compiled, not kept as a support table
     with pytest.raises(SimulationError, match=f"^broken: .*{compiled}"):
-        small.table_for((4, 4))
+        apply(SparseState.basis(layout, {"b": 1}), small)
     assert small.tables == {} and small.inv_tables == {}
-    big = Permutation(("big",), lambda v: fn(v, BIG), lambda v: inv(v, BIG), label="broken",
-                      columns=True)
+    big = gate(("big",), BIG)
     st = SparseState(chain_layout(), {(0, 0, 0, k, 0): 1 / math.sqrt(3) for k in (4, 5, BIG - 1)})
     with pytest.raises(SimulationError, match=f"^broken: .*{rowwise}"):
         apply(st, big)
     assert len(big.tables[(BIG,)]) == 0
 
 
+def test_compile_checks_the_inverse_on_the_whole_domain():
+    # fn swaps (0, 1) and (0, 2), a bijection, and inv is the identity: only
+    # codes 1 and 2 are wrong, and a sample of the domain can miss both
+    swap = {(0, 1): (0, 2), (0, 2): (0, 1)}
+    liar = on_tuples(("a", "b"), lambda v: swap.get(v, v), lambda v: v, label="liar")
+    with pytest.raises(SimulationError, match=r"^liar: inverse mismatch at \(0, 1\)"):
+        liar.table_for((64, 64))
+    assert liar.tables == {} and liar.inv_tables == {}
+
+
 def test_rowwise_inverse_must_lead_back_to_the_same_code():
     # fn sends 0 and 1 to 5 and inv(5) = 1: the collision lies off the
     # support, so only inv(fn(0)) != 0 shows that |0> must not move to |5>
     layout = RegisterLayout([Register("big", 2 * EXHAUSTIVE_CHECK_LIMIT)])
-    merge = Permutation(("big",), lambda v: (5,) if v[0] in (0, 1) else v,
-                        lambda v: (1,) if v == (5,) else v, label="merge")
+    merge = on_tuples(("big",), lambda v: (5,) if v[0] in (0, 1) else v,
+                      lambda v: (1,) if v == (5,) else v, label="merge")
     with pytest.raises(SimulationError, match=r"merge: inverse mismatch at \(0,\)"):
         apply(SparseState.basis(layout), merge)
 

@@ -11,15 +11,14 @@ import ast
 import itertools
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from references import element_of_order, sole_tuple
+from references import assert_tables_match, element_of_order, sole_tuple
 import cycsim
 from cycsim import gates, hilbert
 from cycsim import halting_program as hp
 from cycsim import mq_circuits as mq
-from cycsim.hilbert import Register, RegisterLayout, SparseState, adjoint, apply
+from cycsim.hilbert import Register, RegisterLayout, SparseState, apply
 from cycsim.numtheory import DomainError, make_group_spec
 from cycsim.oracle import binary_rep, rep_value
 
@@ -68,30 +67,17 @@ def _ref_u_or(rep):
     return lambda v: (v[0] ^ mask,) if v[0] < top else v
 
 
-def _assert_tables_match(gate, ref, dims, label):
-    """The gate's compiled table, and the inverse one its adjoint reads, equal
-    the tables of `ref` enumerated over the whole domain."""
-    assert gate.label == label
-    images = [ref(v) for v in itertools.product(*map(range, dims))]
-    want = np.ravel_multi_index(np.array(images).T, dims)
-    want_inv = np.empty_like(want)
-    want_inv[want] = np.arange(len(want))
-    assert np.array_equal(gate.table_for(dims), want), label
-    assert np.array_equal(gate.inv_tables[dims], want_inv), label
-    assert np.array_equal(adjoint(gate).table_for(dims), want_inv), label
-
-
 def test_transposition_matches_its_reference():
     for a, b in itertools.product(range(16), repeat=2):
-        _assert_tables_match(gates.transposition(a, b, "r"), _ref_transposition(a, b), (16,),
-                             f"X_{a}_{b}")
+        assert_tables_match(gates.transposition(a, b, "r"), _ref_transposition(a, b), (16,),
+                            f"X_{a}_{b}")
 
 
 def test_halt_gate_matches_its_reference():
     dims = (64, 2, 9)  # the pair register, halt flag and record at p=43
     for step in range(dims[2]):
-        _assert_tables_match(hp._halt_gate(step, "GR", "NH", "REC"), _ref_halt(step), dims,
-                             f"HALT_{step}")
+        assert_tables_match(hp._halt_gate(step, "GR", "NH", "REC"), _ref_halt(step), dims,
+                            f"HALT_{step}")
 
 
 @pytest.mark.parametrize("m_r, p", [(3, 7), (4, 13), (8, 17), (16, 17), (None, 43)])
@@ -101,9 +87,9 @@ def test_u_r_gate_matches_its_reference(m_r, p):
               else hp.ProgramConfig(p, m_r, element_of_order(m_r, p)))
     dim = gates.register_dim(p)
     gate = hp.u_r_gate(config, "FR", "GR")
-    _assert_tables_match(gate, _ref_u_r(config), (dim, dim), "U_r")
+    assert_tables_match(gate, _ref_u_r(config), (dim, dim), "U_r")
     # x = 0 pairs 1 with itself: the gate fixes |1>|1>
-    assert gate.fn((1, 1)) == (1, 1)
+    assert gate.table_for((dim, dim))[dim + 1] == dim + 1
 
 
 def test_u_or_matches_its_reference():
@@ -111,7 +97,7 @@ def test_u_or_matches_its_reference():
         for value in range(2**n):
             rep = binary_rep(value, n)
             # two levels above the rep, which the gate must leave alone
-            _assert_tables_match(mq.u_or(rep, "q"), _ref_u_or(rep), (2**n + 2,), "U_OR")
+            assert_tables_match(mq.u_or(rep, "q"), _ref_u_or(rep), (2**n + 2,), "U_OR")
 
 
 def test_pairing_over_several_registers():
@@ -119,13 +105,14 @@ def test_pairing_over_several_registers():
     cycle = [(0, 0), (1, 2), (2, 3)]
     gate = gates.pairing_permutation(cycle, cycle[1:] + cycle[:1], ("a", "b"), "CYCLE")
     want = {x: y for x, y in zip(cycle, cycle[1:] + cycle[:1])}
+    assert_tables_match(gate, lambda v: want.get(v, v), (3, 4), "CYCLE")
     for v in itertools.product(range(3), range(4)):
         out = apply(SparseState.basis(layout, {"a": v[0], "b": v[1]}), gate)
         assert sole_tuple(out) == want.get(v, v)
-        assert gate.inv(want.get(v, v)) == v
     # leftover destinations fold back onto leftover sources in ascending order
     fold = gates.pairing_permutation([(0, 0), (0, 1)], [(1, 1), (1, 0)], ("a", "b"))
-    assert [fold.fn(v) for v in [(1, 0), (1, 1), (2, 2)]] == [(0, 0), (0, 1), (2, 2)]
+    folded = {(0, 0): (1, 1), (0, 1): (1, 0), (1, 0): (0, 0), (1, 1): (0, 1)}
+    assert_tables_match(fold, lambda v: folded.get(v, v), (3, 4), "PAIR")
 
 
 @pytest.mark.parametrize("src, dst, regs", [
@@ -231,6 +218,34 @@ def _unreached(methods: bool) -> set[str]:
     return {owner for owner, name in defs if (owner.count(".") == 2) == methods
             and name not in bench and all(user == owner or user.startswith(owner + ".")
                                           for user in used_by.get(name, ()))}
+
+
+def _orphans() -> set[str]:
+    """The private top-level functions and classes of src that no other
+    top-level statement of src names, and the imports their own module never
+    uses (`from __future__` aside), each as "module.name"."""
+    src = Path(cycsim.__file__).parent
+    named = [(path.stem, node, _names(node)) for path in src.glob("*.py")
+             for node in ast.parse(path.read_text()).body]
+    orphans = set()
+    for stem, node, _ in named:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound, scope = [node.name] if node.name[0] == "_" else [], None
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound = [] if getattr(node, "module", None) == "__future__" else [
+                a.asname or a.name.split(".")[0] for a in node.names]
+            scope = stem  # an import serves its own module
+        else:
+            continue
+        orphans |= {f"{stem}.{name}" for name in bound if not any(
+            name in names for at, other, names in named
+            if other is not node and scope in (None, at))}
+    return orphans
+
+
+def test_no_private_helper_or_import_is_left_unused():
+    # a helper or an import whose last user goes, goes with it
+    assert _orphans() == set()
 
 
 def test_every_public_definition_is_reached_outside_the_tests():
