@@ -154,15 +154,16 @@ def work_mod_exp(g: int, p: int, x_reg: str, y_reg: str, w_reg: str, tgt: str) -
     lists the base register first: in the pipeline's layout (W X Y F ...) its
     registers are then one run of one word, so a row's code is read with one
     shift and written back with one add rather than as four digits.  Its
-    value is in column form, `powers[w, x] * g_powers[y] % p`: two lookups
-    in tables of w**x mod p (0 outside 1 <= w < p) and of g**y mod p over the
-    registers' `register_dim(p)` values.
+    value is in column form, `powers[w * n + x] * g_powers[y]`: two lookups
+    in tables of w**x mod p (0 outside 1 <= w < p; flat, as one index reads
+    faster than two) and of g**y mod p over the registers' n =
+    `register_dim(p)` values, left for `_accumulate` to reduce mod p once.
     """
     n = register_dim(p)
-    powers = np.array([[pow(w, x, p) if 1 <= w < p else 0 for x in range(n)] for w in range(n)])
+    powers = np.array([pow(w, x, p) if 1 <= w < p else 0 for w in range(n) for x in range(n)])
     g_powers = np.array([pow(g, y, p) for y in range(n)])
     return _accumulate((w_reg, x_reg, y_reg, tgt), p,
-                       lambda w, x, y: powers[w, x] * g_powers[y] % p, f"UF_{g}_{p}",
+                       lambda w, x, y: powers[w * n + x] * g_powers[y], f"UF_{g}_{p}",
                        columns=True)
 
 

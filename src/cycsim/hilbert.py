@@ -30,20 +30,20 @@ Conventions:
     compiles to a lookup table once, one value of its leading register at a
     time, with every image checked to lie in the domain and inv checked to
     lead every source back, on the whole domain.  A larger permutation keeps
-    a support table instead: the flat codes met on its supports so far and
-    their images, as sorted integer arrays (int32 where every code of the
-    domain fits, else int64).  `fn` runs once per batch of codes the table
-    lacks, and each batch is checked as it is filled: every image lies in
-    the domain, no two share one, `inv` leads each back to the same code,
-    and no other code in the table has it.  A hit is read back with no
-    further check, since every entry passed these.
+    nothing: every application runs `fn` on its rows' columns, ROW_BLOCK
+    rows at a time, and checks every image to lie in the domain and `inv` to
+    lead it back to its own row, which also proves `fn` injective on the
+    rows.
   - A Sequence whose leaves are all permutations (Controlled permutations
-    count) is one permutation of its registers: it keeps a support table of
-    its own, and only codes that table lacks walk the leaves, which run their
-    own checks; the fused map refuses an image the table already holds.
-    Where its registers' product dimension reaches CODE_LIMIT it walks its
-    gates instead.  Compiled and support tables are shared with the gate's
-    adjoint, which reads them the other way round.
+    count) is one permutation of its registers.  It memoizes the flat codes
+    it has met in two dicts per dims signature, {code: image} and {image:
+    code}; only codes it lacks walk the leaves, which run their own checks,
+    and the fused map refuses a new image that repeats or is already held
+    before it records any.  Chains meet a few rows per call (at most 2 in
+    the pipeline's runs), so the dicts stay small.  Where its registers'
+    product dimension reaches CODE_LIMIT it walks its gates instead.
+    Compiled tables and chain memos are shared with the gate's adjoint,
+    which reads them the other way round.
   - Norm is checked after every gate application that returns new amplitudes
     (tolerance NORM_TOL); a gate that only moves rows hands back the input's
     frozen amplitude array itself.  Only a local unitary recombines amplitudes,
@@ -76,7 +76,6 @@ Conventions:
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -92,6 +91,9 @@ EXHAUSTIVE_CHECK_LIMIT = 1 << 20
 CODE_LIMIT = 1 << 62  # bounds a flat code's domain and a word's values
 GATE_SETS = 8  # gate builders memoized per process (functools.lru_cache maxsize)
 MANY_ROWS = 1 << 10  # from here a few more numpy passes, each cheaper, beat fewer calls
+# rows per fn call above the check limit: a cold p=67 demo read 338 MB maxrss
+# in 12.9-14.8 s with 2**16, 358 MB in 15.9-16.3 s with 2**20, 476 MB unblocked
+ROW_BLOCK = 1 << 16
 
 class SimulationError(RuntimeError):
     """A gate or state contract was violated during simulation."""
@@ -118,7 +120,7 @@ class _Run(NamedTuple):
 
 class _Code(NamedTuple):
     """Where k registers lie in the words.  Their flat code (row-major in the
-    given order, as compiled and support tables key it) is digits @ weights,
+    given order, as compiled tables and chain memos key it) is digits @ weights,
     with digits = words[:, cols] // strides % spans; a change of digits times
     `scatter` (k x W, strides[j] in column cols[j]) is the change of the words."""
     dims: tuple[int, ...]
@@ -396,12 +398,11 @@ class Permutation(GateOp):
     of their images.  On first application at a given dims signature, a gate
     whose domain has at most EXHAUSTIVE_CHECK_LIMIT points compiles to a
     lookup table, a slice at a time, with every image checked to lie in the
-    domain and `inv` checked on the whole domain.  Above the limit the gate
-    keeps a `SupportTable` under that signature and calls `fn` once per batch
-    of new codes, checking each new image's range, that `inv` sends it back
-    to the same code, and injectivity against every image already in the
-    table.  Both kinds of table are shared with the adjoint, so a gate and
-    its inverse verify once between them.
+    domain and `inv` checked on the whole domain; the table is shared with
+    the adjoint, so a gate and its inverse verify once between them.  Above
+    the limit the gate keeps nothing: each application calls `fn` on its
+    rows, checking every image's range and that `inv` sends it back to its
+    own row, so the check never lapses.
     """
 
     regs: tuple[str, ...]
@@ -417,14 +418,14 @@ class Permutation(GateOp):
 
     def table_for(self, dims: tuple[int, ...]) -> np.ndarray | None:
         """Lookup table of the flattened map, or None above the check limit,
-        where the gate keeps a support table under `dims` instead.  Filled one
+        where each application evaluates `fn` on its rows instead.  Filled one
         slice at a time, one value of the leading register per slice (the
         whole domain of a one-register gate), so the map's temporaries stay a
         slice long; every image is checked to lie in the domain, and `inv` to
         lead every source back."""
-        if dims in self.tables:
-            table = self.tables[dims]
-            return table if isinstance(table, np.ndarray) else None
+        table = self.tables.get(dims)
+        if table is not None:
+            return table
         total = math.prod(dims)
         if total > EXHAUSTIVE_CHECK_LIMIT:
             return None
@@ -466,7 +467,8 @@ def _images_in_domain(gate: Permutation, src: np.ndarray, dims: tuple[int, ...])
     """The image columns of the source columns `src`, refused unless every
     image lies in the domain `dims`."""
     dst = _map_columns(gate, src)
-    if dst is None or (dst < 0).any() or (dst >= np.array(dims)[:, None]).any():
+    # read as unsigned, a negative image lies above every bound
+    if dst is None or (dst.view(np.uint64) >= np.array(dims, dtype=np.uint64)[:, None]).any():
         raise SimulationError(f"{gate.label}: image outside domain {dims}")
     return dst
 
@@ -477,75 +479,6 @@ def _lost(gate: Permutation, src: np.ndarray, dst: np.ndarray) -> tuple[int, ...
     back = _map_columns(gate, dst, inverse=True)
     bad = np.ones(src.shape[1], dtype=bool) if back is None else (back != src).any(axis=0)
     return tuple(src[:, bad.argmax()].tolist()) if bad.any() else None
-
-
-class SupportTable:
-    """The part of a permutation's map met so far, in flat codes: the codes
-    in ascending order with their images, and the same pairs ordered by image
-    for the adjoint, which reads the table the other way round (`inverse`)
-    and so shares every entry either side fills.  Four integer arrays of
-    `dtype`, which must hold every code of the domain."""
-
-    def __init__(self, dtype: type = np.int64):
-        # [codes, images by code, images, codes by image]; side 1 swaps the halves
-        self._pairs = [np.empty(0, dtype=dtype)] * 4
-        self._side = 0
-
-    def inverse(self) -> "SupportTable":
-        other = copy.copy(self)  # the same list of arrays, read from the other side
-        other._side = 1 - self._side
-        return other
-
-    def __len__(self) -> int:
-        return len(self._pairs[0])
-
-    def lookup(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Images of `codes`, and a mask of the codes the table holds (the
-        images of the others are meaningless)."""
-        src, dst = self._pairs[2 * self._side:2 * self._side + 2]
-        if not len(src):
-            return np.zeros_like(codes), np.zeros(len(codes), dtype=bool)
-        # in the table's own type, or searchsorted would convert the whole table
-        codes = codes.astype(src.dtype, copy=False)
-        at = np.minimum(np.searchsorted(src, codes), len(src) - 1)
-        return dst[at], src[at] == codes
-
-    def add(self, codes: np.ndarray, images: np.ndarray, label: str) -> None:
-        """Record new pairs: `codes` are distinct and not yet in the table.
-        Refuses images that repeat among themselves or that the table already
-        holds, since two codes with one image are no permutation."""
-        held = self._pairs[2 * (1 - self._side)]
-        codes, images = codes.astype(held.dtype), images.astype(held.dtype)
-        order = np.argsort(images)
-        ordered = images[order]
-        at = np.minimum(np.searchsorted(held, ordered), max(len(held) - 1, 0))
-        if (ordered[1:] == ordered[:-1]).any() or (len(held) and (held[at] == ordered).any()):
-            raise SimulationError(f"{label}: not injective on the support")
-        mine = 2 * self._side
-        theirs = 2 * (1 - self._side)
-        self._pairs[mine:mine + 2] = _merge(*self._pairs[mine:mine + 2], codes, images)
-        self._pairs[theirs:theirs + 2] = _merge(*self._pairs[theirs:theirs + 2],
-                                                ordered, codes[order])
-
-
-def _merge(keys: np.ndarray, vals: np.ndarray, new_keys: np.ndarray,
-           new_vals: np.ndarray) -> list[np.ndarray]:
-    """Insert (key, value) pairs into arrays kept sorted by key."""
-    order = np.argsort(new_keys)
-    at = np.searchsorted(keys, new_keys[order])
-    return [np.insert(keys, at, new_keys[order]), np.insert(vals, at, new_vals[order])]
-
-
-def _support_table(gate: "Permutation | Sequence", dims: tuple[int, ...]) -> SupportTable:
-    """The gate's support table for this dims signature, made empty on first
-    use and shared with its adjoint.  Codes below 2**31 are stored as int32,
-    which halves the table of a four-register arithmetic gate."""
-    table = gate.tables.get(dims)
-    if table is None:
-        table = gate.tables[dims] = SupportTable(
-            np.int32 if math.prod(dims) <= 1 << 31 else np.int64)
-        gate.inv_tables[dims] = table.inverse()
-    return table
 
 
 def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -625,8 +558,9 @@ class Controlled(GateOp):
 @dataclass
 class Sequence(GateOp):
     """Gates applied left to right.  When every leaf permutes basis tuples,
-    the whole is applied as one map with a support table per dims signature
-    of its registers (in name order), shared with the adjoint."""
+    the whole is applied as one map, memoized per dims signature of its
+    registers (in name order) in two dicts, {code: image} in `tables` and
+    {image: code} in `inv_tables`, which the adjoint reads swapped."""
 
     gates: tuple[GateOp, ...]
     label: str = "seq"
@@ -712,37 +646,32 @@ def _permute_words(layout: RegisterLayout, words: np.ndarray, gate: Permutation)
     if table is None and code.weights is None:
         raise SimulationError(f"{gate.label}: domain {code.dims} too large for a flat code")
     codes, digits = _encode(words, code)
-    if table is not None:
-        return _recode(words, code, codes, digits, table[codes])
+    images = table[codes] if table is not None else _evaluate(gate, code, codes)
+    return _recode(words, code, codes, digits, images)
 
-    def fill(rows: np.ndarray) -> np.ndarray:
-        src = np.array(np.unravel_index(codes[rows], code.dims))
+
+def _evaluate(gate: Permutation, code: _Code, codes: np.ndarray) -> np.ndarray:
+    """Images of the flat `codes` under a permutation above the check limit:
+    `fn` on their columns, ROW_BLOCK rows at a time, with every image checked
+    to lie in the domain and `inv` to lead it back to its own code, which
+    proves `fn` injective on the rows."""
+    images = np.empty_like(codes)
+    weights = code.weights.tolist()
+    for lo in range(0, len(codes), ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, len(codes))
+        src = np.empty((len(weights), hi - lo), dtype=np.int64)
+        for row, w, d in zip(src, weights, code.dims):
+            _digit(codes[lo:hi], w, d, row)
         dst = _images_in_domain(gate, src, code.dims)
-        images = code.weights @ dst
-        # two rows with one image are no permutation, whatever inv says of them
-        if len(np.unique(images)) < len(images):
-            raise SimulationError(f"{gate.label}: not injective on the support")
+        images[lo:hi] = code.weights @ dst
         lost = _lost(gate, src, dst)
         if lost:
+            # only a refusal asks which fault it is: fewer distinct images
+            # than codes so far means two codes share an image
+            if len(np.unique(images[:hi])) < len(np.unique(codes[:hi])):
+                raise SimulationError(f"{gate.label}: not injective on the support")
             raise SimulationError(f"{gate.label}: inverse mismatch at {lost}")
-        return images
-
-    return _recode(words, code, codes, digits,
-                   _images(_support_table(gate, code.dims), codes, fill, gate.label))
-
-
-def _images(table: SupportTable, codes: np.ndarray, fill: Callable[[np.ndarray], np.ndarray],
-            label: str) -> np.ndarray:
-    """Images of `codes` from a support table.  `fill(rows)` maps support
-    rows, one per code the table lacks, to their images, which join it."""
-    images, hit = table.lookup(codes)
-    if hit.all():
-        return images
-    miss = np.flatnonzero(~hit)
-    order, _, starts = _sort_groups(codes[miss])
-    rows = miss[order[starts]]
-    table.add(codes[rows], fill(rows), label)
-    return table.lookup(codes)[0]
+    return images
 
 
 def _map_chain(layout: RegisterLayout, words: np.ndarray, gate: Sequence) -> np.ndarray:
@@ -752,16 +681,24 @@ def _map_chain(layout: RegisterLayout, words: np.ndarray, gate: Sequence) -> np.
         for g in gate.gates:
             words = _map_words(layout, words, g)
         return words
-
-    def walk(rows: np.ndarray) -> np.ndarray:
-        sub = words[rows]
+    codes, digits = _encode(words, code)
+    memo = gate.tables.get(code.dims)
+    if memo is None:  # made with the adjoint's, which reads both the other way round
+        memo = gate.tables[code.dims] = {}
+        gate.inv_tables[code.dims] = {}
+    keys = codes.tolist()
+    fresh = {c: row for row, c in enumerate(keys) if c not in memo}  # a row per new code
+    if fresh:
+        sub = words[list(fresh.values())]
         for leaf in gate.leaves:
             sub = _map_words(layout, sub, leaf)
-        return _encode(sub, code)[0]
-
-    codes, digits = _encode(words, code)
-    return _recode(words, code, codes, digits,
-                   _images(_support_table(gate, code.dims), codes, walk, gate.label))
+        images = _encode(sub, code)[0].tolist()
+        held = gate.inv_tables[code.dims]
+        if len(set(images)) < len(images) or not held.keys().isdisjoint(images):
+            raise SimulationError(f"{gate.label}: not injective on the support")
+        memo.update(zip(fresh, images))
+        held.update(zip(images, fresh))
+    return _recode(words, code, codes, digits, np.array([memo[c] for c in keys], dtype=np.int64))
 
 
 def _map_words(layout: RegisterLayout, words: np.ndarray, gate: GateOp) -> np.ndarray:

@@ -78,7 +78,7 @@ def test_demo_path_keeps_its_label_hooks_and_one_apply_per_gate(monkeypatch):
 
 
 def test_sweep_reports_match_recorded_digests():
-    # the second pass reads the reductions' support tables the first one filled
+    # the second pass reads the tables and chain memos the first one filled
     workload = WORKLOADS["sweep-p43"]
     gate = DigestGate.load(workload)
     for done in (1, 2):

@@ -304,8 +304,8 @@ def test_the_demo_compiles_no_table_that_depends_on_the_hidden_index(
 
 
 def test_warm_run_builds_no_reduction_adjoint(monkeypatch):
-    # the inverse reductions belong to the instance, so their support tables
-    # outlive a run
+    # the inverse reductions belong to the instance, so their compiled tables
+    # and chain memos outlive a run
     from cycsim import crt_reduction, hilbert
 
     built = []
@@ -395,6 +395,19 @@ def test_two_word_search_layout_reports_match_recorded_digests(p, digest):
     layout = crt_reduction.make_search_layout(make_group_spec(p))[0]
     assert layout.width == 2
     rep = run_experiment(ExperimentConfig(p=p, hidden_s=5, run_demo=False))
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p, digest", [
+    (61, "bd6aade1cf187d0ee517cd53b3c1837912636c419877663e49a345dd77152500"),
+    (67, "5a0a5ab993aef2287e51fcbe805c506e3033ec11bd896fbb4de54b893d226111"),
+])
+def test_demo_reports_above_the_benchmark_primes_match_recorded_digests(p, digest):
+    # the benchmark's digests cover demos up to p = 37; from p = 37 on the
+    # log gate's work_mod_exp lies above the check limit and is evaluated
+    # row by row, and at p = 67 it spans 2**28 points
+    rep = run_experiment(ExperimentConfig(p=p, hidden_s=5))
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
 
 

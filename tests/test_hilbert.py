@@ -525,10 +525,8 @@ def test_digit_reads_match_plain_division(dims, words, support):
         images = np.array([rng.randrange(math.prod(code.dims)) for _ in codes], dtype=np.int64)
         moved = tuples.copy()
         moved[:, pos] = np.transpose(np.unravel_index(images, code.dims))
-        # support tables hold int32 codes wherever the domain allows
-        for typed in {np.int64, np.int32 if math.prod(code.dims) <= 1 << 31 else np.int64}:
-            new = hilbert._recode(st.words, code, codes, digits, images.astype(typed))
-            assert np.array_equal(new, layout.pack(moved)), (regs, typed)
+        new = hilbert._recode(st.words, code, codes, digits, images)
+        assert np.array_equal(new, layout.pack(moved)), regs
 
 
 @DIGIT_CASES
@@ -700,7 +698,7 @@ def test_permutations_move_words_as_their_tuples_move(support):
     assert apply(st, chain).entries == apply_all(st, chain.leaves).entries
 
 
-# --- support tables: row-wise permutations and fused permutation chains -------
+# --- above the check limit: row-wise permutations and fused permutation chains
 
 BIG = EXHAUSTIVE_CHECK_LIMIT * 2
 
@@ -858,7 +856,7 @@ def test_chain_past_the_code_limit_walks_its_gates():
         apply(st, on_tuples(("h", "k"), lambda v: v, lambda v: v, label="wide_perm"))
 
 
-def test_rowwise_gate_calls_fn_once_per_new_code():
+def test_rowwise_gate_calls_fn_and_inv_on_every_row_of_every_application():
     layout = chain_layout()
     calls = {"fn": 0, "inv": 0}
 
@@ -875,15 +873,40 @@ def test_rowwise_gate_calls_fn_once_per_new_code():
     st = SparseState(layout, {(0, 0, 0, 10, 0): 0.2, (1, 0, 0, 10, 1): 0.4, (0, 1, 0, 11, 0): 0.4,
                               (2, 0, 4, 12, 2): 0.6, (0, 0, 0, 12, 1): 0.529150262212918})
     out = apply(st, gate)
-    assert calls == {"fn": 3, "inv": 3}
+    assert calls == {"fn": 5, "inv": 5}
     assert out.entries == {k[:3] + ((k[3] * 3 + 1) % BIG,) + k[4:]: a
                            for k, a in st.entries.items()}
+    # nothing is kept, so the check never lapses: every application checks
+    # every row again, and so does the adjoint, with fn and inv swapped
     again = apply(st, gate)
-    assert calls == {"fn": 3, "inv": 3} and again.entries == out.entries
-    # the adjoint reads the same table backwards: no call either way
+    assert calls == {"fn": 10, "inv": 10} and again.entries == out.entries
     assert apply(out, adjoint(gate)).entries == st.entries
-    assert calls == {"fn": 3, "inv": 3}
-    assert len(gate.tables[(BIG,)]) == 3
+    assert calls == {"fn": 15, "inv": 15}
+    assert gate.tables == {} and gate.inv_tables == {}
+
+
+def test_rowwise_gate_checks_every_block_up_to_the_last():
+    # more rows than one block, and the only row that inv does not lead back
+    # sits in the last block
+    n = hilbert.ROW_BLOCK + 5
+    layout = RegisterLayout([Register("big", BIG)])
+    sizes = []
+
+    def fn(cols):
+        sizes.append(cols.shape[1])
+        return (cols + 1) % BIG
+
+    def inv(cols):
+        back = (cols - 1) % BIG
+        back[cols == n] = 0  # wrong for the image of the last row, n - 1, only
+        return back
+
+    gate = Permutation(("big",), fn, inv, label="late")
+    st = SparseState(layout, {(k,): 1 / math.sqrt(n) for k in range(n)})
+    with pytest.raises(SimulationError, match=rf"^late: inverse mismatch at \({n - 1},\)"):
+        apply(st, gate)
+    assert sizes == [hilbert.ROW_BLOCK, 5]
+    assert gate.tables == {} and gate.inv_tables == {}
 
 
 def test_rowwise_permutation_refuses_a_broken_inverse():
@@ -891,21 +914,21 @@ def test_rowwise_permutation_refuses_a_broken_inverse():
     liar = on_tuples(("big",), lambda v: ((v[0] + 1) % BIG,), lambda v: v, label="liar")
     with pytest.raises(SimulationError, match="inverse mismatch"):
         apply(SparseState.basis(layout, {"big": 9}), liar)
-    # a refused fill leaves nothing behind
-    assert len(liar.tables[(BIG,)]) == 0
+    # a refused application leaves nothing behind
+    assert liar.tables == {}
 
 
-def test_support_table_refuses_a_repeated_image():
-    table = hilbert.SupportTable()
-    table.add(np.array([7, 2]), np.array([5, 9]), "t")
-    back = table.inverse()
-    images, hit = back.lookup(np.array([9, 5, 4]))
-    assert hit.tolist() == [True, True, False] and images[:2].tolist() == [2, 7]
-    with pytest.raises(SimulationError, match="not injective"):
-        table.add(np.array([3]), np.array([9]), "t")
-    with pytest.raises(SimulationError, match="not injective"):
-        back.add(np.array([1, 6]), np.array([4, 4]), "t")
-    assert len(table) == len(back) == 2
+def test_chain_memo_refuses_a_walk_onto_a_held_image():
+    # a memo that already sends code 5 to 18, where the walk from 10 lands
+    # (+3, then +5): the new image is checked before any entry goes in
+    layout = chain_layout()
+    chain = Sequence((_step(3), _step(5)), label="pair")
+    chain.tables[(BIG,)], chain.inv_tables[(BIG,)] = {5: 18}, {18: 5}
+    with pytest.raises(SimulationError, match="^pair: not injective"):
+        apply(SparseState.basis(layout, {"big": 10}), chain)
+    assert chain.tables == {(BIG,): {5: 18}} and chain.inv_tables == {(BIG,): {18: 5}}
+    # the adjoint reads the same dicts swapped
+    assert adjoint(chain).tables[(BIG,)] is chain.inv_tables[(BIG,)]
 
 
 @pytest.mark.parametrize("fn, inv, compiled, rowwise", [
@@ -915,8 +938,8 @@ def test_support_table_refuses_a_repeated_image():
 ], ids=["image-out-of-range", "not-injective", "inverse-disagrees"])
 @pytest.mark.parametrize("form", ["columns", "tuples"])
 def test_permutations_refuse_a_broken_map(fn, inv, compiled, rowwise, form):
-    # refused on both paths, a compiled table and a support table above the
-    # check limit; whether the map is one numpy call on the register columns
+    # refused on both paths, a compiled table and a row-wise evaluation above
+    # the check limit; whether the map is one numpy call on the register columns
     # or a map on basis tuples through the builders' adapter, where it moves
     # the last register as a builder moves its target
     def gate(regs, m):
@@ -927,7 +950,7 @@ def test_permutations_refuse_a_broken_map(fn, inv, compiled, rowwise, form):
 
     small = gate(("a", "b"), 4)
     layout = RegisterLayout([Register("a", 4), Register("b", 4)])
-    assert 16 <= EXHAUSTIVE_CHECK_LIMIT  # compiled, not kept as a support table
+    assert 16 <= EXHAUSTIVE_CHECK_LIMIT  # compiled, not evaluated row by row
     with pytest.raises(SimulationError, match=f"^broken: .*{compiled}"):
         apply(SparseState.basis(layout, {"b": 1}), small)
     assert small.tables == {} and small.inv_tables == {}
@@ -935,7 +958,7 @@ def test_permutations_refuse_a_broken_map(fn, inv, compiled, rowwise, form):
     st = SparseState(chain_layout(), {(0, 0, 0, k, 0): 1 / math.sqrt(3) for k in (4, 5, BIG - 1)})
     with pytest.raises(SimulationError, match=f"^broken: .*{rowwise}"):
         apply(st, big)
-    assert len(big.tables[(BIG,)]) == 0
+    assert big.tables == {}
 
 
 def test_compile_checks_the_inverse_on_the_whole_domain():
