@@ -338,6 +338,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         if args.hidden_s is not None and (args.hidden_random or args.csv is not None):
             other = "--hidden-random" if args.hidden_random else "--csv"
             raise DomainError(f"--hidden-s conflicts with {other}")
+        if args.hidden_random and args.csv is not None:
+            raise DomainError("--hidden-random conflicts with --csv")
         config = ExperimentConfig(
             p=args.p, g=args.g, hidden_s=args.hidden_s,
             hidden_random=args.hidden_random, seed=args.seed, theta=args.theta,

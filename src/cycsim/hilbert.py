@@ -25,15 +25,15 @@ Conventions:
     in the frozenset `on`.
   - Sequence applies its gates left to right.
   - A permutation's fn and inv are column maps: a k x n int64 matrix of
-    register columns goes in, the matrix of their images comes out.  A
-    permutation whose domain has at most EXHAUSTIVE_CHECK_LIMIT points
-    compiles to a lookup table once, one value of its leading register at a
-    time, with every image checked to lie in the domain and inv checked to
-    lead every source back, on the whole domain.  A larger permutation keeps
-    nothing: every application runs `fn` on its rows' columns, ROW_BLOCK
-    rows at a time, and checks every image to lie in the domain and `inv` to
-    lead it back to its own row, which also proves `fn` injective on the
-    rows.
+    register columns goes in, the matrix of their images comes out.  Only
+    `_evaluate` calls them, and it checks every image to lie in the domain
+    and inv to lead it back to its own code, which proves fn injective on
+    the codes it maps.  A permutation whose domain has at most
+    EXHAUSTIVE_CHECK_LIMIT points evaluates the whole domain once, one value
+    of its leading register at a time, into a lookup table, which the checks
+    on every point prove a bijection; the inverse table is its scatter.  A
+    larger permutation keeps nothing: every application evaluates its rows'
+    codes, ROW_BLOCK rows at a time.
   - A Sequence whose leaves are all permutations (Controlled permutations
     count) is one permutation of its registers.  It memoizes the flat codes
     it has met in two dicts per dims signature, {code: image} and {image:
@@ -193,6 +193,10 @@ class RegisterLayout:
         found = self._codes.get(regs)
         if found is None:
             pos = [self.index(r) for r in regs]
+            # a gate naming a register twice acts on the diagonal only, where a
+            # bijection of the product domain need not be one
+            if len(set(pos)) < len(pos):
+                raise SimulationError(f"register named twice in {regs}")
             places = tuple(self.places[i] for i in pos)
             dims = tuple(pl.span for pl in places)
             run = None
@@ -391,19 +395,10 @@ class GateOp:
 
 @dataclass
 class Permutation(GateOp):
-    """Bijection on the joint index set of `regs`; fn and inv must be mutual inverses.
-
-    fn and inv are column maps: each takes a k x n int64 matrix of register
-    columns (one row per register, one column per basis tuple) to the matrix
-    of their images.  On first application at a given dims signature, a gate
-    whose domain has at most EXHAUSTIVE_CHECK_LIMIT points compiles to a
-    lookup table, a slice at a time, with every image checked to lie in the
-    domain and `inv` checked on the whole domain; the table is shared with
-    the adjoint, so a gate and its inverse verify once between them.  Above
-    the limit the gate keeps nothing: each application calls `fn` on its
-    rows, checking every image's range and that `inv` sends it back to its
-    own row, so the check never lapses.
-    """
+    """Bijection on the joint index set of `regs`; fn and inv are mutual
+    inverses, column maps checked as the module docstring says.  Compiled
+    tables are kept per dims signature and shared with the adjoint, which
+    reads them the other way round, so the two verify once between them."""
 
     regs: tuple[str, ...]
     fn: Callable
@@ -418,67 +413,27 @@ class Permutation(GateOp):
 
     def table_for(self, dims: tuple[int, ...]) -> np.ndarray | None:
         """Lookup table of the flattened map, or None above the check limit,
-        where each application evaluates `fn` on its rows instead.  Filled one
-        slice at a time, one value of the leading register per slice (the
-        whole domain of a one-register gate), so the map's temporaries stay a
-        slice long; every image is checked to lie in the domain, and `inv` to
-        lead every source back."""
+        where each application evaluates `fn` on its rows instead.  The whole
+        domain goes through `_evaluate` once, a block per value of the leading
+        register (the whole domain of a one-register gate), so the map's
+        temporaries stay a slice long; the inverse table is its scatter."""
         table = self.tables.get(dims)
         if table is not None:
             return table
         total = math.prod(dims)
         if total > EXHAUSTIVE_CHECK_LIMIT:
             return None
-        size = total // dims[0] if len(dims) > 1 else total
-        weights = np.array(_strides(dims))
-        table = np.empty(total, dtype=np.int64)
-        lost = None
-        for lo in range(0, total, size):
-            src = np.array(np.unravel_index(np.arange(lo, lo + size), dims))
-            dst = _images_in_domain(self, src, dims)
-            table[lo:lo + size] = weights @ dst
-            lost = lost or _lost(self, src, dst)
-        inv_table = np.full(total, -1, dtype=np.int64)
+        codes = np.arange(total)
+        table = _evaluate(self, dims, codes, total // dims[0] if len(dims) > 1 else total)
+        inv_table = np.empty(total, dtype=np.int64)
         # one scatter of the whole domain: freeing its domain-sized source
         # also raises glibc's mmap threshold, and below that threshold a
         # warm demo's local-unitary kernel faults its arrays in afresh on
         # every call
-        inv_table[table] = np.arange(total)
-        if (inv_table < 0).any():  # two codes share an image
-            raise SimulationError(f"{self.label}: not a bijection on {dims}")
-        if lost:
-            raise SimulationError(f"{self.label}: inverse mismatch at {lost}")
+        inv_table[table] = codes
         self.tables[dims] = table
         self.inv_tables[dims] = inv_table
         return table
-
-
-def _map_columns(gate: Permutation, cols: np.ndarray, inverse: bool = False) -> np.ndarray | None:
-    """`fn`, or `inv` with `inverse`, on a k x n int64 matrix of register
-    columns.  None where the result is no k x n integer matrix."""
-    try:
-        out = np.asarray((gate.inv if inverse else gate.fn)(cols), dtype=np.int64)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    return out if out.shape == cols.shape else None
-
-
-def _images_in_domain(gate: Permutation, src: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """The image columns of the source columns `src`, refused unless every
-    image lies in the domain `dims`."""
-    dst = _map_columns(gate, src)
-    # read as unsigned, a negative image lies above every bound
-    if dst is None or (dst.view(np.uint64) >= np.array(dims, dtype=np.uint64)[:, None]).any():
-        raise SimulationError(f"{gate.label}: image outside domain {dims}")
-    return dst
-
-
-def _lost(gate: Permutation, src: np.ndarray, dst: np.ndarray) -> tuple[int, ...] | None:
-    """The first source tuple that `inv` does not send back from its image
-    `dst`, or None when it sends back every one."""
-    back = _map_columns(gate, dst, inverse=True)
-    bad = np.ones(src.shape[1], dtype=bool) if back is None else (back != src).any(axis=0)
-    return tuple(src[:, bad.argmax()].tolist()) if bad.any() else None
 
 
 def _strides(dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -646,31 +601,55 @@ def _permute_words(layout: RegisterLayout, words: np.ndarray, gate: Permutation)
     if table is None and code.weights is None:
         raise SimulationError(f"{gate.label}: domain {code.dims} too large for a flat code")
     codes, digits = _encode(words, code)
-    images = table[codes] if table is not None else _evaluate(gate, code, codes)
+    images = table[codes] if table is not None else _evaluate(gate, code.dims, codes, ROW_BLOCK)
     return _recode(words, code, codes, digits, images)
 
 
-def _evaluate(gate: Permutation, code: _Code, codes: np.ndarray) -> np.ndarray:
-    """Images of the flat `codes` under a permutation above the check limit:
-    `fn` on their columns, ROW_BLOCK rows at a time, with every image checked
-    to lie in the domain and `inv` to lead it back to its own code, which
-    proves `fn` injective on the rows."""
+def _evaluate(gate: Permutation, dims: tuple[int, ...], codes: np.ndarray,
+              block: int) -> np.ndarray:
+    """Images of the flat `codes` of the domain `dims`: `fn` on their
+    register columns, `block` codes at a time, with every image checked to
+    lie in the domain and `inv` to lead it back to its own code, which proves
+    `fn` injective on the codes.  The one checked evaluation of a permutation;
+    the one place that calls its `fn` and `inv`."""
     images = np.empty_like(codes)
-    weights = code.weights.tolist()
-    for lo in range(0, len(codes), ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, len(codes))
-        src = np.empty((len(weights), hi - lo), dtype=np.int64)
-        for row, w, d in zip(src, weights, code.dims):
-            _digit(codes[lo:hi], w, d, row)
-        dst = _images_in_domain(gate, src, code.dims)
-        images[lo:hi] = code.weights @ dst
-        lost = _lost(gate, src, dst)
-        if lost:
+    weights = np.array(_strides(dims))
+    bounds = np.array(dims, dtype=np.uint64)[:, None]
+    # codes lie below prod(dims): a leading digit above others needs no reduction
+    reads = list(zip(weights.tolist(), (None,) + dims[1:] if len(dims) > 1 else dims))
+    # one buffer for every block: a compile's blocks are small (a few dozen
+    # codes per slice in the search gates), and a fresh one each showed there
+    src = np.empty((len(dims), min(block, len(codes))), dtype=np.int64)
+    rows = list(src)
+    for lo in range(0, len(codes), block):
+        hi = min(lo + block, len(codes))
+        if hi - lo < src.shape[1]:  # the last, shorter block
+            src = src[:, :hi - lo]
+            rows = list(src)
+        for row, (w, span) in zip(rows, reads):
+            _digit(codes[lo:hi], w, span, row)
+        try:
+            dst = np.asarray(gate.fn(src), dtype=np.int64)
+        except (ValueError, TypeError, OverflowError):
+            dst = None
+        # read as unsigned, a negative image lies above every bound
+        if dst is None or dst.shape != src.shape or (dst.view(np.uint64) >= bounds).any():
+            raise SimulationError(f"{gate.label}: image outside domain {dims}")
+        images[lo:hi] = weights @ dst
+        try:
+            back = np.asarray(gate.inv(dst), dtype=np.int64)
+        except (ValueError, TypeError, OverflowError):
+            back = None
+        if back is None or back.shape != src.shape:
+            back = np.full_like(src, -1)  # no source is negative: every one is lost
+        if (back != src).any():
+            bad = (back != src).any(axis=0)
             # only a refusal asks which fault it is: fewer distinct images
             # than codes so far means two codes share an image
             if len(np.unique(images[:hi])) < len(np.unique(codes[:hi])):
-                raise SimulationError(f"{gate.label}: not injective on the support")
-            raise SimulationError(f"{gate.label}: inverse mismatch at {lost}")
+                raise SimulationError(f"{gate.label}: not injective")
+            raise SimulationError(
+                f"{gate.label}: inverse mismatch at {tuple(src[:, bad.argmax()].tolist())}")
     return images
 
 

@@ -156,6 +156,8 @@ def test_cli_single_run(tmp_path):
     (["--p", "13", "--hidden-s", "5", "--hidden-random", "--seed", "1"],
      "--hidden-s conflicts with --hidden-random"),
     (["--p", "13", "--hidden-s", "5", "--csv", "sweep.csv"], "--hidden-s conflicts with --csv"),
+    (["--p", "7", "--hidden-random", "--csv", "sweep.csv"],
+     "--hidden-random conflicts with --csv"),
     (["--p", "13", "--hidden-s", "3", "--no-demo", "--epsilon", "0.1", "--gamma", "nan"],
      "gamma must be finite"),
     (["--p", "13", "--hidden-s", "3", "--no-demo", "--epsilon", "0.1", "--gamma", "inf"],
@@ -166,8 +168,8 @@ def test_cli_single_run(tmp_path):
      "--out /nonexistent/r.json: /nonexistent is not a writable directory"),
 ], ids=["nonprime", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
         "grover-m-negative", "grover-m-without-grover-mode", "theta-one", "theta-zero",
-        "hidden-s-with-hidden-random", "hidden-s-with-csv", "gamma-nan", "gamma-inf",
-        "csv-dir-missing", "out-dir-missing"])
+        "hidden-s-with-hidden-random", "hidden-s-with-csv", "hidden-random-with-csv",
+        "gamma-nan", "gamma-inf", "csv-dir-missing", "out-dir-missing"])
 def test_cli_rejects_bad_config(argv, fragment, capsys):
     assert cli_main(argv) == 2
     assert fragment in capsys.readouterr().err

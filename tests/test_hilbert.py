@@ -158,6 +158,20 @@ def test_listed_tuples_need_one_value_per_register():
         Controlled(("b", "c"), frozenset({(1,)}), inc)
 
 
+def test_a_gate_naming_a_register_twice_is_refused():
+    # mul3 on (a, a, a) permutes 4**3 points, but on a state it acts on the
+    # diagonal x = y = z only, where z + x*y sends 1 and 2 both to 2 (mod 4)
+    layout = RegisterLayout([Register("a", 4), Register("b", 2)])
+    st = SparseState(layout, {(1, 1): 0.6, (2, 1): 0.8})
+    with pytest.raises(SimulationError, match=r"register named twice in \('a', 'a', 'a'\)"):
+        apply(st, gates.mul3(4, "a", "a", "a"))
+    # a phase and a control look their registers up the same way
+    for gate in (PhaseFn(("b", "b"), {(1, 1): 0.3}),
+                 Controlled(("b", "b"), frozenset({(1, 1)}), gates.transposition(1, 2, "a"))):
+        with pytest.raises(SimulationError, match=r"register named twice in \('b', 'b'\)"):
+            apply(st, gate)
+
+
 def test_phase_and_control_lookup_match_a_per_row_reference():
     layout = small_layout()
     inc = on_tuples(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,))
@@ -931,17 +945,18 @@ def test_chain_memo_refuses_a_walk_onto_a_held_image():
     assert adjoint(chain).tables[(BIG,)] is chain.inv_tables[(BIG,)]
 
 
-@pytest.mark.parametrize("fn, inv, compiled, rowwise", [
-    (lambda v, m: v + 1, lambda v, m: v - 1, "outside domain", "outside domain"),
-    (lambda v, m: v // 2, lambda v, m: v * 2, "not a bijection", "not injective"),
-    (lambda v, m: (v + 1) % m, lambda v, m: v, "inverse mismatch", "inverse mismatch"),
+@pytest.mark.parametrize("fn, inv, message", [
+    (lambda v, m: v + 1, lambda v, m: v - 1, "outside domain"),
+    (lambda v, m: v // 2, lambda v, m: v * 2, "not injective"),
+    (lambda v, m: (v + 1) % m, lambda v, m: v, "inverse mismatch"),
 ], ids=["image-out-of-range", "not-injective", "inverse-disagrees"])
 @pytest.mark.parametrize("form", ["columns", "tuples"])
-def test_permutations_refuse_a_broken_map(fn, inv, compiled, rowwise, form):
+def test_permutations_refuse_a_broken_map(fn, inv, message, form):
     # refused on both paths, a compiled table and a row-wise evaluation above
-    # the check limit; whether the map is one numpy call on the register columns
-    # or a map on basis tuples through the builders' adapter, where it moves
-    # the last register as a builder moves its target
+    # the check limit, with one message, as one evaluator checks both;
+    # whether the map is one numpy call on the register columns or a map on
+    # basis tuples through the builders' adapter, where it moves the last
+    # register as a builder moves its target
     def gate(regs, m):
         if form == "columns":
             return Permutation(regs, lambda v: fn(v, m), lambda v: inv(v, m), label="broken")
@@ -951,12 +966,12 @@ def test_permutations_refuse_a_broken_map(fn, inv, compiled, rowwise, form):
     small = gate(("a", "b"), 4)
     layout = RegisterLayout([Register("a", 4), Register("b", 4)])
     assert 16 <= EXHAUSTIVE_CHECK_LIMIT  # compiled, not evaluated row by row
-    with pytest.raises(SimulationError, match=f"^broken: .*{compiled}"):
+    with pytest.raises(SimulationError, match=f"^broken: .*{message}"):
         apply(SparseState.basis(layout, {"b": 1}), small)
     assert small.tables == {} and small.inv_tables == {}
     big = gate(("big",), BIG)
     st = SparseState(chain_layout(), {(0, 0, 0, k, 0): 1 / math.sqrt(3) for k in (4, 5, BIG - 1)})
-    with pytest.raises(SimulationError, match=f"^broken: .*{rowwise}"):
+    with pytest.raises(SimulationError, match=f"^broken: .*{message}"):
         apply(st, big)
     assert big.tables == {}
 
@@ -969,6 +984,16 @@ def test_compile_checks_the_inverse_on_the_whole_domain():
     with pytest.raises(SimulationError, match=r"^liar: inverse mismatch at \(0, 1\)"):
         liar.table_for((64, 64))
     assert liar.tables == {} and liar.inv_tables == {}
+
+
+def test_compile_refuses_a_collision_across_slices():
+    # (0, 0) and (1, 0) share an image, and each lies in its own slice of the
+    # leading register: the first slice passes, the second is refused
+    merge = on_tuples(("a", "b"), lambda v: (0, 0) if v == (1, 0) else v, lambda v: v,
+                      label="merge")
+    with pytest.raises(SimulationError, match="^merge: not injective"):
+        merge.table_for((4, 4))
+    assert merge.tables == {} and merge.inv_tables == {}
 
 
 def test_rowwise_inverse_must_lead_back_to_the_same_code():

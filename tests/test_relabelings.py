@@ -134,22 +134,22 @@ PERMUTATION_BUILDERS = {"gates._accumulate", "gates._scale", "gates.swap_regs",
                         "gates.pairing_permutation", "hilbert.adjoint"}
 
 
-def _permutation_callers(path):
-    """Qualified names of the functions in `path` that call Permutation(...)."""
-    found = set()
-
-    def visit(node, scope):
+def _scoped_nodes(path):
+    """(qualified enclosing function or class, node, parent) for each node of `path`."""
+    def visit(node, scope, parent):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        if isinstance(node, ast.Call):
-            func = node.func
-            if getattr(func, "id", getattr(func, "attr", None)) == "Permutation":
-                found.add(scope)
+        yield scope, node, parent
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            yield from visit(child, scope, node)
 
-    visit(ast.parse(path.read_text()), path.stem)
-    return found
+    return visit(ast.parse(path.read_text()), path.stem, None)
+
+
+def _permutation_callers(path):
+    """Qualified names of the functions in `path` that call Permutation(...)."""
+    return {scope for scope, node, _ in _scoped_nodes(path) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Permutation"}
 
 
 def test_only_the_builders_construct_permutations():
@@ -160,9 +160,26 @@ def test_only_the_builders_construct_permutations():
     assert callers == PERMUTATION_BUILDERS
 
 
+def _map_readers(path):
+    """(qualified function, called) for each read of an `fn` or `inv`
+    attribute in `path`: called when the read is the function of a call."""
+    return {(scope, isinstance(parent, ast.Call) and node is parent.func)
+            for scope, node, parent in _scoped_nodes(path)
+            if isinstance(node, ast.Attribute) and node.attr in ("fn", "inv")}
+
+
+def test_only_the_evaluator_calls_a_permutation_map():
+    # every map a permutation applies goes through hilbert._evaluate, which
+    # checks each image; the adjoint only swaps the two maps
+    src = Path(cycsim.__file__).parent
+    readers = set().union(*(_map_readers(path) for path in src.glob("*.py")))
+    assert readers == {("hilbert._evaluate", True), ("hilbert.adjoint", False)}
+
+
 # the kernel's digit reads: numpy's remainder by a scalar costs several
 # times a shift, a mask or a floor division, so these bodies use none
-DIGIT_READERS = ("_run_value", "_digit", "_apply_local", "_kept_cells", "_apply_pair")
+DIGIT_READERS = ("_run_value", "_digit", "_apply_local", "_kept_cells", "_apply_pair",
+                 "_evaluate")
 
 
 def test_digit_readers_use_no_remainder():
