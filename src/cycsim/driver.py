@@ -55,6 +55,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not is_prime(self.p) or self.p < 3:
             raise DomainError(f"p must be prime, got {self.p}")
+        if self.p.bit_length() > mq.MAX_QUBITS:  # before any gate sized by it is built
+            raise DomainError(f"p = {self.p} needs more than the {mq.MAX_QUBITS} verification qubits")
         if self.hidden_s is not None and not 0 <= self.hidden_s < self.p - 1:
             raise DomainError(f"hidden index {self.hidden_s} outside Z_{self.p - 1}")
         if not 0.0 <= self.epsilon < 1.0:

@@ -35,15 +35,15 @@ Conventions:
     larger permutation keeps nothing: every application evaluates its rows'
     codes, ROW_BLOCK rows at a time.
   - A Sequence whose leaves are all permutations (Controlled permutations
-    count) is one permutation of its registers.  It memoizes the flat codes
-    it has met in two dicts per dims signature, {code: image} and {image:
-    code}; only codes it lacks walk the leaves, which run their own checks,
-    and the fused map refuses a new image that repeats or is already held
-    before it records any.  Chains meet a few rows per call (at most 2 in
-    the pipeline's runs), so the dicts stay small.  Where its registers'
-    product dimension reaches CODE_LIMIT it walks its gates instead.
-    Compiled tables and chain memos are shared with the gate's adjoint,
-    which reads them the other way round.
+    count) is one permutation of its registers, memoized per dims signature
+    in two dicts, {code: image} and {image: code}, which its adjoint reads
+    swapped.  A code they lack is decoded once into integer digits, which
+    walk steps built once per dims signature: a permutation reads its
+    compiled table (above the check limit, `_evaluate`s the walked codes),
+    a control tests its digits.  A new image that repeats or is already
+    held is refused before any is recorded.  Chains meet at most 2 rows
+    per call in the pipeline's runs, so the dicts stay small.  Where its
+    registers' product dimension reaches CODE_LIMIT it walks its gates.
   - Norm is checked after every gate application that returns new amplitudes
     (tolerance NORM_TOL); a gate that only moves rows hands back the input's
     frozen amplitude array itself.  Only a local unitary recombines amplitudes,
@@ -515,12 +515,14 @@ class Sequence(GateOp):
     """Gates applied left to right.  When every leaf permutes basis tuples,
     the whole is applied as one map, memoized per dims signature of its
     registers (in name order) in two dicts, {code: image} in `tables` and
-    {image: code} in `inv_tables`, which the adjoint reads swapped."""
+    {image: code} in `inv_tables`, which the adjoint reads swapped; a new
+    code walks the leaves as digits through `steps`, per dims signature."""
 
     gates: tuple[GateOp, ...]
     label: str = "seq"
     tables: dict = field(default_factory=dict, repr=False)
     inv_tables: dict = field(default_factory=dict, repr=False)
+    steps: dict = field(default_factory=dict, repr=False)
 
     def registers(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(r for g in self.gates for r in g.registers()))
@@ -661,23 +663,58 @@ def _map_chain(layout: RegisterLayout, words: np.ndarray, gate: Sequence) -> np.
             words = _map_words(layout, words, g)
         return words
     codes, digits = _encode(words, code)
-    memo = gate.tables.get(code.dims)
-    if memo is None:  # made with the adjoint's, which reads both the other way round
-        memo = gate.tables[code.dims] = {}
-        gate.inv_tables[code.dims] = {}
+    memo = gate.tables.get(code.dims, {})
     keys = codes.tolist()
-    fresh = {c: row for row, c in enumerate(keys) if c not in memo}  # a row per new code
+    fresh = list(dict.fromkeys(c for c in keys if c not in memo))
     if fresh:
-        sub = words[list(fresh.values())]
-        for leaf in gate.leaves:
-            sub = _map_words(layout, sub, leaf)
-        images = _encode(sub, code)[0].tolist()
-        held = gate.inv_tables[code.dims]
+        steps = gate.steps.get(code.dims) or gate.steps.setdefault(code.dims, [
+            _chain_step(layout, leaf, gate.code_registers.index) for leaf in gate.leaves])
+        weights = code.weights.tolist()
+        rows = [[c // w % d for w, d in zip(weights, code.dims)] for c in fresh]
+        _walk(steps, rows)
+        images = [sum(x * w for x, w in zip(row, weights)) for row in rows]
+        held = gate.inv_tables.get(code.dims, {})
         if len(set(images)) < len(images) or not held.keys().isdisjoint(images):
             raise SimulationError(f"{gate.label}: not injective on the support")
-        memo.update(zip(fresh, images))
-        held.update(zip(images, fresh))
+        gate.tables.setdefault(code.dims, memo).update(zip(fresh, images))
+        gate.inv_tables.setdefault(code.dims, held).update(zip(images, fresh))
     return _recode(words, code, codes, digits, np.array([memo[c] for c in keys], dtype=np.int64))
+
+
+def _chain_step(layout: RegisterLayout, leaf: GateOp, digit: Callable[[str], int]) -> tuple:
+    """A chain leaf as a step on its code's digits: (leaf, dims, (digit, stride, dim) per
+    register), or for a controlled gate (control digits, on, its inner leaves' steps)."""
+    if isinstance(leaf, Controlled):
+        inner = leaf.inner.leaves if isinstance(leaf.inner, Sequence) else (leaf.inner,)
+        layout.code(leaf.controls)  # refuses a register named twice
+        return tuple(map(digit, leaf.controls)), leaf.on, [_chain_step(layout, g, digit) for g in inner]
+    dims = layout.code(leaf.regs).dims
+    return leaf, dims, tuple(zip(map(digit, leaf.regs), _strides(dims), dims))
+
+
+def _walk(steps: list, rows: list[list[int]]) -> None:
+    """Moves the digit lists `rows` through `steps` (see `_chain_step`) in place."""
+    for step in steps:
+        if not isinstance(step[0], Permutation):
+            controls, on, inner = step
+            hot = [row for row in rows if tuple([row[i] for i in controls]) in on]
+            if hot:
+                _walk(inner, hot)
+            continue
+        leaf, dims, places = step
+        table = leaf.table_for(dims)
+        if table is not None:
+            image_of = table.item
+        else:  # above the check limit: the rows' codes in one evaluation
+            codes = [sum(row[i] * s for i, s, _ in places) for row in rows]
+            image_of = dict(zip(codes, _evaluate(leaf, dims, np.array(codes), ROW_BLOCK).tolist())).get
+        for row in rows:  # plain loops: a generator costs more than these few digits
+            code = 0
+            for i, s, _ in places:
+                code += row[i] * s
+            image = image_of(code)
+            for i, s, d in places:
+                row[i] = image // s % d
 
 
 def _map_words(layout: RegisterLayout, words: np.ndarray, gate: GateOp) -> np.ndarray:

@@ -90,6 +90,7 @@ def u_ny_matrix(n: int, theta: float) -> np.ndarray:
 def u_ny_exact(n: int, theta: float, reg: str) -> GateOp:
     if not -math.pi <= theta <= math.pi:
         raise DomainError("rotation angle outside [-pi, pi]")
+    SpinConventions(n)  # refuses n past MAX_QUBITS before the 4**n-entry matrix is built
     return LocalUnitary(reg, u_ny_matrix(n, theta), label=f"UNY_{n}", cost_class="arith")
 
 

@@ -175,6 +175,14 @@ def test_cli_rejects_bad_config(argv, fragment, capsys):
     assert fragment in capsys.readouterr().err
 
 
+def test_cli_refuses_a_prime_too_wide_for_the_verification_register(monkeypatch, capsys):
+    # 4099 has 13 bits: building its instance alone would allocate a dense
+    # 8192 x 8192 rotation, so the refusal must come before any gate is built
+    monkeypatch.setattr(driver, "_instance", lambda *args: pytest.fail("instance built"))
+    assert cli_main(["--p", "4099", "--hidden-s", "1", "--no-demo"]) == 2
+    assert "p = 4099 needs more than the 12 verification qubits" in capsys.readouterr().err
+
+
 def test_cli_requires_an_index_source(capsys):
     assert cli_main(["--p", "13"]) == 2
 

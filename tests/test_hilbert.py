@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 from collections import Counter
@@ -682,10 +683,21 @@ def big_layout():
                            Register("d", 3)])
 
 
-def _ref_permute(layout, st, gate):
+def _ref_gate(layout, entries, gate):
+    """{tuple: amplitude} after a gate that only permutes, tuple by tuple:
+    `fn` read directly, controls tested on the tuple, sequences in order."""
+    if isinstance(gate, Sequence):
+        for g in gate.gates:
+            entries = _ref_gate(layout, entries, g)
+        return entries
+    if isinstance(gate, Controlled):
+        hot = {x: a for x, a in entries.items()
+               if tuple(x[layout.index(r)] for r in gate.controls) in gate.on}
+        return {**{x: a for x, a in entries.items() if x not in hot},
+                **_ref_gate(layout, hot, gate.inner)}
     pos = [layout.index(r) for r in gate.regs]
     out = {}
-    for x, a in st.entries.items():
+    for x, a in entries.items():
         y = list(x)
         for i, v in zip(pos, gate.fn(np.array([[x[i]] for i in pos])).ravel().tolist()):
             y[i] = v
@@ -706,7 +718,7 @@ def test_permutations_move_words_as_their_tuples_move(support):
                  gates.transposition(2, 30, "a"), gates.add_mod(64, "b", "a"), _step(11), big_by_c,
                  on_tuples(("d", "b"), lambda v: (v[0], (v[1] + v[0]) % 37),
                            lambda v: (v[0], (v[1] - v[0]) % 37), label="b+d")):
-        assert apply(st, gate).entries == _ref_permute(layout, st, gate), gate.label
+        assert apply(st, gate).entries == _ref_gate(layout, st.entries, gate), gate.label
     chain = Sequence((gates.add_mod(37, "c", "b"), big_by_c, gates.transposition(2, 30, "a"),
                       Controlled(("d",), frozenset({(1,)}), _step(3))), label="chain")
     assert apply(st, chain).entries == apply_all(st, chain.leaves).entries
@@ -762,15 +774,32 @@ def chain_state(layout, rng, support=12):
     return SparseState(layout, {k: a / norm for k, a in zip(rows, amps)})
 
 
+def _spy_on_leaves(monkeypatch):
+    """What a walk reaches: a permutation's label for each table it asks
+    for, and (label, number of codes) for each evaluation."""
+    reached = []
+    table_for, evaluate = Permutation.table_for, hilbert._evaluate
+    monkeypatch.setattr(Permutation, "table_for",
+                        lambda gate, dims: reached.append(gate.label) or table_for(gate, dims))
+    monkeypatch.setattr(hilbert, "_evaluate",
+                        lambda gate, dims, codes, block: reached.append((gate.label, len(codes)))
+                        or evaluate(gate, dims, codes, block))
+    return reached
+
+
 def test_fused_chain_matches_a_leaf_by_leaf_walk(monkeypatch):
     layout = chain_layout()
     rng = random.Random(41)
     chain = perm_chain()
     assert chain.permutes and all(not isinstance(g, Sequence) for g in chain.leaves)
     states = [chain_state(layout, rng) for _ in range(25)]
+    reached = _spy_on_leaves(monkeypatch)
     for st in states:
         fused_ledger, walk_ledger = GateLedger(), GateLedger()
+        reached.clear()
         out = apply(st, chain, fused_ledger)
+        # every state holds a code the chain has not met, which walks the leaves
+        assert "big+a" in reached
         ref = apply_all(st, chain.leaves, walk_ledger)
         assert out.entries == ref.entries
         assert fused_ledger.counts_by_class() == walk_ledger.counts_by_class() == {"arith": 9}
@@ -778,18 +807,87 @@ def test_fused_chain_matches_a_leaf_by_leaf_walk(monkeypatch):
         # the adjoint shares the table: undoing the chain reads it backwards
         assert apply(out, adjoint(chain)).entries == st.entries
     # the second time round every code is in the table, so no leaf runs
-    walked = []
-    monkeypatch.setattr(hilbert, "_permute_words",
-                        lambda *args: walked.append(args[2].label))
+    reached.clear()
     for st in states:
         led = GateLedger()
         out = apply(st, chain, led)
         assert led.counts_by_class() == walk_ledger.counts_by_class()
         assert apply(out, adjoint(chain)).entries == st.entries
-    assert walked == []
+    assert reached == []
     (dims,) = chain.tables
     assert chain.code_registers == ("a", "b", "big", "c") and dims == (4, 2, BIG, 5)
     assert adjoint(chain).tables[dims] is chain.inv_tables[dims]
+
+
+def _inc(reg, dim):
+    return on_tuples((reg,), lambda v: ((v[0] + 1) % dim,), lambda v: ((v[0] - 1) % dim,),
+                     label=f"inc_{reg}")
+
+
+def _walk_cases():
+    """(layout, chain, a state maker) per shape of chain the walk must handle."""
+    one = chain_layout()
+    one_states = functools.partial(chain_state, one)
+    inner = Sequence((_inc("a", 4), _step(3), gates.add_mod(4, "a", "c")), label="inner")
+    yield pytest.param(one, Sequence((
+        gates.mul3(4, "a", "b", "c"),
+        Controlled(("b",), frozenset({(1,)}), inner, label="c_inner"),
+        Controlled(("b",), frozenset({(0,)}),
+                   Controlled(("c",), frozenset({(1,), (3,)}),
+                              Sequence((_step(5), adjoint(_inc("a", 4))))), label="cc_inner"),
+        adjoint(inner),
+    ), label="chain"), one_states, id="controlled-sequence")
+    yield pytest.param(one, Sequence((
+        Controlled(("b", "c"), frozenset({(1, 0), (0, 3), (1, 4), (1, 7)}), _inc("a", 4)),
+        Controlled(("c", "a"), frozenset({(2, 1), (4, 0), (0, 3)}), _inc("b", 2)),
+        gates.add_mod(5, "a", "c"),
+    ), label="chain"), one_states, id="two-register-controls")
+    yield pytest.param(one, Sequence((
+        _big_by_a(), gates.transposition(0, 3, "a"), _step(BIG - 2),
+        Controlled(("b",), frozenset({(1,)}), _big_by_a()),
+    ), label="chain"), one_states, id="above-limit-leaf")
+    # a, big in the first word; "pad" fills it, so c and e open the second
+    two = RegisterLayout([Register("a", 4), Register("big", BIG), Register("pad", 1 << 40),
+                          Register("c", 5), Register("e", 6)])
+    assert two.width == 2
+    yield pytest.param(two, Sequence((
+        _big_by_a(), gates.add_mod(6, "c", "e"), gates.mul3(5, "a", "e", "c"),
+        Controlled(("e",), frozenset({(2,), (5,)}), _inc("a", 4)), _step(7),
+    ), label="chain"), lambda rng: SparseState(two, {
+        (rng.randrange(4), rng.randrange(BIG), rng.randrange(1 << 40), rng.randrange(5),
+         rng.randrange(6)): 1.0}), id="two-words")
+
+
+@pytest.mark.parametrize("layout, chain, make", _walk_cases())
+def test_chain_walk_matches_the_leaves_and_a_reference(layout, chain, make):
+    rng = random.Random(53)
+    assert chain.permutes
+    for _ in range(12):
+        st = make(rng)
+        led, ref_led = GateLedger(), GateLedger()
+        out = apply(st, chain, led)
+        assert out.entries == apply_all(st, chain.leaves, ref_led).entries
+        assert out.entries == _ref_gate(layout, st.entries, chain)
+        assert led.counts_by_class() == ref_led.counts_by_class()
+        assert led.counts_by_class() == {"arith": len(chain.leaves)}
+        assert apply(out, adjoint(chain)).entries == st.entries
+    (dims,) = chain.tables
+    assert dims == tuple(layout.dim(r) for r in chain.code_registers)
+    assert {v: k for k, v in chain.tables[dims].items()} == chain.inv_tables[dims]
+
+
+def test_one_new_chain_code_on_two_rows_walks_once(monkeypatch):
+    # the two rows differ only in "d", off the chain: one code, one walk
+    layout = chain_layout()
+    chain = perm_chain()
+    st = SparseState(layout, {(1, 1, 2, 10, 0): 0.6, (1, 1, 2, 10, 2): 0.8j})
+    reached = _spy_on_leaves(monkeypatch)
+    out = apply(st, chain)
+    (memo,) = chain.tables.values()
+    assert len(memo) == 1 and [r for r in reached if "big+a" in r] == ["big+a", ("big+a", 1)]
+    assert out.entries == _ref_gate(layout, st.entries, chain)
+    assert out.entries == apply_all(st, chain.leaves).entries
+    assert apply(out, adjoint(chain)).entries == st.entries
 
 
 def test_ledger_counts_by_class_match_a_recount_of_its_entries(monkeypatch):
@@ -943,6 +1041,18 @@ def test_chain_memo_refuses_a_walk_onto_a_held_image():
     assert chain.tables == {(BIG,): {5: 18}} and chain.inv_tables == {(BIG,): {18: 5}}
     # the adjoint reads the same dicts swapped
     assert adjoint(chain).tables[(BIG,)] is chain.inv_tables[(BIG,)]
+
+
+def test_chain_walk_refuses_an_above_limit_leaf_whose_inverse_lies():
+    # the walk hands the leaf's codes to the one evaluator, which checks them:
+    # +3 takes code 10 to 13, where the liar's inv fails to lead 14 back
+    layout = chain_layout()
+    liar = on_tuples(("big",), lambda v: ((v[0] + 1) % BIG,), lambda v: v, label="liar")
+    chain = Sequence((_step(3), Controlled(("b",), frozenset({(0,)}), liar)), label="lying")
+    with pytest.raises(SimulationError, match=r"^liar: inverse mismatch at \(13,\)"):
+        apply(SparseState.basis(layout, {"big": 10}), chain)
+    assert chain.tables == {} and chain.inv_tables == {}
+    assert liar.tables == {} and liar.inv_tables == {}
 
 
 @pytest.mark.parametrize("fn, inv, message", [

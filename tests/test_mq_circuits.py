@@ -65,6 +65,13 @@ def test_u_ny_exact_actions():
         mq.u_ny_exact(n, 4.0, "q")
 
 
+def test_u_ny_exact_refuses_too_many_qubits_before_building_its_matrix(monkeypatch):
+    # 13 qubits would be a dense 8192 x 8192 matrix and its unitarity check
+    monkeypatch.setattr(mq, "u_ny_matrix", lambda *args: pytest.fail("matrix built"))
+    with pytest.raises(DomainError, match=f"qubit count {mq.MAX_QUBITS + 1} outside"):
+        mq.u_ny_exact(mq.MAX_QUBITS + 1, math.pi / 4, "q")
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_commutator_identity(n):
     spins = mq.SpinConventions(n)
