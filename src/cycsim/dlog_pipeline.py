@@ -124,11 +124,6 @@ def amplification_schedule(w: float, mode: str, grover_m: int | None = None) -> 
     return [phi] * (j + 1)
 
 
-def amplification_gates(good_builder, full_builder, schedule: list[float]) -> list[GateOp]:
-    """One good-rotation then one full-rotation per scheduled phase."""
-    return [gate for phi in schedule for gate in (good_builder(phi), full_builder(phi))]
-
-
 def _coprime_mask(dim: int, m: int) -> np.ndarray:
     """Boolean mask over register values 0..dim-1: True where gcd(x, m) == 1."""
     return np.gcd(np.arange(dim), m) == 1
@@ -149,8 +144,8 @@ def good_weight(spec: CyclicGroupSpec) -> float:
 def pipeline_kit(spec: CyclicGroupSpec, mode: str = "exact",
                  grover_m: int | None = None) -> dict:
     """All gate pieces of the inversion sequence, built once per configuration
-    so compiled permutation tables are shared across applications.  "stage1"
-    is the concatenation of the named stages "psi1", "psi2" and "euler"."""
+    and once per repeated gate, so compiled tables are shared across uses.
+    "stage1" is the concatenation of the named stages "psi1", "psi2" and "euler"."""
     return _kit(spec, mode, grover_m)
 
 
@@ -161,37 +156,35 @@ def _kit(spec: CyclicGroupSpec, mode: str, grover_m: int | None) -> dict:
     p, g, m = spec.p, spec.g, spec.p - 1
     schedule = amplification_schedule(good_weight(spec), mode, grover_m)
 
-    psi1 = [gates.qft(m, REGS.x), gates.qft(m, REGS.y),
-            gates.work_mod_exp(g, p, REGS.x, REGS.y, REGS.w, REGS.f)]
-    psi2 = [gates.qft(m, REGS.x), gates.qft(m, REGS.y), gates.swap_regs(REGS.x, REGS.y)]
+    qft_x, qft_y = gates.qft(m, REGS.x), gates.qft(m, REGS.y)
+    unqft_x = adjoint(qft_x)
+
+    psi1 = [qft_x, qft_y, gates.work_mod_exp(g, p, REGS.x, REGS.y, REGS.w, REGS.f)]
+    psi2 = [qft_x, qft_y, gates.swap_regs(REGS.x, REGS.y)]
     # load l**phi(p-1) * (l s) into OUT via a powered temporary: coprime l
     # components then hold the bare index there
     pw = gates.pow_const(totient(m) - 1, m, REGS.x, REGS.e)
     euler = [pw, gates.mul3(m, REGS.e, REGS.y, REGS.out), adjoint(pw)]
     stage1 = psi1 + psi2 + euler
     prep1 = Sequence(tuple(stage1), label="U_T1")
-    amp1 = amplification_gates(
-        lambda phi: good_rotation_stage1(spec, phi),
-        lambda phi: reflect_about(prep1, _full_pivot(), phi, label="R_full1"),
-        schedule)
+    # the schedule repeats one phase: each round applies one (good, full)
+    # pair, built once and repeated, and an empty schedule gives no pair
+    amp1 = [gate for phi in schedule[:1] for gate in (
+        good_rotation_stage1(spec, phi),
+        reflect_about(prep1, _full_pivot(), phi, label="R_full1"))] * len(schedule)
 
     mid = [
         adjoint(gates.mul3(m, REGS.x, REGS.out, REGS.y)),  # clear l*s using l and s
-        adjoint(gates.qft(p - 1, REGS.x)),
+        unqft_x,
         adjoint(gates.cyclic_shift(p, g, REGS.f, power=1, control=REGS.x)),
     ]
 
     prep2 = Sequence(tuple(stage1 + amp1 + mid), label="U_T2")
-    amp2 = amplification_gates(
-        lambda phi: gates.selective_phase({1: phi}, REGS.f, label="C_1",
-                                          cost_class="reflection"),
-        lambda phi: reflect_about(prep2, _full_pivot(), phi, label="R_full2"),
-        schedule)
+    amp2 = [gate for phi in schedule[:1] for gate in (
+        gates.selective_phase({1: phi}, REGS.f, label="C_1", cost_class="reflection"),
+        reflect_about(prep2, _full_pivot(), phi, label="R_full2"))] * len(schedule)
 
-    tail = [
-        adjoint(gates.qft(p - 1, REGS.x)),
-        gates.transposition(1, 0, REGS.f),  # state transfer |1> -> |0>
-    ]
+    tail = [unqft_x, gates.transposition(1, 0, REGS.f)]  # state transfer |1> -> |0>
     return {"psi1": psi1, "psi2": psi2, "euler": euler, "stage1": stage1, "amp1": amp1,
             "mid": mid, "amp2": amp2, "tail": tail, "schedule": schedule}
 

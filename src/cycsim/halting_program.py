@@ -124,23 +124,18 @@ def qp_gate(config: ProgramConfig, regs: QpRegs, pulse: PulseModel | None) -> Ga
     """The whole program as one permutation sequence: m_r units of
     [branch check, halting statement, cyclic translation, conditional pair
     transposition] plus the trailing check.  With a pulse model, each halting
-    event is followed by the locking leak on the pair register."""
-    seq: list[GateOp] = []
+    event is followed by the locking leak on the pair register, one leak
+    controlled by the step the record holds."""
     u_b, u_g, u_rc = _unit_gates(config, regs)
-    for i in range(1, config.m_r + 1):
-        seq.append(u_b)
-        seq.append(_halt_gate(i, regs.g, regs.nh, regs.rec))
-        if pulse is not None and pulse.epsilon > 0.0:
-            seq.append(Controlled((regs.rec,), frozenset({(i,)}),
-                                  _leak_gate(config, pulse, regs.g),
-                                  label="P_SL"))
-        seq.append(u_g)
-        seq.append(u_rc)
-    seq.append(u_b)
-    seq.append(_halt_gate(config.m_r + 1, regs.g, regs.nh, regs.rec))
-    if pulse is not None and pulse.epsilon > 0.0:
-        seq.append(Controlled((regs.rec,), frozenset({(config.m_r + 1,)}),
-                              _leak_gate(config, pulse, regs.g), label="P_SL"))
+    leak = (_leak_gate(config, pulse, regs.g)
+            if pulse is not None and pulse.epsilon > 0.0 else None)
+    seq: list[GateOp] = []
+    for i in range(1, config.m_r + 2):
+        seq += [u_b, _halt_gate(i, regs.g, regs.nh, regs.rec)]
+        if leak is not None:
+            seq.append(Controlled((regs.rec,), frozenset({(i,)}), leak, label="P_SL"))
+        if i <= config.m_r:  # the trailing check ends on its halting statement
+            seq += [u_g, u_rc]
     return Sequence(tuple(seq), label="Q_p")
 
 

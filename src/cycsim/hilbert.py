@@ -359,9 +359,6 @@ class SparseState:
         `mask`, a boolean array indexed by that register's values."""
         return _weight(self.amps[np.asarray(mask, dtype=bool)[self.column(reg)]])
 
-    def register_weight_outside(self, name: str, value: int = 0) -> float:
-        return _weight(self.amps[self.column(name) != value])
-
 
 def _freeze(*arrays: np.ndarray) -> None:
     """States share arrays with the states they came from, so none may write them."""
@@ -377,7 +374,7 @@ def _weight(amps: np.ndarray) -> float:
 def assert_registers_clean(state: SparseState, names: tuple[str, ...], what: str) -> None:
     """Raise unless every named register is back at 0 up to RELEASE_TOL of weight."""
     for name in names:
-        leak = state.register_weight_outside(name, 0)
+        leak = state.weight_where(name, np.arange(state.layout.dim(name)) != 0)
         if leak > RELEASE_TOL:
             raise SimulationError(
                 f"pipeline fault in {what}: register {name} holds weight {leak:.3e} off 0")

@@ -144,12 +144,12 @@ def _top_weight(state: SparseState, reg: str) -> float:
     return state.weight_where(reg, np.arange(dim) == dim - 1)
 
 
-def membership_circuit(t_rotation: GateOp, n: int, theta: float,
+def membership_circuit(t_rotation: GateOp, n: int,
                        ledger: GateLedger | None = None) -> TransitionReport:
     """Probability of reaching |1...1> from the ground state when the selective
     rotation is sandwiched between the two-level half rotations.
 
-    Equals (1 - cos theta)/2 when the rotated basis is 0 or N-1, else 0.
+    Equals (1 - cos theta)/2 for a rotation by theta of basis 0 or N-1, else 0.
     """
     prob = _top_weight(_run_conjugated(n, [t_rotation], ledger), "q")
     verdict = "member" if prob > 0.5 - 1e-9 else "non_member"
@@ -194,7 +194,7 @@ def verify_solution(candidate: int, oracle_for_theta: Callable[[float], GateOp],
     def dressed(theta: float) -> GateOp:
         return hilbert.Sequence((conj_adj, oracle_for_theta(theta), conj), label="C_t")
 
-    stage1 = membership_circuit(dressed(math.pi), n, math.pi, ledger)
+    stage1 = membership_circuit(dressed(math.pi), n, ledger)
     if stage1.verdict != "member":
         return False
     stage2 = disambiguate_circuit(dressed(-math.pi / 2), n, ledger)

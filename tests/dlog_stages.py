@@ -18,8 +18,8 @@ def amplitude_amplify(state: SparseState, good_builder, full_builder, mode: str,
     gate; good_weight is the current weight of the good component.
     """
     schedule = dl.amplification_schedule(good_weight, mode, grover_m)
-    state = apply_all(state, dl.amplification_gates(good_builder, full_builder, schedule),
-                      ledger)
+    state = apply_all(state, [gate for phi in schedule
+                              for gate in (good_builder(phi), full_builder(phi))], ledger)
     info = {"mode": mode, "iterations": len(schedule),
             "phases": schedule, "initial_weight": good_weight}
     return state, info

@@ -145,6 +145,53 @@ def make_qp_layout(config: hp.ProgramConfig) -> RegisterLayout:
     ])
 
 
+def qp_gate_reference(config: hp.ProgramConfig, regs: hp.QpRegs,
+                      pulse: hp.PulseModel | None) -> GateOp:
+    """The halting program written out unit by unit, with the trailing check
+    spelled out on its own and a leak built for each halting event: the
+    sequence `hp.qp_gate` must build, gate for gate."""
+    leaky = pulse is not None and pulse.epsilon > 0.0
+    seq = []
+    u_b, u_g, u_rc = hp._unit_gates(config, regs)
+    for i in range(1, config.m_r + 1):
+        seq.append(u_b)
+        seq.append(hp._halt_gate(i, regs.g, regs.nh, regs.rec))
+        if leaky:
+            seq.append(hilbert.Controlled((regs.rec,), frozenset({(i,)}),
+                                          hp._leak_gate(config, pulse, regs.g), label="P_SL"))
+        seq.append(u_g)
+        seq.append(u_rc)
+    seq.append(u_b)
+    seq.append(hp._halt_gate(config.m_r + 1, regs.g, regs.nh, regs.rec))
+    if leaky:
+        seq.append(hilbert.Controlled((regs.rec,), frozenset({(config.m_r + 1,)}),
+                                      hp._leak_gate(config, pulse, regs.g), label="P_SL"))
+    return hilbert.Sequence(tuple(seq), label="Q_p")
+
+
+def assert_same_gate(gate, ref, layout):
+    """`gate` and `ref` are the same gate on `layout`: the same kind, label
+    and registers, with equal compiled tables (both ways), matrices, phases,
+    controls, or parts."""
+    assert type(gate) is type(ref) and gate.label == ref.label, (gate.label, ref.label)
+    assert gate.registers() == ref.registers() and gate.cost_class == ref.cost_class, gate.label
+    if isinstance(gate, hilbert.Permutation):
+        dims = tuple(layout.dim(r) for r in gate.regs)
+        assert np.array_equal(gate.table_for(dims), ref.table_for(dims)), gate.label
+        assert np.array_equal(gate.inv_tables[dims], ref.inv_tables[dims]), gate.label
+    elif isinstance(gate, LocalUnitary):
+        assert np.array_equal(gate.matrix, ref.matrix), gate.label
+    elif isinstance(gate, hilbert.PhaseFn):
+        assert gate.angles == ref.angles, gate.label
+    elif isinstance(gate, hilbert.Controlled):
+        assert gate.on == ref.on, gate.label
+        assert_same_gate(gate.inner, ref.inner, layout)
+    else:
+        assert len(gate.gates) == len(ref.gates), gate.label
+        for part, ref_part in zip(gate.gates, ref.gates):
+            assert_same_gate(part, ref_part, layout)
+
+
 def expected_record(x: int, y: int, m_r: int) -> int:
     """Closed form for the halting step, from the unit-by-unit trace: y = 0
     halts at step 1; otherwise the pair transposition fires at the unique step

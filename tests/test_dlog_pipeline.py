@@ -309,3 +309,20 @@ def test_pipeline_kit_defaults_and_spelled_out_arguments_share_one_kit(cleared_g
     kit = dl.pipeline_kit(spec5)
     assert dl.pipeline_kit(spec5, "exact", None) is kit
     assert dl._kit.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("mode, grover_m", [("exact", None), ("grover", None), ("grover", 3),
+                                            ("grover", 0)])
+def test_pipeline_kit_holds_one_object_per_distinct_gate(spec13, mode, grover_m):
+    # the two Fourier passes share their transforms, the X inverse transform
+    # is one gate, and every amplification round repeats one (good, full) pair
+    kit = dl.pipeline_kit(spec13, mode, grover_m)
+    assert kit["psi1"][0] is kit["psi2"][0]
+    assert kit["psi1"][1] is kit["psi2"][1]
+    assert kit["mid"][1] is kit["tail"][0]
+    rounds = len(kit["schedule"])
+    if grover_m is not None:
+        assert rounds == grover_m
+    for amp in (kit["amp1"], kit["amp2"]):
+        assert len(amp) == 2 * rounds
+        assert all(gate is amp[i % 2] for i, gate in enumerate(amp))

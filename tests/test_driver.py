@@ -408,6 +408,24 @@ def test_two_word_search_layout_reports_match_recorded_digests(p, digest):
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("config, digest", [
+    ({"p": 13, "epsilon": 0.1, "gamma": 0.3, "run_demo": False},
+     "6372f2cd79a8ce14f17cc14e87c287c2e9a2f27fa87750c3892508858cb2b20b"),
+    ({"p": 29, "epsilon": 0.1, "gamma": 0.3, "run_demo": False},
+     "ddb30d983766c9fb68f1fa78648172621dbeb575e7722310327a64b535ce9232"),
+    ({"p": 13, "mode": "grover"},
+     "9aa30ec7854d2167ce071b5a4450d851011721d750ed890bfb60f8c4eddafb22"),
+    ({"p": 13, "mode": "grover", "grover_m": 0},
+     "b17e0f5e9547f7349c521c00deac0738312b087e6ee5bd329793391b18921a95"),
+])
+def test_pulse_and_grover_reports_match_recorded_digests(config, digest):
+    # the benchmark's digests cover exact-mode runs without a pulse; these
+    # reach the leaky halting program and the grover-mode kit, an empty
+    # amplification schedule included
+    rep = run_experiment(ExperimentConfig(hidden_s=5, **config))
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("p, digest", [
     (61, "bd6aade1cf187d0ee517cd53b3c1837912636c419877663e49a345dd77152500"),

@@ -328,7 +328,11 @@ def _unit(L, start=2):
     return next(a for a in itertools.count(start) if math.gcd(a, L) == 1)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+ODD_PRIMES_TO_61 = [q for q in range(3, 62) if is_prime(q)]
+
+
+@pytest.mark.parametrize("p", [q if q <= 13 else pytest.param(q, marks=pytest.mark.slow)
+                               for q in ODD_PRIMES_TO_61])
 def test_arithmetic_constructors_match_their_reference_formulas(p):
     D = gates.register_dim(p)
     for L in (p, p - 1, D):
@@ -372,7 +376,6 @@ def test_work_mod_exp_matches_its_reference_formula(p):
     assert_tables_match(gate, lambda v: ref(v, 1), (D,) * 4, gate.label)
 
 
-ODD_PRIMES_TO_61 = [q for q in range(3, 62) if is_prime(q)]
 
 
 @functools.lru_cache(maxsize=1)

@@ -147,6 +147,19 @@ def test_pulsed_program_gate_matches_the_procedural_circuit(m_r):
             assert max(abs(got[k] - want[k]) for k in want) < 1e-9, (m_r, eps, x, y)
 
 
+@pytest.mark.parametrize("m_r", sorted(CASES))
+@pytest.mark.parametrize("pulse", [None, hp.PulseModel(0.0), hp.PulseModel(0.3, 1.0)])
+def test_program_gate_matches_the_unit_by_unit_reference(m_r, pulse):
+    # one loop writes the m_r units and the trailing check, with one leak
+    # for every halting event; the sequence is the reference's, gate for gate
+    cfg = config_for(m_r)
+    regs = hp.QpRegs()
+    gate = hp.qp_gate(cfg, regs, pulse)
+    ref.assert_same_gate(gate, ref.qp_gate_reference(cfg, regs, pulse), ref.make_qp_layout(cfg))
+    leaks = {id(g.inner) for g in gate.gates if g.label == "P_SL"}
+    assert len(leaks) == (pulse is not None and pulse.epsilon > 0)
+
+
 def test_run_qc_fidelity_strictly_decreasing():
     cfg = config_for(4)
     lay = ref.make_qp_layout(cfg)

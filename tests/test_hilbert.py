@@ -317,7 +317,7 @@ def test_array_readers_match_the_dict_formulas_bit_for_bit():
                     mask = np.arange(reg.dim) == v
                     assert st.weight_where(reg.name, mask) == _ref_weight(
                         st, lambda k: k[i] == v), gate.label
-                    assert st.register_weight_outside(reg.name, v) == _ref_weight(
+                    assert st.weight_where(reg.name, ~mask) == _ref_weight(
                         st, lambda k: k[i] != v), gate.label
                 assert st.dominant_register_value(reg.name) == _ref_dominant(st, i)
             assert inner_product(st, other) == _ref_inner(st, other), gate.label

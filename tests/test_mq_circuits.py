@@ -171,18 +171,17 @@ def test_membership_probabilities(n):
     for t in range(N):
         for th in thetas:
             rot = gates.selective_phase({t: th}, "q", label="C_t")
-            rep = mq.membership_circuit(rot, n, th)
+            rep = mq.membership_circuit(rot, n)
             want = (1 - math.cos(th)) / 2 if t in (0, N - 1) else 0.0
             assert abs(rep.probability - want) < 1e-12
 
 
 def test_membership_examples():
-    rep = mq.membership_circuit(gates.selective_phase({0: math.pi}, "q"), 3, math.pi)
+    rep = mq.membership_circuit(gates.selective_phase({0: math.pi}, "q"), 3)
     assert abs(rep.probability - 1) < 1e-12 and rep.verdict == "member"
-    rep = mq.membership_circuit(gates.selective_phase({5: math.pi}, "q"), 3, math.pi)
+    rep = mq.membership_circuit(gates.selective_phase({5: math.pi}, "q"), 3)
     assert rep.probability < 1e-12 and rep.verdict == "non_member"
-    rep = mq.membership_circuit(gates.selective_phase({7: math.pi / 2}, "q"), 3,
-                                math.pi / 2)
+    rep = mq.membership_circuit(gates.selective_phase({7: math.pi / 2}, "q"), 3)
     assert abs(rep.probability - 0.5) < 1e-12
 
 
