@@ -116,19 +116,17 @@ def reduction_gate(spec: CyclicGroupSpec, regs: SearchRegs, keep: int,
     return Sequence(tuple(seq), label=f"REDUCE_{keep}")
 
 
-def make_aux_oracle(base_oracle: GateOp, k: int, red: GateOp, unred: GateOp,
-                    swap: GateOp) -> GateOp:
+def make_aux_oracle(base_oracle: GateOp, k: int, red: GateOp, swap: GateOp) -> GateOp:
     """Selective rotation of the k-th subgroup component on the search register,
     realized with a single call of the base oracle.
 
     `red` is the forward reduction that keeps component k in its component
-    register, `unred` is `adjoint(red)` (built once with it, so the two share
-    their tables across runs), and `swap` exchanges that register with the
-    search register.  The trial value is swapped in; the inverse reduction
-    consumes the live halting records and reassembles the original group
-    state exactly when the trial equals the hidden component, at which point
-    the base oracle fires; the forward reduction then restores the pipeline
-    registers.
+    register (the gate keeps its adjoint, so the two share their tables
+    across runs), and `swap` exchanges that register with the search
+    register.  The trial value is swapped in; the inverse reduction consumes
+    the live halting records and reassembles the original group state exactly
+    when the trial equals the hidden component, at which point the base
+    oracle fires; the forward reduction then restores the pipeline registers.
     """
-    return Sequence((swap, unred, base_oracle, red, swap),
+    return Sequence((swap, adjoint(red), base_oracle, red, swap),
                     label=f"AUX_ORACLE_{k}")

@@ -157,7 +157,6 @@ def _kit(spec: CyclicGroupSpec, mode: str, grover_m: int | None) -> dict:
     schedule = amplification_schedule(good_weight(spec), mode, grover_m)
 
     qft_x, qft_y = gates.qft(m, REGS.x), gates.qft(m, REGS.y)
-    unqft_x = adjoint(qft_x)
 
     psi1 = [qft_x, qft_y, gates.work_mod_exp(g, p, REGS.x, REGS.y, REGS.w, REGS.f)]
     psi2 = [qft_x, qft_y, gates.swap_regs(REGS.x, REGS.y)]
@@ -175,7 +174,7 @@ def _kit(spec: CyclicGroupSpec, mode: str, grover_m: int | None) -> dict:
 
     mid = [
         adjoint(gates.mul3(m, REGS.x, REGS.out, REGS.y)),  # clear l*s using l and s
-        unqft_x,
+        adjoint(qft_x),
         adjoint(gates.cyclic_shift(p, g, REGS.f, power=1, control=REGS.x)),
     ]
 
@@ -184,7 +183,7 @@ def _kit(spec: CyclicGroupSpec, mode: str, grover_m: int | None) -> dict:
         gates.selective_phase({1: phi}, REGS.f, label="C_1", cost_class="reflection"),
         reflect_about(prep2, _full_pivot(), phi, label="R_full2"))] * len(schedule)
 
-    tail = [unqft_x, gates.transposition(1, 0, REGS.f)]  # state transfer |1> -> |0>
+    tail = [adjoint(qft_x), gates.transposition(1, 0, REGS.f)]  # state transfer |1> -> |0>
     return {"psi1": psi1, "psi2": psi2, "euler": euler, "stage1": stage1, "amp1": amp1,
             "mid": mid, "amp2": amp2, "tail": tail, "schedule": schedule}
 

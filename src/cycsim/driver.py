@@ -111,9 +111,7 @@ class _Instance:
     n: int
     pulse: hp.PulseModel | None
     reductions: list  # per component: the forward reduction gate
-    unreductions: list  # per component: its adjoint
     aux_reductions: list  # per component: the reduction inside the aux oracle
-    aux_unreductions: list  # per component: its adjoint
     aux_swaps: list  # per component: the search/component swap inside the aux oracle
     search: mq.SearchGates  # the component search's gates on the search register
 
@@ -134,13 +132,9 @@ def _instance(p: int, g: int | None, epsilon: float, gamma: float) -> _Instance:
         # stripping carries a drifted phase and does not coherently undo the leak
         aux_reductions = reductions_for(
             hp.PulseModel(epsilon, gamma + math.pi / 3))
-    unreductions = aux_unreductions = [hilbert.adjoint(red) for red in reductions]
-    if aux_reductions is not reductions:
-        aux_unreductions = [hilbert.adjoint(red) for red in aux_reductions]
     aux_swaps = [gates.swap_regs(regs.search, comp) for comp in regs.comps]
     n = spec.p.bit_length()
-    return _Instance(spec, layout, regs, n, pulse, reductions, unreductions,
-                     aux_reductions, aux_unreductions, aux_swaps,
+    return _Instance(spec, layout, regs, n, pulse, reductions, aux_reductions, aux_swaps,
                      mq.search_gates(spec, regs.search, n))
 
 
@@ -194,8 +188,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         state = hilbert.apply(state, red, ledger)
         for j, step in _read_records(state, inst, k):
             halt_ledger.append({"component": k, "pair": j, "step": step})
-        aux = cr.make_aux_oracle(base_oracle, k, inst.aux_reductions[k],
-                                 inst.aux_unreductions[k], inst.aux_swaps[k])
+        aux = cr.make_aux_oracle(base_oracle, k, inst.aux_reductions[k], inst.aux_swaps[k])
         try:
             found, state, info = mq.subspace_search(aux, inst.search, k, state, ledger)
         except SimulationError as err:
@@ -203,7 +196,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             search_failed = True
             found, info = None, {"trial_probabilities": [], "oracle_calls": 0,
                                  "max_probability": 0.0}
-        state = hilbert.apply(state, inst.unreductions[k], ledger)
+        state = hilbert.apply(state, hilbert.adjoint(red), ledger)
         if inst.pulse is None:
             hilbert.assert_registers_clean(
                 state, tuple(x for x in layout.names if x != regs.w), "component search")
@@ -357,6 +350,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             folder = os.path.dirname(path) or "."
             if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
                 raise DomainError(f"{flag} {path}: {folder} is not a writable directory")
+        if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
+            raise DomainError(f"--out and --csv name the same file: {args.out}")
     except DomainError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ Conventions:
   - Controlled applies its inner gate where the control registers hold a tuple
     in the frozenset `on`.
   - Sequence applies its gates left to right.
+  - A gate keeps its adjoint, built once by `adjoint`: adjoint(adjoint(g)) is g.
   - A permutation's fn and inv are column maps: a k x n int64 matrix of
     register columns goes in, the matrix of their images comes out.  Only
     `_evaluate` calls them, and it checks every image to lie in the domain
@@ -385,6 +386,7 @@ def assert_registers_clean(state: SparseState, names: tuple[str, ...], what: str
 class GateOp:
     label: str = "gate"
     cost_class: str = "arith"  # arith | qft | oracle-call | reflection
+    _adjoint: GateOp | None = None  # kept by `adjoint` on the gate and on its adjoint
 
     def registers(self) -> tuple[str, ...]:
         raise NotImplementedError
@@ -576,22 +578,27 @@ class GateLedger:
 
 
 def adjoint(gate: GateOp) -> GateOp:
+    """Built on the first call and kept on both gates: adjoint(adjoint(g)) is g."""
+    if gate._adjoint is not None:
+        return gate._adjoint
     if isinstance(gate, Permutation):
-        return Permutation(gate.regs, gate.inv, gate.fn, label=gate.label + "+",
-                           cost_class=gate.cost_class, tables=gate.inv_tables,
-                           inv_tables=gate.tables)
-    if isinstance(gate, PhaseFn):
-        return PhaseFn(gate.regs, {x: -a for x, a in gate.angles.items()},
-                       label=gate.label + "+", cost_class=gate.cost_class)
-    if isinstance(gate, LocalUnitary):
-        return LocalUnitary(gate.reg, gate.matrix.conj().T, label=gate.label + "+",
-                            cost_class=gate.cost_class)
-    if isinstance(gate, Controlled):
-        return Controlled(gate.controls, gate.on, adjoint(gate.inner), label=gate.label + "+")
-    if isinstance(gate, Sequence):
-        return Sequence(tuple(adjoint(g) for g in reversed(gate.gates)), label=gate.label + "+",
-                        tables=gate.inv_tables, inv_tables=gate.tables)
-    raise SimulationError(f"cannot take adjoint of {type(gate).__name__}")
+        adj = Permutation(gate.regs, gate.inv, gate.fn, gate.label + "+", gate.cost_class,
+                          tables=gate.inv_tables, inv_tables=gate.tables)
+    elif isinstance(gate, PhaseFn):
+        adj = PhaseFn(gate.regs, {x: -a for x, a in gate.angles.items()},
+                      label=gate.label + "+", cost_class=gate.cost_class)
+    elif isinstance(gate, LocalUnitary):
+        adj = LocalUnitary(gate.reg, gate.matrix.conj().T, label=gate.label + "+",
+                           cost_class=gate.cost_class)
+    elif isinstance(gate, Controlled):
+        adj = Controlled(gate.controls, gate.on, adjoint(gate.inner), label=gate.label + "+")
+    elif isinstance(gate, Sequence):
+        adj = Sequence(tuple(adjoint(g) for g in reversed(gate.gates)), label=gate.label + "+",
+                       tables=gate.inv_tables, inv_tables=gate.tables)
+    else:
+        raise SimulationError(f"cannot take adjoint of {type(gate).__name__}")
+    gate._adjoint, adj._adjoint = adj, gate
+    return adj
 
 
 def _permute_words(layout: RegisterLayout, words: np.ndarray, gate: Permutation) -> np.ndarray:

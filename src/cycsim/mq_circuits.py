@@ -125,17 +125,16 @@ def trotter_error(n: int, theta: float, m: int) -> float:
 
 
 @functools.lru_cache(maxsize=hilbert.GATE_SETS)
-def _half_rotation(n: int) -> tuple[GateOp, GateOp]:
-    """exp(-i pi/2 Q_ny) on register "q" and its adjoint, built once per n."""
-    half = u_ny_exact(n, math.pi / 4, "q")
-    return half, hilbert.adjoint(half)
+def _half_rotation(n: int) -> GateOp:
+    """exp(-i pi/2 Q_ny) on register "q", built once per n (with its adjoint)."""
+    return u_ny_exact(n, math.pi / 4, "q")
 
 
 def _run_conjugated(n: int, rotations: list[GateOp], ledger: GateLedger | None) -> SparseState:
     """exp(+i pi/2 Q_ny) . rotations . exp(-i pi/2 Q_ny) applied to the ground state."""
     state = SparseState.basis(RegisterLayout([hilbert.Register("q", 2**n)]))
-    half, half_adj = _half_rotation(n)
-    return hilbert.apply_all(state, [half, *rotations, half_adj], ledger)
+    half = _half_rotation(n)
+    return hilbert.apply_all(state, [half, *rotations, hilbert.adjoint(half)], ledger)
 
 
 def _top_weight(state: SparseState, reg: str) -> float:
@@ -189,10 +188,10 @@ def verify_solution(candidate: int, oracle_for_theta: Callable[[float], GateOp],
     register "q" for a requested angle.
     """
     conj = u_or(binary_rep(candidate, n), "q")
-    conj_adj = hilbert.adjoint(conj)
 
     def dressed(theta: float) -> GateOp:
-        return hilbert.Sequence((conj_adj, oracle_for_theta(theta), conj), label="C_t")
+        return hilbert.Sequence((hilbert.adjoint(conj), oracle_for_theta(theta), conj),
+                                label="C_t")
 
     stage1 = membership_circuit(dressed(math.pi), n, ledger)
     if stage1.verdict != "member":
@@ -207,13 +206,12 @@ class SearchGates:
     data, built once so their tables compile once.
 
     dress[x] turns the ground branch of the two-level superposition into the
-    x-th subgroup state (x < m_r), undress[x] is its inverse, and top_reset
-    returns a register found at |1...1> to 0.
+    x-th subgroup state (x < m_r), and top_reset returns a register found
+    at |1...1> to 0.
     """
 
     reg: str
     dress: tuple[tuple[GateOp, ...], ...]
-    undress: tuple[tuple[GateOp, ...], ...]
     top_reset: GateOp
 
 
@@ -231,11 +229,8 @@ def search_gates(spec: CyclicGroupSpec, reg: str, n: int) -> SearchGates:
         raise SimulationError("ground/highest state collides with the subgroup space")
     half = u_ny_exact(n, math.pi / 4, reg)
     f1 = gates.transposition(0, 1, reg)          # fixes the top state
-    half_adj, f1_adj = hilbert.adjoint(half), hilbert.adjoint(f1)
     shifts = [gates.cyclic_shift(spec.p, h_r, reg, power=x) for x in range(m_r)]
-    return SearchGates(reg,
-                       tuple((half, f1, shift) for shift in shifts),
-                       tuple((hilbert.adjoint(shift), f1_adj, half_adj) for shift in shifts),
+    return SearchGates(reg, tuple((half, f1, shift) for shift in shifts),
                        gates.transposition(0, N - 1, reg))
 
 
@@ -245,7 +240,8 @@ def trial_circuit_prob(state: SparseState, search: SearchGates, x: int, aux_orac
     becomes the x-th subgroup state, call the auxiliary oracle once, undress, and
     read the |1...1> probability.  Returns the probability and the post-trial state.
     """
-    state = hilbert.apply_all(state, (*search.dress[x], aux_oracle, *search.undress[x]), ledger)
+    undress = map(hilbert.adjoint, reversed(search.dress[x]))
+    state = hilbert.apply_all(state, (*search.dress[x], aux_oracle, *undress), ledger)
     return _top_weight(state, search.reg), state
 
 

@@ -144,8 +144,7 @@ def test_aux_oracle_selective_on_hidden_component(k, s_k):
     spec, layout, regs, base = _aux_env(13, hidden_s=7)
     red = cr.reduction_gate(spec, regs, k)
     st = apply(SparseState.basis(layout, {regs.w: pow(2, 7, 13)}), red)
-    aux = cr.make_aux_oracle(base, k, red, adjoint(red),
-                             gates.swap_regs(regs.search, regs.comps[k]))
+    aux = cr.make_aux_oracle(base, k, red, gates.swap_regs(regs.search, regs.comps[k]))
     h_r = spec.subgroup_generators[-1]
     led = hilbert.GateLedger()
     for x in range(spec.largest_order):
@@ -164,8 +163,7 @@ def test_aux_oracle_single_call_per_application():
     spec, layout, regs, base = _aux_env(13, hidden_s=7)
     red = cr.reduction_gate(spec, regs, 1)
     st = apply(SparseState.basis(layout, {regs.w: 11}), red)
-    aux = cr.make_aux_oracle(base, 1, red, adjoint(red),
-                             gates.swap_regs(regs.search, regs.comps[1]))
+    aux = cr.make_aux_oracle(base, 1, red, gates.swap_regs(regs.search, regs.comps[1]))
     led = hilbert.GateLedger()
     apply(st, aux, led)
     assert led.count("oracle-call") == 1

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import cycsim
 from cycsim import crt_reduction, dlog_pipeline, driver, halting_program, hilbert
 from cycsim.driver import ExperimentConfig, cli_main, run_experiment, run_sweep
-from cycsim.hilbert import Permutation, SparseState
+from cycsim.hilbert import LocalUnitary, Permutation, Sequence, SparseState
 from cycsim.numtheory import DomainError, classical_dlog, is_prime, make_group_spec
 
 
@@ -166,10 +167,13 @@ def test_cli_single_run(tmp_path):
      "--csv /nonexistent/x.csv: /nonexistent is not a writable directory"),
     (["--p", "13", "--hidden-s", "7", "--out", "/nonexistent/r.json"],
      "--out /nonexistent/r.json: /nonexistent is not a writable directory"),
+    (["--p", "7", "--csv", "same.csv", "--out", "./same.csv"],
+     "--out and --csv name the same file: ./same.csv"),
 ], ids=["nonprime", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
         "grover-m-negative", "grover-m-without-grover-mode", "theta-one", "theta-zero",
         "hidden-s-with-hidden-random", "hidden-s-with-csv", "hidden-random-with-csv",
-        "gamma-nan", "gamma-inf", "csv-dir-missing", "out-dir-missing"])
+        "gamma-nan", "gamma-inf", "csv-dir-missing", "out-dir-missing",
+        "out-is-csv"])
 def test_cli_rejects_bad_config(argv, fragment, capsys):
     assert cli_main(argv) == 2
     assert fragment in capsys.readouterr().err
@@ -314,22 +318,52 @@ def test_the_demo_compiles_no_table_that_depends_on_the_hidden_index(
 
 
 def test_warm_run_builds_no_reduction_adjoint(monkeypatch):
-    # the inverse reductions belong to the instance, so their compiled tables
-    # and chain memos outlive a run
-    from cycsim import crt_reduction, hilbert
-
+    # the inverse reductions are kept by the instance's reductions, so their
+    # compiled tables and chain memos outlive a run; a warm run's adjoint of
+    # a reduction is a lookup and builds no Sequence
     built = []
-    adjoint = hilbert.adjoint
+    init = Sequence.__init__
 
-    def spy(gate):
-        built.append(gate.label)
-        return adjoint(gate)
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.label)
 
     run_experiment(ExperimentConfig(p=13, hidden_s=5, run_demo=False))
-    for module in (hilbert, crt_reduction):
-        monkeypatch.setattr(module, "adjoint", spy)
+    monkeypatch.setattr(Sequence, "__init__", spy)
     run_experiment(ExperimentConfig(p=13, hidden_s=8, run_demo=False))
+    assert {"AUX_ORACLE_0", "AUX_ORACLE_1"} <= set(built)  # the spy sees a run's builds
     assert not [label for label in built if label.startswith("REDUCE_")]
+
+
+@pytest.mark.parametrize("config,most_local,tables", [
+    (ExperimentConfig(p=29, hidden_s=0), 8, 58),
+    (ExperimentConfig(p=29, hidden_s=0, epsilon=0.1, gamma=0.3, run_demo=False), 12, 91),
+    (ExperimentConfig(p=43, hidden_s=0, run_demo=False), 4, 119),
+], ids=["demo-p29", "pulse-p29", "search-p43"])
+def test_a_cold_run_builds_each_adjoint_once(config, most_local, tables, cleared_gate_caches,
+                                             monkeypatch):
+    # a gate keeps its adjoint, so a reflection's prep+ and a leaky
+    # reduction's inverse build one LocalUnitary per distinct gate, while
+    # the adjoints still read their gates' compiled tables
+    counts = Counter()
+    post_init, table_for = LocalUnitary.__post_init__, Permutation.table_for
+
+    def built(self):
+        counts["local"] += 1
+        post_init(self)
+
+    def compiled(self, dims):
+        fresh = dims not in self.tables
+        table = table_for(self, dims)
+        counts["tables"] += fresh and table is not None
+        return table
+
+    monkeypatch.setattr(LocalUnitary, "__post_init__", built)
+    monkeypatch.setattr(Permutation, "table_for", compiled)
+    cleared_gate_caches()
+    run_experiment(config)
+    assert counts["local"] <= most_local
+    assert counts["tables"] == tables
 
 
 def test_python_dash_m_runs_the_cli():

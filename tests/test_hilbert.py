@@ -77,6 +77,40 @@ def test_adjoint_roundtrip_every_gate():
         assert fidelity(back, st) > 1 - 1e-10, gate.label
 
 
+def test_a_gate_keeps_its_adjoint():
+    inc = on_tuples(("a",), lambda v: ((v[0] + 1) % 4,), lambda v: ((v[0] - 1) % 4,),
+                    label="inc")
+    kinds = [
+        inc,
+        PhaseFn(("a", "c"), {(1, 2): 0.4, (3, 0): -1.1}, label="pair_phase"),
+        LocalUnitary("b", np.array([[1, 1], [1, -1]]) / math.sqrt(2), label="H"),
+        Controlled(("b",), frozenset({(1,)}), gates.transposition(0, 3, "a"), label="c_t"),
+        Sequence((Sequence((gates.qft(4, "a"), gates.add_mod(4, "a", "c")), label="in"),
+                  gates.selective_phase({2: 0.7}, "a")), label="nested"),
+    ]
+    for gate in kinds:
+        adj = adjoint(gate)
+        assert adjoint(gate) is adj, gate.label
+        assert adjoint(adj) is gate, gate.label
+
+
+def test_a_repeated_gate_has_one_adjoint():
+    h = LocalUnitary("b", np.array([[1, 1], [1, -1]]) / math.sqrt(2), label="H")
+    first, _, last = adjoint(Sequence((h, gates.qft(4, "a"), h))).gates
+    assert first is last is adjoint(h)
+
+
+def test_a_chain_and_its_adjoint_share_their_memos():
+    layout, chain = chain_layout(), perm_chain()
+    st = chain_state(layout, random.Random(3))
+    out = apply(st, chain)
+    adj = adjoint(chain)
+    assert adj.tables is chain.inv_tables and adj.inv_tables is chain.tables
+    # the adjoint of the adjoint is the chain itself, with its memo and steps
+    assert adjoint(adj) is chain
+    assert apply(out, adj).entries == st.entries
+
+
 def test_identity_and_swap_examples():
     layout = small_layout()
     st = SparseState.basis(layout, {"a": 0})
