@@ -279,7 +279,11 @@ def _atomic_write(path: str, data: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(data)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
 
 
 _CSV_FIELDS = ("p", "hidden_s", "recovered_s", "success", "oracle_calls_total",
@@ -350,6 +354,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             folder = os.path.dirname(path) or "."
             if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
                 raise DomainError(f"{flag} {path}: {folder} is not a writable directory")
+            if os.path.isdir(path):
+                raise DomainError(f"{flag} {path}: is a directory")
         if args.out and args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
             raise DomainError(f"--out and --csv name the same file: {args.out}")
     except DomainError as err:

@@ -37,14 +37,14 @@ Conventions:
     codes, ROW_BLOCK rows at a time.
   - A Sequence whose leaves are all permutations (Controlled permutations
     count) is one permutation of its registers, memoized per dims signature
-    in two dicts, {code: image} and {image: code}, which its adjoint reads
-    swapped.  A code they lack is decoded once into integer digits, which
-    walk steps built once per dims signature: a permutation reads its
-    compiled table (above the check limit, `_evaluate`s the walked codes),
-    a control tests its digits.  A new image that repeats or is already
-    held is refused before any is recorded.  Chains meet at most 2 rows
-    per call in the pipeline's runs, so the dicts stay small.  Where its
-    registers' product dimension reaches CODE_LIMIT it walks its gates.
+    in two dicts, {digits: image digits} and back, keyed by tuples of the
+    registers' values, so at any width; its adjoint reads them swapped.  A
+    row they lack walks its digits through steps built once per dims
+    signature: a permutation reads its compiled table (above the check
+    limit, `_evaluate`s the walked codes; a leaf too wide for a flat code is
+    refused), a control tests its digits.  A new image that repeats or is
+    already held is refused before any is recorded.  Chains meet at most 2
+    rows per call in the pipeline's runs, so the dicts stay small.
   - Norm is checked after every gate application that returns new amplitudes
     (tolerance NORM_TOL); a gate that only moves rows hands back the input's
     frozen amplitude array itself.  Only a local unitary recombines amplitudes,
@@ -121,7 +121,7 @@ class _Run(NamedTuple):
 
 class _Code(NamedTuple):
     """Where k registers lie in the words.  Their flat code (row-major in the
-    given order, as compiled tables and chain memos key it) is digits @ weights,
+    given order, as compiled tables key it) is digits @ weights,
     with digits = words[:, cols] // strides % spans; a change of digits times
     `scatter` (k x W, strides[j] in column cols[j]) is the change of the words."""
     dims: tuple[int, ...]
@@ -387,6 +387,7 @@ class GateOp:
     label: str = "gate"
     cost_class: str = "arith"  # arith | qft | oracle-call | reflection
     _adjoint: GateOp | None = None  # kept by `adjoint` on the gate and on its adjoint
+    permutes = False  # True for a gate that only permutes basis tuples
 
     def registers(self) -> tuple[str, ...]:
         raise NotImplementedError
@@ -406,6 +407,7 @@ class Permutation(GateOp):
     cost_class: str = "arith"
     tables: dict = field(default_factory=dict, repr=False)
     inv_tables: dict = field(default_factory=dict, repr=False)
+    permutes = True
 
     def registers(self) -> tuple[str, ...]:
         return self.regs
@@ -505,6 +507,10 @@ class Controlled(GateOp):
     def cost_class(self) -> str:
         return self.inner.cost_class
 
+    @property
+    def permutes(self) -> bool:
+        return self.inner.permutes
+
     def registers(self) -> tuple[str, ...]:
         return self.controls + tuple(self.inner.registers())
 
@@ -512,10 +518,10 @@ class Controlled(GateOp):
 @dataclass
 class Sequence(GateOp):
     """Gates applied left to right.  When every leaf permutes basis tuples,
-    the whole is applied as one map, memoized per dims signature of its
-    registers (in name order) in two dicts, {code: image} in `tables` and
-    {image: code} in `inv_tables`, which the adjoint reads swapped; a new
-    code walks the leaves as digits through `steps`, per dims signature."""
+    the whole is one map, memoized per dims signature of its registers (in
+    name order) in two dicts keyed by tuples of their values, {digits: image}
+    in `tables` and {image: digits} in `inv_tables`, which the adjoint reads
+    swapped; a new row walks the leaves as digits through `steps`."""
 
     gates: tuple[GateOp, ...]
     label: str = "seq"
@@ -535,7 +541,7 @@ class Sequence(GateOp):
     @cached_property
     def permutes(self) -> bool:
         # a nested sequence answers from its own cached flag
-        return all(_permutes(g) for g in self.gates)
+        return all(g.permutes for g in self.gates)
 
     @cached_property
     def code_registers(self) -> tuple[str, ...]:
@@ -545,16 +551,6 @@ class Sequence(GateOp):
     @cached_property
     def class_counts(self) -> Counter:
         return Counter(leaf.cost_class for leaf in self.leaves)
-
-
-def _permutes(gate: GateOp) -> bool:
-    """True for a gate that only permutes basis tuples: a Permutation, a
-    Controlled one, or a Sequence of such."""
-    if isinstance(gate, Permutation):
-        return True
-    if isinstance(gate, Controlled):
-        return _permutes(gate.inner)
-    return isinstance(gate, Sequence) and gate.permutes
 
 
 class GateLedger:
@@ -661,28 +657,23 @@ def _evaluate(gate: Permutation, dims: tuple[int, ...], codes: np.ndarray,
 
 def _map_chain(layout: RegisterLayout, words: np.ndarray, gate: Sequence) -> np.ndarray:
     code = layout.code(gate.code_registers)
-    if code.weights is None:
-        # too wide for one flat code: walk the gates, whose own chains may fuse
-        for g in gate.gates:
-            words = _map_words(layout, words, g)
-        return words
-    codes, digits = _encode(words, code)
+    digits = _digits(words, code)
     memo = gate.tables.get(code.dims, {})
-    keys = codes.tolist()
-    fresh = list(dict.fromkeys(c for c in keys if c not in memo))
+    keys = list(map(tuple, digits.tolist()))
+    fresh = list(dict.fromkeys(k for k in keys if k not in memo))
     if fresh:
         steps = gate.steps.get(code.dims) or gate.steps.setdefault(code.dims, [
             _chain_step(layout, leaf, gate.code_registers.index) for leaf in gate.leaves])
-        weights = code.weights.tolist()
-        rows = [[c // w % d for w, d in zip(weights, code.dims)] for c in fresh]
+        rows = list(map(list, fresh))
         _walk(steps, rows)
-        images = [sum(x * w for x, w in zip(row, weights)) for row in rows]
+        images = list(map(tuple, rows))
         held = gate.inv_tables.get(code.dims, {})
         if len(set(images)) < len(images) or not held.keys().isdisjoint(images):
             raise SimulationError(f"{gate.label}: not injective on the support")
         gate.tables.setdefault(code.dims, memo).update(zip(fresh, images))
         gate.inv_tables.setdefault(code.dims, held).update(zip(images, fresh))
-    return _recode(words, code, codes, digits, np.array([memo[c] for c in keys], dtype=np.int64))
+    images = np.array([memo[k] for k in keys], dtype=np.int64).reshape(digits.shape)
+    return words + (images - digits) @ code.scatter
 
 
 def _chain_step(layout: RegisterLayout, leaf: GateOp, digit: Callable[[str], int]) -> tuple:
@@ -692,8 +683,10 @@ def _chain_step(layout: RegisterLayout, leaf: GateOp, digit: Callable[[str], int
         inner = leaf.inner.leaves if isinstance(leaf.inner, Sequence) else (leaf.inner,)
         layout.code(leaf.controls)  # refuses a register named twice
         return tuple(map(digit, leaf.controls)), leaf.on, [_chain_step(layout, g, digit) for g in inner]
-    dims = layout.code(leaf.regs).dims
-    return leaf, dims, tuple(zip(map(digit, leaf.regs), _strides(dims), dims))
+    code = layout.code(leaf.regs)
+    if code.weights is None:  # its walked codes would pass int64
+        raise SimulationError(f"{leaf.label}: domain {code.dims} too large for a flat code")
+    return leaf, code.dims, tuple(zip(map(digit, leaf.regs), _strides(code.dims), code.dims))
 
 
 def _walk(steps: list, rows: list[list[int]]) -> None:
@@ -719,20 +712,6 @@ def _walk(steps: list, rows: list[list[int]]) -> None:
             image = image_of(code)
             for i, s, d in places:
                 row[i] = image // s % d
-
-
-def _map_words(layout: RegisterLayout, words: np.ndarray, gate: GateOp) -> np.ndarray:
-    """The rows' images, row for row, under a gate that only permutes basis tuples."""
-    if isinstance(gate, Permutation):
-        return _permute_words(layout, words, gate)
-    if isinstance(gate, Controlled):
-        hot = _match(layout, words, gate.controls, list(gate.on)) >= 0
-        if not hot.any():
-            return words
-        new = words.copy()
-        new[hot] = _map_words(layout, words[hot], gate.inner)
-        return new
-    return _map_chain(layout, words, gate)
 
 
 def _sort_groups(rows: np.ndarray, bound: int = 1 << 63) -> tuple[np.ndarray, ...]:
@@ -945,23 +924,9 @@ def _apply_pair(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
     return _kept_cells(base, *_product(layout, bucket, second.matrix), pb)
 
 
-def _apply_controlled(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
-                      gate: Controlled) -> tuple[np.ndarray, np.ndarray]:
-    mask = _match(layout, words, gate.controls, list(gate.on)) >= 0
-    if not mask.any():
-        return words, amps
-    # the inner gate cannot touch control registers, so hot and cold stay disjoint
-    hw, ha = _apply_arrays(layout, words[mask], amps[mask], gate.inner, None)
-    return np.concatenate([words[~mask], hw]), np.concatenate([amps[~mask], ha])
-
-
 def _apply_arrays(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
                   gate: GateOp, ledger: GateLedger | None) -> tuple[np.ndarray, np.ndarray]:
-    if _permutes(gate):
-        if ledger is not None:
-            ledger.record(gate)
-        return _map_words(layout, words, gate), amps
-    if isinstance(gate, Sequence):
+    if isinstance(gate, Sequence) and not gate.permutes:
         i = 0
         while i < len(gate.gates):
             pair = gate.gates[i:i + 2]
@@ -978,12 +943,25 @@ def _apply_arrays(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
         return words, amps
     if ledger is not None:
         ledger.record(gate)
+    if isinstance(gate, Permutation):
+        return _permute_words(layout, words, gate), amps
+    if isinstance(gate, Sequence):
+        return _map_chain(layout, words, gate), amps
     if isinstance(gate, PhaseFn):
         return _apply_phase(layout, words, amps, gate)
     if isinstance(gate, LocalUnitary):
         return _apply_local(layout, words, amps, gate)
     if isinstance(gate, Controlled):
-        return _apply_controlled(layout, words, amps, gate)
+        hot = _match(layout, words, gate.controls, list(gate.on)) >= 0
+        if not hot.any():
+            return words, amps
+        # the inner gate cannot touch control registers, so hot and cold stay disjoint
+        hw, ha = _apply_arrays(layout, words[hot], amps[hot], gate.inner, None)
+        if gate.permutes:  # rows only move: each image takes its source's place
+            new = words.copy()
+            new[hot] = hw
+            return new, amps
+        return np.concatenate([words[~hot], hw]), np.concatenate([amps[~hot], ha])
     raise SimulationError(f"unknown gate type {type(gate).__name__}")
 
 

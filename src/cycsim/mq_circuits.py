@@ -172,7 +172,8 @@ def u_or(rep, reg: str) -> GateOp:
     By definition this is the product of pi x-rotations exp(i pi I_kx) on the
     bits set in the rep, each i times the flip of bit k: i**popcount times
     the permutation.  The global phase cancels in every conjugation
-    U_OR+ . C . U_OR, so the gate is the permutation alone.
+    U_OR+ . C . U_OR, so the gate is the permutation alone, which is its own
+    inverse: U_OR . C . U_OR is the same conjugation.
     """
     SpinConventions(rep.n)  # validates the qubit count
     mask, levels = rep_value(rep), range(2**rep.n)
@@ -190,8 +191,8 @@ def verify_solution(candidate: int, oracle_for_theta: Callable[[float], GateOp],
     conj = u_or(binary_rep(candidate, n), "q")
 
     def dressed(theta: float) -> GateOp:
-        return hilbert.Sequence((hilbert.adjoint(conj), oracle_for_theta(theta), conj),
-                                label="C_t")
+        # conj is an involution, so it dresses both sides and no adjoint is kept
+        return hilbert.Sequence((conj, oracle_for_theta(theta), conj), label="C_t")
 
     stage1 = membership_circuit(dressed(math.pi), n, ledger)
     if stage1.verdict != "member":

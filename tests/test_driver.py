@@ -169,14 +169,21 @@ def test_cli_single_run(tmp_path):
      "--out /nonexistent/r.json: /nonexistent is not a writable directory"),
     (["--p", "7", "--csv", "same.csv", "--out", "./same.csv"],
      "--out and --csv name the same file: ./same.csv"),
+    (["--p", "5", "--hidden-s", "1", "--no-demo", "--out", "dir"], "--out dir: is a directory"),
+    (["--p", "5", "--no-demo", "--csv", "dir/"], "--csv dir/: is a directory"),
 ], ids=["nonprime", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
         "grover-m-negative", "grover-m-without-grover-mode", "theta-one", "theta-zero",
         "hidden-s-with-hidden-random", "hidden-s-with-csv", "hidden-random-with-csv",
         "gamma-nan", "gamma-inf", "csv-dir-missing", "out-dir-missing",
-        "out-is-csv"])
-def test_cli_rejects_bad_config(argv, fragment, capsys):
+        "out-is-csv", "out-is-a-directory", "csv-is-a-directory"])
+def test_cli_rejects_bad_config(argv, fragment, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    monkeypatch.setattr(driver, "run_experiment", lambda config: pytest.fail("run started"))
     assert cli_main(argv) == 2
     assert fragment in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["dir"] and not any(
+        (tmp_path / "dir").iterdir())
 
 
 def test_cli_refuses_a_prime_too_wide_for_the_verification_register(monkeypatch, capsys):
@@ -227,6 +234,14 @@ def test_atomic_write_replaces(tmp_path):
     assert not os.path.exists(str(target) + ".tmp")
 
 
+def test_atomic_write_removes_its_temp_file_when_the_replace_fails(tmp_path):
+    target = tmp_path / "dir"
+    target.mkdir()
+    with pytest.raises(OSError):
+        driver._atomic_write(str(target), "new")
+    assert [path.name for path in tmp_path.iterdir()] == ["dir"]
+
+
 def test_trotter_section():
     rep = run_experiment(ExperimentConfig(p=5, hidden_s=1, trotter_m=8, run_demo=False))
     assert [row["n"] for row in rep.trotter] == [2, 3, 4]
@@ -252,8 +267,8 @@ def test_warm_run_compiles_no_reduction_tables(monkeypatch):
     compiled.clear()
     run_experiment(ExperimentConfig(p=13, hidden_s=8, run_demo=False))
     # only the per-run gates of the instance value b = 2**8 mod 13 = 9 are new:
-    # its load, and the verification's relabeling by b (first met as the adjoint)
-    assert compiled == ["X_0_9", "U_OR+"]
+    # its load, and the verification's relabeling by b
+    assert compiled == ["X_0_9", "U_OR"]
 
 
 def _tables_of_two_cold_runs(clear, monkeypatch, run_demo):
@@ -303,7 +318,7 @@ def test_only_the_verification_relabeling_tables_depend_on_the_hidden_index(
     (first, second), _ = _tables_of_two_cold_runs(cleared_gate_caches, monkeypatch, False)
     shared = first.keys() & second.keys()
     assert {"HALT_1", "U_r", "SWAP", "LIFT_3_4"} <= {label for label, _ in shared}
-    assert _tables_that_differ(first, second) == {"U_OR+"}
+    assert _tables_that_differ(first, second) == {"U_OR"}
 
 
 def test_the_demo_compiles_no_table_that_depends_on_the_hidden_index(
@@ -314,7 +329,7 @@ def test_the_demo_compiles_no_table_that_depends_on_the_hidden_index(
     assert first.keys() == second.keys()
     assert {"UF_2_13", "MUL3_12", "POW_3_12"} <= {label for label, _ in first}
     assert _tables_that_differ(first, second) == set()
-    assert _tables_that_differ(*search) == {"U_OR+"}
+    assert _tables_that_differ(*search) == {"U_OR"}
 
 
 def test_warm_run_builds_no_reduction_adjoint(monkeypatch):

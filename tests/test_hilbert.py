@@ -975,31 +975,84 @@ def test_sequence_permutes_agrees_with_its_leaves(monkeypatch):
     verdicts = set()
     for seq in seqs.values():
         verdicts.add(seq.permutes)
-        assert seq.permutes == all(hilbert._permutes(leaf) for leaf in seq.leaves), seq.label
+        assert seq.permutes == all(leaf.permutes for leaf in seq.leaves), seq.label
     assert verdicts == {True, False}
 
 
-def test_chain_past_the_code_limit_walks_its_gates():
-    layout = RegisterLayout([Register("a", 4), Register("b", 2),
-                             Register("c", 5), Register("big", BIG),
-                             Register("h", 1 << 40), Register("k", 1 << 30)])
+def wide_layout():
+    # "h" and "k" fill a word of their own, so the registers' product passes CODE_LIMIT
+    return RegisterLayout([Register("a", 4), Register("b", 2),
+                           Register("c", 5), Register("big", BIG),
+                           Register("h", 1 << 40), Register("k", 1 << 30)])
+
+
+def test_chain_past_the_code_limit_keeps_its_own_memo():
+    layout = wide_layout()
     far = on_tuples(("h",), lambda v: ((v[0] + 7) % (1 << 40),),
                     lambda v: ((v[0] - 7) % (1 << 40),), label="far")
     chain = Sequence((perm_chain(), far, Controlled(("b",), frozenset({(0,)}), _step(1)),
                       gates.set_const(1, "k", 1 << 30)), label="wide")
     assert chain.permutes and layout.width == 3
+    assert math.prod(layout.dim(r) for r in chain.code_registers) >= CODE_LIMIT
     rng = random.Random(43)
     for _ in range(10):
         rows = {(rng.randrange(4), rng.randrange(2), rng.randrange(5), rng.randrange(BIG),
                  rng.randrange(1 << 40), rng.randrange(3)) for _ in range(8)}
         st = SparseState(layout, {k: 1 / math.sqrt(len(rows)) for k in rows})
         led, ref_led = GateLedger(), GateLedger()
-        assert apply(st, chain, led).entries == apply_all(st, chain.leaves, ref_led).entries
+        out = apply(st, chain, led)
+        assert out.entries == apply_all(st, chain.leaves, ref_led).entries
         assert led.counts_by_class() == ref_led.counts_by_class()
-    # too wide for one code, but the nested chain still fuses on its own
-    assert chain.tables == {} and list(chain.gates[0].tables) == [(4, 2, BIG, 5)]
+        assert apply(out, adjoint(chain)).entries == st.entries
+    # too wide for one flat code, but keyed by digits the whole chain is one
+    # memo, so the nested chain never runs on its own
+    (dims,) = chain.tables
+    assert dims == (4, 2, BIG, 5, 1 << 40, 1 << 30) and chain.gates[0].tables == {}
+    assert {v: k for k, v in chain.tables[dims].items()} == chain.inv_tables[dims]
     with pytest.raises(SimulationError, match="too large"):
         apply(st, on_tuples(("h", "k"), lambda v: v, lambda v: v, label="wide_perm"))
+
+
+def test_chain_refuses_a_leaf_too_wide_for_a_flat_code():
+    # at the top of h and k the leaf's walked code would pass int64, so the
+    # chain refuses the leaf as the leaf alone is refused, before any walk
+    layout = wide_layout()
+    wide = on_tuples(("h", "k"), lambda v: v, lambda v: v, label="wide_perm")
+    chain = Sequence((_step(1), wide), label="wide_chain")
+    st = SparseState.basis(layout, {"h": (1 << 40) - 1, "k": (1 << 30) - 1})
+    for gate in (wide, chain):
+        with pytest.raises(SimulationError,
+                           match=r"^wide_perm: domain \(1099511627776, 1073741824\) too large"):
+            apply(st, gate)
+    assert chain.tables == {} and chain.inv_tables == {} and chain.steps == {}
+
+
+def test_a_two_word_chain_walks_a_row_once(monkeypatch):
+    layout, chain, make = next(case.values for case in _walk_cases() if case.id == "two-words")
+    walks = []
+    walk = hilbert._walk
+    monkeypatch.setattr(hilbert, "_walk", lambda steps, rows: walks.append(len(rows))
+                        or walk(steps, rows))
+    st = make(random.Random(5))
+    out = apply(st, chain)
+    assert layout.width == 2 and walks
+    (memo,) = chain.tables.values()
+    assert list(memo) == [tuple(layout.unpack(st.words)[0, [0, 1, 3, 4]].tolist())]
+    count = len(walks)
+    assert apply(st, chain).entries == out.entries and len(walks) == count
+
+
+def test_a_controlled_permutation_moves_its_hot_rows_in_place():
+    layout = small_layout()
+    st = random_state(layout, random.Random(7), support=10)
+    gate = Controlled(("b",), frozenset({(1,)}), _inc("a", 4), label="c_inc")
+    hot = st.column("b") == 1
+    assert hot.any() and not hot.all()
+    out = apply(st, gate)
+    assert out.amps is st.amps
+    assert (out.words[~hot] == st.words[~hot]).all()
+    assert (out.column("a")[hot] == (st.column("a")[hot] + 1) % 4).all()
+    assert out.entries == _ref_gate(layout, st.entries, gate)
 
 
 def test_rowwise_gate_calls_fn_and_inv_on_every_row_of_every_application():
@@ -1065,14 +1118,14 @@ def test_rowwise_permutation_refuses_a_broken_inverse():
 
 
 def test_chain_memo_refuses_a_walk_onto_a_held_image():
-    # a memo that already sends code 5 to 18, where the walk from 10 lands
-    # (+3, then +5): the new image is checked before any entry goes in
+    # a memo that already sends digits (5,) to (18,), where the walk from 10
+    # lands (+3, then +5): the new image is checked before any entry goes in
     layout = chain_layout()
     chain = Sequence((_step(3), _step(5)), label="pair")
-    chain.tables[(BIG,)], chain.inv_tables[(BIG,)] = {5: 18}, {18: 5}
+    chain.tables[(BIG,)], chain.inv_tables[(BIG,)] = {(5,): (18,)}, {(18,): (5,)}
     with pytest.raises(SimulationError, match="^pair: not injective"):
         apply(SparseState.basis(layout, {"big": 10}), chain)
-    assert chain.tables == {(BIG,): {5: 18}} and chain.inv_tables == {(BIG,): {18: 5}}
+    assert chain.tables == {(BIG,): {(5,): (18,)}} and chain.inv_tables == {(BIG,): {(18,): (5,)}}
     # the adjoint reads the same dicts swapped
     assert adjoint(chain).tables[(BIG,)] is chain.inv_tables[(BIG,)]
 

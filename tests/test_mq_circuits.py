@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -260,6 +261,25 @@ def test_verify_solution_examples():
     assert mq.verify_solution(5, orc, n) is False
     for r in range(N):
         assert mq.verify_solution(r, orc, n) is (r == s)
+
+
+def test_a_warm_verification_leaves_no_reference_cycle():
+    # U_OR is its own inverse and dresses both sides, so the call keeps no
+    # gate and adjoint pair, and reference counting frees every gate it builds
+    n, s = 6, 43
+
+    def orc(theta):
+        return gates.selective_phase({s: theta}, "q", label="oracle",
+                                     cost_class="oracle-call")
+
+    assert mq.verify_solution(s, orc, n) is True  # builds the half rotation
+    gc.collect()
+    gc.disable()
+    try:
+        assert mq.verify_solution(s, orc, n) is True
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verify_solution_builds_the_half_rotation_once_per_qubit_count(monkeypatch):

@@ -176,6 +176,21 @@ def test_only_the_evaluator_calls_a_permutation_map():
     assert readers == {("hilbert._evaluate", True), ("hilbert.adjoint", False)}
 
 
+def _controlled_tests(path):
+    """Qualified names of the functions in `path` that ask isinstance(..., Controlled)."""
+    return {scope for scope, node, _ in _scoped_nodes(path) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and "Controlled" in _names(node.args[1])}
+
+
+def test_only_the_dispatcher_applies_a_controlled_gate():
+    # every gate kind is applied in one place, hilbert._apply_arrays; only
+    # the chain's step builder and the adjoint also look inside a control
+    src = Path(cycsim.__file__).parent
+    askers = set().union(*(_controlled_tests(path) for path in src.glob("*.py")))
+    assert askers == {"hilbert._apply_arrays", "hilbert._chain_step", "hilbert.adjoint"}
+
+
 # the kernel's digit reads: numpy's remainder by a scalar costs several
 # times a shift, a mask or a floor division, so these bodies use none
 DIGIT_READERS = ("_run_value", "_digit", "_apply_local", "_kept_cells", "_apply_pair",
