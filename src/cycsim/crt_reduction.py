@@ -4,7 +4,7 @@ a group state into a tensor product of subgroup components, the lifts of
 components into the largest subgroup subspace, the stripping sequence that
 runs the halting program on pairs of components, the reduction gate that
 chains these three, and the auxiliary per-subspace oracle that conjugates the
-base oracle with it.
+base oracle with a chain that ends in the reduction's inverse.
 
 Everything here is a permutation sequence built from the public group data, so
 the transformations act linearly on superpositions and never read the hidden
@@ -116,17 +116,16 @@ def reduction_gate(spec: CyclicGroupSpec, regs: SearchRegs, keep: int,
     return Sequence(tuple(seq), label=f"REDUCE_{keep}")
 
 
-def make_aux_oracle(base_oracle: GateOp, k: int, red: GateOp, swap: GateOp) -> GateOp:
+def make_aux_oracle(base_oracle: GateOp, k: int, entry: GateOp) -> GateOp:
     """Selective rotation of the k-th subgroup component on the search register,
-    realized with a single call of the base oracle.
+    realized with a single call of the base oracle: `entry`, the oracle, then
+    the adjoint of `entry`, which the entry keeps (and with it its memos).
 
-    `red` is the forward reduction that keeps component k in its component
-    register (the gate keeps its adjoint, so the two share their tables
-    across runs), and `swap` exchanges that register with the search
-    register.  The trial value is swapped in; the inverse reduction consumes
-    the live halting records and reassembles the original group state exactly
-    when the trial equals the hidden component, at which point the base
-    oracle fires; the forward reduction then restores the pipeline registers.
+    `entry` ends by swapping the search register with component k's register
+    and undoing the reduction that keeps component k: Sequence((swap,
+    adjoint(red))) alone, or with a search trial's dressing in front (the
+    driver's `_Instance.entries`).  The inverse reduction consumes the live
+    halting records and reassembles the original group state exactly when the
+    trial equals the hidden component, at which point the base oracle fires.
     """
-    return Sequence((swap, adjoint(red), base_oracle, red, swap),
-                    label=f"AUX_ORACLE_{k}")
+    return Sequence((entry, base_oracle, adjoint(entry)), label=f"AUX_ORACLE_{k}")

@@ -28,7 +28,7 @@ from . import gates
 from . import halting_program as hp
 from . import hilbert
 from . import mq_circuits as mq
-from .hilbert import GateLedger, RegisterLayout, SimulationError, SparseState
+from .hilbert import GateLedger, RegisterLayout, Sequence, SimulationError, SparseState
 from .numtheory import (CyclicGroupSpec, DomainError, classical_dlog, crt_compose,
                         is_prime, make_group_spec, multiplicative_order)
 from .oracle import OracleSpec, make_oracle, make_subspace_oracle
@@ -103,7 +103,10 @@ class ExperimentReport:
 
 @dataclass
 class _Instance:
-    """Everything derived from (p, g, epsilon, gamma) that is shareable across runs."""
+    """Everything derived from (p, g, epsilon, gamma) that is shareable across runs.
+    entries[k][x], trial x's chain into component k's auxiliary oracle, is
+    (f1, shift_x, the component's one swap, its oracle-side reduction's
+    adjoint): built once, so its memo outlives every run."""
 
     spec: CyclicGroupSpec
     layout: RegisterLayout
@@ -111,9 +114,8 @@ class _Instance:
     n: int
     pulse: hp.PulseModel | None
     reductions: list  # per component: the forward reduction gate
-    aux_reductions: list  # per component: the reduction inside the aux oracle
-    aux_swaps: list  # per component: the search/component swap inside the aux oracle
     search: mq.SearchGates  # the component search's gates on the search register
+    entries: tuple  # per component, per trial x: the chain into the aux oracle
 
 
 @functools.lru_cache(maxsize=hilbert.GATE_SETS)
@@ -130,19 +132,20 @@ def _instance(p: int, g: int | None, epsilon: float, gamma: float) -> _Instance:
     if pulse is not None:
         # the locking phase depends on when the pulse fires, so the oracle-side
         # stripping carries a drifted phase and does not coherently undo the leak
-        aux_reductions = reductions_for(
-            hp.PulseModel(epsilon, gamma + math.pi / 3))
-    aux_swaps = [gates.swap_regs(regs.search, comp) for comp in regs.comps]
+        aux_reductions = reductions_for(hp.PulseModel(epsilon, gamma + math.pi / 3))
     n = spec.p.bit_length()
-    return _Instance(spec, layout, regs, n, pulse, reductions, aux_reductions, aux_swaps,
-                     mq.search_gates(spec, regs.search, n))
+    search = mq.search_gates(spec, regs.search, n)
+    tails = [(gates.swap_regs(regs.search, comp), hilbert.adjoint(red))
+             for comp, red in zip(regs.comps, aux_reductions)]
+    entries = tuple(tuple(Sequence((*dress, *tail), label=f"TRIAL_{k}_{x}")
+                          for x, dress in enumerate(search.dress)) for k, tail in enumerate(tails))
+    return _Instance(spec, layout, regs, n, pulse, reductions, search, entries)
 
 
 def _draw_hidden(config: ExperimentConfig) -> int:
     if config.hidden_s is not None:
         return config.hidden_s
-    rng = random.Random(config.seed)
-    return rng.randrange(config.p - 1)
+    return random.Random(config.seed).randrange(config.p - 1)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -188,9 +191,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         state = hilbert.apply(state, red, ledger)
         for j, step in _read_records(state, inst, k):
             halt_ledger.append({"component": k, "pair": j, "step": step})
-        aux = cr.make_aux_oracle(base_oracle, k, inst.aux_reductions[k], inst.aux_swaps[k])
+        entries = inst.entries[k]
         try:
-            found, state, info = mq.subspace_search(aux, inst.search, k, state, ledger)
+            found, state, info = mq.subspace_search(
+                lambda x: cr.make_aux_oracle(base_oracle, k, entries[x]),
+                inst.search, k, state, ledger)
         except SimulationError as err:
             log.error("component %d search failed: %s", k, err)
             search_failed = True
@@ -269,10 +274,7 @@ def _read_records(state: SparseState, inst: _Instance, keep: int) -> list[tuple[
 def run_sweep(config: ExperimentConfig) -> list[ExperimentReport]:
     """One experiment per hidden index; every run shares one memoized instance,
     so its gate tables stay warm across the sweep."""
-    reports = []
-    for s in range(config.p - 1):
-        reports.append(run_experiment(dataclasses.replace(config, hidden_s=s)))
-    return reports
+    return [run_experiment(dataclasses.replace(config, hidden_s=s)) for s in range(config.p - 1)]
 
 
 def _atomic_write(path: str, data: str) -> None:

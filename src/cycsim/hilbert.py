@@ -373,12 +373,17 @@ def _weight(amps: np.ndarray) -> float:
 
 
 def assert_registers_clean(state: SparseState, names: tuple[str, ...], what: str) -> None:
-    """Raise unless every named register is back at 0 up to RELEASE_TOL of weight."""
-    for name in names:
-        leak = state.weight_where(name, np.arange(state.layout.dim(name)) != 0)
+    """Raise unless every named register is back at 0 up to RELEASE_TOL of
+    weight, naming the first that is not in the given order; the registers
+    are read in one pass, and each leak is its own fsum."""
+    if not names:
+        return
+    off = _digits(state.words, state.layout.code(tuple(names))) != 0
+    for j in np.flatnonzero(off.any(axis=0)).tolist():
+        leak = _weight(state.amps[off[:, j]])
         if leak > RELEASE_TOL:
             raise SimulationError(
-                f"pipeline fault in {what}: register {name} holds weight {leak:.3e} off 0")
+                f"pipeline fault in {what}: register {names[j]} holds weight {leak:.3e} off 0")
 
 
 # --- gates -----------------------------------------------------------------
@@ -656,6 +661,8 @@ def _evaluate(gate: Permutation, dims: tuple[int, ...], codes: np.ndarray,
 
 
 def _map_chain(layout: RegisterLayout, words: np.ndarray, gate: Sequence) -> np.ndarray:
+    if not gate.code_registers:  # a chain of no registers is the identity
+        return words
     code = layout.code(gate.code_registers)
     digits = _digits(words, code)
     memo = gate.tables.get(code.dims, {})

@@ -206,13 +206,15 @@ class SearchGates:
     """The gates of a component search that do not depend on the instance
     data, built once so their tables compile once.
 
-    dress[x] turns the ground branch of the two-level superposition into the
-    x-th subgroup state (x < m_r), and top_reset returns a register found
-    at |1...1> to 0.
+    half opens a trial and its adjoint closes it.  dress[x] = (f1, shift_x)
+    fixes |1...1> and turns the ground branch into the x-th subgroup state
+    (x < m_r), at the head of trial x's chain into the auxiliary oracle.
+    top_reset returns a register found at |1...1> to 0.
     """
 
     reg: str
-    dress: tuple[tuple[GateOp, ...], ...]
+    half: GateOp
+    dress: tuple[tuple[GateOp, GateOp], ...]
     top_reset: GateOp
 
 
@@ -228,35 +230,36 @@ def search_gates(spec: CyclicGroupSpec, reg: str, n: int) -> SearchGates:
     sub_values = {pow(h_r, x, spec.p) for x in range(m_r)}
     if 0 in sub_values or N - 1 in sub_values:
         raise SimulationError("ground/highest state collides with the subgroup space")
-    half = u_ny_exact(n, math.pi / 4, reg)
     f1 = gates.transposition(0, 1, reg)          # fixes the top state
     shifts = [gates.cyclic_shift(spec.p, h_r, reg, power=x) for x in range(m_r)]
-    return SearchGates(reg, tuple((half, f1, shift) for shift in shifts),
+    return SearchGates(reg, u_ny_exact(n, math.pi / 4, reg),
+                       tuple((f1, shift) for shift in shifts),
                        gates.transposition(0, N - 1, reg))
 
 
-def trial_circuit_prob(state: SparseState, search: SearchGates, x: int, aux_oracle: GateOp,
+def trial_circuit_prob(state: SparseState, search: SearchGates, aux_oracle: GateOp,
                        ledger: GateLedger | None = None) -> tuple[float, SparseState]:
-    """One search trial: dress the two-level superposition so its ground branch
-    becomes the x-th subgroup state, call the auxiliary oracle once, undress, and
-    read the |1...1> probability.  Returns the probability and the post-trial state.
-    """
-    undress = map(hilbert.adjoint, reversed(search.dress[x]))
-    state = hilbert.apply_all(state, (*search.dress[x], aux_oracle, *undress), ledger)
+    """One search trial: the half rotation, the auxiliary oracle dressed for
+    the trial, the half rotation's adjoint; returns the |1...1> probability
+    and the post-trial state."""
+    state = hilbert.apply_all(state, (search.half, aux_oracle, hilbert.adjoint(search.half)),
+                              ledger)
     return _top_weight(state, search.reg), state
 
 
 TRIAL_THRESHOLD = 0.5  # the hit trial of a theta = pi oracle reads 1
 
 
-def subspace_search(aux_oracle: GateOp, search: SearchGates, k: int, state: SparseState,
-                    ledger: GateLedger | None = None) -> tuple[int, SparseState, dict]:
+def subspace_search(aux_oracle_for: Callable[[int], GateOp], search: SearchGates, k: int,
+                    state: SparseState, ledger: GateLedger | None = None
+                    ) -> tuple[int, SparseState, dict]:
     """Try subgroup indices x = 0, 1, ... until the highest-state probability
-    crosses TRIAL_THRESHOLD; at most m_r trials, one oracle call each."""
+    crosses TRIAL_THRESHOLD; at most m_r trials, one oracle call each.  The
+    factory returns the auxiliary oracle dressed for trial x."""
     probs: list[float] = []
     found: int | None = None
     for x in range(len(search.dress)):
-        prob, state = trial_circuit_prob(state, search, x, aux_oracle, ledger)
+        prob, state = trial_circuit_prob(state, search, aux_oracle_for(x), ledger)
         probs.append(prob)
         if prob > TRIAL_THRESHOLD:
             found = x

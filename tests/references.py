@@ -3,9 +3,10 @@
 None of these is reached by a run: the driver and the pipeline use the
 builders in `cycsim`.  They are the paper's formulas and procedures written
 out directly (the procedural pulse model, the closed-form halting record,
-the Q_n operator, the CRT residues), plus the arithmetic constructors the
-unitarity checks exercise beyond the ones a run builds, and the one check
-that holds a gate's compiled tables against a reference map.
+the Q_n operator, the CRT residues, a search trial as seven separate
+gates), plus the arithmetic constructors the unitarity checks exercise
+beyond the ones a run builds, and the one check that holds a gate's
+compiled tables against a reference map.
 """
 
 import itertools
@@ -17,8 +18,9 @@ from cycsim import gates, hilbert
 from cycsim import halting_program as hp
 from cycsim.hilbert import (GateOp, LocalUnitary, Register, RegisterLayout, SparseState, adjoint,
                             apply)
-from cycsim.mq_circuits import SpinConventions
-from cycsim.numtheory import CrtBasis, DomainError, Factorization, find_primitive_root
+from cycsim.mq_circuits import SpinConventions, u_ny_exact
+from cycsim.numtheory import (CrtBasis, CyclicGroupSpec, DomainError, Factorization,
+                              find_primitive_root)
 
 # --- state and number-theory readers -------------------------------------------
 
@@ -130,6 +132,23 @@ def q_n_operator(n: int, axis: str) -> np.ndarray:
     if axis == "y":
         return (up - down) / 2j
     raise DomainError(f"axis must be x or y, got {axis!r}")
+
+
+def seven_gate_trial(state: SparseState, spec: CyclicGroupSpec, search: str, comp: str, x: int,
+                     red: GateOp, base: GateOp, ledger: hilbert.GateLedger) -> SparseState:
+    """Search trial x on register `search` as seven gates, each applied on its
+    own, from gates built afresh: the half rotation, the dressing f1 and
+    shift_x, the auxiliary oracle (swap, red+, base, red, swap) for the
+    component in register `comp`, the dressing's adjoints in reverse, and the
+    half rotation's adjoint."""
+    n = spec.p.bit_length()
+    half = u_ny_exact(n, math.pi / 4, search)
+    f1 = gates.transposition(0, 1, search)
+    shift = gates.cyclic_shift(spec.p, spec.subgroup_generators[-1], search, power=x)
+    swap = gates.swap_regs(search, comp)
+    aux = hilbert.Sequence((swap, adjoint(red), base, red, swap), label="AUX_ORACLE")
+    return hilbert.apply_all(
+        state, (half, f1, shift, aux, adjoint(shift), adjoint(f1), adjoint(half)), ledger)
 
 
 # --- the halting program -----------------------------------------------------

@@ -119,6 +119,11 @@ def _aux_env(p, hidden_s):
     return spec, layout, regs, base
 
 
+def _entry(regs, k, red):
+    """The auxiliary oracle's own entry, without a trial's dressing."""
+    return hilbert.Sequence((gates.swap_regs(regs.search, regs.comps[k]), adjoint(red)))
+
+
 @pytest.mark.parametrize("p", [7, 13, 61, 127])
 def test_search_layout_lists_its_registers_in_field_order(p):
     layout, regs = cr.make_search_layout(make_group_spec(p))
@@ -144,7 +149,7 @@ def test_aux_oracle_selective_on_hidden_component(k, s_k):
     spec, layout, regs, base = _aux_env(13, hidden_s=7)
     red = cr.reduction_gate(spec, regs, k)
     st = apply(SparseState.basis(layout, {regs.w: pow(2, 7, 13)}), red)
-    aux = cr.make_aux_oracle(base, k, red, gates.swap_regs(regs.search, regs.comps[k]))
+    aux = cr.make_aux_oracle(base, k, _entry(regs, k, red))
     h_r = spec.subgroup_generators[-1]
     led = hilbert.GateLedger()
     for x in range(spec.largest_order):
@@ -163,7 +168,7 @@ def test_aux_oracle_single_call_per_application():
     spec, layout, regs, base = _aux_env(13, hidden_s=7)
     red = cr.reduction_gate(spec, regs, 1)
     st = apply(SparseState.basis(layout, {regs.w: 11}), red)
-    aux = cr.make_aux_oracle(base, 1, red, gates.swap_regs(regs.search, regs.comps[1]))
+    aux = cr.make_aux_oracle(base, 1, _entry(regs, 1, red))
     led = hilbert.GateLedger()
     apply(st, aux, led)
     assert led.count("oracle-call") == 1

@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 import cycsim
-from cycsim import crt_reduction, dlog_pipeline, driver, halting_program, hilbert
+from references import seven_gate_trial
+from cycsim import crt_reduction, dlog_pipeline, driver, gates, halting_program, hilbert
+from cycsim import mq_circuits
 from cycsim.driver import ExperimentConfig, cli_main, run_experiment, run_sweep
-from cycsim.hilbert import LocalUnitary, Permutation, Sequence, SparseState
+from cycsim.hilbert import GateLedger, LocalUnitary, Permutation, Sequence, SparseState
 from cycsim.numtheory import DomainError, classical_dlog, is_prime, make_group_spec
+from cycsim.oracle import OracleSpec, make_subspace_oracle
 
 
 def test_run_experiment_example():
@@ -330,6 +333,74 @@ def test_the_demo_compiles_no_table_that_depends_on_the_hidden_index(
     assert {"UF_2_13", "MUL3_12", "POW_3_12"} <= {label for label, _ in first}
     assert _tables_that_differ(first, second) == set()
     assert _tables_that_differ(*search) == {"U_OR"}
+
+
+@pytest.mark.parametrize("p", [13, 17, 29, 43])  # p = 17: one component, no stripping
+@pytest.mark.parametrize("epsilon, gamma", [(0.0, 0.0), (0.1, 0.3)], ids=["exact", "pulse"])
+def test_every_trial_matches_the_seven_gate_trial(p, epsilon, gamma):
+    # a trial is the half rotation, the oracle dressed through one chain per
+    # (k, x), and the half rotation's adjoint: the same rows in the same
+    # order, the same amplitude bits and the same leaf counts as the trial
+    # applied as seven gates
+    inst = driver._instance(p, None, epsilon, gamma)
+    spec, layout, regs = inst.spec, inst.layout, inst.regs
+    ospec = OracleSpec(5, spec)
+    base = make_subspace_oracle(ospec, regs.w, tuple(
+        x for x in layout.names if x not in (regs.w, regs.search)), math.pi)
+    # the oracle-side reduction the driver builds, built here afresh
+    aux_pulse = halting_program.PulseModel(epsilon, gamma + math.pi / 3) if epsilon else None
+    start = hilbert.apply(SparseState.basis(layout),
+                          gates.transposition(0, ospec.marked_value, regs.w))
+    for k in range(spec.r):
+        red = crt_reduction.reduction_gate(spec, regs, k, aux_pulse)
+        ours = theirs = hilbert.apply(start, inst.reductions[k])
+        for x in range(spec.largest_order):
+            led, ref_led = GateLedger(), GateLedger()
+            aux = crt_reduction.make_aux_oracle(base, k, inst.entries[k][x])
+            prob, ours = mq_circuits.trial_circuit_prob(ours, inst.search, aux, led)
+            theirs = seven_gate_trial(theirs, spec, regs.search, regs.comps[k], x, red, base,
+                                      ref_led)
+            assert ours.words.tobytes() == theirs.words.tobytes(), (k, x)
+            assert ours.amps.tobytes() == theirs.amps.tobytes(), (k, x)
+            assert led.counts_by_class() == ref_led.counts_by_class(), (k, x)
+            assert prob == mq_circuits._top_weight(theirs, regs.search)
+
+
+def test_every_run_dresses_the_oracle_with_the_instance_chains(monkeypatch):
+    # entries[k][x] is built once per instance, so its chain memo outlives
+    # every run; runs hand make_aux_oracle the same objects, trial by trial
+    calls = []
+    build = crt_reduction.make_aux_oracle
+    monkeypatch.setattr(crt_reduction, "make_aux_oracle",
+                        lambda base, k, entry: calls.append((k, entry)) or build(base, k, entry))
+    inst = driver._instance(29, None, 0.0, 0.0)
+    for s in (3, 17, 3):
+        calls.clear()
+        assert run_experiment(ExperimentConfig(p=29, hidden_s=s, run_demo=False)
+                              ).verification["success"]
+        assert driver._instance(29, None, 0.0, 0.0) is inst
+        for k in range(inst.spec.r):
+            used = [entry for j, entry in calls if j == k]
+            assert 0 < len(used) <= len(inst.entries[k])
+            assert all(a is b for a, b in zip(used, inst.entries[k]))
+    # one swap per component, shared by that component's chains
+    for k, chains in enumerate(inst.entries):
+        swaps = {id(chain.gates[2]) for chain in chains}
+        assert len(swaps) == 1 and chains[0].gates[2].regs == (inst.regs.search, inst.regs.comps[k])
+
+
+def test_a_second_warm_sweep_walks_no_chain_row(monkeypatch):
+    # every chain a sweep meets is kept by the instance, so once one sweep
+    # has walked its rows, the next one finds each in the memos
+    config = ExperimentConfig(p=43, run_demo=False)
+    first = run_sweep(config)
+    walked = []
+    walk = hilbert._walk
+    monkeypatch.setattr(hilbert, "_walk",
+                        lambda steps, rows: walked.append(len(rows)) or walk(steps, rows))
+    second = run_sweep(config)
+    assert walked == []
+    assert [r.to_json() for r in second] == [r.to_json() for r in first]
 
 
 def test_warm_run_builds_no_reduction_adjoint(monkeypatch):

@@ -2,6 +2,7 @@ import cmath
 import functools
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -268,6 +269,52 @@ def test_assert_registers_clean():
     assert_registers_clean(dirty, ("a", "b"), "test")
     with pytest.raises(SimulationError, match="register c holds weight 5.000e-01"):
         assert_registers_clean(dirty, ("a", "c"), "test")
+
+
+@pytest.mark.parametrize("dims, width", [
+    ([("a", 4), ("b", 2), ("c", 5), ("d", 3)], 1),
+    ([("a", 6), ("h", 1 << 40), ("c", 1 << 30), ("b", 8)], 2),
+], ids=["one-word", "two-words"])
+def test_assert_registers_clean_reads_every_register_and_names_the_first_leak(dims, width):
+    # one read of every named register; each leak is its own fsum, and the
+    # first register in the given order that holds weight off 0 is named
+    layout = RegisterLayout([Register(name, dim) for name, dim in dims])
+    assert layout.width == width
+    rng = random.Random(11)
+    for _ in range(40):
+        rows = {tuple(0 if rng.random() < 0.6 else rng.randrange(1, d) for _, d in dims)
+                for _ in range(rng.randrange(1, 6))}
+        # some rows carry weight under RELEASE_TOL, which counts as clean
+        amps = [rng.choice([1.0, 1e-5]) * complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                for _ in rows]
+        norm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
+        state = SparseState(layout, {row: a / norm for row, a in zip(rows, amps)})
+        names = rng.sample(layout.names, rng.randrange(1, len(dims) + 1))
+        leaks = [(name, math.fsum(abs(a) ** 2 for row, a in state.entries.items()
+                                  if row[layout.index(name)] != 0)) for name in names]
+        dirty = [(name, leak) for name, leak in leaks if leak > hilbert.RELEASE_TOL]
+        if not dirty:
+            assert_registers_clean(state, tuple(names), "test")
+            continue
+        name, leak = dirty[0]
+        message = re.escape(f"register {name} holds weight {leak:.3e} off 0")
+        with pytest.raises(SimulationError, match=message):
+            assert_registers_clean(state, tuple(names), "test")
+    assert_registers_clean(state, (), "test")  # no register is clean
+
+
+@pytest.mark.parametrize("layout", [small_layout(), RegisterLayout([Register("a", 4)])],
+                         ids=["three-registers", "one-register"])
+def test_an_empty_sequence_is_the_identity(layout):
+    # a chain of no leaves names no register, so it has no code to read
+    state = random_state(layout, random.Random(5), support=3)
+    led = GateLedger()
+    empty = Sequence(())
+    for gate in (empty, adjoint(empty), Sequence((empty, empty))):
+        out = apply(state, gate, led)
+        assert out.words.tobytes() == state.words.tobytes()
+        assert out.amps is state.amps
+    assert led.counts_by_class() == {}
 
 
 def test_gate_ledger_counts():
