@@ -111,7 +111,6 @@ class _Instance:
     spec: CyclicGroupSpec
     layout: RegisterLayout
     regs: cr.SearchRegs
-    n: int
     pulse: hp.PulseModel | None
     reductions: list  # per component: the forward reduction gate
     search: mq.SearchGates  # the component search's gates on the search register
@@ -133,13 +132,12 @@ def _instance(p: int, g: int | None, epsilon: float, gamma: float) -> _Instance:
         # the locking phase depends on when the pulse fires, so the oracle-side
         # stripping carries a drifted phase and does not coherently undo the leak
         aux_reductions = reductions_for(hp.PulseModel(epsilon, gamma + math.pi / 3))
-    n = spec.p.bit_length()
-    search = mq.search_gates(spec, regs.search, n)
+    search = mq.search_gates(spec, regs.search)
     tails = [(gates.swap_regs(regs.search, comp), hilbert.adjoint(red))
              for comp, red in zip(regs.comps, aux_reductions)]
     entries = tuple(tuple(Sequence((*dress, *tail), label=f"TRIAL_{k}_{x}")
                           for x, dress in enumerate(search.dress)) for k, tail in enumerate(tails))
-    return _Instance(spec, layout, regs, n, pulse, reductions, search, entries)
+    return _Instance(spec, layout, regs, pulse, reductions, search, entries)
 
 
 def _draw_hidden(config: ExperimentConfig) -> int:
@@ -221,8 +219,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if not search_failed and len(residues) == spec.r:
         recovered_s = crt_compose(tuple(residues), spec.basis)
         candidate_value = pow(spec.g, recovered_s, spec.p)
-        verified = mq.verify_solution(candidate_value, functools.partial(make_oracle, ospec, "q"),
-                                      inst.n, ledger)
+        verified = mq.verify_solution(
+            candidate_value, functools.partial(make_oracle, ospec, regs.search), inst.search.half,
+            ledger)
         classical_ok = classical_dlog(spec.p, spec.g, b) == recovered_s
 
     success = bool(recovered_s == hidden_s and verified and classical_ok)
@@ -332,10 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cli_main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    level = os.environ.get("CYCSIM_LOG", "INFO" if args.verbose else "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("CYCSIM_LOG", "INFO" if args.verbose else "WARNING")
     try:
+        if level.upper() not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
+            raise DomainError(f"CYCSIM_LOG={level!r} is not DEBUG, INFO, WARNING, ERROR or CRITICAL")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         if args.hidden_s is not None and (args.hidden_random or args.csv is not None):
             other = "--hidden-random" if args.hidden_random else "--csv"
             raise DomainError(f"--hidden-s conflicts with {other}")

@@ -6,7 +6,7 @@ modulus L; on the intended inputs the behavior is unchanged.  Group-valued maps
 instead *multiply* the target by a unit mod L.  `_accumulate` and `_scale` are
 the one home of these two extensions: every arithmetic constructor below is one
 call to either.  Relabelings of listed basis tuples (transpositions, the
-halting statement, the pair transposition U_r, U_OR) have one home too,
+halting statement, the pair transposition U_r) have one home too,
 `pairing_permutation`.  Every permutation is a column map (see
 `hilbert.Permutation`): fn and inv take a k x n int64 matrix of register
 columns to the matrix of their images, and every compiled table is checked on

@@ -1,7 +1,8 @@
 """Highest-order multiple-quantum operators and the circuits built from them:
 exact and Trotterized two-level rotations between |00...0> and |11...1>,
 membership/disambiguation tests, solution verification, and the per-subspace
-trial search loop.
+trial search loop.  The verification circuits run on the register of the half
+rotation they are given, so one rotation serves a search and its check.
 
 Spin conventions: qubit k = 1 is the least significant bit of the register
 index; |0> is the +1/2 eigenstate of I_kz.  Dense 2^n matrices (n <= 12),
@@ -10,7 +11,6 @@ applied through the sparse engine as local unitaries; U_OR is a permutation.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -124,43 +124,37 @@ def trotter_error(n: int, theta: float, m: int) -> float:
     return float(np.linalg.norm(diff, 2))
 
 
-@functools.lru_cache(maxsize=hilbert.GATE_SETS)
-def _half_rotation(n: int) -> GateOp:
-    """exp(-i pi/2 Q_ny) on register "q", built once per n (with its adjoint)."""
-    return u_ny_exact(n, math.pi / 4, "q")
+def _conjugated(half: GateOp, middle: tuple[GateOp, ...], ledger: GateLedger | None,
+                state: SparseState | None = None) -> tuple[float, SparseState]:
+    """half, the middle gates and half's kept adjoint applied to `state`, by
+    default the ground state of a one-register layout of half's register;
+    returns the weight of the highest value of half's register and the state."""
+    if state is None:
+        state = SparseState.basis(RegisterLayout([hilbert.Register(half.reg, half.matrix.shape[0])]))
+    state = hilbert.apply_all(state, (half, *middle, hilbert.adjoint(half)), ledger)
+    dim = state.layout.dim(half.reg)
+    return state.weight_where(half.reg, np.arange(dim) == dim - 1), state
 
 
-def _run_conjugated(n: int, rotations: list[GateOp], ledger: GateLedger | None) -> SparseState:
-    """exp(+i pi/2 Q_ny) . rotations . exp(-i pi/2 Q_ny) applied to the ground state."""
-    state = SparseState.basis(RegisterLayout([hilbert.Register("q", 2**n)]))
-    half = _half_rotation(n)
-    return hilbert.apply_all(state, [half, *rotations, hilbert.adjoint(half)], ledger)
-
-
-def _top_weight(state: SparseState, reg: str) -> float:
-    """Weight of the highest basis value of register `reg`."""
-    dim = state.layout.dim(reg)
-    return state.weight_where(reg, np.arange(dim) == dim - 1)
-
-
-def membership_circuit(t_rotation: GateOp, n: int,
+def membership_circuit(t_rotation: GateOp, half: GateOp,
                        ledger: GateLedger | None = None) -> TransitionReport:
     """Probability of reaching |1...1> from the ground state when the selective
-    rotation is sandwiched between the two-level half rotations.
+    rotation is sandwiched between the two-level half rotation `half` and its
+    adjoint, on half's register.
 
     Equals (1 - cos theta)/2 for a rotation by theta of basis 0 or N-1, else 0.
     """
-    prob = _top_weight(_run_conjugated(n, [t_rotation], ledger), "q")
+    prob, _ = _conjugated(half, (t_rotation,), ledger)
     verdict = "member" if prob > 0.5 - 1e-9 else "non_member"
     return TransitionReport(prob, verdict)
 
 
-def disambiguate_circuit(t_rotation_neg: GateOp, n: int,
+def disambiguate_circuit(t_rotation_neg: GateOp, half: GateOp,
                          ledger: GateLedger | None = None) -> TransitionReport:
     """Given a membership hit, decide ground vs highest: C_0(pi/2) then the
     candidate rotation at -pi/2 inside the same conjugation."""
-    c0 = gates.selective_phase({0: math.pi / 2}, "q", label="C_0")
-    prob = _top_weight(_run_conjugated(n, [c0, t_rotation_neg], ledger), "q")
+    c0 = gates.selective_phase({0: math.pi / 2}, half.reg, label="C_0")
+    prob, _ = _conjugated(half, (c0, t_rotation_neg), ledger)
     verdict = "is_Nminus1" if prob > 0.5 else "is_zero"
     return TransitionReport(prob, verdict)
 
@@ -176,28 +170,34 @@ def u_or(rep, reg: str) -> GateOp:
     inverse: U_OR . C . U_OR is the same conjugation.
     """
     SpinConventions(rep.n)  # validates the qubit count
-    mask, levels = rep_value(rep), range(2**rep.n)
-    return gates.pairing_permutation(list(levels), [x ^ mask for x in levels], reg, "U_OR")
+    mask, top = rep_value(rep), 2**rep.n
+
+    def xor(cols: np.ndarray) -> np.ndarray:
+        return np.where(cols < top, cols ^ mask, cols)
+
+    return hilbert.Permutation((reg,), xor, xor, label="U_OR")
 
 
-def verify_solution(candidate: int, oracle_for_theta: Callable[[float], GateOp], n: int,
-                    ledger: GateLedger | None = None) -> bool:
+def verify_solution(candidate: int, oracle_for_theta: Callable[[float], GateOp],
+                    half: GateOp, ledger: GateLedger | None = None) -> bool:
     """Two-stage check that `candidate` is the marked basis value, using at most
     two oracle calls: membership at theta = pi, then disambiguation at -pi/2.
 
-    The oracle factory must return the selective rotation of the hidden value on
-    register "q" for a requested angle.
+    Both circuits run on the register of the half rotation `half` (2**n
+    levels); the oracle factory must return the selective rotation of the
+    hidden value on that register for a requested angle.
     """
-    conj = u_or(binary_rep(candidate, n), "q")
+    n = half.matrix.shape[0].bit_length() - 1
+    conj = u_or(binary_rep(candidate, n), half.reg)
 
     def dressed(theta: float) -> GateOp:
         # conj is an involution, so it dresses both sides and no adjoint is kept
         return hilbert.Sequence((conj, oracle_for_theta(theta), conj), label="C_t")
 
-    stage1 = membership_circuit(dressed(math.pi), n, ledger)
+    stage1 = membership_circuit(dressed(math.pi), half, ledger)
     if stage1.verdict != "member":
         return False
-    stage2 = disambiguate_circuit(dressed(-math.pi / 2), n, ledger)
+    stage2 = disambiguate_circuit(dressed(-math.pi / 2), half, ledger)
     return stage2.verdict == "is_zero"
 
 
@@ -209,31 +209,30 @@ class SearchGates:
     half opens a trial and its adjoint closes it.  dress[x] = (f1, shift_x)
     fixes |1...1> and turns the ground branch into the x-th subgroup state
     (x < m_r), at the head of trial x's chain into the auxiliary oracle.
-    top_reset returns a register found at |1...1> to 0.
+    top_reset returns a register found at |1...1> to 0.  All act on half.reg.
     """
 
-    reg: str
     half: GateOp
     dress: tuple[tuple[GateOp, GateOp], ...]
     top_reset: GateOp
 
 
-def search_gates(spec: CyclicGroupSpec, reg: str, n: int) -> SearchGates:
-    """Search gates on register `reg` of 2**n levels.
+def search_gates(spec: CyclicGroupSpec, reg: str) -> SearchGates:
+    """Search gates on register `reg` of `gates.register_dim(p)` = 2**n levels.
 
     Ground and highest states of the search register sit outside the subgroup
     state space (asserted), so the inert |1...1> branch survives the dressing.
     """
     m_r = spec.largest_order
     h_r = spec.subgroup_generators[-1]
+    n = spec.p.bit_length()
     N = 2**n
     sub_values = {pow(h_r, x, spec.p) for x in range(m_r)}
     if 0 in sub_values or N - 1 in sub_values:
         raise SimulationError("ground/highest state collides with the subgroup space")
     f1 = gates.transposition(0, 1, reg)          # fixes the top state
     shifts = [gates.cyclic_shift(spec.p, h_r, reg, power=x) for x in range(m_r)]
-    return SearchGates(reg, u_ny_exact(n, math.pi / 4, reg),
-                       tuple((f1, shift) for shift in shifts),
+    return SearchGates(u_ny_exact(n, math.pi / 4, reg), tuple((f1, shift) for shift in shifts),
                        gates.transposition(0, N - 1, reg))
 
 
@@ -242,9 +241,7 @@ def trial_circuit_prob(state: SparseState, search: SearchGates, aux_oracle: Gate
     """One search trial: the half rotation, the auxiliary oracle dressed for
     the trial, the half rotation's adjoint; returns the |1...1> probability
     and the post-trial state."""
-    state = hilbert.apply_all(state, (search.half, aux_oracle, hilbert.adjoint(search.half)),
-                              ledger)
-    return _top_weight(state, search.reg), state
+    return _conjugated(search.half, (aux_oracle,), ledger, state)
 
 
 TRIAL_THRESHOLD = 0.5  # the hit trial of a theta = pi oracle reads 1

@@ -17,10 +17,10 @@ def spec5():
 def cleared_gate_caches():
     """Start from empty memoized gate builders, as a fresh process would; the
     returned function empties them again."""
-    from cycsim import dlog_pipeline, driver, mq_circuits
+    from cycsim import dlog_pipeline, driver
 
     def clear():
-        for builder in (dlog_pipeline._kit, driver._instance, mq_circuits._half_rotation):
+        for builder in (dlog_pipeline._kit, driver._instance):
             builder.cache_clear()
 
     clear()

@@ -181,10 +181,11 @@ def test_criterion_6_mq_algebra():
             assert np.max(np.abs(lhs - rhs)) < 1e-10
     for n in (2, 3, 4, 5, 6):
         N = 2**n
+        half = mq.u_ny_exact(n, math.pi / 4, "q")
         grid = [math.pi * (k + 1) / 9 for k in range(9)]
         for t in range(N):
             for th in grid:
-                rep = mq.membership_circuit(gates.selective_phase({t: th}, "q"), n)
+                rep = mq.membership_circuit(gates.selective_phase({t: th}, "q"), half)
                 want = (1 - math.cos(th)) / 2 if t in (0, N - 1) else 0.0
                 assert abs(rep.probability - want) < 1e-12, (n, t, th)
     _report(6, True, "operator identities to 1e-10; transition grid exact")

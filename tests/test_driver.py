@@ -1,6 +1,10 @@
+import csv
+import dataclasses
 import gc
 import hashlib
+import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -148,45 +152,67 @@ def test_cli_single_run(tmp_path):
     assert payload["verification"]["recovered_s"] == 7
 
 
-@pytest.mark.parametrize("argv,fragment", [
-    (["--p", "12", "--hidden-s", "1"], "must be prime"),
-    (["--p", "13", "--g", "4", "--hidden-s", "1"], "4 is not a primitive root mod 13"),
-    (["--p", "13", "--g", "15", "--hidden-s", "1"], "15 is not a primitive root mod 13"),
-    (["--p", "13", "--hidden-s", "1", "--trotter-m", "0"], "trotter_m"),
-    (["--p", "13", "--hidden-s", "1", "--mode", "grover", "--grover-m", "-1"], "grover_m"),
-    (["--p", "13", "--hidden-s", "1", "--grover-m", "3"], "grover_m applies only to mode"),
-    (["--p", "13", "--hidden-s", "7", "--theta", "1.0"], "theta must be pi"),
-    (["--p", "13", "--hidden-s", "7", "--theta", "0"], "theta must be pi"),
-    (["--p", "13", "--hidden-s", "5", "--hidden-random", "--seed", "1"],
+@pytest.mark.parametrize("log,argv,fragment", [
+    (None, ["--p", "12", "--hidden-s", "1"], "must be prime"),
+    (None, ["--p", "13", "--g", "4", "--hidden-s", "1"], "4 is not a primitive root mod 13"),
+    (None, ["--p", "13", "--g", "15", "--hidden-s", "1"], "15 is not a primitive root mod 13"),
+    (None, ["--p", "13", "--hidden-s", "1", "--trotter-m", "0"], "trotter_m"),
+    (None, ["--p", "13", "--hidden-s", "1", "--mode", "grover", "--grover-m", "-1"], "grover_m"),
+    (None, ["--p", "13", "--hidden-s", "1", "--grover-m", "3"], "grover_m applies only to mode"),
+    (None, ["--p", "13", "--hidden-s", "7", "--theta", "1.0"], "theta must be pi"),
+    (None, ["--p", "13", "--hidden-s", "7", "--theta", "0"], "theta must be pi"),
+    (None, ["--p", "13", "--hidden-s", "5", "--hidden-random", "--seed", "1"],
      "--hidden-s conflicts with --hidden-random"),
-    (["--p", "13", "--hidden-s", "5", "--csv", "sweep.csv"], "--hidden-s conflicts with --csv"),
-    (["--p", "7", "--hidden-random", "--csv", "sweep.csv"],
+    (None, ["--p", "13", "--hidden-s", "5", "--csv", "sweep.csv"],
+     "--hidden-s conflicts with --csv"),
+    (None, ["--p", "7", "--hidden-random", "--csv", "sweep.csv"],
      "--hidden-random conflicts with --csv"),
-    (["--p", "13", "--hidden-s", "3", "--no-demo", "--epsilon", "0.1", "--gamma", "nan"],
+    (None, ["--p", "13", "--hidden-s", "3", "--no-demo", "--epsilon", "0.1", "--gamma", "nan"],
      "gamma must be finite"),
-    (["--p", "13", "--hidden-s", "3", "--no-demo", "--epsilon", "0.1", "--gamma", "inf"],
+    (None, ["--p", "13", "--hidden-s", "3", "--no-demo", "--epsilon", "0.1", "--gamma", "inf"],
      "gamma must be finite"),
-    (["--p", "13", "--csv", "/nonexistent/x.csv"],
+    (None, ["--p", "13", "--csv", "/nonexistent/x.csv"],
      "--csv /nonexistent/x.csv: /nonexistent is not a writable directory"),
-    (["--p", "13", "--hidden-s", "7", "--out", "/nonexistent/r.json"],
+    (None, ["--p", "13", "--hidden-s", "7", "--out", "/nonexistent/r.json"],
      "--out /nonexistent/r.json: /nonexistent is not a writable directory"),
-    (["--p", "7", "--csv", "same.csv", "--out", "./same.csv"],
+    (None, ["--p", "7", "--csv", "same.csv", "--out", "./same.csv"],
      "--out and --csv name the same file: ./same.csv"),
-    (["--p", "5", "--hidden-s", "1", "--no-demo", "--out", "dir"], "--out dir: is a directory"),
-    (["--p", "5", "--no-demo", "--csv", "dir/"], "--csv dir/: is a directory"),
+    (None, ["--p", "5", "--hidden-s", "1", "--no-demo", "--out", "dir"],
+     "--out dir: is a directory"),
+    (None, ["--p", "5", "--no-demo", "--csv", "dir/"], "--csv dir/: is a directory"),
+    ("basic_format", ["--p", "5", "--hidden-s", "1", "--no-demo"],
+     "CYCSIM_LOG='basic_format' is not DEBUG, INFO, WARNING, ERROR or CRITICAL"),
+    ("nonsense", ["--p", "5", "--hidden-s", "1", "--no-demo"], "CYCSIM_LOG='nonsense' is not"),
+    ("notset", ["--p", "5", "--hidden-s", "1", "--no-demo"], "CYCSIM_LOG='notset' is not"),
 ], ids=["nonprime", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
         "grover-m-negative", "grover-m-without-grover-mode", "theta-one", "theta-zero",
         "hidden-s-with-hidden-random", "hidden-s-with-csv", "hidden-random-with-csv",
         "gamma-nan", "gamma-inf", "csv-dir-missing", "out-dir-missing",
-        "out-is-csv", "out-is-a-directory", "csv-is-a-directory"])
-def test_cli_rejects_bad_config(argv, fragment, capsys, tmp_path, monkeypatch):
+        "out-is-csv", "out-is-a-directory", "csv-is-a-directory",
+        "log-basic-format", "log-nonsense", "log-notset"])
+def test_cli_rejects_bad_config(log, argv, fragment, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    if log is None:
+        monkeypatch.delenv("CYCSIM_LOG", raising=False)
+    else:
+        monkeypatch.setenv("CYCSIM_LOG", log)
     (tmp_path / "dir").mkdir()
     monkeypatch.setattr(driver, "run_experiment", lambda config: pytest.fail("run started"))
     assert cli_main(argv) == 2
     assert fragment in capsys.readouterr().err
     assert [path.name for path in tmp_path.iterdir()] == ["dir"] and not any(
         (tmp_path / "dir").iterdir())
+
+
+def test_cli_reads_a_log_level_in_any_case(monkeypatch):
+    levels = []
+    monkeypatch.setattr(driver.logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    for value in ("debug", "Info", "ERROR", "critical", "wArNiNg"):
+        monkeypatch.setenv("CYCSIM_LOG", value)
+        assert cli_main(["--p", "5", "--hidden-s", "1", "--no-demo"]) == 0
+    monkeypatch.delenv("CYCSIM_LOG")
+    assert cli_main(["--p", "5", "--hidden-s", "1", "--no-demo", "--verbose"]) == 0
+    assert levels == ["DEBUG", "INFO", "ERROR", "CRITICAL", "WARNING", "INFO"]
 
 
 def test_cli_refuses_a_prime_too_wide_for_the_verification_register(monkeypatch, capsys):
@@ -217,6 +243,55 @@ def test_cli_sweep_csv(tmp_path):
     assert lines[0].startswith("p,hidden_s,recovered_s,success")
     assert len(lines) == 7
     assert all(line.split(",")[3] == "True" for line in lines[1:])
+
+
+def test_cli_sweep_writes_the_reports_beside_the_csv(tmp_path):
+    csv_path, json_path = tmp_path / "sweep.csv", tmp_path / "sweep.json"
+    assert cli_main(["--p", "7", "--csv", str(csv_path), "--out", str(json_path),
+                     "--no-demo"]) == 0
+    reports = json.loads(json_path.read_text())
+    # one report per hidden index, in sweep order, each its own run's
+    assert reports == [json.loads(run_experiment(ExperimentConfig(p=7, hidden_s=s,
+                                                                  run_demo=False)).to_json())
+                       for s in range(6)]
+    rows = list(csv.DictReader(io.StringIO(csv_path.read_text())))
+    assert len(rows) == len(reports)
+    for row, rep in zip(rows, reports):
+        v = rep["verification"]
+        assert row == {key: str(value) for key, value in (
+            ("p", rep["group"]["p"]), ("hidden_s", v["hidden_s"]),
+            ("recovered_s", v["recovered_s"]), ("success", v["success"]),
+            ("oracle_calls_total", rep["oracle_calls_total"]),
+            ("verify_solution", v["verify_solution"]),
+            ("classical_dlog_agrees", v["classical_dlog_agrees"]))}
+
+
+def test_a_failed_component_search_fails_the_run(monkeypatch, caplog):
+    # without the base oracle, every trial of component 0 reads 0: its search
+    # raises, the run reports the component as unrecovered and goes on
+    make = crt_reduction.make_aux_oracle
+
+    def blind(base, k, entry):
+        if k:
+            return make(base, k, entry)
+        return Sequence((entry, hilbert.adjoint(entry)), label="AUX_ORACLE_0")
+
+    checked = []
+    check = hilbert.assert_registers_clean
+    monkeypatch.setattr(crt_reduction, "make_aux_oracle", blind)
+    monkeypatch.setattr(hilbert, "assert_registers_clean",
+                        lambda state, names, what: checked.append(what) or check(state, names, what))
+    with caplog.at_level(logging.ERROR, logger="cycsim"):
+        rep = run_experiment(ExperimentConfig(p=13, hidden_s=7, run_demo=False))
+    assert "search fault: no trial probability above 0.5 (component 0)" in caplog.text
+    first, second = rep.components
+    assert first["recovered_s_k"] is None and first["oracle_calls"] == 0
+    assert first["trial_probabilities"] == [] and first["max_probability"] == 0.0
+    assert second["recovered_s_k"] == 3 and second["oracle_calls"] > 0
+    assert rep.recovered_s is None and rep.verification["recovered_s"] is None
+    assert rep.verification["success"] is False and rep.verification["verify_solution"] is False
+    assert checked == ["component search"] * 2  # the registers came back clean both times
+    assert cli_main(["--p", "13", "--hidden-s", "7", "--no-demo"]) == 1
 
 
 def test_cli_timing_flag_adds_wall_time(tmp_path):
@@ -363,7 +438,8 @@ def test_every_trial_matches_the_seven_gate_trial(p, epsilon, gamma):
             assert ours.words.tobytes() == theirs.words.tobytes(), (k, x)
             assert ours.amps.tobytes() == theirs.amps.tobytes(), (k, x)
             assert led.counts_by_class() == ref_led.counts_by_class(), (k, x)
-            assert prob == mq_circuits._top_weight(theirs, regs.search)
+            top = np.arange(layout.dim(regs.search)) == layout.dim(regs.search) - 1
+            assert prob == theirs.weight_where(regs.search, top)
 
 
 def test_every_run_dresses_the_oracle_with_the_instance_chains(monkeypatch):
@@ -421,21 +497,25 @@ def test_warm_run_builds_no_reduction_adjoint(monkeypatch):
     assert not [label for label in built if label.startswith("REDUCE_")]
 
 
-@pytest.mark.parametrize("config,most_local,tables", [
-    (ExperimentConfig(p=29, hidden_s=0), 8, 58),
-    (ExperimentConfig(p=29, hidden_s=0, epsilon=0.1, gamma=0.3, run_demo=False), 12, 91),
-    (ExperimentConfig(p=43, hidden_s=0, run_demo=False), 4, 119),
+@pytest.mark.parametrize("config,local,tables", [
+    (ExperimentConfig(p=29, hidden_s=0), 6, 58),
+    (ExperimentConfig(p=29, hidden_s=0, epsilon=0.1, gamma=0.3, run_demo=False), 10, 91),
+    (ExperimentConfig(p=43, hidden_s=0, run_demo=False), 2, 119),
 ], ids=["demo-p29", "pulse-p29", "search-p43"])
-def test_a_cold_run_builds_each_adjoint_once(config, most_local, tables, cleared_gate_caches,
+def test_a_cold_run_builds_each_adjoint_once(config, local, tables, cleared_gate_caches,
                                              monkeypatch):
     # a gate keeps its adjoint, so a reflection's prep+ and a leaky
     # reduction's inverse build one LocalUnitary per distinct gate, while
-    # the adjoints still read their gates' compiled tables
-    counts = Counter()
+    # the adjoints still read their gates' compiled tables; the search and
+    # the verification share one half rotation, so a search-only run builds
+    # UNY_n and its adjoint and no other dense matrix
+    counts, rotations = Counter(), []
     post_init, table_for = LocalUnitary.__post_init__, Permutation.table_for
 
     def built(self):
         counts["local"] += 1
+        if self.label.startswith("UNY_"):
+            rotations.append((self.label, self.reg))
         post_init(self)
 
     def compiled(self, dims):
@@ -448,8 +528,13 @@ def test_a_cold_run_builds_each_adjoint_once(config, most_local, tables, cleared
     monkeypatch.setattr(Permutation, "table_for", compiled)
     cleared_gate_caches()
     run_experiment(config)
-    assert counts["local"] <= most_local
+    assert counts["local"] == local
     assert counts["tables"] == tables
+    half = f"UNY_{config.p.bit_length()}"
+    assert rotations == [(half, "SEARCH"), (half + "+", "SEARCH")]
+    counts.clear()
+    run_experiment(dataclasses.replace(config, hidden_s=1))
+    assert counts["local"] == 0
 
 
 def test_python_dash_m_runs_the_cli():

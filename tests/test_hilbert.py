@@ -1220,6 +1220,33 @@ def test_permutations_refuse_a_broken_map(fn, inv, message, form):
     assert big.tables == {}
 
 
+def _raises(error):
+    def refuse(cols):
+        raise error("refused")
+    return refuse
+
+
+@pytest.mark.parametrize("broken", [
+    _raises(ValueError), _raises(TypeError), _raises(OverflowError), lambda cols: cols[0],
+], ids=["value-error", "type-error", "overflow-error", "wrong-shape"])
+@pytest.mark.parametrize("side", ["fn", "inv"])
+def test_permutations_refuse_a_map_that_raises_or_misshapes(broken, side):
+    # the evaluator turns a map's own refusal or a misshapen answer into its
+    # own: from fn an image outside the domain, from inv an inverse mismatch;
+    # on a compiled table and row-wise above the check limit alike
+    message = "image outside domain" if side == "fn" else r"inverse mismatch at \(\d+,\)"
+    maps = (broken, lambda cols: cols) if side == "fn" else (lambda cols: cols, broken)
+    small = Permutation(("a",), *maps, label="broken")
+    with pytest.raises(SimulationError, match=f"^broken: {message}"):
+        apply(SparseState.basis(RegisterLayout([Register("a", 4)]), {"a": 1}), small)
+    assert small.tables == {} and small.inv_tables == {}
+    big = Permutation(("big",), *maps, label="broken")
+    st = SparseState(chain_layout(), {(0, 0, 0, k, 0): 1 / math.sqrt(3) for k in (4, 5, BIG - 1)})
+    with pytest.raises(SimulationError, match=f"^broken: {message}"):
+        apply(st, big)
+    assert big.tables == {}
+
+
 def test_compile_checks_the_inverse_on_the_whole_domain():
     # fn swaps (0, 1) and (0, 2), a bijection, and inv is the identity: only
     # codes 1 and 2 are wrong, and a sample of the domain can miss both

@@ -165,33 +165,41 @@ def test_product_formula_slope():
         assert abs(slope + 1) < 0.2
 
 
+def _half(n):
+    """The half rotation on register "q", on which the verification circuits run."""
+    return mq.u_ny_exact(n, math.pi / 4, "q")
+
+
 @pytest.mark.parametrize("n", (2, 3))
 def test_membership_probabilities(n):
     N = 2**n
+    half = _half(n)
     thetas = [math.pi * k / 8 for k in range(1, 9)]
     for t in range(N):
         for th in thetas:
             rot = gates.selective_phase({t: th}, "q", label="C_t")
-            rep = mq.membership_circuit(rot, n)
+            rep = mq.membership_circuit(rot, half)
             want = (1 - math.cos(th)) / 2 if t in (0, N - 1) else 0.0
             assert abs(rep.probability - want) < 1e-12
 
 
 def test_membership_examples():
-    rep = mq.membership_circuit(gates.selective_phase({0: math.pi}, "q"), 3)
+    half = _half(3)
+    rep = mq.membership_circuit(gates.selective_phase({0: math.pi}, "q"), half)
     assert abs(rep.probability - 1) < 1e-12 and rep.verdict == "member"
-    rep = mq.membership_circuit(gates.selective_phase({5: math.pi}, "q"), 3)
+    rep = mq.membership_circuit(gates.selective_phase({5: math.pi}, "q"), half)
     assert rep.probability < 1e-12 and rep.verdict == "non_member"
-    rep = mq.membership_circuit(gates.selective_phase({7: math.pi / 2}, "q"), 3)
+    rep = mq.membership_circuit(gates.selective_phase({7: math.pi / 2}, "q"), half)
     assert abs(rep.probability - 0.5) < 1e-12
 
 
 def test_disambiguation():
     for n in (2, 3, 4):
         N = 2**n
-        rep = mq.disambiguate_circuit(gates.selective_phase({0: -math.pi / 2}, "q"), n)
+        rep = mq.disambiguate_circuit(gates.selective_phase({0: -math.pi / 2}, "q"), _half(n))
         assert rep.verdict == "is_zero" and rep.probability < 1e-12
-        rep = mq.disambiguate_circuit(gates.selective_phase({N - 1: -math.pi / 2}, "q"), n)
+        rep = mq.disambiguate_circuit(gates.selective_phase({N - 1: -math.pi / 2}, "q"),
+                                      _half(n))
         assert rep.verdict == "is_Nminus1" and abs(rep.probability - 1) < 1e-12
 
 
@@ -254,13 +262,14 @@ def test_verify_solution_examples():
         return gates.selective_phase({s: theta}, "q", label="oracle",
                                      cost_class="oracle-call")
 
+    half = _half(n)
     led = hilbert.GateLedger()
-    assert mq.verify_solution(s, orc, n, led) is True
+    assert mq.verify_solution(s, orc, half, led) is True
     assert led.count("oracle-call") <= 2
-    assert mq.verify_solution((~s) & (N - 1), orc, n) is False  # complement rejected
-    assert mq.verify_solution(5, orc, n) is False
+    assert mq.verify_solution((~s) & (N - 1), orc, half) is False  # complement rejected
+    assert mq.verify_solution(5, orc, half) is False
     for r in range(N):
-        assert mq.verify_solution(r, orc, n) is (r == s)
+        assert mq.verify_solution(r, orc, half) is (r == s)
 
 
 def test_a_warm_verification_leaves_no_reference_cycle():
@@ -272,30 +281,36 @@ def test_a_warm_verification_leaves_no_reference_cycle():
         return gates.selective_phase({s: theta}, "q", label="oracle",
                                      cost_class="oracle-call")
 
-    assert mq.verify_solution(s, orc, n) is True  # builds the half rotation
+    half = _half(n)
+    assert mq.verify_solution(s, orc, half) is True  # builds the adjoint of the half rotation
     gc.collect()
     gc.disable()
     try:
-        assert mq.verify_solution(s, orc, n) is True
+        assert mq.verify_solution(s, orc, half) is True
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-def test_verify_solution_builds_the_half_rotation_once_per_qubit_count(monkeypatch):
+def test_verify_solution_applies_the_callers_half_rotation(monkeypatch):
+    # the circuits run on the caller's rotation and its kept adjoint, and
+    # build no dense matrix of their own
     n, s = 5, 19
 
     def orc(theta):
         return gates.selective_phase({s: theta}, "q", label="oracle",
                                      cost_class="oracle-call")
 
-    applied = []
+    half = _half(n)
+    hilbert.adjoint(half)  # in a run, the search trials have built and kept it
+    applied, built = [], []
     apply = hilbert.apply
     monkeypatch.setattr(hilbert, "apply",
                         lambda st, gate, led=None: applied.append(gate) or apply(st, gate, led))
+    monkeypatch.setattr(hilbert.LocalUnitary, "__post_init__", lambda self: built.append(self))
     for _ in range(2):
-        assert mq.verify_solution(s, orc, n) is True
+        assert mq.verify_solution(s, orc, half) is True
     halves = [g for g in applied if g.label.startswith("UNY_")]
     # two runs, two circuits each, one rotation and its adjoint per circuit
-    assert len(halves) == 8
-    assert len({id(g) for g in halves}) == 2
+    assert [id(g) for g in halves] == [id(half), id(hilbert.adjoint(half))] * 4
+    assert built == []

@@ -1,10 +1,10 @@
 """The relabeling gates against the per-tuple maps they were once written as.
 
-`transposition`, the halting statement, the pair transposition U_r and U_OR
-are each one call to `gates.pairing_permutation`.  The hand-written involutions
-they replaced are kept here as brute-force references, and each gate's
-compiled forward and inverse tables are checked against them on the full
-domain.
+`transposition`, the halting statement and the pair transposition U_r are
+each one call to `gates.pairing_permutation`, and U_OR is one XOR on the
+register column.  The hand-written involutions they replaced are kept here as
+brute-force references, and each gate's compiled forward and inverse tables
+are checked against them on the full domain.
 """
 
 import ast
@@ -129,9 +129,10 @@ def test_pairing_refusals(src, dst, regs):
 
 
 # the functions allowed to construct a Permutation: the two arithmetic
-# builders, the one relabeling builder, the register swap and the adjoint
+# builders, the one relabeling builder, the register swap, U_OR (one XOR on
+# the register column, its own inverse) and the adjoint
 PERMUTATION_BUILDERS = {"gates._accumulate", "gates._scale", "gates.swap_regs",
-                        "gates.pairing_permutation", "hilbert.adjoint"}
+                        "gates.pairing_permutation", "mq_circuits.u_or", "hilbert.adjoint"}
 
 
 def _scoped_nodes(path):
