@@ -277,12 +277,14 @@ def run_sweep(config: ExperimentConfig) -> list[ExperimentReport]:
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """`data` at `path` through `<path>.tmp`, which no failure leaves behind."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
+    fh = open(tmp, "w", encoding="utf-8")
     try:
+        with fh:
+            fh.write(data)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         os.remove(tmp)
         raise
 
@@ -329,13 +331,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class _Stderr(logging.StreamHandler):
+    """The `cycsim` logger's one handler: it writes to whatever `sys.stderr`
+    is when a record comes, so every `cli_main` call prints to its own."""
+    stream = property(lambda self: sys.stderr, lambda self, value: None)
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     level = os.environ.get("CYCSIM_LOG", "INFO" if args.verbose else "WARNING")
     try:
         if level.upper() not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
             raise DomainError(f"CYCSIM_LOG={level!r} is not DEBUG, INFO, WARNING, ERROR or CRITICAL")
-        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
+        if not log.handlers:
+            handler = _Stderr()
+            handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+            log.addHandler(handler)
+        log.setLevel(level.upper())
         if args.hidden_s is not None and (args.hidden_random or args.csv is not None):
             other = "--hidden-random" if args.hidden_random else "--csv"
             raise DomainError(f"--hidden-s conflicts with {other}")

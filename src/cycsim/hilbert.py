@@ -56,12 +56,28 @@ Conventions:
     They only grow, live as long as the layout, and are overwritten by the
     next call.  The words and amplitudes the kernel returns are always
     fresh arrays, so no state holds a work buffer.
+  - The kernel groups the rows that agree off its register(s) by sorting
+    their cleared words.  From MANY_ROWS rows on, the layout also keeps the
+    outcome as a plan per (register positions, matrix sizes, row count): the
+    distinct cleared words in sorted order and each row's group index.  A
+    later call of the same slot recalls the plan, with no sort, where every
+    row's cleared words equal its group's (row by row over all words), and
+    sorts and replaces it otherwise.  A recall is exact: each row index
+    keeps the group it had when the plan was sorted, when the rows covered
+    every group, so rows whose cleared words equal their groups' hold
+    exactly the plan's groups, which are distinct and sorted, and a sort
+    would give the same groups and the same index on every row.  The
+    reflections apply the same preparation to the same supports round after
+    round, which is what plans catch; they live as long as the layout, which
+    a demo builds per run, and a search meets supports of 1-2 rows only.
   - A Sequence applies two adjacent local unitaries on different registers
     a then b as one step where G_XY * d <= G_X: G_XY counts the groups of
     rows that agree off both registers, G_X the groups of the one-register
     step on a, and d is b's matrix size.  As G_X <= G_XY * d, that means
     every group holds every value of b, and the group x b x a grid in the
-    bucket is no larger than a's bucket.  The rows are sorted once; the
+    bucket is no larger than a's bucket.  The rows are grouped once, under
+    a plan keyed by both registers; the rule reads b's values, so it is
+    checked on every call, and a pair it refuses keeps its plan.  The
     first product runs on exactly the rows a's own step would bucket, every
     cell under DROP_THRESHOLD is then set to +0.0 (what b's bucket holds
     where a dropped a row), and the second product runs on the (group, a)
@@ -160,6 +176,7 @@ class RegisterLayout:
         self._codes: dict[tuple[str, ...], _Code] = {}
         self._rows = self.code(self.names)  # every register in order: packs and unpacks rows
         self._scratch: dict[str, np.ndarray] = {}
+        self._plans: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # see `_group_rows`
 
     def index(self, name: str) -> int:
         try:
@@ -803,10 +820,8 @@ def _apply_local(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
             f"{gate.label}: support at {int(col.max())} outside the {d}-dim domain of {gate.reg}")
     # group rows that agree off register i, groups in sorted order of their
     # other registers (a row's place within its group does not matter)
-    order, groups, at = _group_rows(layout, _cleared(words, ((place, col),)))
-    at *= d
-    cell = spare[n:]
-    cell[order] = at
+    groups, member = _group_rows(layout, _cleared(words, ((place, col),)), ((i,), (d,), n))
+    cell = np.multiply(member, d, out=spare[n:], dtype=np.int64)
     cell += col
     flat = layout.scratch("bucket", len(groups) * d, complex)
     flat.fill(0)
@@ -828,14 +843,30 @@ def _cleared(words: np.ndarray, cleared: tuple[tuple[_Run, np.ndarray], ...]) ->
     return key
 
 
-def _group_rows(layout: RegisterLayout, key: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Groups the rows of equal `_cleared` keys: an order that sorts them,
-    the distinct keys in sorted order, and each sorted row's group."""
+def _group_rows(layout: RegisterLayout, key: np.ndarray,
+                slot: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Groups the rows of equal `_cleared` keys: the distinct keys in sorted
+    order, and each row's group, its index there.  From MANY_ROWS rows on,
+    the two are the layout's plan for `slot` (registers, matrix sizes, row
+    count), recalled without a sort while every row's key equals its group's
+    and replaced otherwise; the plans are read-only."""
+    many = len(key) >= MANY_ROWS
+    plan = layout._plans.get(slot) if many else None
+    # row for row, so a key of several words is compared whole
+    if plan is not None and np.array_equal(plan[0][plan[1]], key):
+        return plan
     order, ordered, starts = _sort_groups(key, layout.word_caps[0])
-    # the keys are spent: an integer key holds the groups
+    # the keys are spent: an integer key holds the sorted rows' groups
     at = np.cumsum(starts, out=key if key.ndim == 1 else None)
     at -= 1
-    return order, ordered[starts], at
+    # a kept plan holds 4 bytes per row index; a few rows keep numpy's fast int64 scatter
+    member = np.empty(len(key), dtype=np.int32 if many and len(key) < 1 << 31 else np.int64)
+    member[order] = at
+    plan = ordered[starts], member
+    if many:
+        _freeze(*plan)
+        layout._plans[slot] = plan
+    return plan
 
 
 def _product(layout: RegisterLayout, bucket: np.ndarray,
@@ -895,13 +926,11 @@ def _apply_pair(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
     same = key == key[0]
     if len(np.unique(cb[same if same.ndim == 1 else same.all(axis=1)])) < db:
         return None
-    order, groups, at = _group_rows(layout, key)
+    groups, member = _group_rows(layout, key, tuple(zip(*ends)) + (len(words),))
     rows = len(groups) * db
     if rows > len(words):
         return None
-    at *= db
-    cell = np.empty_like(at)
-    cell[order] = at
+    cell = np.multiply(member, db, dtype=np.int64)
     cell += cb
     held = layout.scratch("kept", rows, bool)
     held.fill(False)

@@ -204,15 +204,36 @@ def test_cli_rejects_bad_config(log, argv, fragment, capsys, tmp_path, monkeypat
         (tmp_path / "dir").iterdir())
 
 
-def test_cli_reads_a_log_level_in_any_case(monkeypatch):
+@pytest.fixture
+def own_logger(monkeypatch):
+    """The `cycsim` logger's level and handlers, restored after the test."""
+    monkeypatch.setattr(driver.log, "level", driver.log.level)
+    monkeypatch.setattr(driver.log, "handlers", [])
+    return driver.log
+
+
+def test_cli_reads_a_log_level_in_any_case(monkeypatch, own_logger):
     levels = []
-    monkeypatch.setattr(driver.logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
     for value in ("debug", "Info", "ERROR", "critical", "wArNiNg"):
         monkeypatch.setenv("CYCSIM_LOG", value)
         assert cli_main(["--p", "5", "--hidden-s", "1", "--no-demo"]) == 0
+        levels.append(logging.getLevelName(own_logger.level))
     monkeypatch.delenv("CYCSIM_LOG")
     assert cli_main(["--p", "5", "--hidden-s", "1", "--no-demo", "--verbose"]) == 0
+    levels.append(logging.getLevelName(own_logger.level))
     assert levels == ["DEBUG", "INFO", "ERROR", "CRITICAL", "WARNING", "INFO"]
+    assert len(own_logger.handlers) == 1
+
+
+def test_a_second_cli_call_sets_its_own_log_level(monkeypatch, own_logger, capsys):
+    # the instance is built in the first call, and its log line comes from the run
+    monkeypatch.setenv("CYCSIM_LOG", "DEBUG")
+    assert cli_main(["--p", "5", "--hidden-s", "1", "--no-demo"]) == 0
+    assert "INFO cycsim: instance p=5" in capsys.readouterr().err
+    monkeypatch.setenv("CYCSIM_LOG", "ERROR")
+    assert cli_main(["--p", "5", "--hidden-s", "2", "--no-demo"]) == 0
+    assert "INFO cycsim:" not in capsys.readouterr().err
+    assert len(own_logger.handlers) == 1
 
 
 def test_cli_refuses_a_prime_too_wide_for_the_verification_register(monkeypatch, capsys):
@@ -310,6 +331,15 @@ def test_atomic_write_replaces(tmp_path):
     driver._atomic_write(str(target), "new")
     assert target.read_text() == "new"
     assert not os.path.exists(str(target) + ".tmp")
+
+
+def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path):
+    target = tmp_path / "x.json"
+    target.write_text("old")
+    with pytest.raises(UnicodeEncodeError):
+        driver._atomic_write(str(target), "new \ud800")  # a lone surrogate has no UTF-8
+    assert [path.name for path in tmp_path.iterdir()] == ["x.json"]
+    assert target.read_text() == "old"
 
 
 def test_atomic_write_removes_its_temp_file_when_the_replace_fails(tmp_path):

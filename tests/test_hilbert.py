@@ -486,8 +486,9 @@ def test_local_kernel_prunes_once_exactly_as_before(extra, width, support):
 
 
 def test_no_state_holds_a_kernel_work_array():
-    # the kernel's work arrays belong to the layout and are overwritten by its
-    # next call, so every state it returns must own fresh arrays
+    # the kernel's work arrays and grouping plans belong to the layout, and
+    # a work array is overwritten by the next call, so every state it
+    # returns must own fresh arrays
     layout = RegisterLayout([Register("a", 8), Register("b", 4), Register("h", 1 << 20)])
     rng = random.Random(7)
     made = []
@@ -496,7 +497,7 @@ def test_no_state_holds_a_kernel_work_array():
         made.append((state, state.words.copy(), state.amps.copy()))
         for earlier, words, amps in made:
             assert np.array_equal(earlier.words, words) and np.array_equal(earlier.amps, amps)
-        for buf in layout._scratch.values():
+        for buf in [*layout._scratch.values(), *(a for plan in layout._plans.values() for a in plan)]:
             assert not np.shares_memory(state.words, buf)
             assert not np.shares_memory(state.amps, buf)
 
@@ -517,7 +518,7 @@ def test_no_state_holds_a_kernel_work_array():
         check(hot)
         assert hot.support_size == st.support_size + 7 * int((st.column("b") == 1).sum())
         check(apply(hot, adjoint(on_b1)))
-    assert sorted(layout._scratch) == ["bucket", "kept", "out"]
+    assert sorted(layout._scratch) == ["bucket", "kept", "out"] and layout._plans
 
 
 # --- packing basis tuples into words ----------------------------------------
@@ -755,6 +756,197 @@ def test_pair_step_refuses_support_outside_either_domain(name, fourier, refusal)
     with pytest.raises(SimulationError, match=refusal):
         apply(st, Sequence((first, second)))
     assert hilbert._apply_pair(layout, st.words, st.amps, first, second) is None
+
+
+# --- grouping plans ---------------------------------------------------------
+# From MANY_ROWS rows on, the layout keeps each support's grouping (the sorted
+# distinct keys and each row's group) per (registers, matrix sizes, row
+# count) and recalls it while every row's key equals its group's.  A recall
+# or a refusal of the plan gives the bytes a fresh layout gives.
+
+PLAN_LAYOUTS = {"one-word": [("a", 6), ("g", 1 << 12), ("b", 8)],
+                "two-words": [("a", 6), ("g", 1 << 40), ("h", 1 << 30), ("b", 8)]}
+
+
+def plan_layout(name):
+    layout = RegisterLayout([Register(r, d) for r, d in PLAN_LAYOUTS[name]])
+    assert layout.width == (1 if name == "one-word" else 2)
+    return layout
+
+
+def plan_state(layout, rows, seed=0):
+    """A state on (g, a, b) rows, in the given order; g also sets h where the
+    layout has it, so a group spans both words."""
+    rng = random.Random(seed)
+    entries = {}
+    for g, a, b in rows:
+        values = {"g": g, "h": g % 7, "a": a, "b": b}
+        entries[tuple(values[r.name] for r in layout.registers)] = complex(
+            rng.gauss(0, 1), rng.gauss(0, 1))
+    assert len(entries) == len(rows) >= MANY_ROWS
+    norm = math.sqrt(sum(abs(c) ** 2 for c in entries.values()))
+    return SparseState(layout, {k: c / norm for k, c in entries.items()})
+
+
+def same_bytes(got, want):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+def local_slot(layout, gate, n):
+    return (layout.index(gate.reg),), (gate.matrix.shape[0],), n
+
+
+def on_fresh(layout, state, gate):
+    """The gate on the state's arrays through a layout that holds no plan."""
+    fresh = RegisterLayout(layout.registers)
+    return hilbert._apply_arrays(fresh, state.words, state.amps, gate, None)
+
+
+@pytest.mark.parametrize("name", PLAN_LAYOUTS)
+def test_a_plan_is_recalled_and_a_new_key_set_of_the_same_size_misses(name):
+    layout = plan_layout(name)
+    fourier = gates.qft(6, "a")
+    first = plan_state(layout, [(g, a, g % 8) for g in range(200) for a in range(6)])
+    # the same row count, one group's key moved from g = 0 to g = 500
+    second = plan_state(layout, [(500 if g == 0 else g, a, g % 8)
+                                 for g in range(200) for a in range(6)])
+    slot = local_slot(layout, fourier, first.support_size)
+    want = on_fresh(layout, first, fourier)
+    assert same_bytes(hilbert._apply_local(layout, first.words, first.amps, fourier), want)
+    plan = layout._plans[slot]
+    assert same_bytes(hilbert._apply_local(layout, first.words, first.amps, fourier), want)
+    assert layout._plans[slot] is plan  # recalled, not sorted again
+    got = hilbert._apply_local(layout, second.words, second.amps, fourier)
+    assert layout._plans[slot] is not plan
+    assert same_bytes(got, on_fresh(layout, second, fourier))
+    groups = layout._plans[slot][0]
+    assert 500 in layout.unpack(groups.reshape(len(groups), -1))[:, layout.index("g")]
+
+
+@pytest.mark.parametrize("name", PLAN_LAYOUTS)
+def test_a_plan_misses_when_one_group_empties_and_another_grows(name):
+    layout = plan_layout(name)
+    fourier = gates.qft(6, "a")
+    rows = [(g, a, 1) for g in range(2, 200) for a in range(6)]
+    # rows 0-2 in group 0 and 3-5 in group 1; then all six in group 1, in place
+    first = plan_state(layout, [(0, a, 1) for a in range(3)] + [(1, a, 1) for a in range(3)] + rows)
+    second = plan_state(layout, [(1, a, 1) for a in range(3, 6)] + [(1, a, 1) for a in range(3)]
+                        + rows)
+    slot = local_slot(layout, fourier, first.support_size)
+    hilbert._apply_local(layout, first.words, first.amps, fourier)
+    plan = layout._plans[slot]
+    got = hilbert._apply_local(layout, second.words, second.amps, fourier)
+    assert layout._plans[slot] is not plan and len(layout._plans[slot][0]) == len(plan[0]) - 1
+    assert same_bytes(got, on_fresh(layout, second, fourier))
+
+
+@pytest.mark.parametrize("name", PLAN_LAYOUTS)
+def test_a_recalled_pair_plan_still_checks_every_value_of_b(name):
+    layout = plan_layout(name)
+    first, second = gates.qft(6, "a"), gates.qft(8, "b")
+    full = [(g, a, b) for g in range(80) for b in range(8) for a in range(2)]
+    # the same rows in the same groups, but group 5 no longer holds b = 7
+    gap = [(g, 2, {(0, 7): 0, (1, 7): 1}[a, b]) if g == 5 and b == 7 else (g, a, b)
+           for g, a, b in full]
+    fused_st, gap_st = plan_state(layout, full), plan_state(layout, gap)
+    slot = ((layout.index("a"), layout.index("b")), (6, 8), len(full))
+    pair = Sequence((first, second))
+    got = hilbert._apply_pair(layout, fused_st.words, fused_st.amps, first, second)
+    assert got is not None and _pairs(*got) == _pairs(*on_fresh(layout, fused_st, pair))
+    plan = layout._plans[slot]
+    # the plan is recalled, so no sort runs, and the rule refuses the pair
+    assert hilbert._apply_pair(layout, gap_st.words, gap_st.amps, first, second) is None
+    assert layout._plans[slot] is plan
+    # so the Sequence runs it as two single steps, as on a fresh layout
+    fresh = RegisterLayout(layout.registers)
+    want = hilbert._apply_local(
+        fresh, *hilbert._apply_local(fresh, gap_st.words, gap_st.amps, first), second)
+    out = apply(gap_st, pair)
+    assert same_bytes((out.words, out.amps), want)
+    assert same_bytes(on_fresh(layout, gap_st, pair), want)
+
+
+def test_a_pair_refused_after_its_sort_keeps_its_plan():
+    # every value of b in the first row's group, but not in group 5: the
+    # refusal comes after the sort, and the second refusal recalls its plan
+    layout = plan_layout("one-word")
+    first, second = gates.qft(6, "a"), gates.qft(8, "b")
+    rows = [(g, a, b) for g in range(80) for b in range(8 if g != 5 else 7) for a in range(2)]
+    st = plan_state(layout, rows)
+    slot = ((layout.index("a"), layout.index("b")), (6, 8), len(rows))
+    sorts = []
+    sort = hilbert._sort_groups
+    try:
+        hilbert._sort_groups = lambda *args: sorts.append(len(args[0])) or sort(*args)
+        assert hilbert._apply_pair(layout, st.words, st.amps, first, second) is None
+        plan = layout._plans[slot]
+        assert hilbert._apply_pair(layout, st.words, st.amps, first, second) is None
+    finally:
+        hilbert._sort_groups = sort
+    assert sorts == [len(rows)] and layout._plans[slot] is plan
+
+
+def test_a_support_below_many_rows_keeps_no_plan():
+    layout = plan_layout("one-word")
+    rows = {(g, a, b) for g in range(6) for a in range(6) for b in range(8)}
+    assert len(rows) < MANY_ROWS
+    st = SparseState(layout, {(a, g, b): 1 / math.sqrt(len(rows)) for g, a, b in rows})
+    st = apply(st, gates.qft(6, "a"))
+    apply(st, Sequence((gates.qft(6, "a"), gates.qft(8, "b"))))
+    assert layout._plans == {}
+
+
+def test_the_search_layout_keeps_no_plan_after_a_sweep():
+    # the search meets supports of one or two rows only
+    driver.run_sweep(driver.ExperimentConfig(p=43, run_demo=False))
+    assert driver._instance(43, None, 0.0, 0.0).layout._plans == {}
+
+
+PLAN_REGS = [Register("a", 4), Register("b", 3), Register("c", 5)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(wide=hst.booleans(), seed=hst.integers(0, 1 << 32),
+       steps=hst.lists(hst.tuples(hst.sampled_from("abc"), hst.sampled_from("abc"),
+                                  hst.sampled_from(["qft", "qft+", "dense"])),
+                       min_size=1, max_size=6))
+def test_recalled_plans_give_the_bytes_of_a_fresh_layout(wide, seed, steps):
+    # each step, a local unitary or two on different registers, runs twice
+    # on one layout: the second run recalls every plan the first made, and
+    # both give the bytes of the step on a layout that holds no plan
+    hidden = [Register("h", 1 << 40), Register("k", 1 << 30)] if wide else [Register("h", 64)]
+    layout = RegisterLayout(PLAN_REGS + hidden)
+    assert layout.width == (2 if wide else 1)
+    rng = random.Random(seed)
+    np_rng = np.random.default_rng(seed)
+    rows = set()
+    while len(rows) < rng.randrange(MANY_ROWS, 2 * MANY_ROWS):
+        h = rng.randrange(64)
+        rows.add((rng.randrange(4), rng.randrange(3), rng.randrange(5), h)
+                 + ((h % 5,) if wide else ()))
+    st = SparseState(layout, {r: 1 / math.sqrt(len(rows)) for r in rows})
+
+    def local(reg, kind):
+        d = layout.dim(reg)
+        if kind == "dense":
+            q, _ = np.linalg.qr(np_rng.normal(size=(d, d)) + 1j * np_rng.normal(size=(d, d)))
+            return LocalUnitary(reg, q)
+        return gates.qft(d, reg) if kind == "qft" else adjoint(gates.qft(d, reg))
+
+    for one, other, kind in steps:
+        gate = local(one, kind)
+        if other != one:
+            gate = Sequence((gate, local(other, kind)))
+        want = on_fresh(layout, st, gate)
+        got = hilbert._apply_arrays(layout, st.words, st.amps, gate, None)
+        assert same_bytes(got, want)
+        held = dict(layout._plans)
+        again = hilbert._apply_arrays(layout, st.words, st.amps, gate, None)
+        assert same_bytes(again, want)
+        assert layout._plans.keys() == held.keys()
+        assert all(layout._plans[slot] is plan for slot, plan in held.items())
+        st = SparseState.from_arrays(layout, *got)
+    assert layout._plans
 
 
 def big_layout():
