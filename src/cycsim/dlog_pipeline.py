@@ -188,31 +188,15 @@ def _kit(spec: CyclicGroupSpec, mode: str, grover_m: int | None) -> dict:
             "mid": mid, "amp2": amp2, "tail": tail, "schedule": schedule}
 
 
-def v_f_inverse(spec: CyclicGroupSpec) -> GateOp:
-    """Gate sequence mapping |R0>|g**s mod p>|0> to |R0>|g**s mod p>|s> for
-    every s (exact amplification: fidelity 1 up to rounding)."""
-    kit = pipeline_kit(spec)
-    return Sequence(tuple(kit["stage1"] + kit["amp1"] + kit["mid"]
-                          + kit["amp2"] + kit["tail"]), label="V_finv")
-
-
-def forward_mod_exp(spec: CyclicGroupSpec) -> GateOp:
-    """|s>|0> -> |s>|g**s mod p> with the index s read from W and the group
-    element built in OUT (set to 1, then multiplied by g**s).  `u_log` applies
-    its adjoint as the closing step, which clears OUT once it holds g**s."""
-    return Sequence((
-        gates.transposition(0, 1, REGS.out),
-        gates.cond_mod_exp_two_reg(spec.g, spec.p, REGS.w, REGS.out),
-    ), label="V_f")
-
-
 def u_log(spec: CyclicGroupSpec) -> GateOp:
     """|g**s mod p> -> |s> in the work register, auxiliaries restored; the
-    adjoint maps |s> -> |g**s mod p>."""
-    return Sequence((
-        v_f_inverse(spec),
+    adjoint maps |s> -> |g**s mod p>.  The kit leaves |g**s>|s> in (W, OUT);
+    past the swap, undoing OUT = 1 * g**W clears OUT."""
+    kit = pipeline_kit(spec)
+    return Sequence(tuple(kit["stage1"] + kit["amp1"] + kit["mid"] + kit["amp2"] + kit["tail"]) + (
         gates.swap_regs(REGS.w, REGS.out),
-        adjoint(forward_mod_exp(spec)),
+        adjoint(gates.cyclic_shift(spec.p, spec.g, REGS.out, control=REGS.w)),
+        gates.transposition(0, 1, REGS.out),
     ), label="U_log")
 
 

@@ -346,6 +346,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         if not log.handlers:
             handler = _Stderr()
             handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+            # records propagate (caplog reads them at the root): a root stderr handler prints them
+            handler.addFilter(lambda record: not any(
+                isinstance(h, logging.StreamHandler) and h.stream is sys.stderr
+                and record.levelno >= h.level for h in logging.getLogger().handlers))
             log.addHandler(handler)
         log.setLevel(level.upper())
         if args.hidden_s is not None and (args.hidden_random or args.csv is not None):

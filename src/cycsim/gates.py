@@ -5,10 +5,11 @@ total permutations by *adding* the result into the target modulo the working
 modulus L; on the intended inputs the behavior is unchanged.  Group-valued maps
 instead *multiply* the target by a unit mod L.  `_accumulate` and `_scale` are
 the one home of these two extensions: every arithmetic constructor below is one
-call to either.  Relabelings of listed basis tuples (transpositions, the
-halting statement, the pair transposition U_r) have one home too,
-`pairing_permutation`.  Every permutation is a column map (see
-`hilbert.Permutation`): fn and inv take a k x n int64 matrix of register
+call to either, each one rule for both directions (the adjoint adds the
+negated value or multiplies by the inverse unit).  Relabelings of listed basis
+tuples (transpositions, the halting statement, the pair transposition U_r)
+have one home too, `pairing_permutation`.  Every permutation is a column map
+(see `hilbert.Permutation`): fn and inv take a k x n int64 matrix of register
 columns to the matrix of their images, and every compiled table is checked on
 its whole domain.  The builders write their rules on one basis tuple and pass
 them through `per_tuple`, which maps a column matrix one tuple at a time; only
@@ -74,21 +75,18 @@ def _scale(regs: tuple[str, ...], L: int, factor: Callable[..., int], label: str
     is the last register, factor(c...) must be a unit mod L, and it is 1
     wherever the gate must act as the identity."""
 
-    def fwd(v):
-        y = v[-1]
-        if y >= L:
-            return v
-        c = v[:-1]
-        return c + (y * factor(*c) % L,)
+    def scale(by):
+        def on_tuple(v):
+            y = v[-1]
+            if y >= L:
+                return v
+            c = v[:-1]
+            return c + (y * by(*c) % L,)
 
-    def inv(v):
-        y = v[-1]
-        if y >= L:
-            return v
-        c = v[:-1]
-        return c + (y * pow(factor(*c), -1, L) % L,)
+        return per_tuple(on_tuple)
 
-    return Permutation(regs, per_tuple(fwd), per_tuple(inv), label=label)
+    return Permutation(regs, scale(factor), scale(lambda *c: pow(factor(*c), -1, L)),
+                       label=label)
 
 
 def add_mod(L: int, src: str, dst: str) -> GateOp:
@@ -122,13 +120,6 @@ def transposition(a: int, b: int, reg: str) -> GateOp:
     (in particular the top of the register) untouched.
     """
     return pairing_permutation([a], [b], reg, f"X_{a}_{b}")
-
-
-def cond_mod_exp_two_reg(a: int, L: int, ctrl: str, tgt: str) -> GateOp:
-    """|x>|y> -> |x>|y * a**x mod L> for y < L; requires gcd(a, L) = 1."""
-    if math.gcd(a, L) != 1:
-        raise DomainError(f"cond_mod_exp two_reg: gcd({a},{L}) != 1, not unitary")
-    return _scale((ctrl, tgt), L, lambda x: pow(a, x, L), f"CEXP_{a}_{L}")
 
 
 def pow_const(e: int, L: int, src: str, tgt: str) -> GateOp:

@@ -17,8 +17,9 @@ Conventions:
     power of two, as for every register of the pipeline's layouts, that is a
     shift or a mask; otherwise a floor division and, for the remainder, a
     product and a subtraction.  numpy's remainder by a scalar is several
-    times slower than any of these, so reads of one run and the per-register
-    reads past MANY_ROWS avoid it; only the few-row matrix reads keep `%`.
+    times slower than any of these, so a permutation reads its code one run
+    at a time; only `_digits`' matrix reads keep `%` (chain memos, the
+    multi-register `_match`, `unpack`, the clean-register check).
   - PhaseFn multiplies the amplitude of a listed basis tuple x of its registers
     by exp(1j * angles[x]) and leaves unlisted tuples alone.
   - Controlled applies its inner gate where the control registers hold a tuple
@@ -107,7 +108,7 @@ RELEASE_TOL = 1e-8
 EXHAUSTIVE_CHECK_LIMIT = 1 << 20
 CODE_LIMIT = 1 << 62  # bounds a flat code's domain and a word's values
 GATE_SETS = 8  # gate builders memoized per process (functools.lru_cache maxsize)
-MANY_ROWS = 1 << 10  # from here a few more numpy passes, each cheaper, beat fewer calls
+MANY_ROWS = 1 << 10  # from here rows sort packed and the kernel keeps grouping plans
 # rows per fn call above the check limit: a cold p=67 demo read 338 MB maxrss
 # in 12.9-14.8 s with 2**16, 358 MB in 15.9-16.3 s with 2**20, 476 MB unblocked
 ROW_BLOCK = 1 << 16
@@ -260,21 +261,18 @@ def _digits(words: np.ndarray, code: _Code) -> np.ndarray:
     return words[:, code.cols] // code.strides % code.spans
 
 
-def _encode(words: np.ndarray, code: _Code) -> tuple[np.ndarray, np.ndarray | list | None]:
-    """The rows' flat codes (the domain below CODE_LIMIT), and their digits for
-    `_recode` unless the registers are one run: a matrix for few rows, and from
-    MANY_ROWS on a list of columns, as numpy divides by a scalar much faster."""
+def _encode(words: np.ndarray, code: _Code) -> tuple[np.ndarray, list | None]:
+    """The rows' flat codes (the domain below CODE_LIMIT), and unless the
+    registers are one run, their digits for `_recode`: one column per
+    register, each read as its own run, with no `%` at any row count."""
     if code.run is not None:
         return _run_value(words, code.run), None
-    if len(words) < MANY_ROWS:
-        digits = _digits(words, code)
-        return digits @ code.weights, digits
     digits = [_run_value(words, place) for place in code.places]
     return sum(d * w for d, w in zip(digits, code.weights.tolist())), digits
 
 
 def _recode(words: np.ndarray, code: _Code, codes: np.ndarray,
-            digits: np.ndarray | list | None, images: np.ndarray) -> np.ndarray:
+            digits: list | None, images: np.ndarray) -> np.ndarray:
     """The rows' words with their registers moved from `codes` (and the
     `digits` `_encode` gave with them) to `images`."""
     if code.run is not None:
@@ -284,12 +282,10 @@ def _recode(words: np.ndarray, code: _Code, codes: np.ndarray,
         new = words.copy()
         new[:, code.run.word] += delta
         return new
-    if isinstance(digits, list):
-        new = words.copy()
-        for place, weight, old in zip(code.places, code.weights.tolist(), digits):
-            new[:, place.word] += (_digit(images, weight, place.span) - old) * place.stride
-        return new
-    return words + (images[:, None] // code.weights % code.spans - digits) @ code.scatter
+    new = words.copy()
+    for place, weight, old in zip(code.places, code.weights.tolist(), digits):
+        new[:, place.word] += (_digit(images, weight, place.span) - old) * place.stride
+    return new
 
 
 class SparseState:

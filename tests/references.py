@@ -90,6 +90,15 @@ def mod_reduce(m: int, src: str, dst: str, dst_dim: int) -> GateOp:
     return gates._accumulate((src, dst), dst_dim, lambda s: s % m, f"MOD_{m}")
 
 
+def cond_mod_exp_two_reg(a: int, L: int, ctrl: str, tgt: str) -> GateOp:
+    """|x>|y> -> |x>|y * a**x mod L> for y < L; requires gcd(a, L) = 1.  For a
+    generator g of Z_p^* and L = p this is `gates.cyclic_shift(p, g, tgt,
+    control=ctrl)`, as g**(p-1) = 1."""
+    if math.gcd(a, L) != 1:
+        raise DomainError(f"cond_mod_exp two_reg: gcd({a},{L}) != 1, not unitary")
+    return gates._scale((ctrl, tgt), L, lambda x: pow(a, x, L), f"CEXP_{a}_{L}")
+
+
 def cond_mod_exp_three_reg(a: int, L: int, ctrl: str, mul: str, tgt: str) -> GateOp:
     """|x>|y>|z> -> |x>|y>|(z + y*a**x) mod L> for z < L; unitary for any a."""
     return gates._accumulate((ctrl, mul, tgt), L, lambda x, y: y * pow(a, x, L),

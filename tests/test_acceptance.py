@@ -251,7 +251,7 @@ def _fuzz_zoo():
         gates.transposition(1, 4, "a"),
         gates.set_const(2, "b", 4),
         ref.mul_const(3, 5, "a"),
-        gates.cond_mod_exp_two_reg(2, 5, "b", "a"),
+        ref.cond_mod_exp_two_reg(2, 5, "b", "a"),
         ref.cond_mod_exp_three_reg(2, 4, "a", "c", "b"),
         ref.cond_mod_exp_two_var(2, 3, 5, "b", "c", "a"),
         gates.pow_const(3, 5, "a", "q"),

@@ -195,7 +195,9 @@ def test_amplification_on_pipeline_state(spec13, mode, m):
 def test_v_f_inverse_examples(spec13):
     regs = dl.REGS
     lay = dl.make_dlog_layout(spec13)
-    vinv = dl.v_f_inverse(spec13)
+    kit = dl.pipeline_kit(spec13)
+    vinv = hilbert.Sequence(tuple(kit["stage1"] + kit["amp1"] + kit["mid"] + kit["amp2"]
+                                  + kit["tail"]), label="V_finv")
     # index of the unit element is 0
     out = apply(SparseState.basis(lay, {regs.w: 1}), vinv)
     tgt = SparseState.basis(lay, {regs.w: 1, regs.out: 0})

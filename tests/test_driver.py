@@ -236,6 +236,21 @@ def test_a_second_cli_call_sets_its_own_log_level(monkeypatch, own_logger, capsy
     assert len(own_logger.handlers) == 1
 
 
+def test_a_configured_root_logger_prints_each_record_once(monkeypatch, own_logger, capsys):
+    # records propagate to the root logger, whose handler prints to stderr
+    # too, so the `cycsim` handler leaves them to it
+    root = logging.StreamHandler(sys.stderr)
+    root.setFormatter(logging.Formatter("root-handler %(message)s"))
+    monkeypatch.setattr(logging.getLogger(), "handlers", logging.getLogger().handlers + [root])
+    monkeypatch.setenv("CYCSIM_LOG", "INFO")
+    assert cli_main(["--p", "5", "--hidden-s", "1", "--no-demo"]) == 0
+    assert capsys.readouterr().err.count("instance p=5") == 1
+    # with the root handler gone, the `cycsim` handler prints the record
+    monkeypatch.setattr(logging.getLogger(), "handlers", [])
+    assert cli_main(["--p", "5", "--hidden-s", "2", "--no-demo"]) == 0
+    assert capsys.readouterr().err.count("INFO cycsim: instance p=5") == 1
+
+
 def test_cli_refuses_a_prime_too_wide_for_the_verification_register(monkeypatch, capsys):
     # 4099 has 13 bits: building its instance alone would allocate a dense
     # 8192 x 8192 rotation, so the refusal must come before any gate is built

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from references import (assert_tables_match, cond_mod_exp_three_reg, cond_mod_exp_two_var,
-                        functional_qft, mod_reduce, mul_const, sole_tuple)
+from references import (assert_tables_match, cond_mod_exp_three_reg, cond_mod_exp_two_reg,
+                        cond_mod_exp_two_var, functional_qft, mod_reduce, mul_const, sole_tuple)
 from cycsim import dlog_pipeline, gates, hilbert
 from cycsim.hilbert import Register, RegisterLayout, SparseState, adjoint, apply
 from cycsim.numtheory import DomainError, find_primitive_root, is_prime, make_group_spec
@@ -92,11 +92,11 @@ def test_mul_const():
 
 def test_cond_mod_exp_variants():
     lay = layout3()
-    two = gates.cond_mod_exp_two_reg(2, 5, "r1", "r2")
+    two = cond_mod_exp_two_reg(2, 5, "r1", "r2")
     out = apply(as_basis(lay, r1=3, r2=1), two)
     assert reg_val(out, "r2") == 3  # 1*2^3 mod 5
     with pytest.raises(DomainError):
-        gates.cond_mod_exp_two_reg(2, 6, "r1", "r2")
+        cond_mod_exp_two_reg(2, 6, "r1", "r2")
     three = cond_mod_exp_three_reg(2, 6, "r1", "r2", "r3")
     out = apply(as_basis(lay, r1=2, r2=1), three)
     assert reg_val(out, "r3") == 4  # 1*2^2 mod 6 (non-coprime base allowed)
@@ -343,7 +343,7 @@ def test_arithmetic_constructors_match_their_reference_formulas(p):
             (mod_reduce(L, "x", "z", D), _ref_mod_reduce(L, D), (D, D), f"MOD_{L}"),
             (gates.set_const(L - 1, "z", D), _ref_set(L - 1, D), (D,), f"SET_{L - 1}"),
             (mul_const(a, L, "z"), _ref_mul_const(a, L), (D,), f"MUL_{a}_{L}"),
-            (gates.cond_mod_exp_two_reg(a, L, "x", "z"), _ref_cexp(a, L), (D, D),
+            (cond_mod_exp_two_reg(a, L, "x", "z"), _ref_cexp(a, L), (D, D),
              f"CEXP_{a}_{L}"),
             # any base: 2 shares a factor with the even moduli
             (cond_mod_exp_three_reg(2, L, "x", "y", "z"), _ref_cexp3(2, L), (D, D, D),
@@ -362,6 +362,18 @@ def test_arithmetic_constructors_match_their_reference_formulas(p):
                                 _ref_shift(p, h, power), (D,), f"SHIFT_{h}^{power}")
             assert_tables_match(gates.cyclic_shift(p, h, "z", power=power, control="x"),
                                 _ref_cshift(p, h, power), (D, D), f"CSHIFT_{h}^{power}")
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_TO_61)
+def test_the_log_gates_forward_step_is_the_two_register_mod_exp(p):
+    # u_log clears OUT with the group translation by g**W, which on the whole
+    # padded domain is the general-modulus y -> y * g**x mod p, as g**(p-1) = 1
+    D = gates.register_dim(p)
+    g = make_group_spec(p).g
+    shift = gates.cyclic_shift(p, g, "OUT", control="W")
+    ref = cond_mod_exp_two_reg(g, p, "W", "OUT")
+    assert np.array_equal(shift.table_for((D, D)), ref.table_for((D, D)))
+    assert np.array_equal(shift.inv_tables[(D, D)], ref.inv_tables[(D, D)])
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, pytest.param(11, marks=pytest.mark.slow),
@@ -429,7 +441,7 @@ def test_construction_refusals_are_kept():
     with pytest.raises(DomainError):
         mul_const(4, 6, "z")
     with pytest.raises(DomainError):
-        gates.cond_mod_exp_two_reg(2, 6, "x", "z")
+        cond_mod_exp_two_reg(2, 6, "x", "z")
     with pytest.raises(DomainError):
         gates.pow_const(-1, 5, "x", "z")
     with pytest.raises(DomainError):

@@ -617,8 +617,8 @@ def test_digit_reads_match_plain_division(dims, words, support):
         pos = [layout.index(r) for r in regs]
         codes, digits = hilbert._encode(st.words, code)
         assert np.array_equal(codes, tuples[:, pos] @ np.array(hilbert._strides(code.dims)))
-        # from MANY_ROWS on, registers that are no run take the per-register branch
-        assert isinstance(digits, list) == (support >= MANY_ROWS and code.run is None)
+        # registers that are no run are read one register at a time, at any row count
+        assert isinstance(digits, list) == (code.run is None)
         images = np.array([rng.randrange(math.prod(code.dims)) for _ in codes], dtype=np.int64)
         moved = tuples.copy()
         moved[:, pos] = np.transpose(np.unravel_index(images, code.dims))

@@ -6,6 +6,7 @@ import pytest
 
 from references import IPLUS, IY, q_n_operator, sole_tuple
 from cycsim import gates, hilbert, mq_circuits as mq
+from cycsim.driver import ExperimentConfig, run_experiment
 from cycsim.numtheory import DomainError
 
 
@@ -287,6 +288,23 @@ def test_a_warm_verification_leaves_no_reference_cycle():
     gc.disable()
     try:
         assert mq.verify_solution(s, orc, half) is True
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("run_demo", [False, True], ids=["search", "demo"])
+@pytest.mark.parametrize("epsilon, gamma", [(0.0, 0.0), (0.1, 0.3)], ids=["exact", "pulse"])
+def test_a_warm_run_leaves_no_reference_cycle(run_demo, epsilon, gamma):
+    # every gate a run builds and adjoints is kept by its instance or kit, so
+    # reference counting frees whatever else a warm run makes
+    config = ExperimentConfig(p=13, hidden_s=5, epsilon=epsilon, gamma=gamma,
+                              run_demo=run_demo)
+    assert run_experiment(config).verification["success"]
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_experiment(config).verification["success"]
         assert gc.collect() == 0
     finally:
         gc.enable()
