@@ -54,7 +54,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if not is_prime(self.p) or self.p < 3:
-            raise DomainError(f"p must be prime, got {self.p}")
+            raise DomainError(f"p must be an odd prime, got {self.p}")
         if self.p.bit_length() > mq.MAX_QUBITS:  # before any gate sized by it is built
             raise DomainError(f"p = {self.p} needs more than the {mq.MAX_QUBITS} verification qubits")
         if self.hidden_s is not None and not 0 <= self.hidden_s < self.p - 1:

@@ -33,9 +33,10 @@ Conventions:
     the codes it maps.  A permutation whose domain has at most
     EXHAUSTIVE_CHECK_LIMIT points evaluates the whole domain once, one value
     of its leading register at a time, into a lookup table, which the checks
-    on every point prove a bijection; the inverse table is its scatter.  A
-    larger permutation keeps nothing: every application evaluates its rows'
-    codes, ROW_BLOCK rows at a time.
+    on every point prove a bijection; the inverse table is its scatter.  Both
+    are int32, as such a domain's codes lie below 2^20.  A larger permutation
+    keeps nothing: every application evaluates its rows' codes, ROW_BLOCK
+    rows at a time.
   - A Sequence whose leaves are all permutations (Controlled permutations
     count) is one permutation of its registers, memoized per dims signature
     in two dicts, {digits: image digits} and back, keyed by tuples of the
@@ -435,7 +436,9 @@ class Permutation(GateOp):
         where each application evaluates `fn` on its rows instead.  The whole
         domain goes through `_evaluate` once, a block per value of the leading
         register (the whole domain of a one-register gate), so the map's
-        temporaries stay a slice long; the inverse table is its scatter."""
+        temporaries stay a slice long; the inverse table is its scatter.  Both
+        hold int32, 4 bytes per entry, as a compiled domain's codes lie below
+        EXHAUSTIVE_CHECK_LIMIT = 2^20."""
         table = self.tables.get(dims)
         if table is not None:
             return table
@@ -444,11 +447,11 @@ class Permutation(GateOp):
             return None
         codes = np.arange(total)
         table = _evaluate(self, dims, codes, total // dims[0] if len(dims) > 1 else total)
-        inv_table = np.empty(total, dtype=np.int64)
-        # one scatter of the whole domain: freeing its domain-sized source
-        # also raises glibc's mmap threshold, and below that threshold a
-        # warm demo's local-unitary kernel faults its arrays in afresh on
-        # every call
+        inv_table = np.empty(total, dtype=np.int32)
+        # one scatter of the whole domain: freeing its int64 source (8 MB
+        # at p = 29) also raises glibc's mmap threshold, below which a warm
+        # demo's local-unitary kernel faults its arrays in afresh on every
+        # call; warm demo-p29 passes after the first make 16-85 minor faults
         inv_table[table] = codes
         self.tables[dims] = table
         self.inv_tables[dims] = inv_table
@@ -632,7 +635,7 @@ def _evaluate(gate: Permutation, dims: tuple[int, ...], codes: np.ndarray,
     lie in the domain and `inv` to lead it back to its own code, which proves
     `fn` injective on the codes.  The one checked evaluation of a permutation;
     the one place that calls its `fn` and `inv`."""
-    images = np.empty_like(codes)
+    images = np.empty(len(codes), np.int32 if math.prod(dims) <= EXHAUSTIVE_CHECK_LIMIT else np.int64)
     weights = np.array(_strides(dims))
     bounds = np.array(dims, dtype=np.uint64)[:, None]
     # codes lie below prod(dims): a leading digit above others needs no reduction

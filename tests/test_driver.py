@@ -63,6 +63,24 @@ def test_oracle_call_budget():
     assert rep.gate_counts["oracle-call"] == rep.oracle_calls_total
 
 
+@pytest.mark.parametrize("p,most_calls", [(13, 4), (43, 7)])
+def test_a_search_sweep_keeps_the_papers_counts(p, most_calls):
+    # exact mode: a trial reads 0 or 1, only the last trial of a component
+    # hits, and no component calls the oracle more than the largest
+    # subgroup order, which some hidden index reaches
+    largest = make_group_spec(p).largest_order
+    assert largest == most_calls
+    calls = []
+    for s, rep in enumerate(run_sweep(ExperimentConfig(p=p, run_demo=False))):
+        for comp in rep.components:
+            probs = comp["trial_probabilities"]
+            assert all(min(abs(q), abs(1 - q)) < 1e-12 for q in probs), (s, comp["k"], probs)
+            assert [q > 0.5 for q in probs] == [False] * (len(probs) - 1) + [True]
+            assert comp["oracle_calls"] == len(probs) <= largest
+            calls.append(comp["oracle_calls"])
+    assert max(calls) == largest
+
+
 def test_hidden_index_quarantined_outside_verification():
     rep = run_experiment(ExperimentConfig(p=13, hidden_s=7, run_demo=False))
     payload = rep.as_dict()
@@ -153,7 +171,8 @@ def test_cli_single_run(tmp_path):
 
 
 @pytest.mark.parametrize("log,argv,fragment", [
-    (None, ["--p", "12", "--hidden-s", "1"], "must be prime"),
+    (None, ["--p", "12", "--hidden-s", "1"], "must be an odd prime"),
+    (None, ["--p", "2", "--hidden-s", "0"], "p must be an odd prime, got 2"),
     (None, ["--p", "13", "--g", "4", "--hidden-s", "1"], "4 is not a primitive root mod 13"),
     (None, ["--p", "13", "--g", "15", "--hidden-s", "1"], "15 is not a primitive root mod 13"),
     (None, ["--p", "13", "--hidden-s", "1", "--trotter-m", "0"], "trotter_m"),
@@ -184,7 +203,7 @@ def test_cli_single_run(tmp_path):
      "CYCSIM_LOG='basic_format' is not DEBUG, INFO, WARNING, ERROR or CRITICAL"),
     ("nonsense", ["--p", "5", "--hidden-s", "1", "--no-demo"], "CYCSIM_LOG='nonsense' is not"),
     ("notset", ["--p", "5", "--hidden-s", "1", "--no-demo"], "CYCSIM_LOG='notset' is not"),
-], ids=["nonprime", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
+], ids=["nonprime", "p-two", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
         "grover-m-negative", "grover-m-without-grover-mode", "theta-one", "theta-zero",
         "hidden-s-with-hidden-random", "hidden-s-with-csv", "hidden-random-with-csv",
         "gamma-nan", "gamma-inf", "csv-dir-missing", "out-dir-missing",
@@ -542,18 +561,20 @@ def test_warm_run_builds_no_reduction_adjoint(monkeypatch):
     assert not [label for label in built if label.startswith("REDUCE_")]
 
 
-@pytest.mark.parametrize("config,local,tables", [
-    (ExperimentConfig(p=29, hidden_s=0), 6, 58),
-    (ExperimentConfig(p=29, hidden_s=0, epsilon=0.1, gamma=0.3, run_demo=False), 10, 91),
-    (ExperimentConfig(p=43, hidden_s=0, run_demo=False), 2, 119),
+@pytest.mark.parametrize("config,local,tables,nbytes", [
+    (ExperimentConfig(p=29, hidden_s=0), 6, 58, 9_162_048),
+    (ExperimentConfig(p=29, hidden_s=0, epsilon=0.1, gamma=0.3, run_demo=False), 10, 91, 398_208),
+    (ExperimentConfig(p=43, hidden_s=0, run_demo=False), 2, 119, 1_534_912),
 ], ids=["demo-p29", "pulse-p29", "search-p43"])
-def test_a_cold_run_builds_each_adjoint_once(config, local, tables, cleared_gate_caches,
+def test_a_cold_run_builds_each_adjoint_once(config, local, tables, nbytes, cleared_gate_caches,
                                              monkeypatch):
     # a gate keeps its adjoint, so a reflection's prep+ and a leaky
     # reduction's inverse build one LocalUnitary per distinct gate, while
     # the adjoints still read their gates' compiled tables; the search and
     # the verification share one half rotation, so a search-only run builds
-    # UNY_n and its adjoint and no other dense matrix
+    # UNY_n and its adjoint and no other dense matrix.  A compiled domain
+    # holds at most 2**20 codes, so a table and its inverse are int32: 8
+    # bytes per entry between them
     counts, rotations = Counter(), []
     post_init, table_for = LocalUnitary.__post_init__, Permutation.table_for
 
@@ -566,7 +587,12 @@ def test_a_cold_run_builds_each_adjoint_once(config, local, tables, cleared_gate
     def compiled(self, dims):
         fresh = dims not in self.tables
         table = table_for(self, dims)
-        counts["tables"] += fresh and table is not None
+        if fresh and table is not None:
+            inverse = self.inv_tables[dims]
+            assert table.dtype == inverse.dtype == np.int32, self.label
+            assert table.nbytes + inverse.nbytes == 8 * table.size, self.label
+            counts["tables"] += 1
+            counts["bytes"] += table.nbytes + inverse.nbytes
         return table
 
     monkeypatch.setattr(LocalUnitary, "__post_init__", built)
@@ -575,6 +601,7 @@ def test_a_cold_run_builds_each_adjoint_once(config, local, tables, cleared_gate
     run_experiment(config)
     assert counts["local"] == local
     assert counts["tables"] == tables
+    assert counts["bytes"] == nbytes
     half = f"UNY_{config.p.bit_length()}"
     assert rotations == [(half, "SEARCH"), (half + "+", "SEARCH")]
     counts.clear()

@@ -418,8 +418,9 @@ def test_work_mod_exp_moves_basis_states_as_its_reference_does(p, data):
 
 def test_work_mod_exp_compiles_a_slice_at_a_time():
     # p = 29 is the demo's largest compiled table: 32**4 entries, made in one
-    # forward and one inverse call per value of w, within the table, its
-    # inverse, the source of the inverse's scatter and one slice's temporaries
+    # forward and one inverse call per value of w, within the int32 table and
+    # its inverse (4 MiB each), the int64 domain that is the inverse's scatter
+    # source (8 MiB) and one slice's temporaries: 16.25 MiB measured
     gate = gates.work_mod_exp(2, 29, "x", "y", "w", "z")
     widths = []
 
@@ -434,7 +435,7 @@ def test_work_mod_exp_compiles_a_slice_at_a_time():
     finally:
         tracemalloc.stop()
     assert widths == [32 ** 3] * 64
-    assert table.nbytes == 8 << 20 and peak < 4 * table.nbytes
+    assert table.nbytes == 4 << 20 and peak < 20 << 20
 
 
 def test_construction_refusals_are_kept():
