@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,25 +45,6 @@ class DlogRegs:
 
 
 REGS = DlogRegs()  # the pipeline's one register vocabulary
-
-
-@dataclass
-class PipelineTrace:
-    """Per-stage diagnostics: (stage, fidelity-to-analytic-target or None,
-    support size, gate/oracle counts so far)."""
-
-    entries: list[dict] = field(default_factory=list)
-
-    def record(self, stage: str, fidelity: float | None, support: int,
-               ledger: GateLedger | None) -> None:
-        if stage not in STAGES:
-            raise SimulationError(f"unknown pipeline stage {stage!r}")
-        counts = ledger.counts_by_class() if ledger is not None else {}
-        self.entries.append({"stage": stage, "fidelity": fidelity,
-                             "support": support, "gate_counts": counts})
-
-    def as_dict(self) -> list[dict]:
-        return list(self.entries)
 
 
 def make_dlog_layout(spec: CyclicGroupSpec) -> RegisterLayout:
@@ -205,53 +186,62 @@ def index_patterns(state: SparseState) -> set[tuple[int, int]]:
 
 
 def run_dlog_demo(spec: CyclicGroupSpec, b: int, mode: str = "exact", grover_m: int | None = None,
-                  ledger: GateLedger | None = None) -> tuple[PipelineTrace, int, SparseState]:
+                  ledger: GateLedger | None = None) -> tuple[list[dict], int, SparseState]:
     """Run the staged inversion on |g**s> = |b> with per-stage diagnostics;
-    returns the trace, the recovered index, and the final state."""
-    trace = PipelineTrace()
+    returns the trace, the recovered index, and the final state.  The trace
+    holds one dict per stage: its name, its fidelity to the analytic target
+    (or None), its support size and the gate/oracle counts so far."""
+    trace: list[dict] = []
     ledger = ledger if ledger is not None else GateLedger()
+
+    def record(stage: str, fidelity: float | None, support: int) -> None:
+        if stage not in STAGES:
+            raise SimulationError(f"unknown pipeline stage {stage!r}")
+        trace.append({"stage": stage, "fidelity": fidelity, "support": support,
+                      "gate_counts": ledger.counts_by_class()})
+
     p, g, m = spec.p, spec.g, spec.p - 1
     kit = pipeline_kit(spec, mode, grover_m)
     layout = make_dlog_layout(spec)
     state = SparseState.basis(layout, {REGS.w: b})
-    trace.record("psi0", 1.0, state.support_size, ledger)
+    record("psi0", 1.0, state.support_size)
 
     state = apply_all(state, kit["psi1"], ledger)
     target = _psi1_target(spec, b, layout)
-    trace.record("psi1", hilbert.fidelity(state, target), state.support_size, ledger)
+    record("psi1", hilbert.fidelity(state, target), state.support_size)
 
     state = apply_all(state, kit["psi2"], ledger)
     s_true = classical_dlog(p, g, b)
     want = {(l, (l * s_true) % m) for l in range(m)}
     pat_ok = index_patterns(state) == want
-    trace.record("psi2", 1.0 if pat_ok else 0.0, state.support_size, ledger)
+    record("psi2", 1.0 if pat_ok else 0.0, state.support_size)
     if not pat_ok:
         raise SimulationError("index-pattern shape check failed after the Fourier pass")
 
     state = apply_all(state, kit["euler"], ledger)
     weight = state.weight_where(REGS.x, _coprime_mask(layout.dim(REGS.x), m))
-    trace.record("psi3", None, state.support_size, ledger)
-    trace.record("psi3s-weight", weight, state.support_size, ledger)
+    record("psi3", None, state.support_size)
+    record("psi3s-weight", weight, state.support_size)
 
     state = apply_all(state, kit["amp1"], ledger)
 
     clear_ls, unqft, unshift = kit["mid"]
     state = apply(state, clear_ls, ledger)
-    trace.record("psi4s", None, state.support_size, ledger)
-    trace.record("psi5s", None, state.support_size, ledger)
+    record("psi4s", None, state.support_size)
+    record("psi5s", None, state.support_size)
 
     state = apply(state, unqft, ledger)
-    trace.record("psi6s", None, state.support_size, ledger)
+    record("psi6s", None, state.support_size)
 
     state = apply(state, unshift, ledger)
     cross = state.weight_where(REGS.f, np.arange(layout.dim(REGS.f)) != 1)
-    trace.record("psi7s", cross, state.support_size, ledger)
+    record("psi7s", cross, state.support_size)
 
     state = apply_all(state, kit["amp2"] + kit["tail"], ledger)
 
     target = SparseState.basis(layout, {REGS.w: b, REGS.out: s_true})
     fid = hilbert.fidelity(state, target)
-    trace.record("final", fid, state.support_size, ledger)
+    record("final", fid, state.support_size)
     if mode == "exact":
         # plain reflections leave genuine residue; only exact mode owes clean aux
         hilbert.assert_registers_clean(

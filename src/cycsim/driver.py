@@ -20,7 +20,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import crt_reduction as cr
 from . import dlog_pipeline as dl
@@ -43,7 +43,7 @@ class ExperimentConfig:
     hidden_s: int | None = None          # explicit index; None -> draw from seed
     hidden_random: bool = False
     seed: int = 0
-    theta: float = math.pi
+    theta: float = field(default=math.pi, init=False)  # the trial threshold's pi rotation
     mode: str = "exact"                  # amplification mode for the log-gate demo
     grover_m: int | None = None
     trotter_m: int | None = None         # adds a product-formula validation section
@@ -53,10 +53,10 @@ class ExperimentConfig:
     timing: bool = False                 # attach wall time (breaks byte determinism)
 
     def validate(self) -> None:
-        if not is_prime(self.p) or self.p < 3:
-            raise DomainError(f"p must be an odd prime, got {self.p}")
-        if self.p.bit_length() > mq.MAX_QUBITS:  # before any gate sized by it is built
+        if self.p >= 3 and self.p.bit_length() > mq.MAX_QUBITS:  # before trial division or any gate
             raise DomainError(f"p = {self.p} needs more than the {mq.MAX_QUBITS} verification qubits")
+        if self.p < 3 or not is_prime(self.p):
+            raise DomainError(f"p must be an odd prime, got {self.p}")
         if self.hidden_s is not None and not 0 <= self.hidden_s < self.p - 1:
             raise DomainError(f"hidden index {self.hidden_s} outside Z_{self.p - 1}")
         if not 0.0 <= self.epsilon < 1.0:
@@ -74,9 +74,6 @@ class ExperimentConfig:
             raise DomainError("grover_m must be non-negative")
         if self.grover_m is not None and self.mode != "grover":
             raise DomainError("grover_m applies only to mode 'grover'")
-        if self.theta != math.pi:
-            # the component search's trial threshold assumes a pi rotation
-            raise DomainError(f"theta must be pi, got {self.theta}")
 
 
 @dataclass
@@ -149,7 +146,8 @@ def _draw_hidden(config: ExperimentConfig) -> int:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     t0 = time.perf_counter()
-    inst = _instance(config.p, config.g, config.epsilon, config.gamma)
+    # gamma phases only the pulse, and without epsilon there is none
+    inst = _instance(config.p, config.g, config.epsilon, config.gamma if config.epsilon > 0 else 0.0)
     spec, layout, regs = inst.spec, inst.layout, inst.regs
     hidden_s = _draw_hidden(config)
     ospec = OracleSpec(hidden_s, spec)
@@ -164,10 +162,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         trace, demo_rec, _ = dl.run_dlog_demo(spec, b, mode=config.mode,
                                               grover_m=config.grover_m,
                                               ledger=demo_ledger)
-        euler_weight = next(e["fidelity"] for e in trace.entries
-                            if e["stage"] == "psi3s-weight")
+        euler_weight = next(e["fidelity"] for e in trace if e["stage"] == "psi3s-weight")
         demo_section = {
-            "trace": trace.as_dict(),
+            "trace": trace,
             "recovered_index": demo_rec,
             "agrees_with_classical": demo_rec == classical_dlog(spec.p, spec.g, b),
             "gate_counts": demo_ledger.counts_by_class(),
@@ -309,11 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
                                              "state space, verified classically")
     ap.add_argument("--p", type=int, required=True, help="prime modulus")
     ap.add_argument("--g", type=int, default=None, help="primitive root (default: smallest)")
-    ap.add_argument("--hidden-s", type=int, default=None, help="hidden index to plant")
-    ap.add_argument("--hidden-random", action="store_true",
-                    help="draw the hidden index from --seed")
+    index = ap.add_mutually_exclusive_group(required=True)
+    index.add_argument("--hidden-s", type=int, default=None, help="hidden index to plant")
+    index.add_argument("--hidden-random", action="store_true",
+                       help="draw the hidden index from --seed")
+    index.add_argument("--csv", type=str, default=None,
+                       help="sweep every hidden index and write one CSV row per run")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--theta", type=float, default=math.pi)
     ap.add_argument("--mode", choices=("exact", "grover"), default="exact")
     ap.add_argument("--grover-m", type=int, default=None)
     ap.add_argument("--trotter-m", type=int, default=None,
@@ -321,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--epsilon", type=float, default=0.0, help="pulse leakage amplitude")
     ap.add_argument("--gamma", type=float, default=0.0, help="pulse leakage phase")
     ap.add_argument("--out", type=str, default=None, help="JSON report path")
-    ap.add_argument("--csv", type=str, default=None,
-                    help="sweep every hidden index and write one CSV row per run")
     ap.add_argument("--no-demo", action="store_true",
                     help="skip the staged-inversion diagnostics section")
     ap.add_argument("--timing", action="store_true",
@@ -352,20 +349,13 @@ def cli_main(argv: list[str] | None = None) -> int:
                 and record.levelno >= h.level for h in logging.getLogger().handlers))
             log.addHandler(handler)
         log.setLevel(level.upper())
-        if args.hidden_s is not None and (args.hidden_random or args.csv is not None):
-            other = "--hidden-random" if args.hidden_random else "--csv"
-            raise DomainError(f"--hidden-s conflicts with {other}")
-        if args.hidden_random and args.csv is not None:
-            raise DomainError("--hidden-random conflicts with --csv")
         config = ExperimentConfig(
             p=args.p, g=args.g, hidden_s=args.hidden_s,
-            hidden_random=args.hidden_random, seed=args.seed, theta=args.theta,
+            hidden_random=args.hidden_random, seed=args.seed,
             mode=args.mode, grover_m=args.grover_m, trotter_m=args.trotter_m,
             epsilon=args.epsilon, gamma=args.gamma, run_demo=not args.no_demo,
             timing=args.timing)
         config.validate()
-        if config.hidden_s is None and not config.hidden_random and args.csv is None:
-            raise DomainError("give --hidden-s, --hidden-random, or --csv for a sweep")
         for flag, path in (("--out", args.out), ("--csv", args.csv)):
             if path is None:
                 continue

@@ -83,11 +83,15 @@ Conventions:
     first product runs on exactly the rows a's own step would bucket, every
     cell under DROP_THRESHOLD is then set to +0.0 (what b's bucket holds
     where a dropped a row), and the second product runs on the (group, a)
-    rows with a kept cell, exactly b's own bucket rows.  A product's rows
-    are bit for bit the same in any order and any batch of at least two
-    (a one-row product takes another BLAS path), so the pair gives the
-    same rows and amplitudes as two steps, in another row order.  Elsewhere,
-    or where a step would refuse its support, the two go one at a time.
+    rows with a kept cell, exactly b's own bucket rows, in another order.
+    Only a product's rows in the same order and batch are the same on every
+    BLAS kernel.  Under SkylakeX, the kernel OpenBLAS picks on the AVX-512
+    host the digests were recorded on, they are also bit for bit the same in
+    any order and any batch of at least two (a one-row product takes another
+    BLAS path); the pair relies on that to give the same rows and amplitudes
+    as two steps.  Under Haswell 29 of 38 batch sizes changed a row, and the
+    pair's two tests check the running kernel only.  Elsewhere, or where a
+    step would refuse its support, the two go one at a time.
   - Readers whose result depends on row order (sequential sums, tie-breaks)
     visit rows in lexicographic order of their basis tuples; weights are
     `math.fsum`s, which are exact whatever the order.

@@ -211,7 +211,7 @@ def test_v_f_inverse_examples(spec13):
 def test_v_f_inverse_cross_term_weight(spec13):
     # the off-diagonal weight before the second amplification is 1 - phi/(p-1)
     trace, rec, _ = dl.run_dlog_demo(spec13, b=pow(2, 7, 13))
-    cross = next(e["fidelity"] for e in trace.entries if e["stage"] == "psi7s")
+    cross = next(e["fidelity"] for e in trace if e["stage"] == "psi7s")
     assert abs(cross - (1 - 4 / 12)) < 1e-10
     assert rec == 7
 
@@ -277,17 +277,17 @@ def test_fourier_pair_consistency(spec13):
 
 def test_pipeline_trace_serializes(spec13):
     trace, _, _ = dl.run_dlog_demo(spec13, b=11)
-    stages = [e["stage"] for e in trace.entries]
+    stages = [e["stage"] for e in trace]
     assert stages == list(dl.STAGES)
     import json
-    json.dumps(trace.as_dict())
+    json.dumps(trace)
 
 
 def test_grover_mode_demo_reports_partial_weight(spec13):
     # diagnostics mode: the recovered index is still the argmax
     trace, rec, _ = dl.run_dlog_demo(spec13, b=pow(2, 4, 13), mode="grover")
     assert rec == 4
-    final = next(e["fidelity"] for e in trace.entries if e["stage"] == "final")
+    final = next(e["fidelity"] for e in trace if e["stage"] == "final")
     assert final < 1 - 1e-6  # plain reflections cannot finish exactly from w=1/3
 
 

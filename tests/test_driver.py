@@ -67,7 +67,9 @@ def test_oracle_call_budget():
 def test_a_search_sweep_keeps_the_papers_counts(p, most_calls):
     # exact mode: a trial reads 0 or 1, only the last trial of a component
     # hits, and no component calls the oracle more than the largest
-    # subgroup order, which some hidden index reaches
+    # subgroup order, which some hidden index reaches; trials run x = 0, 1, ...
+    # so component k calls the oracle s mod m_k + 1 times, and the
+    # verification adds two calls to the report's total
     largest = make_group_spec(p).largest_order
     assert largest == most_calls
     calls = []
@@ -77,7 +79,9 @@ def test_a_search_sweep_keeps_the_papers_counts(p, most_calls):
             assert all(min(abs(q), abs(1 - q)) < 1e-12 for q in probs), (s, comp["k"], probs)
             assert [q > 0.5 for q in probs] == [False] * (len(probs) - 1) + [True]
             assert comp["oracle_calls"] == len(probs) <= largest
+            assert comp["oracle_calls"] == s % comp["m_k"] + 1 == comp["recovered_s_k"] + 1
             calls.append(comp["oracle_calls"])
+        assert rep.oracle_calls_total == sum(c["oracle_calls"] for c in rep.components) + 2
     assert max(calls) == largest
 
 
@@ -178,14 +182,6 @@ def test_cli_single_run(tmp_path):
     (None, ["--p", "13", "--hidden-s", "1", "--trotter-m", "0"], "trotter_m"),
     (None, ["--p", "13", "--hidden-s", "1", "--mode", "grover", "--grover-m", "-1"], "grover_m"),
     (None, ["--p", "13", "--hidden-s", "1", "--grover-m", "3"], "grover_m applies only to mode"),
-    (None, ["--p", "13", "--hidden-s", "7", "--theta", "1.0"], "theta must be pi"),
-    (None, ["--p", "13", "--hidden-s", "7", "--theta", "0"], "theta must be pi"),
-    (None, ["--p", "13", "--hidden-s", "5", "--hidden-random", "--seed", "1"],
-     "--hidden-s conflicts with --hidden-random"),
-    (None, ["--p", "13", "--hidden-s", "5", "--csv", "sweep.csv"],
-     "--hidden-s conflicts with --csv"),
-    (None, ["--p", "7", "--hidden-random", "--csv", "sweep.csv"],
-     "--hidden-random conflicts with --csv"),
     (None, ["--p", "13", "--hidden-s", "3", "--no-demo", "--epsilon", "0.1", "--gamma", "nan"],
      "gamma must be finite"),
     (None, ["--p", "13", "--hidden-s", "3", "--no-demo", "--epsilon", "0.1", "--gamma", "inf"],
@@ -204,11 +200,9 @@ def test_cli_single_run(tmp_path):
     ("nonsense", ["--p", "5", "--hidden-s", "1", "--no-demo"], "CYCSIM_LOG='nonsense' is not"),
     ("notset", ["--p", "5", "--hidden-s", "1", "--no-demo"], "CYCSIM_LOG='notset' is not"),
 ], ids=["nonprime", "p-two", "g-not-primitive", "g-out-of-range", "trotter-m-zero",
-        "grover-m-negative", "grover-m-without-grover-mode", "theta-one", "theta-zero",
-        "hidden-s-with-hidden-random", "hidden-s-with-csv", "hidden-random-with-csv",
-        "gamma-nan", "gamma-inf", "csv-dir-missing", "out-dir-missing",
-        "out-is-csv", "out-is-a-directory", "csv-is-a-directory",
-        "log-basic-format", "log-nonsense", "log-notset"])
+        "grover-m-negative", "grover-m-without-grover-mode", "gamma-nan", "gamma-inf",
+        "csv-dir-missing", "out-dir-missing", "out-is-csv", "out-is-a-directory",
+        "csv-is-a-directory", "log-basic-format", "log-nonsense", "log-notset"])
 def test_cli_rejects_bad_config(log, argv, fragment, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if log is None:
@@ -221,6 +215,38 @@ def test_cli_rejects_bad_config(log, argv, fragment, capsys, tmp_path, monkeypat
     assert fragment in capsys.readouterr().err
     assert [path.name for path in tmp_path.iterdir()] == ["dir"] and not any(
         (tmp_path / "dir").iterdir())
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["--p", "13"], "one of the arguments --hidden-s --hidden-random --csv is required"),
+    (["--p", "13", "--hidden-s", "5", "--hidden-random", "--seed", "1"],
+     "argument --hidden-random: not allowed with argument --hidden-s"),
+    (["--p", "13", "--hidden-s", "5", "--csv", "sweep.csv"],
+     "argument --csv: not allowed with argument --hidden-s"),
+    (["--p", "7", "--hidden-random", "--csv", "sweep.csv"],
+     "argument --csv: not allowed with argument --hidden-random"),
+    (["--p", "13", "--hidden-s", "7", "--theta", "1.0"], "unrecognized arguments: --theta 1.0"),
+], ids=["no-index-source", "hidden-s-with-hidden-random", "hidden-s-with-csv",
+        "hidden-random-with-csv", "theta"])
+def test_the_parser_exits_2_before_any_run(argv, fragment, capsys, tmp_path, monkeypatch):
+    # exactly one of --hidden-s, --hidden-random and --csv picks the hidden
+    # index, and theta is no option: argparse exits 2 before any run
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(driver, "run_experiment", lambda config: pytest.fail("run started"))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert fragment in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_theta_is_the_searchs_fixed_pi_rotation():
+    # the trial threshold assumes a pi rotation, so no config can set another
+    with pytest.raises(TypeError):
+        ExperimentConfig(p=13, theta=1.0)
+    config = dataclasses.replace(ExperimentConfig(p=13, run_demo=False), hidden_s=7)
+    assert config.theta == math.pi
+    assert run_experiment(config).config["theta"] == 3.141592653589793
 
 
 @pytest.fixture
@@ -278,8 +304,14 @@ def test_cli_refuses_a_prime_too_wide_for_the_verification_register(monkeypatch,
     assert "p = 4099 needs more than the 12 verification qubits" in capsys.readouterr().err
 
 
-def test_cli_requires_an_index_source(capsys):
-    assert cli_main(["--p", "13"]) == 2
+def test_a_wide_p_is_refused_before_trial_division(monkeypatch, capsys):
+    # is_prime divides by trial up to sqrt(p): a minute for a 19-digit p
+    calls = []
+    monkeypatch.setattr(driver, "is_prime", calls.append)
+    assert cli_main(["--p", "1000000000000000003", "--hidden-s", "0"]) == 2
+    assert calls == []
+    assert ("p = 1000000000000000003 needs more than the 12 verification qubits"
+            in capsys.readouterr().err)
 
 
 def test_cli_deterministic_reports(tmp_path):
@@ -628,6 +660,30 @@ def test_a_run_never_builds_the_entries_dict(monkeypatch):
     monkeypatch.setattr(SparseState, "entries", property(refuse))
     rep = run_experiment(ExperimentConfig(p=13, hidden_s=7, epsilon=0.1))
     assert rep.verification["success"] is True and rep.dlog_demo is not None
+
+
+def test_gamma_without_epsilon_shares_the_instance(cleared_gate_caches, monkeypatch):
+    # without epsilon there is no pulse for gamma to phase: a run that only
+    # changes gamma reuses the instance and its tables, and reports the same
+    compiled = []
+    table_for = Permutation.table_for
+
+    def spy(self, dims):
+        if dims not in self.tables:
+            compiled.append(self.label)
+        return table_for(self, dims)
+
+    monkeypatch.setattr(Permutation, "table_for", spy)
+    first = run_experiment(ExperimentConfig(p=43, hidden_s=1, run_demo=False)).as_dict()
+    misses = driver._instance.cache_info().misses
+    compiled.clear()
+    second = run_experiment(ExperimentConfig(p=43, hidden_s=1, gamma=0.3,
+                                             run_demo=False)).as_dict()
+    assert driver._instance.cache_info().misses == misses
+    # only the per-run gates of b = 3**1 mod 43 = 3: its load and the verification's relabeling
+    assert compiled == ["X_0_3", "U_OR"]
+    assert second["config"].pop("gamma") == 0.3 and first["config"].pop("gamma") == 0.0
+    assert second == first
 
 
 def test_an_evicted_configuration_frees_its_gates(cleared_gate_caches):

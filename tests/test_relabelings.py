@@ -217,8 +217,8 @@ UNREACHED_BY_A_RUN = {"dlog_pipeline.u_log"}
 # read of the name may be that field's, so each counts as reached only here
 SHARED_NAMES = {
     "hilbert.SparseState.entries": "the {basis tuple: amplitude} read-out of a state that the "
-                                   "README documents; PipelineTrace and _Instance hold fields "
-                                   "of the same name",
+                                   "README documents; _Instance holds a field of the same "
+                                   "name",
 }
 
 
