@@ -30,7 +30,7 @@ from . import hilbert
 from . import mq_circuits as mq
 from .hilbert import GateLedger, RegisterLayout, Sequence, SimulationError, SparseState
 from .numtheory import (CyclicGroupSpec, DomainError, classical_dlog, crt_compose,
-                        is_prime, make_group_spec, multiplicative_order)
+                        find_primitive_root, is_prime, make_group_spec, multiplicative_order)
 from .oracle import OracleSpec, make_oracle, make_subspace_oracle
 
 log = logging.getLogger("cycsim")
@@ -115,8 +115,10 @@ class _Instance:
 
 
 @functools.lru_cache(maxsize=hilbert.GATE_SETS)
-def _instance(p: int, g: int | None, epsilon: float, gamma: float) -> _Instance:
-    """The last GATE_SETS instances built, each with its gates and their tables."""
+def _instance(p: int, g: int, epsilon: float, gamma: float) -> _Instance:
+    """The last GATE_SETS instances built, each with its gates and their
+    tables; keyed on the primitive root a run resolves, so a run that names
+    the smallest one shares the instance of a run that leaves g to default."""
     spec = make_group_spec(p, g)
     layout, regs = cr.make_search_layout(spec)
 
@@ -146,8 +148,9 @@ def _draw_hidden(config: ExperimentConfig) -> int:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     t0 = time.perf_counter()
+    g = config.g if config.g is not None else find_primitive_root(config.p)
     # gamma phases only the pulse, and without epsilon there is none
-    inst = _instance(config.p, config.g, config.epsilon, config.gamma if config.epsilon > 0 else 0.0)
+    inst = _instance(config.p, g, config.epsilon, config.gamma if config.epsilon > 0 else 0.0)
     spec, layout, regs = inst.spec, inst.layout, inst.regs
     hidden_s = _draw_hidden(config)
     ospec = OracleSpec(hidden_s, spec)

@@ -33,10 +33,13 @@ Conventions:
     the codes it maps.  A permutation whose domain has at most
     EXHAUSTIVE_CHECK_LIMIT points evaluates the whole domain once, one value
     of its leading register at a time, into a lookup table, which the checks
-    on every point prove a bijection; the inverse table is its scatter.  Both
-    are int32, as such a domain's codes lie below 2^20.  A larger permutation
-    keeps nothing: every application evaluates its rows' codes, ROW_BLOCK
-    rows at a time.
+    on every point prove a bijection.  The table holds each code's move,
+    image - code, in the narrowest of int8, int16 and int32 that holds every
+    move and its negation, and the inverse table is the negated scatter of
+    the moves: most gates change only their last register, so a move lies
+    within its span and most tables take one byte per entry.  A reader adds
+    the move to the code in int64.  A larger permutation keeps nothing:
+    every application evaluates its rows' codes, ROW_BLOCK rows at a time.
   - A Sequence whose leaves are all permutations (Controlled permutations
     count) is one permutation of its registers, memoized per dims signature
     in two dicts, {digits: image digits} and back, keyed by tuples of the
@@ -49,7 +52,9 @@ Conventions:
     rows per call in the pipeline's runs, so the dicts stay small.
   - Norm is checked after every gate application that returns new amplitudes
     (tolerance NORM_TOL); a gate that only moves rows hands back the input's
-    frozen amplitude array itself.  Only a local unitary recombines amplitudes,
+    frozen amplitude array itself.  The output state keeps the norm `apply`
+    computed, so the next `apply` reads its input's norm instead of
+    computing it again.  Only a local unitary recombines amplitudes,
     so it alone leaves numerical dust; it drops amplitudes below DROP_THRESHOLD
     once, as it gathers its output.
   - The local-unitary kernel keeps its large work arrays in three buffers
@@ -277,16 +282,18 @@ def _encode(words: np.ndarray, code: _Code) -> tuple[np.ndarray, list | None]:
 
 
 def _recode(words: np.ndarray, code: _Code, codes: np.ndarray,
-            digits: list | None, images: np.ndarray) -> np.ndarray:
+            digits: list | None, moves: np.ndarray) -> np.ndarray:
     """The rows' words with their registers moved from `codes` (and the
-    `digits` `_encode` gave with them) to `images`."""
+    `digits` `_encode` gave with them) by `moves`, image - code in any
+    integer type, widened to int64 before any stride multiplies it."""
     if code.run is not None:
-        delta = (images - codes) * code.run.stride
+        delta = np.multiply(moves, code.run.stride, dtype=np.int64)
         if words.shape[1] == 1:
             return (words[:, 0] + delta)[:, None]
         new = words.copy()
         new[:, code.run.word] += delta
         return new
+    images = codes + moves
     new = words.copy()
     for place, weight, old in zip(code.places, code.weights.tolist(), digits):
         new[:, place.word] += (_digit(images, weight, place.span) - old) * place.stride
@@ -311,16 +318,19 @@ class SparseState:
         self.words = layout.pack(rows)
         self.amps = np.array(list(entries.values()), dtype=complex)
         self._entries = None
+        self._l2 = None  # np.linalg.norm(amps), kept by `apply` for the next `apply`
         _freeze(self.words, self.amps)
         if not abs(self.norm() - 1.0) <= NORM_TOL:  # NaN fails too
             raise SimulationError(f"state norm {self.norm()} outside tolerance")
 
     @classmethod
     def from_arrays(cls, layout: RegisterLayout, words: np.ndarray,
-                    amps: np.ndarray) -> "SparseState":
-        """Wrap gate-application output as is: no copy and no norm check."""
+                    amps: np.ndarray, l2: float | None = None) -> "SparseState":
+        """Wrap gate-application output as is: no copy and no norm check;
+        `l2`, where given, is np.linalg.norm(amps), which `apply` computed."""
         state = cls.__new__(cls)
         state.layout, state.words, state.amps, state._entries = layout, words, amps, None
+        state._l2 = l2
         _freeze(words, amps)
         return state
 
@@ -436,27 +446,35 @@ class Permutation(GateOp):
         return self.regs
 
     def table_for(self, dims: tuple[int, ...]) -> np.ndarray | None:
-        """Lookup table of the flattened map, or None above the check limit,
-        where each application evaluates `fn` on its rows instead.  The whole
-        domain goes through `_evaluate` once, a block per value of the leading
-        register (the whole domain of a one-register gate), so the map's
-        temporaries stay a slice long; the inverse table is its scatter.  Both
-        hold int32, 4 bytes per entry, as a compiled domain's codes lie below
-        EXHAUSTIVE_CHECK_LIMIT = 2^20."""
+        """Lookup table of the flattened map as each code's move, image -
+        code, or None above the check limit, where each application evaluates
+        `fn` on its rows instead.  The whole domain goes through `_evaluate`
+        once, a block per value of the leading register (the whole domain of
+        a one-register gate), so the map's temporaries stay a slice long; its
+        int32 images become moves in place.  The table holds them in the
+        narrowest of int8, int16 and int32 that holds every move and its
+        negation (UF_2_29 changes only its last register, so its 32^4 moves
+        fit one byte each), and the inverse table is their negated scatter,
+        in the same type."""
         table = self.tables.get(dims)
         if table is not None:
             return table
         total = math.prod(dims)
         if total > EXHAUSTIVE_CHECK_LIMIT:
             return None
+        # int64 on purpose: freeing it (8 MB at p = 29) raises glibc's mmap
+        # threshold, below which a warm demo's local-unitary kernel faults
+        # its arrays in afresh on every call; warm demo-p29 passes after the
+        # first make 16-33 minor faults, and about 43 K with an int32 arange
         codes = np.arange(total)
-        table = _evaluate(self, dims, codes, total // dims[0] if len(dims) > 1 else total)
-        inv_table = np.empty(total, dtype=np.int32)
-        # one scatter of the whole domain: freeing its int64 source (8 MB
-        # at p = 29) also raises glibc's mmap threshold, below which a warm
-        # demo's local-unitary kernel faults its arrays in afresh on every
-        # call; warm demo-p29 passes after the first make 16-85 minor faults
-        inv_table[table] = codes
+        images = _evaluate(self, dims, codes, total // dims[0] if len(dims) > 1 else total)
+        images -= codes
+        reach = max(-int(images.min()), int(images.max()))
+        table = images.astype(next(t for t in (np.int8, np.int16, np.int32)
+                                   if reach <= np.iinfo(t).max))
+        images += codes
+        inv_table = np.empty_like(table)
+        inv_table[images] = -table
         self.tables[dims] = table
         self.inv_tables[dims] = inv_table
         return table
@@ -628,8 +646,12 @@ def _permute_words(layout: RegisterLayout, words: np.ndarray, gate: Permutation)
     if table is None and code.weights is None:
         raise SimulationError(f"{gate.label}: domain {code.dims} too large for a flat code")
     codes, digits = _encode(words, code)
-    images = table[codes] if table is not None else _evaluate(gate, code.dims, codes, ROW_BLOCK)
-    return _recode(words, code, codes, digits, images)
+    if table is not None:
+        moves = table[codes]
+    else:
+        moves = _evaluate(gate, code.dims, codes, ROW_BLOCK)
+        moves -= codes
+    return _recode(words, code, codes, digits, moves)
 
 
 def _evaluate(gate: Permutation, dims: tuple[int, ...], codes: np.ndarray,
@@ -728,15 +750,16 @@ def _walk(steps: list, rows: list[list[int]]) -> None:
         leaf, dims, places = step
         table = leaf.table_for(dims)
         if table is not None:
-            image_of = table.item
+            move_of = table.item
         else:  # above the check limit: the rows' codes in one evaluation
             codes = [sum(row[i] * s for i, s, _ in places) for row in rows]
-            image_of = dict(zip(codes, _evaluate(leaf, dims, np.array(codes), ROW_BLOCK).tolist())).get
+            flat = np.array(codes)
+            move_of = dict(zip(codes, (_evaluate(leaf, dims, flat, ROW_BLOCK) - flat).tolist())).get
         for row in rows:  # plain loops: a generator costs more than these few digits
             code = 0
             for i, s, _ in places:
                 code += row[i] * s
-            image = image_of(code)
+            image = code + move_of(code)
             for i, s, d in places:
                 row[i] = image // s % d
 
@@ -1005,13 +1028,16 @@ def _apply_arrays(layout: RegisterLayout, words: np.ndarray, amps: np.ndarray,
 
 
 def apply(state: SparseState, gate: GateOp, ledger: GateLedger | None = None) -> SparseState:
-    """Apply a gate; enforces norm preservation."""
+    """Apply a gate; enforces norm preservation.  The output keeps the norm
+    computed here, so the next `apply` reads its input's norm, not computes it."""
     words, amps = _apply_arrays(state.layout, state.words, state.amps, gate, ledger)
+    l2 = state._l2
     if amps is not state.amps:  # the input's own (frozen) amplitudes keep their norm
-        before, after = float(np.linalg.norm(state.amps)), float(np.linalg.norm(amps))
-        if not abs(after - before) <= NORM_TOL:  # NaN fails too
-            raise SimulationError(f"{gate.label}: norm drifted {before} -> {after}")
-    return SparseState.from_arrays(state.layout, words, amps)
+        before = l2 if l2 is not None else float(np.linalg.norm(state.amps))
+        l2 = float(np.linalg.norm(amps))
+        if not abs(l2 - before) <= NORM_TOL:  # NaN fails too
+            raise SimulationError(f"{gate.label}: norm drifted {before} -> {l2}")
+    return SparseState.from_arrays(state.layout, words, amps, l2)
 
 
 def apply_all(state: SparseState, gates: Iterable[GateOp],

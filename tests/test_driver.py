@@ -22,7 +22,8 @@ from cycsim import crt_reduction, dlog_pipeline, driver, gates, halting_program,
 from cycsim import mq_circuits
 from cycsim.driver import ExperimentConfig, cli_main, run_experiment, run_sweep
 from cycsim.hilbert import GateLedger, LocalUnitary, Permutation, Sequence, SparseState
-from cycsim.numtheory import DomainError, classical_dlog, is_prime, make_group_spec
+from cycsim.numtheory import (DomainError, classical_dlog, find_primitive_root, is_prime,
+                              make_group_spec)
 from cycsim.oracle import OracleSpec, make_subspace_oracle
 
 
@@ -513,7 +514,7 @@ def test_every_trial_matches_the_seven_gate_trial(p, epsilon, gamma):
     # (k, x), and the half rotation's adjoint: the same rows in the same
     # order, the same amplitude bits and the same leaf counts as the trial
     # applied as seven gates
-    inst = driver._instance(p, None, epsilon, gamma)
+    inst = driver._instance(p, find_primitive_root(p), epsilon, gamma)
     spec, layout, regs = inst.spec, inst.layout, inst.regs
     ospec = OracleSpec(5, spec)
     base = make_subspace_oracle(ospec, regs.w, tuple(
@@ -545,12 +546,12 @@ def test_every_run_dresses_the_oracle_with_the_instance_chains(monkeypatch):
     build = crt_reduction.make_aux_oracle
     monkeypatch.setattr(crt_reduction, "make_aux_oracle",
                         lambda base, k, entry: calls.append((k, entry)) or build(base, k, entry))
-    inst = driver._instance(29, None, 0.0, 0.0)
+    inst = driver._instance(29, find_primitive_root(29), 0.0, 0.0)
     for s in (3, 17, 3):
         calls.clear()
         assert run_experiment(ExperimentConfig(p=29, hidden_s=s, run_demo=False)
                               ).verification["success"]
-        assert driver._instance(29, None, 0.0, 0.0) is inst
+        assert driver._instance(29, find_primitive_root(29), 0.0, 0.0) is inst
         for k in range(inst.spec.r):
             used = [entry for j, entry in calls if j == k]
             assert 0 < len(used) <= len(inst.entries[k])
@@ -594,9 +595,10 @@ def test_warm_run_builds_no_reduction_adjoint(monkeypatch):
 
 
 @pytest.mark.parametrize("config,local,tables,nbytes", [
-    (ExperimentConfig(p=29, hidden_s=0), 6, 58, 9_162_048),
-    (ExperimentConfig(p=29, hidden_s=0, epsilon=0.1, gamma=0.3, run_demo=False), 10, 91, 398_208),
-    (ExperimentConfig(p=43, hidden_s=0, run_demo=False), 2, 119, 1_534_912),
+    (ExperimentConfig(p=29, hidden_s=0), 6, {"int8": 55, "int16": 3}, 2_296_656),
+    (ExperimentConfig(p=29, hidden_s=0, epsilon=0.1, gamma=0.3, run_demo=False), 10,
+     {"int8": 89, "int16": 2}, 103_648),
+    (ExperimentConfig(p=43, hidden_s=0, run_demo=False), 2, {"int8": 116, "int16": 3}, 408_304),
 ], ids=["demo-p29", "pulse-p29", "search-p43"])
 def test_a_cold_run_builds_each_adjoint_once(config, local, tables, nbytes, cleared_gate_caches,
                                              monkeypatch):
@@ -604,9 +606,10 @@ def test_a_cold_run_builds_each_adjoint_once(config, local, tables, nbytes, clea
     # reduction's inverse build one LocalUnitary per distinct gate, while
     # the adjoints still read their gates' compiled tables; the search and
     # the verification share one half rotation, so a search-only run builds
-    # UNY_n and its adjoint and no other dense matrix.  A compiled domain
-    # holds at most 2**20 codes, so a table and its inverse are int32: 8
-    # bytes per entry between them
+    # UNY_n and its adjoint and no other dense matrix.  A table and its
+    # inverse hold moves in the narrowest integer type that holds each move
+    # and its negation: one byte per entry each, apart from the register
+    # swaps, whose moves reach 31 * 31 = 961 at p = 29 (63 * 63 = 3969 at p = 43)
     counts, rotations = Counter(), []
     post_init, table_for = LocalUnitary.__post_init__, Permutation.table_for
 
@@ -621,9 +624,10 @@ def test_a_cold_run_builds_each_adjoint_once(config, local, tables, nbytes, clea
         table = table_for(self, dims)
         if fresh and table is not None:
             inverse = self.inv_tables[dims]
-            assert table.dtype == inverse.dtype == np.int32, self.label
-            assert table.nbytes + inverse.nbytes == 8 * table.size, self.label
-            counts["tables"] += 1
+            assert table.dtype == inverse.dtype, self.label
+            assert (table.dtype == np.int16) == self.label.startswith("SWAP"), self.label
+            assert table.nbytes + inverse.nbytes == 2 * table.itemsize * table.size, self.label
+            counts[str(table.dtype)] += 1
             counts["bytes"] += table.nbytes + inverse.nbytes
         return table
 
@@ -632,7 +636,7 @@ def test_a_cold_run_builds_each_adjoint_once(config, local, tables, nbytes, clea
     cleared_gate_caches()
     run_experiment(config)
     assert counts["local"] == local
-    assert counts["tables"] == tables
+    assert {t: counts[t] for t in ("int8", "int16", "int32") if counts[t]} == tables
     assert counts["bytes"] == nbytes
     half = f"UNY_{config.p.bit_length()}"
     assert rotations == [(half, "SEARCH"), (half + "+", "SEARCH")]
@@ -686,6 +690,20 @@ def test_gamma_without_epsilon_shares_the_instance(cleared_gate_caches, monkeypa
     assert second == first
 
 
+def test_the_smallest_root_named_shares_the_instance(cleared_gate_caches):
+    # g = None resolves to the smallest primitive root, 2 for p = 13: naming
+    # it reuses the instance and its tables, and reports the same
+    first = run_experiment(ExperimentConfig(p=13, hidden_s=5, run_demo=False)).as_dict()
+    second = run_experiment(ExperimentConfig(p=13, g=2, hidden_s=5, run_demo=False)).as_dict()
+    info = driver._instance.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert second["config"].pop("g") == 2 and first["config"].pop("g") is None
+    assert second == first
+    # another root is another group labelling, so another instance
+    run_experiment(ExperimentConfig(p=13, g=6, hidden_s=5, run_demo=False))
+    assert driver._instance.cache_info().misses == 2
+
+
 def test_an_evicted_configuration_frees_its_gates(cleared_gate_caches):
     # the memoized builders keep the last GATE_SETS configurations, so a
     # process that sweeps many primes holds a bounded set of gates and tables
@@ -693,7 +711,7 @@ def test_an_evicted_configuration_frees_its_gates(cleared_gate_caches):
     # hold Q_p gates
     primes = [7] + [p for p in range(3, 100) if is_prime(p) and p != 7][:hilbert.GATE_SETS]
     run_experiment(ExperimentConfig(p=primes[0], hidden_s=1, run_demo=False))
-    first = driver._instance(primes[0], None, 0.0, 0.0)  # the run's own instance
+    first = driver._instance(primes[0], find_primitive_root(primes[0]), 0.0, 0.0)  # the run's own instance
     assert driver._instance.cache_info().misses == 1
     reduce_0 = first.reductions[0]
     strip = next(g for g in reduce_0.gates if g.label == "STRIP_0")
@@ -720,10 +738,10 @@ def test_an_instance_builds_one_program_gate_per_stripped_pair(cleared_gate_cach
         return build(config, regs, pulse)
 
     monkeypatch.setattr(halting_program, "qp_gate", spy)
-    r = driver._instance(43, None, 0.0, 0.0).spec.r
+    r = driver._instance(43, find_primitive_root(43), 0.0, 0.0).spec.r
     assert r == 3  # 42 = 2 * 3 * 7
     assert len(calls) == r * (r - 1) == len(set(calls))
-    driver._instance(43, None, 0.0, 0.0)
+    driver._instance(43, find_primitive_root(43), 0.0, 0.0)
     assert len(calls) == r * (r - 1)
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from references import (assert_tables_match, cond_mod_exp_three_reg, cond_mod_exp_two_reg,
-                        cond_mod_exp_two_var, functional_qft, mod_reduce, mul_const, sole_tuple)
+                        cond_mod_exp_two_var, functional_qft, images_of, mod_reduce, mul_const,
+                        sole_tuple)
 from cycsim import dlog_pipeline, gates, hilbert
 from cycsim.hilbert import Register, RegisterLayout, SparseState, adjoint, apply
 from cycsim.numtheory import DomainError, find_primitive_root, is_prime, make_group_spec
@@ -418,9 +419,10 @@ def test_work_mod_exp_moves_basis_states_as_its_reference_does(p, data):
 
 def test_work_mod_exp_compiles_a_slice_at_a_time():
     # p = 29 is the demo's largest compiled table: 32**4 entries, made in one
-    # forward and one inverse call per value of w, within the int32 table and
-    # its inverse (4 MiB each), the int64 domain that is the inverse's scatter
-    # source (8 MiB) and one slice's temporaries: 16.25 MiB measured
+    # forward and one inverse call per value of w, within the int64 domain
+    # (8 MiB), its int32 images (4 MiB), which become the moves, and one
+    # slice's temporaries: 16.25 MiB measured.  Every move is a change of
+    # the target below 29, so the table and its inverse are int8, 1 MiB each
     gate = gates.work_mod_exp(2, 29, "x", "y", "w", "z")
     widths = []
 
@@ -435,7 +437,8 @@ def test_work_mod_exp_compiles_a_slice_at_a_time():
     finally:
         tracemalloc.stop()
     assert widths == [32 ** 3] * 64
-    assert table.nbytes == 4 << 20 and peak < 20 << 20
+    assert table.dtype == gate.inv_tables[(32,) * 4].dtype == np.int8
+    assert table.nbytes == 1 << 20 and peak < 20 << 20
 
 
 def test_construction_refusals_are_kept():
@@ -451,3 +454,65 @@ def test_construction_refusals_are_kept():
         gates.cyclic_shift(7, 14, "z")
     with pytest.raises(DomainError, match="not invertible"):
         gates.cyclic_shift(9, 3, "z")
+
+
+# --- the compiled table format ------------------------------------------------
+
+def _assert_moves(gate, dims):
+    """The gate's compiled table holds each code's move in the narrowest of
+    int8, int16 and int32 that holds every move and its negation, the codes
+    plus it are the brute-force image table (`fn` on every basis tuple of
+    `dims`), and the inverse table is the negated scatter of the moves."""
+    codes = np.arange(math.prod(dims))
+    images = np.ravel_multi_index(tuple(gate.fn(np.array(np.unravel_index(codes, dims)))), dims)
+    table = gate.table_for(dims)
+    assert np.array_equal(images_of(table), images), gate.label
+    reach = int(np.abs(images - codes).max())
+    assert table.dtype == next(t for t in (np.int8, np.int16, np.int32)
+                               if reach <= np.iinfo(t).max), (gate.label, reach)
+    inverse = np.empty_like(table)
+    inverse[images] = -table
+    assert gate.inv_tables[dims].dtype == table.dtype, gate.label
+    assert np.array_equal(gate.inv_tables[dims], inverse), gate.label
+
+
+@pytest.mark.parametrize("p", [q if q <= 31 else pytest.param(q, marks=pytest.mark.slow)
+                               for q in ODD_PRIMES_TO_61])
+def test_every_builder_compiles_moves_in_the_narrowest_type(p):
+    from cycsim import crt_reduction, halting_program, mq_circuits
+    from cycsim.oracle import binary_rep
+    D = gates.register_dim(p)
+    spec = make_group_spec(p)
+    config = halting_program.ProgramConfig.from_spec(spec)
+    layout, regs = crt_reduction.make_search_layout(spec)
+    n = p.bit_length()
+    cases = [
+        (gates.add_mod(p, "x", "z"), (D, D)),
+        (gates.mul3(p, "x", "y", "z"), (D, D, D)),
+        (gates.set_const(p - 1, "z", D), (D,)),
+        (gates.pow_const(3, p, "x", "z"), (D, D)),
+        (gates.group_mul_acc(p, "x", "z"), (D, D)),
+        (gates.cyclic_shift(p, spec.g, "z", power=-1), (D,)),
+        (gates.cyclic_shift(p, spec.g, "z", control="x"), (D, D)),
+        (gates.transposition(0, p - 1, "z"), (D,)),
+        (gates.swap_regs("x", "z"), (D, D)),
+        (halting_program.u_r_gate(config, "x", "z"), (D, D)),
+    ]
+    if D ** 4 <= hilbert.EXHAUSTIVE_CHECK_LIMIT:  # above it nothing compiles
+        cases.append((gates.work_mod_exp(spec.g, p, "x", "y", "w", "z"), (D,) * 4))
+    cases += [(halting_program._halt_gate(step, "g", "nh", "rec"), (D, 2, config.record_dim))
+              for step in range(config.record_dim)]
+    cases += [(lift, (D,)) for lift in crt_reduction.largest_subspace_gates(spec, regs)]
+    cases += [(mq_circuits.u_or(binary_rep(v, n), "q"), (2 ** n,))
+              for v in sorted({0, 1, p, 2 ** n - 1})]
+    for gate, dims in cases:
+        _assert_moves(gate, dims)
+
+
+@pytest.mark.parametrize("b, dim, dtype", [(127, 128, np.int8), (128, 256, np.int16)])
+def test_a_move_of_128_takes_two_bytes(b, dim, dtype):
+    # the inverse table negates the moves, and -(-128) passes int8
+    gate = gates.transposition(0, b, "z")
+    _assert_moves(gate, (dim,))
+    assert gate.table_for((dim,)).dtype == dtype
+    assert gate.table_for((dim,))[[0, b]].tolist() == [b, -b]

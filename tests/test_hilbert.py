@@ -16,7 +16,7 @@ from cycsim.hilbert import (CODE_LIMIT, DROP_THRESHOLD, EXHAUSTIVE_CHECK_LIMIT, 
                             Register, RegisterLayout, Sequence, SimulationError, SparseState,
                             adjoint, apply, apply_all, assert_registers_clean, fidelity,
                             inner_product)
-from cycsim.numtheory import make_group_spec
+from cycsim.numtheory import find_primitive_root, make_group_spec
 
 
 def on_tuples(regs, fn, inv, **kw):
@@ -619,11 +619,20 @@ def test_digit_reads_match_plain_division(dims, words, support):
         assert np.array_equal(codes, tuples[:, pos] @ np.array(hilbert._strides(code.dims)))
         # registers that are no run are read one register at a time, at any row count
         assert isinstance(digits, list) == (code.run is None)
-        images = np.array([rng.randrange(math.prod(code.dims)) for _ in codes], dtype=np.int64)
-        moved = tuples.copy()
-        moved[:, pos] = np.transpose(np.unravel_index(images, code.dims))
-        new = hilbert._recode(st.words, code, codes, digits, images)
-        assert np.array_equal(new, layout.pack(moved)), regs
+        total = math.prod(code.dims)
+        scattered = np.array([rng.randrange(total) for _ in codes], dtype=np.int64)
+        # a step of one code, held in int8 as a compiled table holds it: the
+        # moves widen before a stride (1,792 for r0 r1) multiplies them
+        step = np.where(codes + 1 < total, codes + 1, codes - 1)
+        for images in (scattered, step):
+            moved = tuples.copy()
+            moved[:, pos] = np.transpose(np.unravel_index(images, code.dims))
+            moves = images - codes
+            reach = int(np.abs(moves).max())
+            moves = moves.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                                      if reach <= np.iinfo(t).max))
+            new = hilbert._recode(st.words, code, codes, digits, moves)
+            assert np.array_equal(new, layout.pack(moved)), regs
 
 
 @DIGIT_CASES
@@ -899,7 +908,7 @@ def test_a_support_below_many_rows_keeps_no_plan():
 def test_the_search_layout_keeps_no_plan_after_a_sweep():
     # the search meets supports of one or two rows only
     driver.run_sweep(driver.ExperimentConfig(p=43, run_demo=False))
-    assert driver._instance(43, None, 0.0, 0.0).layout._plans == {}
+    assert driver._instance(43, find_primitive_root(43), 0.0, 0.0).layout._plans == {}
 
 
 PLAN_REGS = [Register("a", 4), Register("b", 3), Register("c", 5)]
@@ -1484,3 +1493,22 @@ def test_norm_is_checked_only_where_amplitudes_change(monkeypatch):
                         lambda layout, keys, amps, gate: (keys, 2 * amps))
     with pytest.raises(SimulationError, match="norm drifted"):
         apply(st, gates.qft(4, "a"))
+
+
+def test_apply_reads_its_inputs_norm_from_the_apply_that_made_it(monkeypatch):
+    # each apply computes the norm of its output only, and hands it on
+    # through the state, permutations included; the refusal is unchanged
+    st = random_state(small_layout(), random.Random(3))
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda a: calls.append(len(a)) or norm(a))
+    once = apply(st, gates.qft(4, "a"))
+    moved = apply(once, gates.transposition(0, 3, "a"))
+    twice = apply(moved, gates.qft(4, "a"))
+    assert len(calls) == 3  # the input's, the first output's and the second's
+    assert twice._l2 == float(norm(twice.amps)) and moved._l2 == once._l2
+    monkeypatch.setattr(hilbert, "_apply_local",
+                        lambda layout, keys, amps, gate: (keys, 2 * amps))
+    before = float(norm(twice.amps))
+    with pytest.raises(SimulationError, match=re.escape(f"norm drifted {before} -> ")):
+        apply(twice, gates.qft(4, "a"))

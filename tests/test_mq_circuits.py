@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from references import IPLUS, IY, q_n_operator, sole_tuple
+from references import IPLUS, IY, images_of, q_n_operator, sole_tuple
 from cycsim import gates, hilbert, mq_circuits as mq
 from cycsim.driver import ExperimentConfig, run_experiment
 from cycsim.numtheory import DomainError
@@ -218,7 +218,7 @@ def _u_or_matrix(rep):
     """The permutation matrix of the U_OR gate, from its compiled table."""
     N = 2**rep.n
     out = np.zeros((N, N), dtype=complex)
-    out[mq.u_or(rep, "q").table_for((N,)), np.arange(N)] = 1
+    out[images_of(mq.u_or(rep, "q").table_for((N,))), np.arange(N)] = 1
     return out
 
 
